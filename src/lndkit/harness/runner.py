@@ -298,8 +298,7 @@ def _t_restrict(run: _Run, task: TaskSpec, out: TaskResult):
     rd, wits = result
     out.verdict = "restricted"
     out.values.extend(_poly_values("image", rd.images))
-    for g, w in zip(run.spec.subalgebra.algebra_generators, wits):
-        out.values.append((f"witness.{g}", str(w.expression)))
+    out.values.extend(_poly_values("witness", [w.expression for w in wits]))
     out.payload = rd
 
 

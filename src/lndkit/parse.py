@@ -7,7 +7,9 @@ multiplication (``2X``) is rejected.  ``/`` occurs only inside rational
 literals, never as an operator between expressions.
 
 ``str(poly)`` emits the canonical form this parser accepts, so
-serialize-then-parse reproduces the identical term map.
+serialize-then-parse reproduces the identical term map.  Parentheses may
+nest at most ``MAX_NESTING_DEPTH`` deep, so no input text can exhaust the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import PolyParseError
 from .polynomial import Polynomial
 
 _OPS = set("+-*^/()")
+MAX_NESTING_DEPTH = 100
 
 
 class _Token:
@@ -80,6 +83,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.context = context
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -150,7 +154,11 @@ class _Parser:
                 self.fail(f"unknown variable {tok.text!r}", tok)
             return Polynomial.variable(self.context, tok.text)
         if tok.kind == "(":
+            if self.depth >= MAX_NESTING_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", tok)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             if self.peek().kind != ")":
                 self.fail("expected ')'")
             self.advance()

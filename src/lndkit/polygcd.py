@@ -118,7 +118,8 @@ def _gcd_inner(p: Polynomial, q: Polynomial) -> Polynomial:
     c = _gcd_inner(cp, cq)
     f1 = exact_divide(p, cp)
     f2 = exact_divide(q, cq)
-    assert f1 is not None and f2 is not None
+    if f1 is None or f2 is None:
+        raise AssertionError("content division must be exact")
     if _deg_in(f1, i) < _deg_in(f2, i):
         f1, f2 = f2, f1
     g = Polynomial.one(ctx)
@@ -128,14 +129,16 @@ def _gcd_inner(p: Polynomial, q: Polynomial) -> Polynomial:
         rem = _prem(f1, f2, i)
         if rem.is_zero():
             pp = exact_divide(f2, _content(f2, i))
-            assert pp is not None
+            if pp is None:
+                raise AssertionError("primitive part division must be exact")
             return (c * pp).monic_lex()
         if _deg_in(rem, i) == 0:
             return c.monic_lex()
         f1 = f2
         divisor = g * h ** delta
         f2 = exact_divide(rem, divisor)
-        assert f2 is not None, "subresultant division must be exact"
+        if f2 is None:
+            raise AssertionError("subresultant division must be exact")
         g = _lead_coeff_in(f1, i)
         if delta == 0:
             pass
@@ -143,7 +146,8 @@ def _gcd_inner(p: Polynomial, q: Polynomial) -> Polynomial:
             h = g
         else:
             h_new = exact_divide(g ** delta, h ** (delta - 1))
-            assert h_new is not None
+            if h_new is None:
+                raise AssertionError("subresultant scaling division must be exact")
             h = h_new
 
 
@@ -157,6 +161,6 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.is_zero() and q.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
     g = _gcd_inner(p, q)
-    assert p.is_zero() or divides(g, p), "gcd postcondition failed"
-    assert q.is_zero() or divides(g, q), "gcd postcondition failed"
+    if not (p.is_zero() or divides(g, p)) or not (q.is_zero() or divides(g, q)):
+        raise AssertionError("gcd postcondition failed")
     return g

@@ -7,6 +7,14 @@ values are immutable after construction and every operation is exact.
 
 The degree of the zero polynomial is the sentinel ``None``, never an
 integer; callers comparing degrees must treat it explicitly.
+
+Construction contract: the public ``Polynomial(context, terms)`` constructor
+validates every monomial (length, non-negative exponents), coerces every
+coefficient to ``Fraction`` and merges duplicates, so parsed text, job
+files and user values always pass through it.  Arithmetic results
+(``+``, ``-``, ``*``, ``**``, negation and ``partial_derivative``) are valid
+by construction and use the private ``Polynomial._trusted`` path, which
+only puts their terms into canonical order.
 """
 
 from __future__ import annotations
@@ -74,6 +82,20 @@ class Polynomial:
             self, "terms", dict(sorted(combined.items(), key=lambda kv: kv[0], reverse=True))
         )
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> Polynomial:
+        """Result of arithmetic on valid polynomials, without re-validation.
+
+        ``terms`` maps valid monomials of ``context`` to nonzero
+        ``Fraction`` coefficients, in any order.  Monomials are unique, so
+        sorting the items never compares coefficients.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "terms", dict(sorted(terms.items(), reverse=True)))
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -175,14 +197,21 @@ class Polynomial:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             acc = terms.get(m)
-            terms[m] = c if acc is None else acc + c
-        return Polynomial(self.context, terms)
+            if acc is None:
+                terms[m] = c
+            else:
+                acc = acc + c
+                if acc:
+                    terms[m] = acc
+                else:
+                    del terms[m]
+        return Polynomial._trusted(self.context, terms)
 
     def __radd__(self, other) -> Polynomial:
         return self.__add__(other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.context, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.context, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         return self.__add__(self._coerce(other).__neg__())
@@ -195,7 +224,7 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return Polynomial.zero(self.context)
-            return Polynomial(self.context, {m: v * c for m, v in self.terms.items()})
+            return Polynomial._trusted(self.context, {m: v * c for m, v in self.terms.items()})
         other = self._coerce(other)
         self._check(other)
         out: dict[Monomial, Fraction] = {}
@@ -205,7 +234,7 @@ class Polynomial:
                 acc = out.get(m)
                 prod = c1 * c2
                 out[m] = prod if acc is None else acc + prod
-        return Polynomial(self.context, out)
+        return Polynomial._trusted(self.context, {m: c for m, c in out.items() if c})
 
     def __rmul__(self, other) -> Polynomial:
         return self.__mul__(other)
@@ -235,15 +264,10 @@ class Polynomial:
 
     def partial_derivative(self, name: str) -> Polynomial:
         i = self.context.index(name)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                dm = m[:i] + (e - 1,) + m[i + 1:]
-                acc = out.get(dm)
-                val = c * e
-                out[dm] = val if acc is None else acc + val
-        return Polynomial(self.context, out)
+        # Lowering the i-th exponent is injective on monomials that have
+        # one, so no two terms merge.
+        out = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in self.terms.items() if m[i]}
+        return Polynomial._trusted(self.context, out)
 
     def substitute(
         self,

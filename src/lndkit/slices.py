@@ -33,6 +33,7 @@ from .subalgebra import (
     MembershipWitness,
     RestrictedDerivation,
     Subalgebra,
+    generator_products,
     subalgebra_member,
 )
 
@@ -107,13 +108,16 @@ def find_slice(
     point free certified derivation on a full ring a large enough bound
     always succeeds).
     """
-    if span is None:
-        span = GeneratorSpan(S, bound)
     if isinstance(D, Derivation):
-        images = [D.apply(poly) for _, poly in span.products]
+        # A full derivation applies directly, so only the products are needed.
+        products = span.products if span is not None else generator_products(S, bound)
+        images = [D.apply(poly) for _, poly in products]
     else:
-        images = [D.image_of_product(expo) for expo, _ in span.products]
-    s = _solve_unit_image(images, span.products, S.context)
+        if span is None:
+            span = GeneratorSpan(S, bound)
+        products = span.products
+        images = [D.image_of_product(expo) for expo, _ in products]
+    s = _solve_unit_image(images, products, S.context)
     if s is None:
         return None
     check = _applier(D, span)(s)

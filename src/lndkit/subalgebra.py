@@ -12,7 +12,6 @@ a refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .context import VarContext
@@ -140,13 +139,8 @@ class GeneratorSpan:
         self.bound = bound
         self.products = generator_products(S, bound, cap)
         self.space = RowSpace()
-        self.dependencies: list[dict[int, Fraction]] = []
         for j, (_, poly) in enumerate(self.products):
-            dep = self.space.insert(vec_of(poly), j)
-            if dep is not None:
-                rel = dict(dep)
-                rel[j] = rel.get(j, Fraction(0)) - 1
-                self.dependencies.append(rel)
+            self.space.insert(vec_of(poly), j)
 
     def express(self, f: Polynomial) -> Polynomial | None:
         """Expression of f over the products, as a symbol polynomial."""

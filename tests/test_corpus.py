@@ -1,14 +1,32 @@
 """The shipped corpus must pass in full, deterministically, in any order."""
 
-from lndkit.harness import corpus_report_text, load_corpus, run_corpus, run_entry
+import pytest
+
+from lndkit.harness import (
+    corpus_report_text,
+    load_corpus,
+    run_corpus,
+    run_entry,
+    validate_report_text,
+)
 
 
-def test_every_entry_passes():
-    outcomes = run_corpus()
-    report = corpus_report_text(outcomes)
-    failing = [o.identifier for o in outcomes if not o.passed]
+@pytest.fixture(scope="module")
+def corpus_outcomes():
+    return run_corpus()
+
+
+def test_every_entry_passes(corpus_outcomes):
+    report = corpus_report_text(corpus_outcomes)
+    failing = [o.identifier for o in corpus_outcomes if not o.passed]
     assert not failing, report
-    assert len(outcomes) >= 30
+    assert len(corpus_outcomes) >= 30
+
+
+def test_every_entry_report_passes_the_schema(corpus_outcomes):
+    problems = {o.identifier: found for o in corpus_outcomes
+                if (found := validate_report_text(o.report.to_text()))}
+    assert not problems
 
 
 def test_every_expected_value_carries_provenance():

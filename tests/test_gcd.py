@@ -1,11 +1,14 @@
 """Multivariate gcd: examples and the exact-division property."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lndkit
 from lndkit import DomainError, Polynomial, VarContext, divides, exact_divide, gcd, parse_polynomial
 
 from helpers import rand_poly
@@ -69,3 +72,16 @@ def test_gcd_divides_both_inputs(seed):
     assert q.is_zero() or divides(g, q)
     if not (p.is_zero() or q.is_zero()) and not common.is_constant():
         assert divides(common.monic_lex(), g) or divides(g, p * q)
+
+
+def test_package_checks_survive_optimized_mode():
+    """``python -O`` strips ``assert`` statements, so invariant checks such as
+    the gcd postcondition must raise explicitly."""
+    root = Path(lndkit.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found

@@ -171,6 +171,14 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert result.exit_code == 2
 
 
+def test_cli_run_deeply_nested_polynomial_is_an_input_error(tmp_path):
+    job = tmp_path / "deep.job"
+    job.write_text(MINIMAL.replace("Y: 1", "Y: " + "(" * 400 + "1" + ")" * 400))
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 2
+    assert "nested deeper" in result.output
+
+
 def test_cli_corpus_filter_and_parallel():
     runner = CliRunner()
     result = runner.invoke(cli_main, ["corpus", "--filter", "a2-pair", "--parallel", "2"])

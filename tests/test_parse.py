@@ -3,6 +3,7 @@
 import pytest
 
 from lndkit import PolyParseError, VarContext, parse_polynomial
+from lndkit.parse import MAX_NESTING_DEPTH
 
 CTX = VarContext(("t",), ("X", "Y"))
 
@@ -70,6 +71,15 @@ def test_dangling_operator():
 def test_unbalanced_parens():
     with pytest.raises(PolyParseError):
         P("(X + 1")
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert P("(" * MAX_NESTING_DEPTH + "X" + ")" * MAX_NESTING_DEPTH) == P("X")
+    depth = MAX_NESTING_DEPTH + 1
+    with pytest.raises(PolyParseError, match="nested deeper"):
+        P("(" * depth + "X" + ")" * depth)
+    with pytest.raises(PolyParseError):
+        P("(" * 5000 + "X" + ")" * 5000)
 
 
 def test_whitespace_insensitive():

@@ -158,6 +158,42 @@ def test_terms_iterate_descending_lex():
     assert [m for m, _ in p] == sorted(p.terms, reverse=True)
 
 
+def _assert_canonical(r: Polynomial):
+    keys = list(r.terms)
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert r == Polynomial(r.context, r.terms)
+
+
+@given(st.integers(0, 2 ** 30), st.fractions(max_denominator=6) | st.integers(-4, 4))
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_results_are_canonical(seed, scalar):
+    """Results built without re-validation match the validating constructor."""
+    rng = random.Random(seed)
+    a, b = rand_poly(rng, CTXT, max_terms=6), rand_poly(rng, CTXT, max_terms=6)
+    name = rng.choice(CTXT.variables)
+    results = [a + b, a - b, a - a, -a, a * b, a * scalar, scalar * a, a * 0,
+               a * Fraction(0), a ** 3, a.partial_derivative(name)]
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_constructor_rejects_invalid_monomials():
+    with pytest.raises(ValueError):
+        Polynomial(CTX, {(1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(CTX, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(CTX, {(1, -1): 1})
+
+
+def test_constructor_coerces_and_merges():
+    p = Polynomial(CTX, [((0, 1), 1), ((1, 0), 2), ((0, 1), Fraction(-1, 2)), ((0, 0), 0)])
+    assert p.terms == {(1, 0): Fraction(2), (0, 1): Fraction(1, 2)}
+    assert list(p.terms) == [(1, 0), (0, 1)]
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
 def test_immutability():
     p = P("X")
     with pytest.raises(AttributeError):

@@ -62,6 +62,15 @@ def test_find_slice_negative_control():
     assert find_slice(NEGATIVE, Subalgebra.full(CTXT), 10) is None
 
 
+@pytest.mark.parametrize("D, ctx, bound", [
+    (DY, CTX, 1), (DY, CTX, 3), (WORKED, CTXT, 2), (WORKED, CTXT, 3), (WORKED, CTXT, 4),
+    (NEGATIVE, CTXT, 4),
+])
+def test_find_slice_same_with_or_without_span(D, ctx, bound):
+    S = Subalgebra.full(ctx)
+    assert find_slice(D, S, bound) == find_slice(D, S, bound, GeneratorSpan(S, bound))
+
+
 def test_dixmier_kills_slice():
     assert dixmier(DY, P("Y"), P("Y")).is_zero()
 
