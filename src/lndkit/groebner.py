@@ -2,16 +2,29 @@
 
 Every basis element carries its expression as a polynomial combination of
 the original input generators, so ideal-membership verdicts ship witnesses
-that recombine exactly to the queried element.  Pair selection follows the
-normal strategy (smallest lcm under the active order) and applies the two
-classic elimination criteria (coprime leading terms, chain criterion), so
-bases are reproducible across runs.
+that recombine exactly to the queried element.
+
+Division (``normal_form``) is the heap method of Monagan and Pearce: the
+running dividend is a mutable term dict plus a ``heapq`` of
+``MonomialOrder.neg_key`` values with lazy deletion, so each step pops the
+leading term instead of rescanning the dividend, and subtracts
+``q * (divisor minus its leading term)`` in place.  The divisor scan order
+is fixed, so quotients and remainders are those of textbook division.
+
+Completion (``buchberger``) caches each basis element's leading monomial
+when it joins the basis and keeps the pending S-pairs in a heap.  Pair
+selection is still the normal strategy, smallest lcm under the active
+order and then ``(i, j)``, with the two classic elimination criteria
+(coprime leading terms, chain criterion), so bases and cofactor matrices
+are reproducible across runs.  ``GroebnerBasis.verify`` is still complete:
+it re-checks every cofactor recombination and re-reduces every S-pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import ContextMismatchError, DomainError
 from .ordering import MonomialOrder
@@ -37,23 +50,45 @@ def normal_form(
     for d in divisors:
         if d.context != ctx:
             raise ContextMismatchError("normal_form operands share no context")
-    lead = [leading_term(d, order) if not d.is_zero() else None for d in divisors]
+    neg_key = order.neg_key
+    lead = []  # per divisor: (leading monomial, leading coefficient, tail terms) or None
+    for d in divisors:
+        if d.is_zero():
+            lead.append(None)
+        else:
+            lm, lc = leading_term(d, order)
+            lead.append((lm, lc, [(m, c) for m, c in d.terms.items() if m != lm]))
     quots: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
     rem: dict[Monomial, Fraction] = {}
-    h = p
-    while not h.is_zero():
-        hm, hc = leading_term(h, order)
+    h = dict(p.terms)
+    heap = [(neg_key(m), m) for m in h]
+    heapify(heap)
+    while heap:
+        hm = heappop(heap)[1]
+        hc = h.pop(hm, None)
+        if hc is None:
+            continue  # cancelled after it was pushed
         for k, lt in enumerate(lead):
             if lt is not None and mono_divides(lt[0], hm):
                 qm = mono_div(hm, lt[0])
                 qc = hc / lt[1]
-                quots[k][qm] = quots[k].get(qm, Fraction(0)) + qc
-                h = h - Polynomial(ctx, {qm: qc}) * divisors[k]
+                quots[k][qm] = qc  # leading monomials strictly fall, so qm is new
+                for m, c in lt[2]:
+                    m = mono_mul(qm, m)
+                    acc = h.get(m)
+                    if acc is None:
+                        h[m] = -qc * c
+                        heappush(heap, (neg_key(m), m))
+                    else:
+                        acc -= qc * c
+                        if acc:
+                            h[m] = acc
+                        else:
+                            del h[m]
                 break
         else:
             rem[hm] = hc
-            h = h - Polynomial(ctx, {hm: hc})
-    return Polynomial(ctx, rem), [Polynomial(ctx, q) for q in quots]
+    return Polynomial._trusted(ctx, rem), [Polynomial._trusted(ctx, q) for q in quots]
 
 
 @dataclass(frozen=True)
@@ -112,6 +147,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
     inputs = tuple(gens)
     n_in = len(inputs)
     basis: list[Polynomial] = []
+    lms: list[Monomial] = []  # leading monomial of each basis element, fixed once pushed
     rows: list[list[Polynomial]] = []
 
     def unit_row(j: int) -> list[Polynomial]:
@@ -120,9 +156,10 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         ]
 
     def push(poly: Polynomial, row: list[Polynomial]):
-        _, lc = leading_term(poly, order)
+        lm, lc = leading_term(poly, order)
         inv = Fraction(1) / lc
         basis.append(poly * inv)
+        lms.append(lm)
         rows.append([c * inv for c in row])
 
     for j, g in enumerate(inputs):
@@ -132,28 +169,30 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
     if not basis:
         return GroebnerBasis(order, inputs, (), ())
 
-    pending: set[tuple[int, int]] = set()
-    done: set[tuple[int, int]] = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pending.add((i, j))
+    # Heap of (order key of the pair's lcm, (i, j)): the same key and
+    # tie-break as the normal strategy's min over all pending pairs.
+    pending: list[tuple[object, tuple[int, int]]] = []
 
-    def lm(i: int) -> Monomial:
-        return leading_term(basis[i], order)[0]
+    def add_pairs(j: int):
+        for i in range(j):
+            heappush(pending, (order.key(mono_lcm(lms[i], lms[j])), (i, j)))
+
+    done: set[tuple[int, int]] = set()
+    for j in range(1, len(basis)):
+        add_pairs(j)
 
     while pending:
-        pair = min(pending, key=lambda ij: (order.key(mono_lcm(lm(ij[0]), lm(ij[1]))), ij))
-        pending.discard(pair)
+        pair = heappop(pending)[1]
         done.add(pair)
         i, j = pair
-        lcm = mono_lcm(lm(i), lm(j))
-        if lcm == mono_mul(lm(i), lm(j)):
+        lcm = mono_lcm(lms[i], lms[j])
+        if lcm == mono_mul(lms[i], lms[j]):
             continue  # coprime leading terms
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if mono_divides(lm(k), lcm):
+            if mono_divides(lms[k], lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -161,11 +200,10 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
                     break
         if skip:
             continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        fm, fc = leading_term(basis[i], order)
-        gm, gc = leading_term(basis[j], order)
-        uf = Polynomial(ctx, {mono_div(lcm, fm): Fraction(1) / fc})
-        ug = Polynomial(ctx, {mono_div(lcm, gm): Fraction(1) / gc})
+        # Basis elements are monic, so both S-polynomial multipliers have coefficient 1.
+        uf = Polynomial._trusted(ctx, {mono_div(lcm, lms[i]): Fraction(1)})
+        ug = Polynomial._trusted(ctx, {mono_div(lcm, lms[j]): Fraction(1)})
+        s = uf * basis[i] - ug * basis[j]
         row_s = [uf * a - ug * b for a, b in zip(rows[i], rows[j])]
         rem, quots = normal_form(s, basis, order)
         for k, q in enumerate(quots):
@@ -173,9 +211,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
                 row_s = [a - q * b for a, b in zip(row_s, rows[k])]
         if not rem.is_zero():
             push(rem, row_s)
-            new = len(basis) - 1
-            for k in range(new):
-                pending.add((k, new))
+            add_pairs(len(basis) - 1)
 
     # Minimalize: drop elements whose leading term another element divides.
     alive = list(range(len(basis)))
@@ -184,7 +220,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         changed = False
         for i in list(alive):
             for j in alive:
-                if i != j and mono_divides(lm(j), lm(i)):
+                if i != j and mono_divides(lms[j], lms[i]):
                     alive.remove(i)
                     changed = True
                     break

@@ -1,6 +1,8 @@
 """Command-line interface: run job files, the corpus, and random families.
 
-Exit codes: 0 all pass, 1 verdict or expectation mismatch, 2 input error.
+Exit codes: 0 all pass, 1 verdict or expectation mismatch, 2 input error,
+3 internal error (``lndkit run`` only: a task failed an internal invariant,
+such as a witness that did not re-verify).
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ def run_command(job_file: Path, out: Path | None, bound: int | None, seed: int |
         click.echo(f"report written to {destination}")
     else:
         click.echo(text, nl=False)
+    if report.has_internal_error:
+        sys.exit(3)
     sys.exit(0 if report.all_ok else 1)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from ..errors import JobParseError, LndkitError
 from ..parse import parse_polynomial
 from .jobs import Expectation, JobSpec, parse_job
-from .report import Report
+from .report import Report, validate_report_text
 from .runner import run_job
 
 ENV_CORPUS_DIR = "LNDKIT_CORPUS_DIR"
@@ -62,10 +62,11 @@ class EntryOutcome:
     path: str
     report: Report
     checks: list[CheckResult] = field(default_factory=list)
+    schema_problems: list[str] = field(default_factory=list)  # filled in by run_corpus
 
     @property
     def passed(self) -> bool:
-        return self.report.all_ok and all(c.ok for c in self.checks)
+        return self.report.all_ok and all(c.ok for c in self.checks) and not self.schema_problems
 
 
 def _compare(expected: Expectation, actual: str | None, spec: JobSpec) -> bool:
@@ -114,12 +115,22 @@ def run_entry(spec: JobSpec, path: Path | None = None) -> EntryOutcome:
     return outcome
 
 
+def _run_validated(path: Path, spec: JobSpec) -> EntryOutcome:
+    outcome = run_entry(spec, path)
+    outcome.schema_problems = validate_report_text(outcome.report.to_text())
+    return outcome
+
+
 def run_corpus(
     filter_tag: str | None = None,
     parallelism: int = 1,
     directory: Path | None = None,
 ) -> list[EntryOutcome]:
-    """Run every (matching) corpus entry; outcomes sorted by identifier."""
+    """Run every (matching) corpus entry; outcomes sorted by identifier.
+
+    Each entry's report is also validated against the schema; an entry
+    whose report fails it does not pass.
+    """
     entries = load_corpus(directory)
     if filter_tag:
         entries = [
@@ -131,9 +142,9 @@ def run_corpus(
             raise LndkitError(f"no corpus entries match {filter_tag!r}")
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(lambda ps: run_entry(ps[1], ps[0]), entries))
+            outcomes = list(pool.map(lambda ps: _run_validated(*ps), entries))
     else:
-        outcomes = [run_entry(spec, path) for path, spec in entries]
+        outcomes = [_run_validated(path, spec) for path, spec in entries]
     return sorted(outcomes, key=lambda o: o.identifier)
 
 
@@ -149,6 +160,8 @@ def corpus_report_text(outcomes: list[EntryOutcome]) -> str:
         for task in o.report.tasks:
             if task.error is not None:
                 lines.append(f"  task-error {task.index} {task.name} {task.error}")
+        for problem in o.schema_problems:
+            lines.append(f"  schema-error {problem}")
         for c in o.checks:
             if not c.ok:
                 lines.append(

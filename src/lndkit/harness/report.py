@@ -25,6 +25,7 @@ class TaskResult:
     values: list[tuple[str, str]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     error: str | None = None
+    internal: bool = False  # the error is a failed internal invariant, not bad input
     elapsed_ms: float = 0.0
     payload: object | None = None  # for downstream tasks; never serialized
 
@@ -71,6 +72,10 @@ class Report:
     @property
     def all_ok(self) -> bool:
         return all(t.ok for t in self.tasks)
+
+    @property
+    def has_internal_error(self) -> bool:
+        return any(t.internal for t in self.tasks)
 
     def task_value(self, index: int, key: str) -> str | None:
         for task in self.tasks:

@@ -592,6 +592,12 @@ def run_job(
                 result.error = str(exc)
             except (ValueError, KeyError) as exc:
                 result.error = f"{type(exc).__name__}: {exc}"
+            except AssertionError as exc:
+                # A failed internal invariant, such as a witness that did not
+                # re-verify: nothing the task produced may reach the report.
+                result.verdict, result.values, result.notes, result.payload = None, [], [], None
+                result.error = f"internal: {str(exc) or type(exc).__name__}"
+                result.internal = True
         result.elapsed_ms = (time.perf_counter() - started) * 1000.0
         run.results[index] = result
         report.tasks.append(result)

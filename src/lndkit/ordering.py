@@ -3,7 +3,8 @@
 An order carries a variable permutation (indices into the context's
 variable tuple, most significant first).  ``key`` maps a monomial to a
 tuple that sorts consistently with the order, so ``max(..., key=...)``
-picks leading monomials.
+picks leading monomials; ``neg_key`` sorts in the opposite direction, so a
+``heapq`` min-heap pops the largest monomial first.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ class MonomialOrder:
         if self.kind == "lex":
             return tuple(mono[i] for i in self.permutation)
         return (sum(mono), tuple(-mono[i] for i in reversed(self.permutation)))
+
+    def neg_key(self, mono: Monomial):
+        """Component-wise negation of ``key``: ascending here is descending there."""
+        if self.kind == "lex":
+            return tuple(-mono[i] for i in self.permutation)
+        return (-sum(mono), tuple(mono[i] for i in reversed(self.permutation)))
 
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)

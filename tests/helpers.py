@@ -34,3 +34,42 @@ def rand_poly(
             mono[rng.choice(idx)] += 1
         terms[tuple(mono)] = rand_coeff(rng)
     return Polynomial(ctx, terms)
+
+
+def katsura(n: int) -> tuple[VarContext, list[Polynomial]]:
+    """The katsura-n system in variables u0..un."""
+    names = tuple(f"u{i}" for i in range(n + 1))
+    ctx = VarContext((), names)
+    u = [Polynomial.variable(ctx, v) for v in names]
+
+    def U(i):
+        return u[abs(i)] if abs(i) <= n else Polynomial.zero(ctx)
+
+    eqs = [u[0] + sum((u[i] * 2 for i in range(1, n + 1)), Polynomial.zero(ctx)) - 1]
+    for m in range(n):
+        acc = Polynomial.zero(ctx)
+        for l in range(-n, n + 1):
+            acc = acc + U(l) * U(m - l)
+        eqs.append(acc - u[m])
+    return ctx, eqs
+
+
+def cyclic(n: int) -> tuple[VarContext, list[Polynomial]]:
+    """The cyclic-n system in variables x1..xn."""
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    ctx = VarContext((), names)
+    x = [Polynomial.variable(ctx, v) for v in names]
+    eqs = []
+    for k in range(1, n):
+        acc = Polynomial.zero(ctx)
+        for i in range(n):
+            term = Polynomial.one(ctx)
+            for j in range(k):
+                term = term * x[(i + j) % n]
+            acc = acc + term
+        eqs.append(acc)
+    prod = Polynomial.one(ctx)
+    for xi in x:
+        prod = prod * xi
+    eqs.append(prod - 1)
+    return ctx, eqs

@@ -1,6 +1,7 @@
 """The shipped corpus must pass in full, deterministically, in any order."""
 
 import pytest
+from click.testing import CliRunner
 
 from lndkit.harness import (
     corpus_report_text,
@@ -9,6 +10,8 @@ from lndkit.harness import (
     run_entry,
     validate_report_text,
 )
+from lndkit.harness import corpus
+from lndkit.harness.cli import main as cli_main
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +30,18 @@ def test_every_entry_report_passes_the_schema(corpus_outcomes):
     problems = {o.identifier: found for o in corpus_outcomes
                 if (found := validate_report_text(o.report.to_text()))}
     assert not problems
+
+
+def test_an_entry_whose_report_fails_the_schema_fails(monkeypatch):
+    monkeypatch.setattr(corpus, "validate_report_text", lambda text: ["line 3: forced problem"])
+    outcomes = run_corpus(filter_tag="a2-pair")
+    assert outcomes and not any(o.passed for o in outcomes)
+    assert all(o.report.all_ok and all(c.ok for c in o.checks) for o in outcomes)  # only the schema failed
+    assert "  schema-error line 3: forced problem" in corpus_report_text(outcomes).splitlines()
+
+    result = CliRunner().invoke(cli_main, ["corpus", "--filter", "a2-pair"])
+    assert result.exit_code == 1
+    assert "schema-error line 3: forced problem" in result.output
 
 
 def test_every_expected_value_carries_provenance():

@@ -1,10 +1,11 @@
 """Groebner engine: division, completion, membership, cofactor soundness."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lndkit import (
@@ -18,13 +19,25 @@ from lndkit import (
     normal_form,
     parse_polynomial,
 )
+from lndkit.groebner import leading_term
 from lndkit.linalg import vec_of
+from lndkit.polynomial import mono_div, mono_divides
 
-from helpers import rand_poly
+from helpers import cyclic, katsura, rand_poly
 
 CTX = VarContext((), ("X", "Y"))
 DRL = MonomialOrder.degrevlex(CTX)
 LEX = MonomialOrder.lex(CTX)
+CTX3 = VarContext((), ("X", "Y", "Z"))
+ORDERS = {
+    2: (DRL, LEX, MonomialOrder.lex(CTX, ("Y", "X"))),
+    3: (
+        MonomialOrder.degrevlex(CTX3),
+        MonomialOrder.lex(CTX3),
+        MonomialOrder.lex(CTX3, ("Z", "X", "Y")),
+        MonomialOrder.degrevlex(CTX3, ("Y", "Z", "X")),
+    ),
+}
 
 
 def P(text):
@@ -43,6 +56,96 @@ def test_order_is_multiplicative_and_bounded_below(seed):
         kbc = order.key((b[0] + c[0], b[1] + c[1]))
         assert (ka > kb) == (kac > kbc)
         assert order.key(a) >= order.key((0, 0))
+
+
+def test_neg_key_reverses_key():
+    rng = random.Random(3)
+    for order in ORDERS[3]:
+        for _ in range(50):
+            a, b = (tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(2))
+            assert (order.key(a) < order.key(b)) == (order.neg_key(a) > order.neg_key(b))
+
+
+def _reference_normal_form(p, divisors, order):
+    """Textbook division, rescanning the dividend for its leading term each step."""
+    ctx = p.context
+    lead = [leading_term(d, order) if not d.is_zero() else None for d in divisors]
+    quots = [{} for _ in divisors]
+    rem = {}
+    h = p
+    while not h.is_zero():
+        hm, hc = leading_term(h, order)
+        for k, lt in enumerate(lead):
+            if lt is not None and mono_divides(lt[0], hm):
+                qm = mono_div(hm, lt[0])
+                qc = hc / lt[1]
+                quots[k][qm] = quots[k].get(qm, Fraction(0)) + qc
+                h = h - Polynomial(ctx, {qm: qc}) * divisors[k]
+                break
+        else:
+            rem[hm] = hc
+            h = h - Polynomial(ctx, {hm: hc})
+    return Polynomial(ctx, rem), [Polynomial(ctx, q) for q in quots]
+
+
+def _terms(nvars):
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    return st.dictionaries(mono, coeff, max_size=5)
+
+
+@st.composite
+def _division_cases(draw):
+    nvars = draw(st.integers(2, 3))
+    ctx = CTX if nvars == 2 else CTX3
+    p = Polynomial(ctx, draw(_terms(nvars)))
+    divisors = [Polynomial(ctx, draw(_terms(nvars))) for _ in range(draw(st.integers(1, 3)))]
+    return p, divisors, draw(st.sampled_from(ORDERS[nvars]))
+
+
+@given(_division_cases())
+@example((P("X^3*Y + X*Y^2 - Y"), [Polynomial.zero(CTX), P("X*Y - 1"), P("Y^2 + X")], DRL))
+@settings(max_examples=200, deadline=None)
+def test_heap_normal_form_matches_reference_division(case):
+    p, divisors, order = case
+    rem, quots = normal_form(p, divisors, order)
+    want_rem, want_quots = _reference_normal_form(p, divisors, order)
+    assert rem == want_rem
+    assert quots == want_quots
+
+
+def _basis_digest(gb):
+    lines = []
+    for g, row in zip(gb.generators, gb.cofactors):
+        lines.append(f"g {g}")
+        lines.extend(f"c {c}" for c in row)
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("system, kind, digest", [
+    (katsura(3), "degrevlex", "8d29e479105ff1f14aae3eac1a149e176b45a91a017ce7cca11a6470fdf6bedc"),
+    (cyclic(4), "lex", "0b0417c966386b340f37eefbaef12430a847287d90c6dfad7cb1a1f34d8329c9"),
+    (cyclic(4), "degrevlex", "892b67c1a21c1c8c8e81ab905cbb00403fe28df6ae64abe702a64f302f30bdf8"),
+], ids=["katsura-3-degrevlex", "cyclic-4-lex", "cyclic-4-degrevlex"])
+def test_pinned_bases_and_cofactors(system, kind, digest):
+    """Generators and cofactor matrices are pinned, so a change of pair or
+    reduction order shows even where the reduced basis stays the same."""
+    ctx, eqs = system
+    assert _basis_digest(buchberger(eqs, getattr(MonomialOrder, kind)(ctx))) == digest
+
+
+def test_verify_rejects_a_wrong_cofactor_or_an_incomplete_basis():
+    from lndkit import GroebnerBasis
+
+    gb = buchberger([P("X^2 + Y"), P("X*Y - 1")])
+    gb.verify()
+    bad_row = (gb.cofactors[0][0] + 1,) + gb.cofactors[0][1:]
+    with pytest.raises(AssertionError, match="recombination"):
+        GroebnerBasis(gb.order, gb.inputs, gb.generators, (bad_row,) + gb.cofactors[1:]).verify()
+    inputs = (P("X^2 + Y"), P("X*Y - 1"))
+    unit = ((P("1"), P("0")), (P("0"), P("1")))
+    with pytest.raises(AssertionError, match="S-polynomial"):
+        GroebnerBasis(DRL, inputs, inputs, unit).verify()
 
 
 def test_normal_form_membership_of_multiple():
@@ -178,9 +281,6 @@ def test_deterministic_bases():
 
 
 def test_bases_are_reduced():
-    from lndkit.groebner import leading_term
-    from lndkit.polynomial import mono_divides
-
     rng = random.Random(17)
     for _ in range(15):
         gens = [rand_poly(rng, CTX, max_degree=3, max_terms=3, allow_zero=False) for _ in range(2)]

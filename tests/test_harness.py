@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from lndkit import JobParseError, Polynomial, Subalgebra, VarContext, parse_polynomial
+from lndkit import GroebnerBasis, JobParseError, Polynomial, Subalgebra, VarContext, parse_polynomial
 from lndkit.harness import (
     FiberWitness,
     TriangularProfile,
@@ -114,6 +114,49 @@ def test_task_errors_do_not_abort():
     assert report.tasks[0].ok
     assert not report.tasks[1].ok
     assert "slice" in report.tasks[1].error
+
+
+INTERNAL = MINIMAL + """task ideal_member target="1" gens="X; 1 - X"
+task find_slice derivation=D bound=1
+"""
+
+
+def _fail_verify(self):
+    raise AssertionError("forced re-verification failure")
+
+
+def test_failed_invariant_is_an_internal_task_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(GroebnerBasis, "verify", _fail_verify)
+    report = run_job(parse_job(INTERNAL))
+    member = report.tasks[1]
+    assert member.internal and member.verdict is None and member.values == []
+    assert report.tasks[2].ok and report.tasks[2].verdict == "slice"  # the job went on
+    assert report.has_internal_error and not report.tasks[0].internal
+    text = report.to_text()
+    assert "error internal: forced re-verification failure" in text.splitlines()
+    assert validate_report_text(text) == []
+
+    job = tmp_path / "internal.job"
+    job.write_text(INTERNAL)
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 3
+    assert "error internal: forced re-verification failure" in result.output
+
+
+def test_internal_error_clears_the_task_output(monkeypatch):
+    from lndkit.harness import runner
+
+    def half_done(run, task, out):
+        out.verdict = "yes"
+        out.values.append(("cofactor.1", "1"))
+        out.notes.append("unverified")
+        out.payload = object()
+        raise AssertionError()
+
+    monkeypatch.setitem(runner._HANDLERS, "find_slice", half_done)
+    task = run_job(parse_job(MINIMAL)).tasks[0]
+    assert task.error == "internal: AssertionError"
+    assert (task.verdict, task.values, task.notes, task.payload) == (None, [], [], None)
 
 
 def test_random_triangular_deterministic():
