@@ -1,5 +1,7 @@
 """The shipped corpus must pass in full, deterministically, in any order."""
 
+import hashlib
+
 import pytest
 from click.testing import CliRunner
 
@@ -30,6 +32,51 @@ def test_every_entry_report_passes_the_schema(corpus_outcomes):
     problems = {o.identifier: found for o in corpus_outcomes
                 if (found := validate_report_text(o.report.to_text()))}
     assert not problems
+
+
+# sha256 of each entry's comparable_text, pinned so that refactors of the
+# derivation, projection and solver code keep every report byte-identical.
+REPORT_DIGESTS = {
+    "a1-prop-01": "8b6f4dbfa6a369d59b43bedf619bc8609910f72213704770515cf27e014f8ddf",
+    "a1-prop-02": "92f4fa60976b3c9825c8cab0057a19f7b833ca71d46e44b8849cd7b57ae19134",
+    "a1-prop-03": "bb40464c344728fbbeba9153ffb329db1f65bd2d97a08c3f8e9a1fa74fbc6768",
+    "a1-prop-04": "3107e61e963f7a12cfe96da755063c6acb2997b6d9ded5a9a30934eccd7e810e",
+    "a1-prop-05": "8dc10d4298b740a2c536659a1628abea7125042088071915bc42901d0e4d38b0",
+    "a1-prop-06": "628b24f93202a3fe74b5eee9c8f41a4dd84d29462a3636b15fb4ff88bf7d1c6c",
+    "a1-prop-07": "ad2daec94a0df537ea783215541c18d1d3fc261b0e58e9b139c1a24bfad2f2bd",
+    "a1-prop-08": "b30c9b50c571e8198a196ce2c67d14dfbba62bf2da0e6da96d7ecba3cfbd3e7b",
+    "a1-prop-09": "67227f5a8628c960b644cc7d1abb839e3559a0cc8a1bf0e389fcff92cd558750",
+    "a1-prop-10": "cc6d9907af2bcb31a91df7b32053ebfc0272f65ed183a9e131a9f0ee3ed933a2",
+    "a1-prop-11": "5d0aec3efc0b0c4b2bbc5d52a243d818c30bd1222ef2ed222d586ec8355deb82",
+    "a1-prop-12": "044da29c4b9f09f74727ffda0c04e966b0fe7ab6eda336416f8cb46d5b044ad1",
+    "a1-prop-13": "5173d5401d9283257228188ce5d2ffec97db77e69132468b3d4bea708b00eed9",
+    "a1-prop-14": "a2688a92d54d068cd37e7bfc9c7a1e11af7007c64961fc0b4a66671af5ba5dc8",
+    "a1-prop-15": "fae0b87c5a5b121ddba7ee64d7bcc97c45dba53df713a9efe2710ec30dacb126",
+    "a1-prop-16": "fe4c8c653ea264ea9e793cff7a3d325fbe52a5e96b8f3e7417af1051b5b02c19",
+    "a1-prop-17": "ce6074209dedb713c5d28487b291eba44bf244dd2e07d577e04008d055953e4f",
+    "a1-prop-18": "7680dc2edac3e621b3737c50032c921a5422d2a7ecff2376216894dd3482e222",
+    "a1-prop-19": "6c60dd5b2696e0ebfcc40e66fd7eb0271c505dee581b34b606960a0c69373870",
+    "a1-prop-20": "3b1255de37f1d07968920126c006037df54478a56e75c6f8b159ab47fb1ee37b",
+    "a2-pair": "21f9aa14fcbdaa81fed445901ba1fa44f2c04d2db5947838cbc92044ec6bf811",
+    "a3-tuple": "59088af9250e4b90886df0eb8ab80787df3bfa39f9ec249c3580ced743c24c9f",
+    "asanuma-bhatwadekar": "3b231613fad66d6d727a4fffbfc8f575e77d790367bfc8ba39e46c89ae0f7e9d",
+    "falling-factorial-family": "d8f70f7ee2d1719382f81b9568ce186412380761fa8baaecc0709cb127c7e109",
+    "groebner-golden": "4fa41d3c1d1f0ada7ac7c8c73d39b60121ba3341c9f1051c0177c34c29e61b01",
+    "groebner-oracle-family": "8c08204dca59a39a5a1a0536c852721900de9877d49c3cc3025c37811fadbba9",
+    "negative-control": "1596eff82281837f85adc3366b4da29d97e7ca8e8adc7fdb97201d3ff4bd7130",
+    "nodal-base-fibration": "cb16ecf66b73355f351c0b4a51a5b9d002baae6873766afabd16d7666c9d920e",
+    "partial-derivative": "b4f679b75fa464cb616ae51960efffb337b49d53f64f4a34839c7b331c3ffd45",
+    "projection-laws-family": "a90542e7d6e868bc09be696991a72383623c7af19055e11feb8c88fb8ec9f8be",
+    "stably-polynomial-nontrivial": "df9c87e10ab860f85a86c8b8788b60ee833cf8602c4f69aa03e5a8ca10478e5a",
+    "triangular-fpf-family": "ee6e3294712b7fd05496a72be544ecf7ddd5b5c15e6c93757e453aeb69d502da",
+    "worked-t-slice": "edded11be6e8a323d22ba89cde696c8db34b27b95ecc28e117ce410e548fee54",
+}
+
+
+def test_every_entry_report_matches_its_pinned_digest(corpus_outcomes):
+    digests = {o.identifier: hashlib.sha256(o.report.comparable_text().encode()).hexdigest()
+               for o in corpus_outcomes}
+    assert digests == REPORT_DIGESTS
 
 
 def test_an_entry_whose_report_fails_the_schema_fails(monkeypatch):

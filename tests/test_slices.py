@@ -22,6 +22,7 @@ from lndkit import (
     dixmier,
     find_slice,
     kernel_generators,
+    kernel_up_to_degree,
     lnd_from_retraction,
     parse_polynomial,
     proportionality_check,
@@ -29,6 +30,8 @@ from lndkit import (
     transcendence_check,
     verify_slice_theorem,
 )
+
+from lndkit.harness.randgen import random_triangular_lnd
 
 from helpers import rand_poly
 
@@ -69,6 +72,20 @@ def test_find_slice_negative_control():
 def test_find_slice_same_with_or_without_span(D, ctx, bound):
     S = Subalgebra.full(ctx)
     assert find_slice(D, S, bound) == find_slice(D, S, bound, GeneratorSpan(S, bound))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_full_and_restricted_derivations_agree(seed):
+    """A derivation and its restriction to the full ring are one derivation:
+    slice search, bounded kernel and kernel generators must not tell them apart."""
+    D = random_triangular_lnd(seed)
+    S = Subalgebra.full(D.context)
+    rd = restriction_of(D, S)
+    s = find_slice(D, S, 6)
+    assert s is not None
+    assert find_slice(rd, S, 6) == s
+    assert kernel_up_to_degree(D, S, 3) == kernel_up_to_degree(rd, S, 3)
+    assert kernel_generators(D, s, S) == kernel_generators(rd, s, S, GeneratorSpan(S, 12))
 
 
 def test_dixmier_kills_slice():
