@@ -5,6 +5,10 @@ ring) and extends to the whole ring by the Leibniz rule, so ``apply``
 computes ``sum_x dp/dx * D(x)`` over the main variables.  Local
 nilpotency is certified on generators by bounded iteration; triangularity
 gives an unconditional certificate in characteristic zero.
+
+``apply`` and ``product_images`` are the protocol shared with
+``RestrictedDerivation``, so slice search, projection and kernel
+computations take either kind.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ class Derivation:
     def __hash__(self):
         return hash((self.context, tuple(sorted(self.images.items()))))
 
-    def apply(self, p: Polynomial) -> Polynomial:
+    def apply(self, p: Polynomial, span=None) -> Polynomial:
+        """D(p) by the Leibniz rule; ``span`` is ignored, every polynomial has an image."""
         if p.context != self.context:
             raise ContextMismatchError("derivation applied across contexts")
         out = Polynomial.zero(self.context)
@@ -54,6 +59,10 @@ class Derivation:
             if not dp.is_zero():
                 out = out + dp * img
         return out
+
+    def product_images(self, products) -> list[Polynomial]:
+        """Images of the polynomials of ``(exponents, polynomial)`` generator products."""
+        return [self.apply(poly) for _, poly in products]
 
     def iterate(self, p: Polynomial, n: int) -> Polynomial:
         if n < 0:

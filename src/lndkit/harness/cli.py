@@ -64,12 +64,11 @@ def run_command(job_file: Path, out: Path | None, bound: int | None, seed: int |
 
 @main.command("corpus")
 @click.option("--filter", "filter_tag", default=None, help="Only entries whose tag or name matches.")
-@click.option("--parallel", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
-def corpus_command(filter_tag: str | None, parallel: int, out: Path | None):
+def corpus_command(filter_tag: str | None, out: Path | None):
     """Run the shipped corpus (or LNDKIT_CORPUS_DIR) and compare expectations."""
     try:
-        outcomes = run_corpus(filter_tag, parallel)
+        outcomes = run_corpus(filter_tag)
     except LndkitError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

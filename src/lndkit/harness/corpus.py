@@ -1,15 +1,13 @@
 """The shipped verification corpus: load entries, run them, compare outcomes.
 
 Every corpus entry is a job file whose tasks carry ``expect`` records with
-provenance tags.  Entries run independently (optionally in parallel) and
-the aggregate is deterministic: results are ordered by entry identifier
-regardless of scheduling.
+provenance tags.  Entries run independently and the aggregate is
+deterministic: results are ordered by entry identifier.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -115,15 +113,8 @@ def run_entry(spec: JobSpec, path: Path | None = None) -> EntryOutcome:
     return outcome
 
 
-def _run_validated(path: Path, spec: JobSpec) -> EntryOutcome:
-    outcome = run_entry(spec, path)
-    outcome.schema_problems = validate_report_text(outcome.report.to_text())
-    return outcome
-
-
 def run_corpus(
     filter_tag: str | None = None,
-    parallelism: int = 1,
     directory: Path | None = None,
 ) -> list[EntryOutcome]:
     """Run every (matching) corpus entry; outcomes sorted by identifier.
@@ -140,11 +131,11 @@ def run_corpus(
         ]
         if not entries:
             raise LndkitError(f"no corpus entries match {filter_tag!r}")
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(lambda ps: _run_validated(*ps), entries))
-    else:
-        outcomes = [_run_validated(path, spec) for path, spec in entries]
+    outcomes = []
+    for path, spec in entries:
+        outcome = run_entry(spec, path)
+        outcome.schema_problems = validate_report_text(outcome.report.to_text())
+        outcomes.append(outcome)
     return sorted(outcomes, key=lambda o: o.identifier)
 
 

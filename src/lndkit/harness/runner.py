@@ -22,6 +22,7 @@ from ..derivation import (
 )
 from ..errors import FailsUpToCapError, LndkitError
 from ..groebner import buchberger, ideal_member
+from ..ordering import MonomialOrder
 from ..parse import parse_polynomial
 from ..polynomial import Polynomial
 from ..slices import (
@@ -50,7 +51,9 @@ from ..subalgebra import (
 from .fiber import FiberCheck, FiberWitness, check_fiber_witness
 from .jobs import JobSpec, TaskSpec
 from .randgen import (
+    FamilyOutcome,
     TriangularProfile,
+    random_triangular_lnd,
     run_falling_factorial_family,
     run_groebner_oracle_family,
     run_projection_law_family,
@@ -105,17 +108,15 @@ class _Run:
             if isinstance(rd, RestrictedDerivation):
                 return rd
             raise LndkitError("referenced task did not produce a derivation")
+        return restriction_of(self.derivation(task, key), self.spec.subalgebra)
+
+    def derivation(self, task: TaskSpec, key: str = "derivation") -> Derivation | RestrictedDerivation:
+        """The derivation named by ``key``: a generator derivation lives on the
+        job's subalgebra, any other on the ambient ring."""
         name = self.str_param(task, key)
         if name in self.spec.generator_derivations:
             return RestrictedDerivation(self.spec.subalgebra, self.spec.generator_derivations[name])
-        return restriction_of(self.ambient_derivation(name), self.spec.subalgebra)
-
-    def any_derivation(self, name: str) -> Derivation | RestrictedDerivation:
-        if name in self.spec.derivations:
-            return self.spec.derivations[name]
-        if name in self.spec.generator_derivations:
-            return RestrictedDerivation(self.spec.subalgebra, self.spec.generator_derivations[name])
-        raise LndkitError(f"unknown derivation {name!r}")
+        return self.ambient_derivation(name)
 
     def payload(self, task: TaskSpec):
         index = int(task.params["from"])
@@ -198,8 +199,6 @@ def _t_ideal_member(run: _Run, task: TaskSpec, out: TaskResult):
 
 
 def _t_groebner_basis(run: _Run, task: TaskSpec, out: TaskResult):
-    from ..ordering import MonomialOrder
-
     gens = run.poly_list(run.str_param(task, "gens"))
     kind = run.str_param(task, "order", "degrevlex")
     if kind == "lex":
@@ -219,11 +218,9 @@ def _t_groebner_basis(run: _Run, task: TaskSpec, out: TaskResult):
 
 
 def _t_find_slice(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.any_derivation(run.str_param(task, "derivation"))
+    d = run.derivation(task)
     bound = run.int_param(task, "bound")
-    S = run.spec.subalgebra
-    span = GeneratorSpan(S, bound) if isinstance(d, RestrictedDerivation) else None
-    s = find_slice(d, S, bound, span)
+    s = find_slice(d, run.spec.subalgebra, bound)
     if s is None:
         out.verdict = "none-up-to-bound"
         out.values.append(("bound", str(bound)))
@@ -316,10 +313,7 @@ def _t_subalgebra_fpf(run: _Run, task: TaskSpec, out: TaskResult):
 
 def _t_kernel_up_to_degree(run: _Run, task: TaskSpec, out: TaskResult):
     bound = run.int_param(task, "bound")
-    if "from" in task.params or run.str_param(task, "derivation", "") in run.spec.generator_derivations:
-        d = run.restricted_derivation(task)
-    else:
-        d = run.ambient_derivation(run.str_param(task, "derivation"))
+    d = run.restricted_derivation(task) if "from" in task.params else run.derivation(task)
     basis = kernel_up_to_degree(d, run.spec.subalgebra, bound)
     out.verdict = "ok"
     out.values.append(("bound", str(bound)))
@@ -429,8 +423,7 @@ def _t_closure(run: _Run, task: TaskSpec, out: TaskResult):
 
 
 def _t_transcendence(run: _Run, task: TaskSpec, out: TaskResult):
-    name = run.str_param(task, "derivation")
-    d = run.any_derivation(name)
+    d = run.derivation(task)
     x = run.poly(run.str_param(task, "x"))
     bound = run.int_param(task, "bound")
     result = transcendence_check(d, x, run.spec.subalgebra, bound)
@@ -444,13 +437,8 @@ def _t_transcendence(run: _Run, task: TaskSpec, out: TaskResult):
 
 def _t_proportionality(run: _Run, task: TaskSpec, out: TaskResult):
     S = run.spec.subalgebra
-
-    def as_restricted(name: str) -> RestrictedDerivation:
-        d = run.any_derivation(name)
-        return d if isinstance(d, RestrictedDerivation) else restriction_of(d, S)
-
-    d1 = as_restricted(run.str_param(task, "d1"))
-    d = as_restricted(run.str_param(task, "d"))
+    d1 = restriction_of(run.derivation(task, "d1"), S)
+    d = restriction_of(run.derivation(task, "d"), S)
     cof = run.poly_list(run.str_param(task, "cofactors"))
     result = proportionality_check(d1, d, cof, S)
     if result.proportional:
@@ -467,8 +455,11 @@ def _t_fiber(run: _Run, task: TaskSpec, out: TaskResult):
         chunk = chunk.strip()
         if not chunk:
             continue
-        var, _, val = chunk.partition("=")
-        point[var.strip()] = Fraction(val.strip())
+        var, _, val = (part.strip() for part in chunk.partition("="))
+        try:
+            point[var] = Fraction(val)
+        except ZeroDivisionError:
+            raise LndkitError(f"fiber point value {val!r} for {var!r} has a zero denominator") from None
     coords = tuple(run.poly_list(run.str_param(task, "coords")))
     bound = run.int_param(task, "bound")
     witness = FiberWitness(point, coords, bound)
@@ -511,8 +502,6 @@ _FAMILIES = {
 
 
 def _nonfpf_family(seed: int, count: int):
-    from .randgen import FamilyOutcome, random_triangular_lnd
-
     failures = []
     for k in range(count):
         d = random_triangular_lnd(seed + k, TriangularProfile(fpf=False))

@@ -13,6 +13,13 @@ builds the two witness-guided derivations used by the corpus: the one
 composed from a retraction with a partial derivative, and the
 complementary one defined through coordinate witnesses over a localized
 base.
+
+Full-ring ``Derivation``s and ``RestrictedDerivation``s on subalgebras are
+used through the same two methods, ``apply(f, span)`` and
+``product_images(products)``.  One routine sums the projection (for
+``dixmier``, the induced derivations of ``coordinate_system`` and the
+Taylor bound), and slice search shares its image-kernel solver with
+``kernel_up_to_degree``.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 from .context import VarContext
 from .derivation import Derivation, NilpotencyVerdict
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError
-from .linalg import RowSpace, canonical_rref, reduce_by_rref, vec_of
+from .linalg import RowSpace, reduce_by_rref, vec_of
 from .polygcd import exact_divide, gcd
 from .polynomial import Polynomial
 from .subalgebra import (
@@ -33,7 +41,9 @@ from .subalgebra import (
     MembershipWitness,
     RestrictedDerivation,
     Subalgebra,
+    _image_kernel,
     generator_products,
+    kernel_up_to_degree,
     subalgebra_member,
 )
 
@@ -42,29 +52,10 @@ DIXMIER_ITERATION_CAP = 4096
 AnyDerivation = Derivation | RestrictedDerivation
 
 
-def _span_apply(rd: RestrictedDerivation, span: GeneratorSpan, f: Polynomial) -> Polynomial:
-    """Image of f under a restricted derivation, through its span expression."""
-    expr = span.express(f)
-    if expr is None:
-        raise DomainError("element left the bounded span while applying the derivation")
-    out = Polynomial.zero(rd.subalgebra.context)
-    for expo, c in expr.terms.items():
-        out = out + rd.image_of_product(expo) * c
-    return out
-
-
-def _applier(D: AnyDerivation, span: GeneratorSpan | None) -> Callable[[Polynomial], Polynomial]:
-    if isinstance(D, Derivation):
-        return D.apply
-    if span is None:
-        raise ValueError("a restricted derivation needs a generator span to apply")
-    return lambda f: _span_apply(D, span, f)
-
-
 def _solve_unit_image(
     images: list[Polynomial],
     products: list[tuple[tuple[int, ...], Polynomial]],
-    context,
+    context: VarContext,
 ) -> Polynomial | None:
     """Solve sum(c_j * images[j]) == 1 and canonicalize modulo the kernel.
 
@@ -72,29 +63,14 @@ def _solve_unit_image(
     the kernel of the image map (deterministic regardless of candidate
     order), or None when the system is infeasible.
     """
-    space = RowSpace()
-    relations: list[dict[int, Fraction]] = []
-    for j, img in enumerate(images):
-        dep = space.insert(vec_of(img), j)
-        if dep is not None:
-            rel = dict(dep)
-            rel[j] = rel.get(j, Fraction(0)) - 1
-            relations.append(rel)
+    space, _, kernel = _image_kernel(images, products)
     combo = space.express(vec_of(Polynomial.one(context)))
     if combo is None:
         return None
     s0 = Polynomial.zero(context)
     for j, c in combo.items():
         s0 = s0 + products[j][1] * c
-    kernel_vecs = []
-    for rel in relations:
-        f = Polynomial.zero(context)
-        for j, c in rel.items():
-            f = f + products[j][1] * c
-        if not f.is_zero():
-            kernel_vecs.append(vec_of(f))
-    rref = canonical_rref(kernel_vecs)
-    return Polynomial(context, reduce_by_rref(vec_of(s0), rref))
+    return Polynomial(context, reduce_by_rref(vec_of(s0), kernel))
 
 
 def find_slice(
@@ -108,22 +84,41 @@ def find_slice(
     point free certified derivation on a full ring a large enough bound
     always succeeds).
     """
-    if isinstance(D, Derivation):
-        # A full derivation applies directly, so only the products are needed.
-        products = span.products if span is not None else generator_products(S, bound)
-        images = [D.apply(poly) for _, poly in products]
-    else:
-        if span is None:
-            span = GeneratorSpan(S, bound)
-        products = span.products
-        images = [D.image_of_product(expo) for expo, _ in products]
-    s = _solve_unit_image(images, products, S.context)
+    if span is None and isinstance(D, RestrictedDerivation):
+        # A restricted derivation applies through the span; a full one
+        # applies directly, so it needs only the products.
+        span = GeneratorSpan(S, bound)
+    products = span.products if span is not None else generator_products(S, bound)
+    s = _solve_unit_image(D.product_images(products), products, S.context)
     if s is None:
         return None
-    check = _applier(D, span)(s)
-    if check != Polynomial.one(S.context):
+    if D.apply(s, span) != Polynomial.one(S.context):
         raise AssertionError("slice candidate failed the image check")
     return s
+
+
+def _iterates(apply: Callable[[Polynomial], Polynomial], a: Polynomial) -> Iterator[Polynomial]:
+    """a, D(a), D^2(a), ... up to the last nonzero iterate, D given by ``apply``."""
+    f = a
+    i = 0
+    while not f.is_zero():
+        if i > DIXMIER_ITERATION_CAP:
+            raise DomainError(
+                f"derivation iterates of {a} did not vanish within {DIXMIER_ITERATION_CAP} steps"
+            )
+        yield f
+        f = apply(f)
+        i += 1
+
+
+def _project(apply: Callable[[Polynomial], Polynomial], s: Polynomial, a: Polynomial) -> Polynomial:
+    """pi_s(a) = sum_i (1/i!) * (-s)^i * D^i(a), D given by ``apply``."""
+    result = Polynomial.zero(a.context)
+    power = Polynomial.one(a.context)  # (-s)^i
+    for i, term in enumerate(_iterates(apply, a)):
+        result = result + power * term * Fraction(1, math.factorial(i))
+        power = power * (-s)
+    return result
 
 
 def dixmier(
@@ -138,24 +133,10 @@ def dixmier(
     denominators are exact rationals.  The result is re-checked to be
     killed by D before returning.
     """
-    apply_fn = _applier(D, span)
-    ctx = a.context
-    if apply_fn(s) != Polynomial.one(ctx):
+    if D.apply(s, span) != Polynomial.one(a.context):
         raise DomainError("dixmier projection needs a slice: D(s) must be 1")
-    result = Polynomial.zero(ctx)
-    power = Polynomial.one(ctx)  # (-s)^i
-    term = a  # D^i(a)
-    i = 0
-    while not term.is_zero():
-        if i > DIXMIER_ITERATION_CAP:
-            raise DomainError(
-                f"derivation iterates of {a} did not vanish within {DIXMIER_ITERATION_CAP} steps"
-            )
-        result = result + power * term * Fraction(1, math.factorial(i))
-        term = apply_fn(term)
-        power = power * (-s)
-        i += 1
-    if not apply_fn(result).is_zero():
+    result = _project(partial(D.apply, span=span), s, a)
+    if not D.apply(result, span).is_zero():
         raise AssertionError("dixmier image is not a kernel element")
     return result
 
@@ -211,18 +192,12 @@ def _taylor_bound(D: Derivation, s: Polynomial, S: Subalgebra) -> int:
     s_deg = max(1, s.degree() or 1)
     best = 1
     for g in S.algebra_generators:
-        f = g
-        i = 0
-        while not f.is_zero():
-            if i > DIXMIER_ITERATION_CAP:
-                raise DomainError("derivation iterate did not vanish; certify nilpotency first")
+        for i, f in enumerate(_iterates(D.apply, g)):
             for mono in f.terms:
                 w = sum(mono[:ncoeff])
                 for j in range(ncoeff, ctx.nvars):
                     w += mono[j] * proj_deg[j]
                 best = max(best, w + i * s_deg)
-            f = D.apply(f)
-            i += 1
     return best
 
 
@@ -259,11 +234,10 @@ def verify_slice_theorem(
             witnesses.append(w)
     if missing:
         return IncompleteReexpression(tuple(missing), bound)
-    apply_fn = _applier(D, span)
-    if apply_fn(s) != Polynomial.one(S.context):
+    if D.apply(s, span) != Polynomial.one(S.context):
         raise AssertionError("certificate slice lost the unit image")
     for k in kgens:
-        if not apply_fn(k).is_zero():
+        if not D.apply(k, span).is_zero():
             raise AssertionError("certificate kernel generator is not killed")
     return SliceCertificate(s, tuple(kgens), tuple(witnesses), bound)
 
@@ -461,10 +435,6 @@ def complementary_lnd(
                     ok = False
                     break
                 img = quo
-            if img.is_zero():
-                images.append(img)
-                mwits.append(MembershipWitness(img, Polynomial.zero(_symctx(S)), member_bound))
-                continue
             w = subalgebra_member(img, S, member_bound, span)
             if w is None:
                 trace.append((alpha, str(g), f"image {img} not found in span at {member_bound}"))
@@ -500,11 +470,6 @@ def complementary_lnd(
                 new_wits = []
                 good = True
                 for q in quotients:
-                    if q.is_zero():
-                        new_wits.append(
-                            MembershipWitness(q, Polynomial.zero(_symctx(S)), member_bound)
-                        )
-                        continue
                     w = subalgebra_member(q, S, member_bound, span)
                     if w is None:
                         good = False
@@ -532,8 +497,6 @@ def complementary_lnd(
         indices[str(g)] = idx
     verdict = NilpotencyVerdict(True, indices, max(indices.values(), default=1))
 
-    from .subalgebra import kernel_up_to_degree  # local import to avoid cycle noise
-
     kernel_span = GeneratorSpan(S, kernel_bound)
     basis = kernel_up_to_degree(rd, S, kernel_bound, kernel_span)
     sv = Subalgebra(ctx, S.base_generators, (v,))
@@ -542,12 +505,6 @@ def complementary_lnd(
         if not sv_span.contains(f):
             raise DomainError(f"kernel element {f} escapes the span of the base and {v}")
     return ComplementaryLnd(rd, alpha, verdict, tuple(basis), tuple(mwits), reduced_by)
-
-
-def _symctx(S: Subalgebra):
-    from .subalgebra import symbol_context
-
-    return symbol_context(S)
 
 
 # -- transcendence and proportionality ---------------------------------------
@@ -573,11 +530,7 @@ def transcendence_check(
     unit image forces degree by degree; a found relation is returned with
     its exact coefficients.
     """
-    if isinstance(D, Derivation):
-        img = D.apply(x)
-    else:
-        img = D.image_of_generator(x)
-    val = img.as_rational()
+    val = D.apply(x).as_rational()
     if val is None or val == 0:
         raise DomainError("transcendence check requires a unit image for x")
     ctx = S.context
@@ -693,18 +646,7 @@ def coordinate_system(
 
     def project(f: Polynomial, upto: int) -> Polynomial:
         for apply_fn, s in projections[:upto]:
-            out = Polynomial.zero(ctx)
-            power = Polynomial.one(ctx)
-            term = f
-            i = 0
-            while not term.is_zero():
-                if i > DIXMIER_ITERATION_CAP:
-                    raise DomainError("projection iterates did not vanish")
-                out = out + power * term * Fraction(1, math.factorial(i))
-                term = apply_fn(term)
-                power = power * (-s)
-                i += 1
-            f = out
+            f = _project(apply_fn, s, f)
         return f
 
     def induced_apply(k: int) -> Callable[[Polynomial], Polynomial]:
@@ -729,9 +671,8 @@ def coordinate_system(
                 if g not in dedup:
                     dedup.append(g)
             search = Subalgebra(ctx, S.base_generators, tuple(dedup))
-            search_span = GeneratorSpan(search, bound)
-            images = [apply_k(poly) for _, poly in search_span.products]
-            s_k = _solve_unit_image(images, search_span.products, ctx)
+            products = generator_products(search, bound)
+            s_k = _solve_unit_image([apply_k(poly) for _, poly in products], products, ctx)
             if s_k is None:
                 raise DomainError(f"no slice found for induced derivation {k + 1} at {bound}")
             coords.append(s_k)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .context import VarContext
-from .errors import ContextMismatchError, UnsupportedSizeError
+from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
 from .derivation import Derivation
-from .linalg import RowSpace, canonical_rref, vec_of
+from .linalg import Combo, RowSpace, Vec, canonical_rref, vec_of
 from .polynomial import Polynomial
 
 PRODUCT_CAP = 500_000
@@ -218,15 +218,31 @@ class RestrictedDerivation:
             out = out + term
         return out
 
-    def image_of_generator(self, g: Polynomial) -> Polynomial:
-        for gen, img in zip(self.subalgebra.algebra_generators, self.images):
-            if gen == g:
-                return img
-        raise ValueError(f"{g} is not an algebra generator")
+    def product_images(self, products) -> list[Polynomial]:
+        """Images of ``(exponents, polynomial)`` generator products, by exponents."""
+        return [self.image_of_product(expo) for expo, _ in products]
+
+    def apply(self, f: Polynomial, span: GeneratorSpan | None = None) -> Polynomial:
+        """Image of f through its expression over the products of ``span``.
+
+        Without a span f must be one of the algebra generators.
+        """
+        if span is None:
+            for gen, img in zip(self.subalgebra.algebra_generators, self.images):
+                if gen == f:
+                    return img
+            raise ValueError(f"{f} is not an algebra generator")
+        expr = span.express(f)
+        if expr is None:
+            raise DomainError("element left the bounded span while applying the derivation")
+        out = Polynomial.zero(self.subalgebra.context)
+        for expo, c in expr.terms.items():
+            out = out + self.image_of_product(expo) * c
+        return out
 
 
-def restriction_of(D: Derivation, S: Subalgebra) -> RestrictedDerivation:
-    """RestrictedDerivation view of an ambient derivation (images unchecked)."""
+def restriction_of(D: Derivation | RestrictedDerivation, S: Subalgebra) -> RestrictedDerivation:
+    """RestrictedDerivation view of D on S's algebra generators (images unchecked)."""
     return RestrictedDerivation(S, tuple(D.apply(g) for g in S.algebra_generators))
 
 
@@ -251,26 +267,12 @@ def restrict_derivation(
     witnesses = []
     for g in S.algebra_generators:
         img = D.apply(g)
-        if img.is_zero():
-            images.append(img)
-            witnesses.append(MembershipWitness(img, Polynomial.zero(symbol_context(S)), bound))
-            continue
         w = subalgebra_member(img, S, bound, span)
         if w is None:
             return RestrictionFailure(g, img)
         images.append(img)
         witnesses.append(w)
     return RestrictedDerivation(S, tuple(images)), tuple(witnesses)
-
-
-def _product_images(
-    rd: RestrictedDerivation | Derivation,
-    S: Subalgebra,
-    products: list[tuple[tuple[int, ...], Polynomial]],
-) -> list[Polynomial]:
-    if isinstance(rd, Derivation):
-        return [rd.apply(poly) for _, poly in products]
-    return [rd.image_of_product(expo) for expo, _ in products]
 
 
 def subalgebra_fpf(
@@ -305,8 +307,34 @@ def subalgebra_fpf(
     return cof
 
 
+def _image_kernel(
+    images: list[Polynomial], products: list[tuple[tuple[int, ...], Polynomial]]
+) -> tuple[RowSpace, list[tuple[int, Combo]], list[Vec]]:
+    """Row space of ``images``, their dependencies, and the canonical kernel.
+
+    Each dependency ``(j, dep)`` says ``images[j] == sum(dep[k] * images[k])``
+    over earlier indices, so ``products[j] - sum(dep[k] * products[k])`` is
+    killed; the kernel is the ``canonical_rref`` of those polynomials, which
+    depends only on their span.
+    """
+    space = RowSpace()
+    dependencies = []
+    kernel_vecs = []
+    for j, img in enumerate(images):
+        dep = space.insert(vec_of(img), j)
+        if dep is None:
+            continue
+        dependencies.append((j, dep))
+        f = products[j][1]
+        for k, c in dep.items():
+            f = f - products[k][1] * c
+        if not f.is_zero():
+            kernel_vecs.append(vec_of(f))
+    return space, dependencies, canonical_rref(kernel_vecs)
+
+
 def kernel_up_to_degree(
-    rd: RestrictedDerivation | Derivation,
+    D: Derivation | RestrictedDerivation,
     S: Subalgebra,
     bound: int,
     span: GeneratorSpan | None = None,
@@ -314,42 +342,25 @@ def kernel_up_to_degree(
     """Basis of {f in bounded span of S : D(f) == 0}.
 
     Exact nullspace of the derivation on the span of generator products;
-    every basis element is re-verified to have image zero.
+    every relation and every basis element is re-verified.
     """
     if span is None:
         span = GeneratorSpan(S, bound)
     products = span.products
-    images = _product_images(rd, S, products)
-    space = RowSpace()
-    kernel_vecs = []
-    for j, img in enumerate(images):
-        dep = space.insert(vec_of(img), j)
-        if dep is None:
-            continue
-        # img_j == sum(dep) over earlier images, so P_j - combination is killed.
-        f = products[j][1]
+    images = D.product_images(products)
+    _, dependencies, kernel = _image_kernel(images, products)
+    for j, dep in dependencies:
         check = images[j]
         for k, c in dep.items():
-            f = f - products[k][1] * c
             check = check - images[k] * c
         if not check.is_zero():
             raise AssertionError("kernel relation failed image re-verification")
-        if not f.is_zero():
-            kernel_vecs.append(vec_of(f))
     basis = []
-    for row in canonical_rref(kernel_vecs):
+    for row in kernel:
         f = Polynomial(S.context, row)
-        if isinstance(rd, Derivation):
-            if not rd.apply(f).is_zero():
-                raise AssertionError("kernel basis element not killed by derivation")
-        else:
-            expr = span.express(f)
-            if expr is None:
-                raise AssertionError("kernel basis element left the span")
-            img = Polynomial.zero(S.context)
-            for expo, c in expr.terms.items():
-                img = img + rd.image_of_product(expo) * c
-            if not img.is_zero():
-                raise AssertionError("kernel basis element not killed by derivation")
+        if not span.contains(f):
+            raise AssertionError("kernel basis element left the span")
+        if not D.apply(f, span).is_zero():
+            raise AssertionError("kernel basis element not killed by derivation")
         basis.append(f)
     return basis

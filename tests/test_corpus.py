@@ -112,12 +112,6 @@ def test_golden_parse_of_the_cusp_base_entry():
     assert all(t.expectations for t in spec.tasks)
 
 
-def test_parallel_matches_serial():
-    serial = corpus_report_text(run_corpus(filter_tag="a1-proportionality", parallelism=1))
-    parallel = corpus_report_text(run_corpus(filter_tag="a1-proportionality", parallelism=4))
-    assert serial == parallel
-
-
 def test_filtering():
     outcomes = run_corpus(filter_tag="cusp-base")
     assert [o.identifier for o in outcomes] == ["asanuma-bhatwadekar"]

@@ -159,6 +159,23 @@ def test_internal_error_clears_the_task_output(monkeypatch):
     assert (task.verdict, task.values, task.notes, task.payload) == (None, [], [], None)
 
 
+def test_fiber_point_with_zero_denominator_is_a_task_error(tmp_path):
+    from lndkit.harness import corpus_dir
+
+    text = (Path(corpus_dir()) / "worked-t-slice.job").read_text()
+    assert 'point="t=0"' in text
+    job = tmp_path / "zero-denominator.job"
+    job.write_text(text.replace('point="t=0"', 'point="t=1/0"')
+                   + 'task apply derivation=D poly="X"\n')
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    lines = result.output.splitlines()
+    assert "error fiber point value '1/0' for 't' has a zero denominator" in lines
+    assert "value image t" in lines[lines.index("task 14 apply"):]  # the later task ran
+    assert "summary tasks 14 ok 13 failed 1" in lines
+
+
 def test_random_triangular_deterministic():
     a = random_triangular_lnd(1, TriangularProfile(fpf=True))
     b = random_triangular_lnd(1, TriangularProfile(fpf=True))
@@ -222,9 +239,9 @@ def test_cli_run_deeply_nested_polynomial_is_an_input_error(tmp_path):
     assert "nested deeper" in result.output
 
 
-def test_cli_corpus_filter_and_parallel():
+def test_cli_corpus_filter():
     runner = CliRunner()
-    result = runner.invoke(cli_main, ["corpus", "--filter", "a2-pair", "--parallel", "2"])
+    result = runner.invoke(cli_main, ["corpus", "--filter", "a2-pair"])
     assert result.exit_code == 0
     assert "status pass" in result.output
 

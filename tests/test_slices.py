@@ -31,7 +31,7 @@ from lndkit import (
     verify_slice_theorem,
 )
 
-from lndkit.harness.randgen import random_triangular_lnd
+from lndkit.harness import random_triangular_lnd
 
 from helpers import rand_poly
 
@@ -86,6 +86,23 @@ def test_full_and_restricted_derivations_agree(seed):
     assert find_slice(rd, S, 6) == s
     assert kernel_up_to_degree(D, S, 3) == kernel_up_to_degree(rd, S, 3)
     assert kernel_generators(D, s, S) == kernel_generators(rd, s, S, GeneratorSpan(S, 12))
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_slice_and_projection_checks_fire_on_a_wrong_solver(restricted, monkeypatch):
+    """The image checks of find_slice and dixmier are explicit raises, so
+    they fire under ``python -O`` too."""
+    from lndkit import slices
+
+    S = Subalgebra.full(CTXT)
+    span = GeneratorSpan(S, 4)
+    d = restriction_of(WORKED, S) if restricted else WORKED
+    monkeypatch.setattr(slices, "_solve_unit_image", lambda images, products, context: P("X", CTXT))
+    with pytest.raises(AssertionError, match="slice candidate failed the image check"):
+        find_slice(d, S, 4, span)
+    monkeypatch.setattr(slices, "_project", lambda apply, s, a: a)
+    with pytest.raises(AssertionError, match="dixmier image is not a kernel element"):
+        dixmier(d, P("Y + 1/2*t*X^2", CTXT), P("X", CTXT), span)
 
 
 def test_dixmier_kills_slice():

@@ -160,6 +160,42 @@ def test_kernel_triangular():
     assert len(basis) == 3
 
 
+@pytest.mark.parametrize("restricted", [False, True])
+def test_kernel_rechecks_fire_on_a_wrong_solver(restricted, monkeypatch):
+    """The per-relation and per-basis-element re-checks are explicit raises,
+    so they fire under ``python -O`` too."""
+    from lndkit import subalgebra
+
+    ctx = VarContext((), ("X", "Y"))
+    S = Subalgebra.full(ctx)
+    d = Derivation(ctx, {"X": P("1", ctx), "Y": P("1", ctx)})
+    if restricted:
+        d = restriction_of(d, S)
+    solve = subalgebra._image_kernel
+
+    def wrong_basis(images, products):
+        space, dependencies, _ = solve(images, products)
+        return space, dependencies, [vec_of(P("Y", ctx))]
+
+    def outside_span(images, products):
+        space, dependencies, _ = solve(images, products)
+        return space, dependencies, [vec_of(P("X^3", ctx))]
+
+    def wrong_relation(images, products):
+        space, dependencies, kernel = solve(images, products)
+        return space, [(j, {j: 2}) for j, _ in dependencies], kernel
+
+    monkeypatch.setattr(subalgebra, "_image_kernel", wrong_basis)
+    with pytest.raises(AssertionError, match="not killed by derivation"):
+        kernel_up_to_degree(d, S, 2)
+    monkeypatch.setattr(subalgebra, "_image_kernel", outside_span)
+    with pytest.raises(AssertionError, match="left the span"):
+        kernel_up_to_degree(d, S, 2)
+    monkeypatch.setattr(subalgebra, "_image_kernel", wrong_relation)
+    with pytest.raises(AssertionError, match="relation failed image re-verification"):
+        kernel_up_to_degree(d, S, 2)
+
+
 def test_kernel_worked_instance_contains_projection():
     d = Derivation(CTXT, {"X": P("t", CTXT), "Y": P("1 - t^2*X", CTXT)})
     S = Subalgebra.full(CTXT)
