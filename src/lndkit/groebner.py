@@ -14,10 +14,21 @@ is fixed, so quotients and remainders are those of textbook division.
 Completion (``buchberger``) caches each basis element's leading monomial
 when it joins the basis and keeps the pending S-pairs in a heap.  Pair
 selection is still the normal strategy, smallest lcm under the active
-order and then ``(i, j)``, with the two classic elimination criteria
-(coprime leading terms, chain criterion), so bases and cofactor matrices
-are reproducible across runs.  ``GroebnerBasis.verify`` is still complete:
-it re-checks every cofactor recombination and re-reduces every S-pair.
+order and then ``(i, j)``, so bases and cofactor matrices are
+reproducible across runs.  ``_combine_rows`` builds every cofactor row in
+one pass per column: the row of an S-pair whose remainder joins the basis,
+the tail-reduction rows and the membership cofactors.  An S-pair that
+reduces to zero gets no row.
+
+Both completion and ``GroebnerBasis.verify`` skip the S-pairs that
+Buchberger's two criteria settle (B. Buchberger, EUROSAM 1979; Becker and
+Weispfenning, *Groebner Bases*, section 5.5): a pair whose leading
+monomials are coprime, and a pair whose lcm some third leading monomial
+divides when that element's pairs with both were settled earlier (the
+chain criterion, ``_chain``).  ``verify`` settles the pairs of the reduced
+basis in increasing lcm order and re-checks every cofactor recombination
+in full; its docstring proves that it accepts exactly the bases that
+reducing every S-pair would accept.
 """
 
 from __future__ import annotations
@@ -101,7 +112,41 @@ class GroebnerBasis:
     cofactors: tuple[tuple[Polynomial, ...], ...]  # generators[i] == sum_j cofactors[i][j]*inputs[j]
 
     def verify(self) -> None:
-        """Re-check the recombination identity and the Buchberger criterion."""
+        """Re-check the recombination identity and the Buchberger criterion.
+
+        Every cofactor row is recombined in full.  The S-pairs are settled
+        in increasing lcm order, ties broken by ``(i, j)``; a pair is
+        reduced unless Buchberger's criteria (see ``_chain``) skip it, and
+        any nonzero remainder rejects the basis.
+
+        Why a skipped pair needs no reduction.  Write ``L_ab`` for
+        ``lcm(lm_a, lm_b)``, ``lt_a`` for the leading term of ``g_a`` and
+        ``S_ab = (L_ab / lt_a) * g_a - (L_ab / lt_b) * g_b``.  Say ``S_ab``
+        has an *lcm representation* when ``S_ab = sum(h_k * g_k)`` with
+        every ``lm(h_k * g_k)`` strictly below ``L_ab``, or ``S_ab == 0``.
+        The generators form a Groebner basis exactly when every S-pair has
+        one (Becker and Weispfenning, *Groebner Bases*, section 5.5).  By
+        induction over the settling order, every settled pair has one:
+
+        * a reduced pair reduces to zero, and division writes ``S_ij`` as
+          ``sum(q_k * g_k)`` with ``lm(q_k * g_k) <= lm(S_ij) < L_ij``;
+        * a pair with coprime leading monomials has one by Buchberger's
+          first criterion (B. Buchberger, EUROSAM 1979);
+        * a pair skipped by the chain criterion (Buchberger's second) has
+          some ``k`` outside ``{i, j}`` with ``lm_k | L_ij`` whose pairs
+          ``(i, k)`` and ``(j, k)`` were settled before it, so ``S_ik``
+          and ``S_jk`` have lcm representations by induction.  Then
+          ``L_ik`` and ``L_jk`` divide ``L_ij``, and
+          ``S_ij = (L_ij / L_ik) * S_ik - (L_ij / L_jk) * S_jk``;
+          multiplying the two representations by those monomials keeps
+          every term below ``L_ij``.
+
+        So when every reduced pair reduces to zero, every pair has an lcm
+        representation and the generators are a Groebner basis.
+        Conversely, over a Groebner basis every S-polynomial reduces to
+        zero.  Hence this accepts exactly the bases that reducing every
+        pair accepts.
+        """
         if not self.generators:
             return
         ctx = self.inputs[0].context
@@ -112,12 +157,57 @@ class GroebnerBasis:
             if acc != g:
                 raise AssertionError("cofactor recombination mismatch")
         gens = list(self.generators)
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                s = _s_polynomial(gens[i], gens[j], self.order)
-                rem, _ = normal_form(s, gens, self.order)
-                if not rem.is_zero():
-                    raise AssertionError("S-polynomial does not reduce to zero")
+        order = self.order
+        lms = [leading_term(g, order)[0] for g in gens]
+        pairs = sorted(
+            (order.key(mono_lcm(lms[i], lms[j])), (i, j))
+            for j in range(len(gens))
+            for i in range(j)
+        )
+        settled: set[tuple[int, int]] = set()
+        for _, (i, j) in pairs:
+            settled.add((i, j))
+            lcm = mono_lcm(lms[i], lms[j])
+            if lcm == mono_mul(lms[i], lms[j]) or _chain(lms, i, j, lcm, settled):
+                continue
+            rem, _ = normal_form(_s_polynomial(gens[i], gens[j], order), gens, order)
+            if not rem.is_zero():
+                raise AssertionError("S-polynomial does not reduce to zero")
+
+
+def _chain(
+    lms: list[Monomial], i: int, j: int, lcm: Monomial, settled: set[tuple[int, int]]
+) -> bool:
+    """Buchberger's chain criterion for the pair ``(i, j)`` with lcm ``lcm``.
+
+    True when some ``k`` outside ``{i, j}`` has ``lms[k] | lcm`` and both
+    ``(i, k)`` and ``(j, k)`` (smaller index first) are already settled.
+    """
+    for k, lm in enumerate(lms):
+        if k != i and k != j and mono_divides(lm, lcm):
+            if (min(i, k), max(i, k)) in settled and (min(j, k), max(j, k)) in settled:
+                return True
+    return False
+
+
+def _combine_rows(ctx, parts, width: int) -> list[Polynomial]:
+    """Columns of ``sum(mult * row)`` over ``parts``, each built in one pass.
+
+    ``parts`` pairs a multiplier, given as a term dict, with a row of
+    ``width`` polynomials.  Each column accumulates in one mutable term
+    dict and becomes one ``Polynomial._trusted``.
+    """
+    out = []
+    for col in range(width):
+        acc: dict[Monomial, Fraction] = {}
+        for mult, row in parts:
+            for m2, c2 in row[col].terms.items():
+                for m1, c1 in mult.items():
+                    m = mono_mul(m1, m2)
+                    prev = acc.get(m)
+                    acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+        out.append(Polynomial._trusted(ctx, {m: c for m, c in acc.items() if c}))
+    return out
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -150,21 +240,24 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
     lms: list[Monomial] = []  # leading monomial of each basis element, fixed once pushed
     rows: list[list[Polynomial]] = []
 
-    def unit_row(j: int) -> list[Polynomial]:
-        return [
-            Polynomial.one(ctx) if k == j else Polynomial.zero(ctx) for k in range(n_in)
-        ]
+    one = Fraction(1)
+    zero_mono = (0,) * ctx.nvars
 
-    def push(poly: Polynomial, row: list[Polynomial]):
+    def push(poly: Polynomial, parts: list[tuple[dict[Monomial, Fraction], list[Polynomial]]]):
+        """Append ``poly`` made monic; its cofactor row is the combination
+        ``parts`` (see ``_combine_rows``), scaled alike."""
         lm, lc = leading_term(poly, order)
-        inv = Fraction(1) / lc
+        inv = one / lc
         basis.append(poly * inv)
         lms.append(lm)
-        rows.append([c * inv for c in row])
+        rows.append(_combine_rows(
+            ctx, [({m: c * inv for m, c in mult.items()}, row) for mult, row in parts], n_in
+        ))
 
     for j, g in enumerate(inputs):
         if not g.is_zero():
-            push(g, unit_row(j))
+            unit_row = [Polynomial.one(ctx) if k == j else Polynomial.zero(ctx) for k in range(n_in)]
+            push(g, [({zero_mono: one}, unit_row)])
 
     if not basis:
         return GroebnerBasis(order, inputs, (), ())
@@ -188,29 +281,17 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]):
             continue  # coprime leading terms
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(lms[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        if _chain(lms, i, j, lcm, done):
             continue
         # Basis elements are monic, so both S-polynomial multipliers have coefficient 1.
-        uf = Polynomial._trusted(ctx, {mono_div(lcm, lms[i]): Fraction(1)})
-        ug = Polynomial._trusted(ctx, {mono_div(lcm, lms[j]): Fraction(1)})
-        s = uf * basis[i] - ug * basis[j]
-        row_s = [uf * a - ug * b for a, b in zip(rows[i], rows[j])]
+        ui, uj = {mono_div(lcm, lms[i]): one}, {mono_div(lcm, lms[j]): -one}
+        [s] = _combine_rows(ctx, [(ui, [basis[i]]), (uj, [basis[j]])], 1)
         rem, quots = normal_form(s, basis, order)
-        for k, q in enumerate(quots):
-            if not q.is_zero():
-                row_s = [a - q * b for a, b in zip(row_s, rows[k])]
         if not rem.is_zero():
-            push(rem, row_s)
+            parts = [(ui, rows[i]), (uj, rows[j])]
+            parts += [({m: -c for m, c in q.terms.items()}, rows[k])
+                      for k, q in enumerate(quots) if q.terms]
+            push(rem, parts)
             add_pairs(len(basis) - 1)
 
     # Minimalize: drop elements whose leading term another element divides.
@@ -234,14 +315,13 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         others = [basis[j] for j in alive if j != i]
         other_rows = [rows[j] for j in alive if j != i]
         rem, quots = normal_form(basis[i], others, order)
-        row = list(rows[i])
-        for q, other_row in zip(quots, other_rows):
-            if not q.is_zero():
-                row = [a - q * b for a, b in zip(row, other_row)]
         _, lc = leading_term(rem, order)
-        inv = Fraction(1) / lc
+        inv = one / lc
+        parts = [({zero_mono: inv}, rows[i])]
+        parts += [({m: -c * inv for m, c in q.terms.items()}, other_row)
+                  for q, other_row in zip(quots, other_rows) if q.terms]
         reduced.append(rem * inv)
-        reduced_rows.append([c * inv for c in row])
+        reduced_rows.append(_combine_rows(ctx, parts, n_in))
 
     ordering = sorted(range(len(reduced)), key=lambda k: order.key(leading_term(reduced[k], order)[0]))
     result = GroebnerBasis(
@@ -271,12 +351,9 @@ def ideal_member(
     rem, quots = normal_form(p, list(gb.generators), gb.order)
     if not rem.is_zero():
         return None
-    cof = [Polynomial.zero(p.context) for _ in gens]
-    for q, row in zip(quots, gb.cofactors):
-        if q.is_zero():
-            continue
-        for j, c in enumerate(row):
-            cof[j] = cof[j] + q * c
+    cof = _combine_rows(
+        p.context, [(q.terms, row) for q, row in zip(quots, gb.cofactors) if q.terms], len(gens)
+    )
     acc = Polynomial.zero(p.context)
     for c, g in zip(cof, gens):
         acc = acc + c * g

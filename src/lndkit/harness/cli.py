@@ -2,7 +2,7 @@
 
 Exit codes: 0 all pass, 1 verdict or expectation mismatch, 2 input error,
 3 internal error (``lndkit run`` only: a task failed an internal invariant,
-such as a witness that did not re-verify).
+such as a witness that did not re-verify, or raised an unexpected exception).
 """
 
 from __future__ import annotations

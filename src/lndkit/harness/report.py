@@ -166,15 +166,26 @@ def validate_report_text(text: str) -> list[str]:
     if not lines or lines[-1] != "end report":
         problems.append("report must close with 'end report'")
     depth = 0
+    verdict_line = error_line = None
     for n, line in enumerate(lines, start=1):
         if line.startswith("task "):
             if depth:
                 problems.append(f"line {n}: nested task block")
             depth += 1
+            verdict_line = error_line = None
         elif line == "end task":
             if not depth:
                 problems.append(f"line {n}: 'end task' outside a task block")
             depth = max(0, depth - 1)
+        elif depth and line.startswith("verdict "):
+            verdict_line = n
+        elif depth and line.startswith("error "):
+            error_line = n
+        if verdict_line is not None and error_line is not None:
+            problems.append(
+                f"line {error_line}: task block has both a verdict (line {verdict_line}) and an error"
+            )
+            verdict_line = error_line = None
     if depth:
         problems.append("unterminated task block")
     return problems

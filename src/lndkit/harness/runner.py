@@ -583,10 +583,17 @@ def run_job(
                 result.error = f"{type(exc).__name__}: {exc}"
             except AssertionError as exc:
                 # A failed internal invariant, such as a witness that did not
-                # re-verify: nothing the task produced may reach the report.
-                result.verdict, result.values, result.notes, result.payload = None, [], [], None
+                # re-verify.
                 result.error = f"internal: {str(exc) or type(exc).__name__}"
                 result.internal = True
+            except Exception as exc:
+                # A bug such as a ZeroDivisionError, TypeError or
+                # RecursionError: loud, but the remaining tasks still run.
+                result.error = f"internal: {type(exc).__name__}: {exc}"
+                result.internal = True
+            if result.error is not None:
+                # Nothing a failed task produced may reach the report.
+                result.verdict, result.values, result.notes, result.payload = None, [], [], None
         result.elapsed_ms = (time.perf_counter() - started) * 1000.0
         run.results[index] = result
         report.tasks.append(result)

@@ -5,35 +5,65 @@ time, running a subresultant polynomial remainder sequence on the
 primitive parts and recursing into coefficient rings for contents.  The
 result is normalized so its lexicographic leading coefficient is 1, and
 exact divisibility of both inputs is checked before returning.
+
+The kernels work on mutable term dicts: ``exact_divide`` is heap division
+under descending lex (one pop per step, the divisor's tail subtracted in
+place), ``_prem`` builds each pseudo-division step in one dict and skips
+the products that cancel, and the coefficient views are built through
+``Polynomial._trusted``, since their terms are valid by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .errors import ContextMismatchError, DomainError
-from .polynomial import Monomial, Polynomial, mono_div, mono_divides
+from .polynomial import Monomial, Polynomial, mono_div, mono_divides, mono_mul
 
 
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial | None:
-    """Quotient p/d when the division is exact, else None."""
+    """Quotient p/d when the division is exact, else None.
+
+    Heap division under descending lex: the dividend is a mutable term dict
+    plus a ``heapq`` of negated monomials with lazy deletion, so each step
+    pops the leading term and subtracts ``q * (d minus its leading term)``
+    in place.
+    """
     if p.context != d.context:
         raise ContextMismatchError("exact_divide operands share no context")
     if d.is_zero():
         raise DomainError("division by the zero polynomial")
-    ctx = p.context
-    quotient: dict[Monomial, Fraction] = {}
-    rem = p
     d_mono, d_coeff = d.lex_leading()
-    while not rem.is_zero():
-        r_mono, r_coeff = rem.lex_leading()
+    d_tail = [(m, c) for m, c in d.terms.items() if m != d_mono]
+    quotient: dict[Monomial, Fraction] = {}
+    rem = dict(p.terms)
+    heap = [tuple(map(neg, m)) for m in rem]
+    heapify(heap)
+    while heap:
+        r_mono = tuple(map(neg, heappop(heap)))
+        r_coeff = rem.pop(r_mono, None)
+        if r_coeff is None:
+            continue  # cancelled after it was pushed
         if not mono_divides(d_mono, r_mono):
             return None
         q_mono = mono_div(r_mono, d_mono)
         q_coeff = r_coeff / d_coeff
-        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
-        rem = rem - Polynomial(ctx, {q_mono: q_coeff}) * d
-    return Polynomial(ctx, quotient)
+        quotient[q_mono] = q_coeff  # leading monomials strictly fall, so q_mono is new
+        for m, c in d_tail:
+            m = mono_mul(q_mono, m)
+            acc = rem.get(m)
+            if acc is None:
+                rem[m] = -q_coeff * c
+                heappush(heap, tuple(map(neg, m)))
+            else:
+                acc -= q_coeff * c
+                if acc:
+                    rem[m] = acc
+                else:
+                    del rem[m]
+    return Polynomial._trusted(p.context, quotient)
 
 
 def divides(d: Polynomial, p: Polynomial) -> bool:
@@ -48,15 +78,7 @@ def _univariate_coeffs(p: Polynomial, i: int) -> dict[int, Polynomial]:
         e = m[i]
         rest = m[:i] + (0,) + m[i + 1:]
         buckets.setdefault(e, {})[rest] = c
-    return {e: Polynomial(ctx, terms) for e, terms in buckets.items()}
-
-
-def _from_univariate(coeffs: dict[int, Polynomial], i: int, ctx) -> Polynomial:
-    out: dict[Monomial, Fraction] = {}
-    for e, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            out[m[:i] + (e,) + m[i + 1:]] = c
-    return Polynomial(ctx, out)
+    return {e: Polynomial._trusted(ctx, terms) for e, terms in buckets.items()}
 
 
 def _deg_in(p: Polynomial, i: int) -> int:
@@ -65,28 +87,43 @@ def _deg_in(p: Polynomial, i: int) -> int:
 
 def _lead_coeff_in(p: Polynomial, i: int) -> Polynomial:
     d = _deg_in(p, i)
-    return _univariate_coeffs(p, i)[d]
-
-
-def _shift(p: Polynomial, i: int, k: int) -> Polynomial:
-    """Multiply by the i-th variable to the k-th power."""
-    return Polynomial(p.context, {m[:i] + (m[i] + k,) + m[i + 1:]: c for m, c in p.terms.items()})
+    return Polynomial._trusted(
+        p.context, {m[:i] + (0,) + m[i + 1:]: c for m, c in p.terms.items() if m[i] == d}
+    )
 
 
 def _prem(a: Polynomial, b: Polynomial, i: int) -> Polynomial:
-    """Pseudo-remainder of a by b in variable i: lc(b)^(da-db+1)*a mod b."""
+    """Pseudo-remainder of a by b in variable i: lc(b)^(da-db+1)*a mod b.
+
+    Each step builds ``lc(b) * rem - lc(rem) * x_i^(dr-db) * b`` in one
+    term dict, where ``lc`` is the leading coefficient in variable i.  Its
+    terms of degree ``dr`` in x_i cancel exactly, so only the lower parts
+    of ``rem`` and ``b`` are multiplied out.
+    """
+    ctx = a.context
     da, db = _deg_in(a, i), _deg_in(b, i)
     lc_b = _lead_coeff_in(b, i)
-    rem = a
+    lc_b_terms = list(lc_b.terms.items())
+    b_low = [(m, c) for m, c in b.terms.items() if m[i] < db]
+    rem = dict(a.terms)
     steps = da - db + 1
-    while not rem.is_zero() and _deg_in(rem, i) >= db:
-        dr = _deg_in(rem, i)
-        lc_r = _lead_coeff_in(rem, i)
-        rem = lc_b * rem - _shift(lc_r * b, i, dr - db)
+    while rem:
+        dr = max(m[i] for m in rem)
+        if dr < db:
+            break
+        neg_lc_r = [(m[:i] + (dr - db,) + m[i + 1:], -c) for m, c in rem.items() if m[i] == dr]
+        rem_low = [(m, c) for m, c in rem.items() if m[i] < dr]
+        new: dict[Monomial, Fraction] = {}
+        for left, right in ((lc_b_terms, rem_low), (neg_lc_r, b_low)):
+            for m1, c1 in left:
+                for m2, c2 in right:
+                    m = mono_mul(m1, m2)
+                    acc = new.get(m)
+                    new[m] = c1 * c2 if acc is None else acc + c1 * c2
+        rem = {m: c for m, c in new.items() if c}
         steps -= 1
-    if steps > 0:
-        rem = rem * lc_b ** steps
-    return rem
+    result = Polynomial._trusted(ctx, rem)
+    return result * lc_b ** steps if steps > 0 else result
 
 
 def _content(p: Polynomial, i: int) -> Polynomial:

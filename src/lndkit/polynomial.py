@@ -20,6 +20,7 @@ only puts their terms into canonical order.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from .context import VarContext
@@ -30,21 +31,21 @@ Scalar = Union[Fraction, int]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. every exponent of a is <= that of b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:

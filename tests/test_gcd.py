@@ -2,6 +2,7 @@
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lndkit
-from lndkit import DomainError, Polynomial, VarContext, divides, exact_divide, gcd, parse_polynomial
+from lndkit import DomainError, Polynomial, VarContext, divides, exact_divide, gcd, parse_polynomial, polygcd
+from lndkit.polynomial import mono_div, mono_divides
 
 from helpers import rand_poly
 
@@ -56,6 +58,82 @@ def test_exact_divide():
     q = exact_divide(P("X^2 - Y^2"), P("X - Y"))
     assert q == P("X + Y")
     assert exact_divide(P("X^2 + 1"), P("X")) is None
+
+
+def _reference_exact_divide(p, d):
+    """Division that rebuilds the remainder once per quotient term."""
+    ctx = p.context
+    quotient = {}
+    rem = p
+    d_mono, d_coeff = d.lex_leading()
+    while not rem.is_zero():
+        r_mono, r_coeff = rem.lex_leading()
+        if not mono_divides(d_mono, r_mono):
+            return None
+        q_mono = mono_div(r_mono, d_mono)
+        q_coeff = r_coeff / d_coeff
+        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
+        rem = rem - Polynomial(ctx, {q_mono: q_coeff}) * d
+    return Polynomial(ctx, quotient)
+
+
+def _reference_deg_in(p, i):
+    return max((m[i] for m in p.terms), default=-1)
+
+
+def _reference_lead_coeff_in(p, i):
+    d = _reference_deg_in(p, i)
+    return Polynomial(p.context, {m[:i] + (0,) + m[i + 1:]: c for m, c in p.terms.items() if m[i] == d})
+
+
+def _reference_shift(p, i, k):
+    return Polynomial(p.context, {m[:i] + (m[i] + k,) + m[i + 1:]: c for m, c in p.terms.items()})
+
+
+def _reference_prem(a, b, i):
+    """Pseudo-remainder through whole-polynomial arithmetic at every step."""
+    da, db = _reference_deg_in(a, i), _reference_deg_in(b, i)
+    lc_b = _reference_lead_coeff_in(b, i)
+    rem = a
+    steps = da - db + 1
+    while not rem.is_zero() and _reference_deg_in(rem, i) >= db:
+        dr = _reference_deg_in(rem, i)
+        rem = lc_b * rem - _reference_shift(_reference_lead_coeff_in(rem, i) * b, i, dr - db)
+        steps -= 1
+    if steps > 0:
+        rem = rem * lc_b ** steps
+    return rem
+
+
+CTX3 = VarContext((), ("x", "y", "z"))
+
+
+def _poly(nvars, max_size):
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    ctx = CTX if nvars == 2 else CTX3
+    return st.dictionaries(mono, coeff, max_size=max_size).map(lambda t: Polynomial(ctx, t))
+
+
+@st.composite
+def _division_cases(draw):
+    nvars = draw(st.integers(2, 3))
+    a, d, r = draw(_poly(nvars, 4)), draw(_poly(nvars, 3)), draw(_poly(nvars, 2))
+    return a, d, r
+
+
+@given(_division_cases())
+@settings(max_examples=150, deadline=None)
+def test_in_place_division_and_pseudo_remainder_match_the_references(case):
+    a, d, r = case
+    if not d.is_zero():
+        for p in (a * d, a * d + r, a):  # exact, perturbed and arbitrary dividends
+            assert exact_divide(p, d) == _reference_exact_divide(p, d)
+        assert exact_divide(a * d, d) == a
+    for i in range(a.context.nvars):
+        if _reference_deg_in(d, i) > 0 and _reference_deg_in(a, i) >= _reference_deg_in(d, i):
+            assert polygcd._prem(a, d, i) == _reference_prem(a, d, i)
+            assert polygcd._prem(a * d, d, i).is_zero()
 
 
 @given(st.integers(0, 2 ** 30))

@@ -1,5 +1,6 @@
 """Groebner engine: division, completion, membership, cofactor soundness."""
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from lndkit import (
     DomainError,
+    GroebnerBasis,
     MonomialOrder,
     Polynomial,
     RowSpace,
@@ -19,7 +21,8 @@ from lndkit import (
     normal_form,
     parse_polynomial,
 )
-from lndkit.groebner import leading_term
+from lndkit import groebner
+from lndkit.groebner import _s_polynomial, leading_term
 from lndkit.linalg import vec_of
 from lndkit.polynomial import mono_div, mono_divides
 
@@ -135,8 +138,6 @@ def test_pinned_bases_and_cofactors(system, kind, digest):
 
 
 def test_verify_rejects_a_wrong_cofactor_or_an_incomplete_basis():
-    from lndkit import GroebnerBasis
-
     gb = buchberger([P("X^2 + Y"), P("X*Y - 1")])
     gb.verify()
     bad_row = (gb.cofactors[0][0] + 1,) + gb.cofactors[0][1:]
@@ -146,6 +147,102 @@ def test_verify_rejects_a_wrong_cofactor_or_an_incomplete_basis():
     unit = ((P("1"), P("0")), (P("0"), P("1")))
     with pytest.raises(AssertionError, match="S-polynomial"):
         GroebnerBasis(DRL, inputs, inputs, unit).verify()
+
+
+def _reference_verify(gb):
+    """The all-pairs check: recombine every cofactor row, reduce every S-pair."""
+    if not gb.generators:
+        return
+    ctx = gb.inputs[0].context
+    for g, row in zip(gb.generators, gb.cofactors):
+        acc = Polynomial.zero(ctx)
+        for c, f in zip(row, gb.inputs):
+            acc = acc + c * f
+        if acc != g:
+            raise AssertionError("cofactor recombination mismatch")
+    gens = list(gb.generators)
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            rem, _ = normal_form(_s_polynomial(gens[i], gens[j], gb.order), gens, gb.order)
+            if not rem.is_zero():
+                raise AssertionError("S-polynomial does not reduce to zero")
+
+
+def _accepts(check, gb):
+    try:
+        check(gb)
+    except AssertionError:
+        return False
+    return True
+
+
+def _as_basis(order, gens):
+    """Candidate basis whose inputs are its own generators, so only the
+    S-pair part of verify can reject it."""
+    ctx = gens[0].context
+    unit = tuple(
+        tuple(Polynomial.one(ctx) if k == j else Polynomial.zero(ctx) for k in range(len(gens)))
+        for j in range(len(gens))
+    )
+    return GroebnerBasis(order, tuple(gens), tuple(gens), unit)
+
+
+def _perturb_tail(g, order):
+    lm, _ = leading_term(g, order)
+    tail = [m for m in g.terms if m != lm]
+    if not tail:
+        return None
+    terms = dict(g.terms)
+    terms[tail[-1]] += 1
+    return Polynomial(g.context, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_cases():
+    """Seeded candidate bases, each with the all-pairs verdict: reduced
+    bases, each with one element dropped or one tail coefficient
+    perturbed, and raw planar generating sets."""
+    cases = []
+    reduced = []
+    for (ctx, eqs), kind in [(katsura(3), "lex"), (katsura(3), "degrevlex"),
+                             (cyclic(4), "lex"), (cyclic(4), "degrevlex")]:
+        reduced.append(buchberger(eqs, getattr(MonomialOrder, kind)(ctx)))
+    rng = random.Random(20261018)
+    for n in range(30):
+        order = (DRL, LEX)[n % 2]
+        gens = [rand_poly(rng, CTX, max_degree=3, max_terms=3, allow_zero=False) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_constant()] or [P("X*Y + 1"), P("X^2 - Y")]
+        reduced.append(buchberger(gens, order))
+        if len(gens) > 1:
+            cases.append(_as_basis(order, gens))
+    for gb in reduced:
+        cases.append(gb)
+        n = len(gb.generators)
+        for k in range(n):
+            if n > 1:
+                cases.append(GroebnerBasis(gb.order, gb.inputs, gb.generators[:k] + gb.generators[k + 1:],
+                                           gb.cofactors[:k] + gb.cofactors[k + 1:]))
+            bent = _perturb_tail(gb.generators[k], gb.order)
+            if bent is not None:
+                cases.append(_as_basis(gb.order, gb.generators[:k] + (bent,) + gb.generators[k + 1:]))
+    return tuple((gb, _accepts(_reference_verify, gb)) for gb in cases)
+
+
+def test_pruned_verify_agrees_with_the_all_pairs_check():
+    cases = _verify_cases()
+    accepted = sum(want for _, want in cases)
+    assert 40 <= accepted <= len(cases) - 40  # both verdicts are well represented
+    assert all(_accepts(GroebnerBasis.verify, gb) == want for gb, want in cases)
+
+
+def test_a_chain_criterion_that_ignores_settled_pairs_is_caught(monkeypatch):
+    cases = _verify_cases()  # built with the real criterion
+
+    def unsettled_chain(lms, i, j, lcm, settled):
+        return any(k not in (i, j) and mono_divides(lm, lcm) for k, lm in enumerate(lms))
+
+    monkeypatch.setattr(groebner, "_chain", unsettled_chain)
+    assert not all(_accepts(GroebnerBasis.verify, gb) == want for gb, want in cases)
 
 
 def test_normal_form_membership_of_multiple():

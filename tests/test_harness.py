@@ -159,6 +159,63 @@ def test_internal_error_clears_the_task_output(monkeypatch):
     assert (task.verdict, task.values, task.notes, task.payload) == (None, [], [], None)
 
 
+DIXMIER_NO_SLICE = """
+job dixmier-no-slice
+ring main: X, Y
+base: full
+algebra: full
+derivation D: X: X, Y: 1
+task dixmier derivation=D slice="Y" arg="X"
+task find_slice derivation=D bound=1
+"""
+
+
+def test_a_failed_projection_reports_no_verdict():
+    report = run_job(parse_job(DIXMIER_NO_SLICE))
+    task = report.tasks[0]
+    assert task.error == "derivation iterates of X did not vanish within 4096 steps"
+    assert (task.verdict, task.values, task.notes, task.payload) == (None, [], [], None)
+    assert report.tasks[1].ok  # the job went on
+    text = report.to_text()
+    assert "verdict ok" not in text.splitlines()
+    assert validate_report_text(text) == []
+
+
+def test_schema_rejects_a_verdict_beside_an_error():
+    text = run_job(parse_job(MINIMAL)).to_text()
+    assert validate_report_text(text) == []
+    bad = text.replace("end task", "error forced\nend task")
+    problems = validate_report_text(bad)
+    assert len(problems) == 1 and "both a verdict" in problems[0]
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"), TypeError("bad operand"),
+                                 RecursionError("maximum recursion depth exceeded")],
+                         ids=lambda e: type(e).__name__)
+def test_an_escaping_exception_is_an_internal_task_error(tmp_path, monkeypatch, exc):
+    from lndkit.harness import runner
+
+    def broken(run, task, out):
+        out.verdict = "yes"
+        out.values.append(("cofactor.1", "1"))
+        raise exc
+
+    monkeypatch.setitem(runner._HANDLERS, "ideal_member", broken)
+    report = run_job(parse_job(INTERNAL))
+    member = report.tasks[1]
+    assert member.error == f"internal: {type(exc).__name__}: {exc}"
+    assert member.internal and (member.verdict, member.values) == (None, [])
+    assert report.tasks[2].ok and report.tasks[2].verdict == "slice"  # the job went on
+    assert validate_report_text(report.to_text()) == []
+
+    job = tmp_path / "broken.job"
+    job.write_text(INTERNAL)
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert f"error internal: {type(exc).__name__}: {exc}" in result.output.splitlines()
+
+
 def test_fiber_point_with_zero_denominator_is_a_task_error(tmp_path):
     from lndkit.harness import corpus_dir
 
