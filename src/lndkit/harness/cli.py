@@ -16,8 +16,8 @@ from ..derivation import DEFAULT_NILPOTENCY_BOUND
 from ..errors import JobParseError, LndkitError
 from .corpus import corpus_report_text, run_corpus
 from .jobs import parse_job
-from .report import Report, TaskResult, validate_report_text
-from .runner import _FAMILIES, run_job
+from .report import Report, validate_report_text
+from .runner import FAMILY, run_job
 
 
 @click.group()
@@ -29,21 +29,26 @@ def main():
 @click.argument("job_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="Write the report here instead of stdout.")
-@click.option("--bound", type=int, default=None,
+@click.option("--bound", type=click.IntRange(min=1), default=None,
               help="Override the bound of every task that does not set one.")
 @click.option("--seed", type=int, default=None, help="Override the job seed.")
-@click.option("--nilpotency-bound", type=int, default=DEFAULT_NILPOTENCY_BOUND,
+@click.option("--nilpotency-bound", type=click.IntRange(min=1), default=DEFAULT_NILPOTENCY_BOUND,
               show_default=True, help="Iteration bound for nilpotency certification.")
 def run_command(job_file: Path, out: Path | None, bound: int | None, seed: int | None,
                 nilpotency_bound: int):
     """Run a job file and emit its report."""
     try:
         spec = parse_job(job_file.read_text())
+        report = run_job(spec, nilpotency_bound=nilpotency_bound, bound_override=bound,
+                         seed_override=seed)
     except JobParseError as exc:
         click.echo(f"error: {job_file}: {exc}", err=True)
         sys.exit(2)
-    report = run_job(spec, nilpotency_bound=nilpotency_bound, bound_override=bound,
-                     seed_override=seed)
+    _emit(report, out or (Path(spec.output) if spec.output else None))
+
+
+def _emit(report: Report, destination: Path | None):
+    """Validate, write or print the report, and exit with its status."""
     text = report.to_text()
     problems = validate_report_text(text)
     if problems:
@@ -51,7 +56,6 @@ def run_command(job_file: Path, out: Path | None, bound: int | None, seed: int |
         for p in problems:
             click.echo(f"  {p}", err=True)
         sys.exit(2)
-    destination = out or (Path(spec.output) if spec.output else None)
     if destination:
         destination.write_text(text)
         click.echo(f"report written to {destination}")
@@ -82,23 +86,16 @@ def corpus_command(filter_tag: str | None, out: Path | None):
 
 
 @main.command("random")
-@click.option("--family", required=True, type=click.Choice(sorted(_FAMILIES)),
+@click.option("--family", required=True, type=click.Choice(FAMILY.choices),
               help="Which randomized property family to run.")
-@click.option("--count", type=int, default=20, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--bound", type=int, default=8, show_default=True)
+@click.option("--bound", type=click.IntRange(min=1), default=8, show_default=True)
 def random_command(family: str, count: int, seed: int, bound: int):
-    """Run a seeded randomized property family and report pass/fail."""
-    outcome = _FAMILIES[family](seed, count, bound)
-    report = Report(f"random-{family}", seed)
-    result = TaskResult(1, "random_family")
-    result.params = [("count", str(count)), ("family", family), ("seed", str(seed))]
-    result.verdict = "pass" if outcome.ok else "fail"
-    result.values = [("count", str(outcome.count)), ("failures", str(len(outcome.failures)))]
-    result.notes = outcome.failures[:10]
-    report.tasks.append(result)
-    click.echo(report.to_text(), nl=False)
-    sys.exit(0 if outcome.ok else 1)
+    """Run a seeded randomized property family as a one-task job and report it."""
+    spec = parse_job(f"job random-{family}\nring main: X\nseed: {seed}\n"
+                     f"task random_family family={family} count={count} seed={seed} bound={bound}\n")
+    _emit(run_job(spec), None)
 
 
 if __name__ == "__main__":

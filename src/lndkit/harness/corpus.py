@@ -133,7 +133,10 @@ def run_corpus(
             raise LndkitError(f"no corpus entries match {filter_tag!r}")
     outcomes = []
     for path, spec in entries:
-        outcome = run_entry(spec, path)
+        try:
+            outcome = run_entry(spec, path)
+        except JobParseError as exc:  # a bound only the run could have given
+            raise LndkitError(f"{path.name}: {exc}") from None
         outcome.schema_problems = validate_report_text(outcome.report.to_text())
         outcomes.append(outcome)
     return sorted(outcomes, key=lambda o: o.identifier)

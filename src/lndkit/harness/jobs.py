@@ -17,9 +17,11 @@ Format (one record per line, ``#`` comments and blank lines ignored)::
       expect slice="Y + 1/2*t*X^2" type=poly provenance=derived oracle="..."
 
 Polynomial values never contain commas or semicolons, so those separate
-list items.  ``expect`` records attach expected outcomes (with provenance
-tags) to the preceding task; they are ignored by ``run_job`` and consumed
-by the corpus comparator.  Parse errors carry line numbers.
+list items.  Every task line is checked against ``runner.TASKS``;
+``TaskSpec.params`` keeps the raw text and ``TaskSpec.args`` the typed
+values.  ``expect`` records attach expected outcomes (with provenance tags)
+to the preceding task; they are ignored by ``run_job`` and consumed by the
+corpus comparator.  Parse errors carry line numbers.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ..errors import JobParseError, PolyParseError
 from ..parse import parse_polynomial
 from ..polynomial import Polynomial
 from ..subalgebra import Subalgebra
+from .runner import check_task, split_items
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*\Z")
 
@@ -65,6 +68,7 @@ class TaskSpec:
     expectations: list[Expectation] = field(default_factory=list)
     coord_witnesses: list[CoordWitnessSpec] = field(default_factory=list)
     line: int = 0
+    args: dict[str, object] = field(default_factory=dict)  # typed, filled in by parse_job
 
 
 @dataclass
@@ -136,7 +140,11 @@ def _needs_quoting(value: str) -> bool:
     return any(ch in value for ch in " \t'\"")
 
 
-def _split_kv(tokens: list[str], line_no: int) -> dict[str, str]:
+def _split_kv(text: str, line_no: int) -> dict[str, str]:
+    try:
+        tokens = shlex.split(text)
+    except ValueError as exc:
+        raise JobParseError(f"bad record: {exc}", line_no) from None
     out: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
@@ -181,7 +189,7 @@ def parse_job(text: str) -> JobSpec:
             name = rest
         elif head == "ring":
             kind, _, names = rest.partition(":")
-            names_t = tuple(n.strip() for n in names.split(",") if n.strip())
+            names_t = tuple(split_items(names, ","))
             if kind.strip() == "coeff":
                 coeff_vars = names_t
             elif kind.strip() == "main":
@@ -218,32 +226,31 @@ def parse_job(text: str) -> JobSpec:
         elif head == "note:":
             notes.append(rest)
         elif head == "tags:":
-            tags = tuple(t.strip() for t in rest.split(",") if t.strip())
+            tags = tuple(split_items(rest, ","))
         elif head == "task":
-            try:
-                tokens = shlex.split(rest)
-            except ValueError as exc:
-                fail(f"bad task line: {exc}", line_no)
-            if not tokens:
+            if not rest:
                 fail("task line needs an operation name", line_no)
-            tasks.append(TaskSpec(tokens[0], _split_kv(tokens[1:], line_no), line=line_no))
+            operation, *params = rest.split(maxsplit=1)
+            tasks.append(TaskSpec(operation, _split_kv("".join(params), line_no), line=line_no))
         elif head == "coordw":
             if not tasks:
                 fail("coordw record before any task", line_no)
-            kv = _split_kv(shlex.split(rest), line_no)
+            kv = _split_kv(rest, line_no)
             try:
                 gen = int(kv.pop("gen"))
                 power = int(kv.pop("power"))
                 expr = kv.pop("expr")
             except KeyError as exc:
                 fail(f"coordw record missing {exc.args[0]}", line_no)
+            except ValueError as exc:
+                fail(f"coordw gen and power must be integers: {exc}", line_no)
             if kv:
                 fail(f"unknown coordw keys {sorted(kv)}", line_no)
             tasks[-1].coord_witnesses.append(CoordWitnessSpec(gen, power, expr, line_no))
         elif head == "expect":
             if not tasks:
                 fail("expect record before any task", line_no)
-            kv = _split_kv(shlex.split(rest), line_no)
+            kv = _split_kv(rest, line_no)
             kind = kv.pop("type", "text")
             provenance = kv.pop("provenance", None)
             oracle = kv.pop("oracle", None)
@@ -287,15 +294,11 @@ def parse_job(text: str) -> JobSpec:
         if base_full:
             base_gens = tuple(Polynomial.variable(context, n) for n in context.coeff_vars)
         else:
-            base_gens = tuple(
-                parse_poly(p.strip(), base_line) for p in base_text.split(";") if p.strip()
-            )
+            base_gens = tuple(parse_poly(p, base_line) for p in split_items(base_text))
         if algebra_full:
             algebra_gens = tuple(Polynomial.variable(context, n) for n in context.main_vars)
         else:
-            algebra_gens = tuple(
-                parse_poly(p.strip(), algebra_line) for p in algebra_text.split(";") if p.strip()
-            )
+            algebra_gens = tuple(parse_poly(p, algebra_line) for p in split_items(algebra_text))
         try:
             subalgebra = Subalgebra(context, base_gens, algebra_gens)
         except ValueError as exc:
@@ -307,9 +310,7 @@ def parse_job(text: str) -> JobSpec:
         if dname in derivations or dname in generator_derivations:
             raise JobParseError(f"duplicate derivation {dname!r}", line_no)
         if by_gens:
-            images = tuple(
-                parse_poly(p.strip(), line_no) for p in body.split(",") if p.strip()
-            )
+            images = tuple(parse_poly(p, line_no) for p in split_items(body, ","))
             if len(images) != len(subalgebra.algebra_generators):
                 raise JobParseError(
                     f"derivation {dname!r} needs one image per algebra generator "
@@ -319,10 +320,7 @@ def parse_job(text: str) -> JobSpec:
             generator_derivations[dname] = images
         else:
             images: dict[str, Polynomial] = {}
-            for chunk in body.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
+            for chunk in split_items(body, ","):
                 var, sep, expr = chunk.partition(":")
                 var = var.strip()
                 if not sep:
@@ -353,33 +351,6 @@ def parse_job(text: str) -> JobSpec:
         notes=notes,
         tags=tags,
     )
-    _validate_references(spec)
+    for index, task in enumerate(tasks, start=1):
+        task.args = check_task(task, spec, index)
     return spec
-
-
-def _validate_references(spec: JobSpec) -> None:
-    known = set(spec.derivations) | set(spec.generator_derivations)
-    for i, task in enumerate(spec.tasks, start=1):
-        for key in ("derivation", "d", "d1"):
-            ref = task.params.get(key)
-            if ref is not None and ref not in known:
-                raise JobParseError(
-                    f"task {i} ({task.name}) references unknown derivation {ref!r}", task.line
-                )
-        refs = task.params.get("derivations")
-        if refs is not None:
-            for ref in (r.strip() for r in refs.split(";")):
-                if ref and ref not in known:
-                    raise JobParseError(
-                        f"task {i} ({task.name}) references unknown derivation {ref!r}",
-                        task.line,
-                    )
-        if "from" in task.params:
-            try:
-                target = int(task.params["from"])
-            except ValueError:
-                raise JobParseError(f"task {i}: from= must be a task index", task.line) from None
-            if not (1 <= target < i + 1) or target > len(spec.tasks):
-                raise JobParseError(f"task {i}: from={target} is not an earlier task", task.line)
-            if target >= i:
-                raise JobParseError(f"task {i}: from={target} is not an earlier task", task.line)

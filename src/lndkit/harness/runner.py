@@ -1,26 +1,33 @@
-"""Task dispatch: execute a parsed job and emit a deterministic report.
+"""The task table and dispatch: execute a parsed job and emit a deterministic report.
 
-Each task runs in isolation; precondition violations become per-task
-failures rather than aborting the process.  Tasks can consume an earlier
-task's payload through ``from=<task index>`` (the witness-guided builds
-feed the later bounded searches this way).
+``TASKS`` maps each task name to its handler and its parameters, each of a
+kind and either required or with a default; ``parse_job`` checks every
+task line against it, so handlers receive typed arguments.  Defaults that
+depend on the run (the job seed after ``--seed``, ``--nilpotency-bound``,
+and ``--bound``, which fills a missing ``bound`` of any task) are resolved
+before the first task runs.  Each task runs in isolation: its failures
+become per-task errors.  ``from=<task index>`` takes an earlier task's
+derivation.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import suppress
+from dataclasses import dataclass, replace
+from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from ..derivation import (
     DEFAULT_NILPOTENCY_BOUND,
-    Derivation,
     divergence,
     is_fixed_point_free,
     is_irreducible,
     is_triangular,
     nilpotency_verdict,
 )
-from ..errors import FailsUpToCapError, LndkitError
+from ..errors import FailsUpToCapError, JobParseError, LndkitError
 from ..groebner import buchberger, ideal_member
 from ..ordering import MonomialOrder
 from ..parse import parse_polynomial
@@ -42,14 +49,15 @@ from ..subalgebra import (
     GeneratorSpan,
     RestrictedDerivation,
     RestrictionFailure,
+    Subalgebra,
+    generator_products,
     kernel_up_to_degree,
     restrict_derivation,
     restriction_of,
     subalgebra_fpf,
     subalgebra_member,
 )
-from .fiber import FiberCheck, FiberWitness, check_fiber_witness
-from .jobs import JobSpec, TaskSpec
+from .fiber import FiberWitness, check_fiber_witness
 from .randgen import (
     FamilyOutcome,
     TriangularProfile,
@@ -61,92 +69,140 @@ from .randgen import (
 )
 from .report import Report, TaskResult
 
+if TYPE_CHECKING:
+    from .jobs import JobSpec, TaskSpec
 
-class _Run:
-    def __init__(self, spec: JobSpec, nilpotency_bound: int, bound_override: int | None):
-        self.spec = spec
-        self.nilpotency_bound = nilpotency_bound
-        self.bound_override = bound_override
-        self.results: dict[int, TaskResult] = {}
 
-    # -- parameter access ---------------------------------------------------
+# -- parameter kinds -----------------------------------------------------------
 
-    def poly(self, text: str) -> Polynomial:
-        return parse_polynomial(text, self.spec.context)
 
-    def poly_list(self, text: str) -> list[Polynomial]:
-        return [self.poly(p.strip()) for p in text.split(";") if p.strip()]
+@dataclass(frozen=True)
+class Kind:
+    """``convert(text, spec, task_index)`` gives the value or raises ValueError or LndkitError."""
 
-    def int_param(self, task: TaskSpec, key: str, default: int | None = None) -> int:
-        if key not in task.params:
-            if key == "bound" and self.bound_override is not None:
-                return self.bound_override
-            if default is None:
-                raise LndkitError(f"task {task.name!r} needs parameter {key!r}")
-            return default
-        return int(task.params[key])
+    name: str
+    convert: Callable[[str, JobSpec, int], object]
+    choices: tuple[str, ...] = ()
 
-    def str_param(self, task: TaskSpec, key: str, default: str | None = None) -> str:
-        if key not in task.params:
-            if default is None:
-                raise LndkitError(f"task {task.name!r} needs parameter {key!r}")
-            return default
-        return task.params[key]
 
-    def ambient_derivation(self, name: str) -> Derivation:
-        try:
-            return self.spec.derivations[name]
-        except KeyError:
-            raise LndkitError(f"{name!r} is not an ambient derivation") from None
+class TaskRef(int):
+    """The index of an earlier task, whose derivation is looked up when the task runs."""
 
-    def restricted_derivation(self, task: TaskSpec, key: str = "derivation") -> RestrictedDerivation:
-        if "from" in task.params:
-            payload = self.payload(task)
-            if isinstance(payload, RestrictedDerivation):
-                return payload
-            rd = getattr(payload, "derivation", None)
-            if isinstance(rd, RestrictedDerivation):
-                return rd
-            raise LndkitError("referenced task did not produce a derivation")
-        return restriction_of(self.derivation(task, key), self.spec.subalgebra)
 
-    def derivation(self, task: TaskSpec, key: str = "derivation") -> Derivation | RestrictedDerivation:
-        """The derivation named by ``key``: a generator derivation lives on the
-        job's subalgebra, any other on the ambient ring."""
-        name = self.str_param(task, key)
-        if name in self.spec.generator_derivations:
-            return RestrictedDerivation(self.spec.subalgebra, self.spec.generator_derivations[name])
-        return self.ambient_derivation(name)
+def split_items(text: str, sep: str = ";") -> list[str]:
+    """The items of a job-document list, stripped, with empty items dropped."""
+    return [item.strip() for item in text.split(sep) if item.strip()]
 
-    def payload(self, task: TaskSpec):
-        index = int(task.params["from"])
-        result = self.results.get(index)
-        if result is None or result.payload is None:
-            raise LndkitError(f"task {index} produced no reusable payload")
-        return result.payload
+
+def _at_least(low: int, text: str) -> int:
+    if int(text) < low:
+        raise ValueError(f"{text} is below {low}")
+    return int(text)
+
+
+def _derivation(name, spec, index, ambient=False):
+    if name in spec.derivations:
+        return spec.derivations[name]
+    if name in spec.generator_derivations and not ambient:
+        return RestrictedDerivation(spec.subalgebra, spec.generator_derivations[name])
+    raise ValueError(f"{name!r} is not {'an ambient' if ambient else 'a'} derivation of the job")
+
+
+def _earlier(text, spec, index):
+    if not 1 <= int(text) < index:
+        raise ValueError(f"task {text} is not an earlier task")
+    return TaskRef(int(text))
+
+
+def _point(text, spec, index):
+    """``var=value`` chunks; a zero denominator is left to the ``fiber`` task."""
+    point = {}
+    for chunk in split_items(text, ","):
+        var, eq, value = (part.strip() for part in chunk.partition("="))
+        if not eq:
+            raise ValueError(f"{chunk!r} is not var=value")
+        with suppress(ZeroDivisionError):
+            Fraction(value)
+        point[var] = value
+    return point
+
+
+def _list(kind: Kind):
+    return lambda text, spec, index: [kind.convert(item, spec, index) for item in split_items(text)]
+
+
+def _choice(options) -> Kind:
+    def convert(text, spec, index):
+        if text not in options:
+            raise ValueError()
+        return text
+
+    return Kind("one of " + ", ".join(options), convert, tuple(options))
+
+
+POLY = Kind("polynomial", lambda text, spec, index: parse_polynomial(text, spec.context))
+POLYS = Kind("polynomials", _list(POLY))
+POSITIVE = Kind("positive int", lambda text, spec, index: _at_least(1, text))
+NON_NEGATIVE = Kind("non-negative int", lambda text, spec, index: _at_least(0, text))
+INT = Kind("int", lambda text, spec, index: int(text))
+AMBIENT = Kind("ambient derivation", lambda text, spec, index: _derivation(text, spec, index, True))
+DERIVATION = Kind("derivation", _derivation)
+AMBIENTS = Kind("ambient derivations", _list(AMBIENT))
+EARLIER = Kind("earlier task", _earlier)
+# The value is the subalgebra the listed variables generate.
+VARIABLES = Kind("variables", lambda text, spec, index: Subalgebra(
+    spec.context, (), tuple(Polynomial.variable(spec.context, n) for n in split_items(text))))
+POINT = Kind("fiber point", _point)
+
+
+class Default(Enum):
+    """Defaults that are not constants."""
+
+    REQUIRED = "required"
+    BOUND = "--bound"
+    COMPUTED = "computed on a full ring, else --bound"
+    SEED = "the job seed"
+    NILPOTENCY_BOUND = "--nilpotency-bound"
+
+
+@dataclass(frozen=True)
+class Param:
+    kinds: dict[str, Kind]  # by text key; of two keys exactly one is given
+    default: object = Default.REQUIRED
+
+
+@dataclass(frozen=True)
+class Task:
+    handler: Callable[..., None]
+    params: dict[str, Param]  # by handler argument
+    coordw: bool = False  # takes one ``coordw`` record per algebra generator
+
+
+def _task(handler, coordw: bool = False, **params) -> Task:
+    """A table entry; a bare kind, keyed by the argument name, or dict of kinds is required."""
+    params = {k: p if isinstance(p, Param) else Param(p) for k, p in params.items()}
+    return Task(handler, {k: p if isinstance(p.kinds, dict) else replace(p, kinds={k: p.kinds})
+                          for k, p in params.items()}, coordw)
+
+
+# -- task handlers -------------------------------------------------------------
 
 
 def _poly_values(key: str, polys) -> list[tuple[str, str]]:
     return [(f"{key}.{i + 1}", str(p)) for i, p in enumerate(polys)]
 
 
-# -- task handlers -------------------------------------------------------------
-
-
-def _t_nilpotency(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    bound = run.int_param(task, "bound", run.nilpotency_bound)
-    v = nilpotency_verdict(d, bound)
+def _t_nilpotency(spec: JobSpec, out: TaskResult, derivation, bound):
+    v = nilpotency_verdict(derivation, bound)
     out.verdict = v.status
     out.values.append(("bound", str(bound)))
     if v.certified:
-        for name in d.context.main_vars:
+        for name in derivation.context.main_vars:
             out.values.append((f"index.{name}", str(v.indices[name])))
 
 
-def _t_triangular(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    order = is_triangular(d)
+def _t_triangular(spec: JobSpec, out: TaskResult, derivation):
+    order = is_triangular(derivation)
     if order is None:
         out.verdict = "not-triangular"
     else:
@@ -154,42 +210,35 @@ def _t_triangular(run: _Run, task: TaskSpec, out: TaskResult):
         out.values.append(("order", " < ".join(order)))
 
 
-def _t_divergence(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
+def _t_divergence(spec: JobSpec, out: TaskResult, derivation):
     out.verdict = "ok"
-    out.values.append(("divergence", str(divergence(d))))
+    out.values.append(("divergence", str(divergence(derivation))))
 
 
-def _t_irreducible(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    ok, g = is_irreducible(d)
+def _t_irreducible(spec: JobSpec, out: TaskResult, derivation):
+    ok, g = is_irreducible(derivation)
     out.verdict = "yes" if ok else "no"
     if g is not None:
         out.values.append(("common-divisor", str(g)))
 
 
-def _t_fixed_point_free(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    witness = is_fixed_point_free(d)
+def _t_fixed_point_free(spec: JobSpec, out: TaskResult, derivation):
+    witness = is_fixed_point_free(derivation)
     if witness is None:
         out.verdict = "no"
     else:
         out.verdict = "yes"
-        for name in d.context.main_vars:
+        for name in derivation.context.main_vars:
             if name in witness:
                 out.values.append((f"cofactor.{name}", str(witness[name])))
 
 
-def _t_apply(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    p = run.poly(run.str_param(task, "poly"))
+def _t_apply(spec: JobSpec, out: TaskResult, derivation, poly):
     out.verdict = "ok"
-    out.values.append(("image", str(d.apply(p))))
+    out.values.append(("image", str(derivation.apply(poly))))
 
 
-def _t_ideal_member(run: _Run, task: TaskSpec, out: TaskResult):
-    target = run.poly(run.str_param(task, "target"))
-    gens = run.poly_list(run.str_param(task, "gens"))
+def _t_ideal_member(spec: JobSpec, out: TaskResult, target, gens):
     cof = ideal_member(target, gens)
     if cof is None:
         out.verdict = "no"
@@ -198,18 +247,10 @@ def _t_ideal_member(run: _Run, task: TaskSpec, out: TaskResult):
         out.values.extend(_poly_values("cofactor", cof))
 
 
-def _t_groebner_basis(run: _Run, task: TaskSpec, out: TaskResult):
-    gens = run.poly_list(run.str_param(task, "gens"))
-    kind = run.str_param(task, "order", "degrevlex")
-    if kind == "lex":
-        order = MonomialOrder.lex(run.spec.context)
-    elif kind == "degrevlex":
-        order = MonomialOrder.degrevlex(run.spec.context)
-    else:
-        raise LndkitError(f"unknown order {kind!r}")
-    gb = buchberger(gens, order)
+def _t_groebner_basis(spec: JobSpec, out: TaskResult, gens, order):
+    gb = buchberger(gens, getattr(MonomialOrder, order)(spec.context))
     out.verdict = "ok"
-    out.values.append(("order", kind))
+    out.values.append(("order", order))
     out.values.extend(_poly_values("basis", gb.generators))
     for i, row in enumerate(gb.cofactors):
         for j, c in enumerate(row):
@@ -217,10 +258,8 @@ def _t_groebner_basis(run: _Run, task: TaskSpec, out: TaskResult):
                 out.values.append((f"cofactor.{i + 1}.{j + 1}", str(c)))
 
 
-def _t_find_slice(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.derivation(task)
-    bound = run.int_param(task, "bound")
-    s = find_slice(d, run.spec.subalgebra, bound)
+def _t_find_slice(spec: JobSpec, out: TaskResult, derivation, bound):
+    s = find_slice(derivation, spec.subalgebra, bound)
     if s is None:
         out.verdict = "none-up-to-bound"
         out.values.append(("bound", str(bound)))
@@ -230,34 +269,25 @@ def _t_find_slice(run: _Run, task: TaskSpec, out: TaskResult):
         out.payload = s
 
 
-def _t_dixmier(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    s = run.poly(run.str_param(task, "slice"))
-    a = run.poly(run.str_param(task, "arg"))
+def _t_dixmier(spec: JobSpec, out: TaskResult, derivation, slice, arg):
     out.verdict = "ok"
-    out.values.append(("image", str(dixmier(d, s, a))))
+    out.values.append(("image", str(dixmier(derivation, slice, arg))))
 
 
-def _t_kernel_generators(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    s = run.poly(run.str_param(task, "slice"))
-    gens = kernel_generators(d, s, run.spec.subalgebra)
+def _t_kernel_generators(spec: JobSpec, out: TaskResult, derivation, slice):
+    gens = kernel_generators(derivation, slice, spec.subalgebra)
     out.verdict = "ok"
     out.values.extend(_poly_values("generator", gens))
 
 
-def _t_verify_slice_theorem(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    S = run.spec.subalgebra
-    if "slice" in task.params:
-        s = run.poly(task.params["slice"])
-    else:
-        s = find_slice(d, S, run.int_param(task, "slice_bound", 8))
-        if s is None:
+def _t_verify_slice_theorem(spec: JobSpec, out: TaskResult, derivation, slice, slice_bound, bound):
+    S = spec.subalgebra
+    if slice is None:
+        slice = find_slice(derivation, S, slice_bound)
+        if slice is None:
             out.verdict = "none-up-to-bound"
             return
-    bound = int(task.params["bound"]) if "bound" in task.params else None
-    cert = verify_slice_theorem(d, s, S, bound)
+    cert = verify_slice_theorem(derivation, slice, S, bound)
     if isinstance(cert, IncompleteReexpression):
         out.verdict = "incomplete"
         out.values.extend(_poly_values("missing", cert.missing))
@@ -271,10 +301,8 @@ def _t_verify_slice_theorem(run: _Run, task: TaskSpec, out: TaskResult):
     out.payload = cert
 
 
-def _t_subalgebra_member(run: _Run, task: TaskSpec, out: TaskResult):
-    target = run.poly(run.str_param(task, "target"))
-    bound = run.int_param(task, "bound")
-    w = subalgebra_member(target, run.spec.subalgebra, bound)
+def _t_subalgebra_member(spec: JobSpec, out: TaskResult, target, bound):
+    w = subalgebra_member(target, spec.subalgebra, bound)
     out.values.append(("bound", str(bound)))
     if w is None:
         out.verdict = "not-found-up-to-bound"
@@ -283,10 +311,8 @@ def _t_subalgebra_member(run: _Run, task: TaskSpec, out: TaskResult):
         out.values.append(("expression", str(w.expression)))
 
 
-def _t_restrict(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.ambient_derivation(run.str_param(task, "derivation"))
-    bound = run.int_param(task, "bound")
-    result = restrict_derivation(d, run.spec.subalgebra, bound)
+def _t_restrict(spec: JobSpec, out: TaskResult, derivation, bound):
+    result = restrict_derivation(derivation, spec.subalgebra, bound)
     if isinstance(result, RestrictionFailure):
         out.verdict = "fails-to-restrict"
         out.values.append(("generator", str(result.generator)))
@@ -299,10 +325,8 @@ def _t_restrict(run: _Run, task: TaskSpec, out: TaskResult):
     out.payload = rd
 
 
-def _t_subalgebra_fpf(run: _Run, task: TaskSpec, out: TaskResult):
-    rd = run.restricted_derivation(task)
-    bound = run.int_param(task, "bound")
-    cof = subalgebra_fpf(rd, bound)
+def _t_subalgebra_fpf(spec: JobSpec, out: TaskResult, derivation, bound):
+    cof = subalgebra_fpf(restriction_of(derivation, spec.subalgebra), bound)
     out.values.append(("bound", str(bound)))
     if cof is None:
         out.verdict = "not-found-up-to-bound"
@@ -311,10 +335,8 @@ def _t_subalgebra_fpf(run: _Run, task: TaskSpec, out: TaskResult):
         out.values.extend(_poly_values("cofactor", cof))
 
 
-def _t_kernel_up_to_degree(run: _Run, task: TaskSpec, out: TaskResult):
-    bound = run.int_param(task, "bound")
-    d = run.restricted_derivation(task) if "from" in task.params else run.derivation(task)
-    basis = kernel_up_to_degree(d, run.spec.subalgebra, bound)
+def _t_kernel_up_to_degree(spec: JobSpec, out: TaskResult, derivation, bound):
+    basis = kernel_up_to_degree(derivation, spec.subalgebra, bound)
     out.verdict = "ok"
     out.values.append(("bound", str(bound)))
     out.values.append(("dimension", str(len(basis))))
@@ -322,41 +344,11 @@ def _t_kernel_up_to_degree(run: _Run, task: TaskSpec, out: TaskResult):
     out.payload = basis
 
 
-def _t_complementary_lnd(run: _Run, task: TaskSpec, out: TaskResult):
-    S = run.spec.subalgebra
-    ctx = run.spec.context
-    cctx = coordinate_context(ctx)
-    v = run.poly(run.str_param(task, "v"))
-    u0 = run.poly(run.str_param(task, "u0"))
-    t = run.poly(run.str_param(task, "t"))
-    if len(task.coord_witnesses) != len(S.algebra_generators):
-        raise LndkitError(
-            f"complementary_lnd needs one coordw record per algebra generator "
-            f"({len(S.algebra_generators)} expected, {len(task.coord_witnesses)} given)"
-        )
-    by_index = {}
-    for cw in task.coord_witnesses:
-        if cw.generator_index in by_index:
-            raise LndkitError(f"duplicate coordw record for generator {cw.generator_index}")
-        by_index[cw.generator_index] = CoordinateWitness(
-            parse_polynomial(cw.expression, cctx), cw.power
-        )
-    witnesses = []
-    for i in range(1, len(S.algebra_generators) + 1):
-        if i not in by_index:
-            raise LndkitError(f"missing coordw record for generator {i}")
-        witnesses.append(by_index[i])
+def _t_complementary_lnd(spec: JobSpec, out: TaskResult, v, u0, t, witnesses, alpha_cap,
+                         member_bound, kernel_bound):
     try:
-        result = complementary_lnd(
-            S,
-            v,
-            u0,
-            t,
-            witnesses,
-            alpha_cap=run.int_param(task, "alpha_cap", 3),
-            member_bound=run.int_param(task, "member_bound"),
-            kernel_bound=run.int_param(task, "kernel_bound"),
-        )
+        result = complementary_lnd(spec.subalgebra, v, u0, t, witnesses, alpha_cap, member_bound,
+                                   kernel_bound)
     except FailsUpToCapError as exc:
         out.verdict = "fails-up-to-cap"
         for alpha, gen, reason in exc.trace:
@@ -373,43 +365,23 @@ def _t_complementary_lnd(run: _Run, task: TaskSpec, out: TaskResult):
     out.payload = result
 
 
-def _t_closure(run: _Run, task: TaskSpec, out: TaskResult):
+def _t_closure(spec: JobSpec, out: TaskResult, derivation, member_bound, elem_degree, factor,
+               family_vars):
     """Generator-list closure oracle: images of pairwise products and an
     ideal-part monomial family must all pass bounded membership."""
-    S = run.spec.subalgebra
-    rd = run.restricted_derivation(task)
-    member_bound = run.int_param(task, "member_bound")
-    elem_degree = run.int_param(task, "elem_degree", 6)
-    factor = run.poly(run.str_param(task, "factor"))
-    family_vars = [v.strip() for v in run.str_param(task, "family_vars").split(";") if v.strip()]
-    span = GeneratorSpan(S, member_bound)
-    targets: list[tuple[str, Polynomial]] = []
+    S = spec.subalgebra
+    rd = restriction_of(derivation, S)
     gens = S.generators
-    nbase = len(S.base_generators)
-    images = [Polynomial.zero(S.context)] * nbase + list(rd.images)
+    targets: list[tuple[str, Polynomial]] = []
     for i in range(len(gens)):
         for j in range(i, len(gens)):
-            img = gens[i] * images[j] + gens[j] * images[i]
+            img = rd.image_of_product(tuple((k == i) + (k == j) for k in range(len(gens))))
             if not img.is_zero():
                 targets.append((f"image-of-product {gens[i]} * {gens[j]}", img))
-    fdeg = factor.degree() or 0
-    names = list(family_vars)
-
-    def monomials(budget, k):
-        if k == len(names):
-            yield Polynomial.one(S.context)
-            return
-        v = Polynomial.variable(S.context, names[k])
-        for e in range(budget + 1):
-            for rest in monomials(budget - e, k + 1):
-                yield v ** e * rest
-
-    for m in monomials(elem_degree - fdeg, 0):
+    for _, m in generator_products(family_vars, elem_degree - (factor.degree() or 0)):
         targets.append((f"element {factor * m}", factor * m))
-    missing = []
-    for label, target in targets:
-        if not span.contains(target):
-            missing.append(label)
+    span = GeneratorSpan(S, member_bound)
+    missing = [label for label, target in targets if not span.contains(target)]
     out.values.append(("checked", str(len(targets))))
     out.values.append(("member-bound", str(member_bound)))
     out.values.append(("element-degree", str(elem_degree)))
@@ -422,11 +394,8 @@ def _t_closure(run: _Run, task: TaskSpec, out: TaskResult):
         out.verdict = "pass"
 
 
-def _t_transcendence(run: _Run, task: TaskSpec, out: TaskResult):
-    d = run.derivation(task)
-    x = run.poly(run.str_param(task, "x"))
-    bound = run.int_param(task, "bound")
-    result = transcendence_check(d, x, run.spec.subalgebra, bound)
+def _t_transcendence(spec: JobSpec, out: TaskResult, derivation, x, bound):
+    result = transcendence_check(derivation, x, spec.subalgebra, bound)
     out.values.append(("bound", str(bound)))
     if result.no_relation:
         out.verdict = "no-relation"
@@ -435,12 +404,9 @@ def _t_transcendence(run: _Run, task: TaskSpec, out: TaskResult):
         out.values.extend(_poly_values("coefficient", result.relation))
 
 
-def _t_proportionality(run: _Run, task: TaskSpec, out: TaskResult):
-    S = run.spec.subalgebra
-    d1 = restriction_of(run.derivation(task, "d1"), S)
-    d = restriction_of(run.derivation(task, "d"), S)
-    cof = run.poly_list(run.str_param(task, "cofactors"))
-    result = proportionality_check(d1, d, cof, S)
+def _t_proportionality(spec: JobSpec, out: TaskResult, d1, d, cofactors):
+    S = spec.subalgebra
+    result = proportionality_check(restriction_of(d1, S), restriction_of(d, S), cofactors, S)
     if result.proportional:
         out.verdict = "proportional"
         out.values.append(("factor", str(result.factor)))
@@ -449,21 +415,14 @@ def _t_proportionality(run: _Run, task: TaskSpec, out: TaskResult):
         out.values.append(("generator", str(result.counterexample)))
 
 
-def _t_fiber(run: _Run, task: TaskSpec, out: TaskResult):
-    point: dict[str, Fraction] = {}
-    for chunk in run.str_param(task, "point").split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        var, _, val = (part.strip() for part in chunk.partition("="))
+def _t_fiber(spec: JobSpec, out: TaskResult, point, coords, bound):
+    values: dict[str, Fraction] = {}
+    for var, value in point.items():
         try:
-            point[var] = Fraction(val)
+            values[var] = Fraction(value)
         except ZeroDivisionError:
-            raise LndkitError(f"fiber point value {val!r} for {var!r} has a zero denominator") from None
-    coords = tuple(run.poly_list(run.str_param(task, "coords")))
-    bound = run.int_param(task, "bound")
-    witness = FiberWitness(point, coords, bound)
-    check: FiberCheck = check_fiber_witness(run.spec.subalgebra, witness)
+            raise LndkitError(f"fiber point value {value!r} for {var!r} has a zero denominator") from None
+    check = check_fiber_witness(spec.subalgebra, FiberWitness(values, tuple(coords), bound))
     out.values.append(("bound", str(bound)))
     if check.passed:
         out.verdict = "pass"
@@ -473,19 +432,15 @@ def _t_fiber(run: _Run, task: TaskSpec, out: TaskResult):
         out.values.append(("element", str(check.element)))
 
 
-def _t_coordinates(run: _Run, task: TaskSpec, out: TaskResult):
-    names = [n.strip() for n in run.str_param(task, "derivations").split(";") if n.strip()]
-    derivs = [run.ambient_derivation(n) for n in names]
-    elements = run.poly_list(run.str_param(task, "elements", ""))
-    bound = run.int_param(task, "bound")
-    result = coordinate_system(derivs, elements, run.spec.subalgebra, bound)
+def _t_coordinates(spec: JobSpec, out: TaskResult, derivations, elements, bound):
+    result = coordinate_system(derivations, elements, spec.subalgebra, bound)
     if isinstance(result, IncompleteReexpression):
         out.verdict = "incomplete"
         out.values.extend(_poly_values("missing", result.missing))
         return
     out.verdict = "ok"
     out.values.extend(_poly_values("coordinate", result.coordinates))
-    for g, w in zip(run.spec.subalgebra.algebra_generators, result.witnesses):
+    for g, w in zip(spec.subalgebra.algebra_generators, result.witnesses):
         out.values.append((f"witness.{g}", str(w.expression)))
     out.payload = result
 
@@ -510,13 +465,7 @@ def _nonfpf_family(seed: int, count: int):
     return FamilyOutcome(count, failures)
 
 
-def _t_random_family(run: _Run, task: TaskSpec, out: TaskResult):
-    family = run.str_param(task, "family")
-    if family not in _FAMILIES:
-        raise LndkitError(f"unknown family {family!r}")
-    count = run.int_param(task, "count")
-    seed = run.int_param(task, "seed", run.spec.seed)
-    bound = run.int_param(task, "bound", 8)
+def _t_random_family(spec: JobSpec, out: TaskResult, family, count, seed, bound):
     outcome = _FAMILIES[family](seed, count, bound)
     out.values.append(("family", family))
     out.values.append(("count", str(outcome.count)))
@@ -526,33 +475,105 @@ def _t_random_family(run: _Run, task: TaskSpec, out: TaskResult):
         out.notes.append(failure)
 
 
-_HANDLERS = {
-    "nilpotency": _t_nilpotency,
-    "triangular": _t_triangular,
-    "divergence": _t_divergence,
-    "irreducible": _t_irreducible,
-    "fixed_point_free": _t_fixed_point_free,
-    "apply": _t_apply,
-    "ideal_member": _t_ideal_member,
-    "groebner_basis": _t_groebner_basis,
-    "find_slice": _t_find_slice,
-    "dixmier": _t_dixmier,
-    "kernel_generators": _t_kernel_generators,
-    "verify_slice_theorem": _t_verify_slice_theorem,
-    "subalgebra_member": _t_subalgebra_member,
-    "restrict": _t_restrict,
-    "subalgebra_fpf": _t_subalgebra_fpf,
-    "kernel_up_to_degree": _t_kernel_up_to_degree,
-    "complementary_lnd": _t_complementary_lnd,
-    "closure": _t_closure,
-    "transcendence": _t_transcendence,
-    "proportionality": _t_proportionality,
-    "fiber": _t_fiber,
-    "coordinates": _t_coordinates,
-    "random_family": _t_random_family,
+# -- the task table ------------------------------------------------------------
+
+BOUND = Param(POSITIVE, Default.BOUND)
+FAMILY = _choice(sorted(_FAMILIES))
+SOURCE = {"from": EARLIER, "derivation": DERIVATION}
+
+TASKS: dict[str, Task] = {
+    "nilpotency": _task(_t_nilpotency, derivation=AMBIENT,
+                        bound=Param(POSITIVE, Default.NILPOTENCY_BOUND)),
+    "triangular": _task(_t_triangular, derivation=AMBIENT),
+    "divergence": _task(_t_divergence, derivation=AMBIENT),
+    "irreducible": _task(_t_irreducible, derivation=AMBIENT),
+    "fixed_point_free": _task(_t_fixed_point_free, derivation=AMBIENT),
+    "apply": _task(_t_apply, derivation=AMBIENT, poly=POLY),
+    "ideal_member": _task(_t_ideal_member, target=POLY, gens=POLYS),
+    "groebner_basis": _task(_t_groebner_basis, gens=POLYS,
+                            order=Param(_choice(("degrevlex", "lex")), "degrevlex")),
+    "find_slice": _task(_t_find_slice, derivation=DERIVATION, bound=BOUND),
+    "dixmier": _task(_t_dixmier, derivation=AMBIENT, slice=POLY, arg=POLY),
+    "kernel_generators": _task(_t_kernel_generators, derivation=AMBIENT, slice=POLY),
+    "verify_slice_theorem": _task(_t_verify_slice_theorem, derivation=AMBIENT,
+                                  slice=Param(POLY, None), slice_bound=Param(POSITIVE, 8),
+                                  bound=Param(POSITIVE, Default.COMPUTED)),
+    "subalgebra_member": _task(_t_subalgebra_member, target=POLY, bound=BOUND),
+    "restrict": _task(_t_restrict, derivation=AMBIENT, bound=BOUND),
+    "subalgebra_fpf": _task(_t_subalgebra_fpf, derivation=SOURCE, bound=BOUND),
+    "kernel_up_to_degree": _task(_t_kernel_up_to_degree, derivation=SOURCE, bound=BOUND),
+    "complementary_lnd": _task(_t_complementary_lnd, coordw=True, v=POLY, u0=POLY, t=POLY,
+                               alpha_cap=Param(NON_NEGATIVE, 3), member_bound=POSITIVE,
+                               kernel_bound=POSITIVE),
+    "closure": _task(_t_closure, derivation=SOURCE, member_bound=POSITIVE,
+                     elem_degree=Param(POSITIVE, 6), factor=POLY, family_vars=VARIABLES),
+    "transcendence": _task(_t_transcendence, derivation=DERIVATION, x=POLY, bound=BOUND),
+    "proportionality": _task(_t_proportionality, d1=DERIVATION, d=DERIVATION, cofactors=POLYS),
+    "fiber": _task(_t_fiber, point=POINT, coords=POLYS, bound=BOUND),
+    "coordinates": _task(_t_coordinates, derivations=AMBIENTS, elements=Param(POLYS, ()),
+                         bound=BOUND),
+    "random_family": _task(_t_random_family, family=FAMILY, count=POSITIVE,
+                           seed=Param(INT, Default.SEED), bound=Param(POSITIVE, 8)),
 }
 
-TASK_NAMES = tuple(sorted(_HANDLERS))
+TASK_NAMES = tuple(sorted(TASKS))
+
+
+def check_task(task: TaskSpec, spec: JobSpec, index: int) -> dict[str, object]:
+    """The typed arguments of the ``index``-th task of ``spec``, without defaults;
+    any misfit with ``TASKS`` is a JobParseError at the task's line."""
+
+    def fail(message: str) -> NoReturn:
+        raise JobParseError(f"task {index} ({task.name}): {message}", task.line)
+
+    entry = TASKS.get(task.name) or fail("unknown task")
+    unknown = sorted(set(task.params).difference(*(p.kinds for p in entry.params.values())))
+    if unknown:
+        fail(f"unknown parameter {', '.join(unknown)}")
+    args: dict[str, object] = {}
+    for name, param in entry.params.items():
+        given = [key for key in param.kinds if key in task.params]
+        if len(given) > 1:
+            fail(f"give only one of {', '.join(given)}")
+        if given:
+            kind, text = param.kinds[given[0]], task.params[given[0]]
+            try:
+                args[name] = kind.convert(text, spec, index)
+            except (ValueError, LndkitError) as exc:
+                fail(f"{given[0]}={text!r}: expected {kind.name}" + (f" ({exc})" if str(exc) else ""))
+        elif param.default is Default.REQUIRED:
+            fail(f"missing parameter {' or '.join(param.kinds)}")
+    if not entry.coordw:
+        if task.coord_witnesses:
+            fail("takes no coordw records")
+        return args
+    n = len(spec.subalgebra.algebra_generators)
+    records = sorted(task.coord_witnesses, key=lambda cw: cw.generator_index)
+    if [cw.generator_index for cw in records] != list(range(1, n + 1)):
+        fail(f"needs one coordw record for each algebra generator 1..{n}")
+    cctx = coordinate_context(spec.context)
+    try:
+        args["witnesses"] = [CoordinateWitness(parse_polynomial(cw.expression, cctx), cw.power)
+                             for cw in records]
+    except (ValueError, LndkitError) as exc:
+        fail(f"bad coordw record: {exc}")
+    return args
+
+
+def _arguments(task: TaskSpec, index: int, spec: JobSpec, nilpotency_bound: int,
+               bound_override: int | None) -> dict[str, object]:
+    """The task's checked arguments with every default filled in."""
+    run_defaults = {Default.SEED: spec.seed, Default.NILPOTENCY_BOUND: nilpotency_bound,
+                    Default.COMPUTED: None if spec.subalgebra.full_ring else Default.BOUND}
+    args = dict(task.args)
+    for name, param in TASKS[task.name].params.items():
+        if name not in args:
+            value = bound_override if name == "bound" and bound_override is not None else param.default
+            args[name] = run_defaults.get(value, value)
+            if args[name] is Default.BOUND:
+                raise JobParseError(f"task {index} ({task.name}): missing parameter bound, "
+                                    "and the run gives no --bound", task.line)
+    return args
 
 
 def run_job(
@@ -561,40 +582,44 @@ def run_job(
     bound_override: int | None = None,
     seed_override: int | None = None,
 ) -> Report:
-    """Execute every task of a job in order and return the report."""
+    """Execute every task of a job in order and return the report.
+
+    Raises JobParseError, before any task runs, when a task has no ``bound``
+    and none is given by ``bound_override``.
+    """
     if seed_override is not None:
-        spec = JobSpec(**{**spec.__dict__, "seed": seed_override})
-    run = _Run(spec, nilpotency_bound, bound_override)
+        spec = replace(spec, seed=seed_override)
+    arguments = [_arguments(task, index, spec, nilpotency_bound, bound_override)
+                 for index, task in enumerate(spec.tasks, start=1)]
     report = Report(spec.name, spec.seed, notes=list(spec.notes))
-    for index, task in enumerate(spec.tasks, start=1):
-        handler = _HANDLERS.get(task.name)
-        result = TaskResult(index, task.name)
-        for key in sorted(task.params):
-            result.params.append((key, task.params[key]))
+    for index, (task, args) in enumerate(zip(spec.tasks, arguments), start=1):
+        result = TaskResult(index, task.name, params=sorted(task.params.items()))
         started = time.perf_counter()
-        if handler is None:
-            result.error = f"unknown task {task.name!r}"
-        else:
-            try:
-                handler(run, task, result)
-            except LndkitError as exc:
-                result.error = str(exc)
-            except (ValueError, KeyError) as exc:
-                result.error = f"{type(exc).__name__}: {exc}"
-            except AssertionError as exc:
-                # A failed internal invariant, such as a witness that did not
-                # re-verify.
-                result.error = f"internal: {str(exc) or type(exc).__name__}"
-                result.internal = True
-            except Exception as exc:
-                # A bug such as a ZeroDivisionError, TypeError or
-                # RecursionError: loud, but the remaining tasks still run.
-                result.error = f"internal: {type(exc).__name__}: {exc}"
-                result.internal = True
-            if result.error is not None:
-                # Nothing a failed task produced may reach the report.
-                result.verdict, result.values, result.notes, result.payload = None, [], [], None
+        try:
+            for key, ref in args.items():
+                if isinstance(ref, TaskRef):
+                    payload = report.tasks[ref - 1].payload
+                    args[key] = getattr(payload, "derivation", payload)
+                    if not isinstance(args[key], RestrictedDerivation):
+                        raise LndkitError(f"task {ref} produced no derivation")
+            TASKS[task.name].handler(spec, result, **args)
+        except LndkitError as exc:
+            result.error = str(exc)
+        except (ValueError, KeyError) as exc:
+            result.error = f"{type(exc).__name__}: {exc}"
+        except AssertionError as exc:
+            # A failed internal invariant, such as a witness that did not
+            # re-verify.
+            result.error = f"internal: {str(exc) or type(exc).__name__}"
+            result.internal = True
+        except Exception as exc:
+            # A bug such as a ZeroDivisionError, TypeError or
+            # RecursionError: loud, but the remaining tasks still run.
+            result.error = f"internal: {type(exc).__name__}: {exc}"
+            result.internal = True
+        if result.error is not None:
+            # Nothing a failed task produced may reach the report.
+            result.verdict, result.values, result.notes, result.payload = None, [], [], None
         result.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        run.results[index] = result
         report.tasks.append(result)
     return report

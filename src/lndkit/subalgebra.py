@@ -231,7 +231,7 @@ class RestrictedDerivation:
             for gen, img in zip(self.subalgebra.algebra_generators, self.images):
                 if gen == f:
                     return img
-            raise ValueError(f"{f} is not an algebra generator")
+            raise DomainError(f"{f} is not an algebra generator")
         expr = span.express(f)
         if expr is None:
             raise DomainError("element left the bounded span while applying the derivation")

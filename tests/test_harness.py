@@ -1,5 +1,6 @@
 """Job parsing, report schema, determinism, fiber witnesses, and the CLI."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +109,17 @@ def test_bound_and_seed_overrides():
     assert ("bound", "2") not in report.tasks[0].params  # override, not a param
 
 
+def test_bound_override_fills_the_bound_of_verify_slice_theorem():
+    text = MINIMAL.replace("X: 0, Y: 1", "X: t, Y: 1 - t^2*X").replace(
+        "task find_slice derivation=D bound=1", 'task verify_slice_theorem derivation=D slice="Y + 1/2*t*X^2"')
+    spec = parse_job(text)
+    assert run_job(spec).task_value(1, "bound") == "9"  # the computed bound
+    assert run_job(spec, bound_override=10).task_value(1, "bound") == "10"
+    assert run_job(spec, bound_override=2).tasks[0].verdict == "incomplete"
+    assert run_job(parse_job(text.replace('"Y + 1/2*t*X^2"', '"Y + 1/2*t*X^2" bound=10')),
+                   bound_override=2).task_value(1, "bound") == "10"  # a set bound wins
+
+
 def test_task_errors_do_not_abort():
     text = MINIMAL + "task dixmier derivation=D slice=\"X\" arg=\"Y\"\n"
     report = run_job(parse_job(text))
@@ -146,14 +158,14 @@ def test_failed_invariant_is_an_internal_task_error(tmp_path, monkeypatch):
 def test_internal_error_clears_the_task_output(monkeypatch):
     from lndkit.harness import runner
 
-    def half_done(run, task, out):
+    def half_done(spec, out, **args):
         out.verdict = "yes"
         out.values.append(("cofactor.1", "1"))
         out.notes.append("unverified")
         out.payload = object()
         raise AssertionError()
 
-    monkeypatch.setitem(runner._HANDLERS, "find_slice", half_done)
+    monkeypatch.setitem(runner.TASKS, "find_slice", replace(runner.TASKS["find_slice"], handler=half_done))
     task = run_job(parse_job(MINIMAL)).tasks[0]
     assert task.error == "internal: AssertionError"
     assert (task.verdict, task.values, task.notes, task.payload) == (None, [], [], None)
@@ -195,12 +207,12 @@ def test_schema_rejects_a_verdict_beside_an_error():
 def test_an_escaping_exception_is_an_internal_task_error(tmp_path, monkeypatch, exc):
     from lndkit.harness import runner
 
-    def broken(run, task, out):
+    def broken(spec, out, **args):
         out.verdict = "yes"
         out.values.append(("cofactor.1", "1"))
         raise exc
 
-    monkeypatch.setitem(runner._HANDLERS, "ideal_member", broken)
+    monkeypatch.setitem(runner.TASKS, "ideal_member", replace(runner.TASKS["ideal_member"], handler=broken))
     report = run_job(parse_job(INTERNAL))
     member = report.tasks[1]
     assert member.error == f"internal: {type(exc).__name__}: {exc}"
@@ -343,6 +355,28 @@ def test_cli_random_family():
     )
     assert result.exit_code == 0
     assert "verdict pass" in result.output
+
+
+def test_cli_random_rejects_a_non_positive_count():
+    result = CliRunner().invoke(cli_main, ["random", "--family", "triangular-fpf", "--count", "-3"])
+    assert result.exit_code == 2
+    assert "verdict" not in result.output
+
+
+def test_cli_random_reports_like_a_random_family_task(tmp_path):
+    args = ["--family", "triangular-nonfpf", "--count", "3", "--seed", "5", "--bound", "6"]
+    random = CliRunner().invoke(cli_main, ["random", *args])
+    job = tmp_path / "family.job"
+    job.write_text("job random-triangular-nonfpf\nring main: X\nseed: 5\n"
+                   "task random_family family=triangular-nonfpf count=3 seed=5 bound=6\n")
+    run = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert random.exit_code == run.exit_code == 0
+
+    def untimed(output):
+        return [line for line in output.splitlines() if not line.startswith("time-ms ")]
+
+    assert untimed(random.output) == untimed(run.output)
+    assert {"value family triangular-nonfpf", "param bound 6"} <= set(untimed(random.output))
 
 
 def test_output_file_roundtrip(tmp_path):

@@ -1,0 +1,184 @@
+"""Task lines are checked against the task table when a job is parsed.
+
+Every rejection is a parse error: ``lndkit run`` exits 2 with the task's
+line number, no traceback and no report, before any task runs.
+"""
+
+import shlex
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lndkit import JobParseError
+from lndkit.harness import parse_job, run_job
+from lndkit.harness.cli import main as cli_main
+from lndkit.harness.runner import TASK_NAMES, TASKS, Default
+
+HEAD = """job checks
+ring coeff: t
+ring main: X, Y
+base: full
+algebra: full
+derivation D: X: t, Y: 1 - t^2*X
+derivation E gens: 0, 1
+task nilpotency derivation=D
+"""
+BAD_LINE = 9  # the line after HEAD
+
+REJECTED = {
+    "unknown task": "task frobnicate derivation=D",
+    "unknown parameter": "task find_slice derivation=D bound=3 frobnicate=1",
+    "misspelled parameter": "task find_slice derivation=D bund=3 bound=3",
+    "stray parameter with a default": "task kernel_up_to_degree derivation=D bound=3 elem_degree=9",
+    "missing parameter": 'task apply derivation=D arg="X"',
+    "missing bound without --bound": "task find_slice derivation=D",
+    "non-integer bound": "task find_slice derivation=D bound=abc",
+    "negative bound": "task find_slice derivation=D bound=-2",
+    "zero bound": "task find_slice derivation=D bound=0",
+    "unknown derivation": "task find_slice derivation=Q bound=3",
+    "generator derivation for an ambient one": 'task apply derivation=E poly="X"',
+    "from that is not an index": "task kernel_up_to_degree from=abc bound=3",
+    "from that is not earlier": "task kernel_up_to_degree from=2 bound=3",
+    "from beside derivation": "task kernel_up_to_degree from=1 derivation=D bound=3",
+    "polynomial that does not parse": 'task apply derivation=D poly="X +"',
+    "unknown order": 'task groebner_basis gens="X; Y" order=grevlex',
+    "unknown family": "task random_family family=nope count=2",
+    "non-positive count": "task random_family family=triangular-fpf count=-3",
+    "fiber point chunk without =": 'task fiber point="t" coords="X; Y" bound=2',
+    "coordw record on the wrong task": 'task apply derivation=D poly="X"\n  coordw gen=1 power=0 expr="V_"',
+    "complementary_lnd without coordw": 'task complementary_lnd v="X" u0="Y" t="t" member_bound=2 kernel_bound=2',
+}
+
+
+@pytest.mark.parametrize("line", REJECTED.values(), ids=REJECTED.keys())
+def test_a_rejected_task_line_exits_2_before_any_task_runs(tmp_path, line):
+    job = tmp_path / "rejected.job"
+    job.write_text(HEAD + line + "\n")
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert f"(line {BAD_LINE}, column 1)" in result.output
+    assert f"task 2 (" in result.output
+    assert "lndkit-report" not in result.output  # no task ran
+
+
+def test_bound_given_by_the_run_is_accepted(tmp_path):
+    job = tmp_path / "unbounded.job"
+    job.write_text(HEAD + REJECTED["missing bound without --bound"] + "\n")
+    result = CliRunner().invoke(cli_main, ["run", str(job), "--bound", "3"])
+    assert result.exit_code == 0
+    assert "verdict slice" in result.output.splitlines()
+
+
+@pytest.mark.parametrize("flag", ["--bound", "--nilpotency-bound"])
+def test_non_positive_run_bounds_are_rejected(tmp_path, flag):
+    job = tmp_path / "job.job"
+    job.write_text(HEAD)
+    result = CliRunner().invoke(cli_main, ["run", str(job), flag, "0"])
+    assert result.exit_code == 2
+    assert "lndkit-report" not in result.output
+
+
+# -- fuzz ----------------------------------------------------------------------------
+
+SUBALGEBRA_HEAD = """job checks
+ring coeff: t
+ring main: X, Y
+base: t
+algebra: X; t*Y; Y^2
+derivation D: X: 0, Y: t
+derivation E gens: 1, 0, 0
+"""
+
+# Values a parameter of each kind is drawn from besides arbitrary text: mostly
+# well formed, so that a fair share of the jobs pass the table and run.
+_PLAUSIBLE = {
+    "polynomial": ["X", "Y + 1/2*t*X^2", "1 - t^2*X", "t", "0"],
+    "polynomials": ["X; Y", "X", "1 - t^2*X; X", "", "1"],
+    "positive int": ["1", "2", "3", "0"],
+    "non-negative int": ["0", "1", "2", "-1"],
+    "int": ["-1", "0", "1", "7"],
+    "ambient derivation": ["D", "D", "E"],
+    "derivation": ["D", "E"],
+    "ambient derivations": ["D", "D; D", "D; E", ""],
+    "earlier task": ["1", "1", "2"],
+    "variables": ["X; Y", "t", "X; X", "Z"],
+    "fiber point": ["t=0", "t=1/0", "t", "X=1", "t=a"],
+}
+# No digits: a large bound could make one example run for minutes.
+_ARBITRARY = st.text(alphabet="XYtDE+-*^/=;,() '\"", max_size=6)
+
+
+@st.composite
+def _task_line(draw) -> str:
+    if draw(st.integers(0, 19)):
+        name = draw(st.sampled_from(TASK_NAMES))
+    else:
+        name = draw(st.text(alphabet="abc_", min_size=1, max_size=4))
+    params = {}
+    for param in TASKS[name].params.values() if name in TASKS else ():
+        for key, kind in param.kinds.items():
+            if draw(st.integers(0, 9)) >= (9 if len(param.kinds) == 1 else 5):
+                continue  # a missing parameter; one of two alternatives half the time
+            pool = [*kind.choices, "nope"] if kind.choices else _PLAUSIBLE[kind.name]
+            params[key] = draw(st.sampled_from(pool) if draw(st.integers(0, 7)) else _ARBITRARY)
+    if not draw(st.integers(0, 9)):
+        params[draw(st.sampled_from(["bund", "frobnicate", "bound"]))] = draw(_ARBITRARY)
+    return " ".join([f"task {shlex.quote(name)}", *(f"{k}={shlex.quote(v)}" for k, v in params.items())])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.sampled_from([HEAD, SUBALGEBRA_HEAD]), st.lists(_task_line(), min_size=1, max_size=2),
+       st.sampled_from([None, 2]))
+def test_a_job_that_parses_runs_without_a_parameter_error(head, lines, bound):
+    try:
+        spec = parse_job(head + "\n".join(lines) + "\n")
+    except JobParseError:
+        return
+    try:
+        report = run_job(spec, bound_override=bound)
+    except JobParseError as exc:
+        assert bound is None and "missing parameter bound" in str(exc)
+        return
+    for task in report.tasks:
+        error = task.error or ""
+        assert "needs parameter" not in error and "unknown task" not in error, error
+        assert not error.startswith("ValueError:") and not task.internal, error
+
+
+# -- the README task list ---------------------------------------------------------
+
+
+def _describe(name: str) -> str:
+    parts = []
+    for param in TASKS[name].params.values():
+        text = " or ".join(f"`{key}` ({kind.name})" for key, kind in param.kinds.items())
+        if isinstance(param.default, Default):
+            if param.default is not Default.REQUIRED:
+                text += f", default {param.default.value}"
+        elif param.default in (None, ()):
+            text += ", optional"
+        else:
+            text += f", default {param.default}"
+        parts.append(text)
+    if TASKS[name].coordw:
+        parts.append("one `coordw` record per algebra generator")
+    return f"- `{name}`: " + "; ".join(parts)
+
+
+def test_the_readme_lists_every_task_with_its_parameters():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("<!-- tasks -->\n", 1)[1].split("<!-- /tasks -->", 1)[0]
+    assert listed.splitlines() == [_describe(name) for name in TASK_NAMES]
+
+
+def test_a_corpus_entry_without_a_bound_is_an_input_error(tmp_path, monkeypatch):
+    (tmp_path / "unbounded.job").write_text(HEAD + "task find_slice derivation=D\n")
+    monkeypatch.setenv("LNDKIT_CORPUS_DIR", str(tmp_path))
+    result = CliRunner().invoke(cli_main, ["corpus"])
+    assert result.exit_code == 2
+    assert "unbounded.job: task 2 (find_slice): missing parameter bound" in result.output
