@@ -48,18 +48,8 @@ class VarContext:
                 f"unknown variable {name!r} in context {self.variables}"
             ) from None
 
-    def is_coeff(self, name: str) -> bool:
-        return name in self.coeff_vars
-
     def is_main(self, name: str) -> bool:
         return name in self.main_vars
-
-    def main_indices(self) -> tuple[int, ...]:
-        base = len(self.coeff_vars)
-        return tuple(range(base, base + len(self.main_vars)))
-
-    def coeff_indices(self) -> tuple[int, ...]:
-        return tuple(range(len(self.coeff_vars)))
 
     def __repr__(self):
         coeff = ",".join(self.coeff_vars)

@@ -50,15 +50,10 @@ class Derivation:
         """D(p) by the Leibniz rule; ``span`` is ignored, every polynomial has an image."""
         if p.context != self.context:
             raise ContextMismatchError("derivation applied across contexts")
-        out = Polynomial.zero(self.context)
-        for name in self.context.main_vars:
-            img = self.images[name]
-            if img.is_zero():
-                continue
-            dp = p.partial_derivative(name)
-            if not dp.is_zero():
-                out = out + dp * img
-        return out
+        return Polynomial.combine(self.context, (
+            (p.partial_derivative(name), img)
+            for name, img in self.images.items() if img
+        ))
 
     def product_images(self, products) -> list[Polynomial]:
         """Images of the polynomials of ``(exponents, polynomial)`` generator products."""
@@ -179,9 +174,6 @@ def is_fixed_point_free(D: Derivation) -> dict[str, Polynomial] | None:
     if cof is None:
         return None
     witness = {n: c for n, c in zip(names, cof)}
-    acc = Polynomial.zero(D.context)
-    for n, c in witness.items():
-        acc = acc + c * D.images[n]
-    if acc != one:
+    if Polynomial.combine(D.context, ((c, D.images[n]) for n, c in witness.items())) != one:
         raise AssertionError("fixed-point-free witness failed re-verification")
     return witness

@@ -15,10 +15,12 @@ Completion (``buchberger``) caches each basis element's leading monomial
 when it joins the basis and keeps the pending S-pairs in a heap.  Pair
 selection is still the normal strategy, smallest lcm under the active
 order and then ``(i, j)``, so bases and cofactor matrices are
-reproducible across runs.  ``_combine_rows`` builds every cofactor row in
-one pass per column: the row of an S-pair whose remainder joins the basis,
-the tail-reduction rows and the membership cofactors.  An S-pair that
-reduces to zero gets no row.
+reproducible across runs.  Every cofactor row is built column by column
+with ``Polynomial.combine``, one pass per column: the row of an S-pair
+whose remainder joins the basis is ``sum(mult * row)`` over the two pair
+multipliers and the negated quotients, and the tail-reduction rows and
+the membership cofactors are built alike.  An S-pair that reduces to zero
+gets no row.
 
 Both completion and ``GroebnerBasis.verify`` skip the S-pairs that
 Buchberger's two criteria settle (B. Buchberger, EUROSAM 1979; Becker and
@@ -151,10 +153,7 @@ class GroebnerBasis:
             return
         ctx = self.inputs[0].context
         for g, row in zip(self.generators, self.cofactors):
-            acc = Polynomial.zero(ctx)
-            for c, f in zip(row, self.inputs):
-                acc = acc + c * f
-            if acc != g:
+            if Polynomial.combine(ctx, zip(row, self.inputs)) != g:
                 raise AssertionError("cofactor recombination mismatch")
         gens = list(self.generators)
         order = self.order
@@ -190,34 +189,14 @@ def _chain(
     return False
 
 
-def _combine_rows(ctx, parts, width: int) -> list[Polynomial]:
-    """Columns of ``sum(mult * row)`` over ``parts``, each built in one pass.
-
-    ``parts`` pairs a multiplier, given as a term dict, with a row of
-    ``width`` polynomials.  Each column accumulates in one mutable term
-    dict and becomes one ``Polynomial._trusted``.
-    """
-    out = []
-    for col in range(width):
-        acc: dict[Monomial, Fraction] = {}
-        for mult, row in parts:
-            for m2, c2 in row[col].terms.items():
-                for m1, c1 in mult.items():
-                    m = mono_mul(m1, m2)
-                    prev = acc.get(m)
-                    acc[m] = c1 * c2 if prev is None else prev + c1 * c2
-        out.append(Polynomial._trusted(ctx, {m: c for m, c in acc.items() if c}))
-    return out
-
-
 def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
     lcm = mono_lcm(fm, gm)
     ctx = f.context
-    uf = Polynomial(ctx, {mono_div(lcm, fm): Fraction(1) / fc})
-    ug = Polynomial(ctx, {mono_div(lcm, gm): Fraction(1) / gc})
-    return uf * f - ug * g
+    uf = Polynomial._trusted(ctx, {mono_div(lcm, fm): Fraction(1) / fc})
+    ug = Polynomial._trusted(ctx, {mono_div(lcm, gm): Fraction(-1) / gc})
+    return Polynomial.combine(ctx, ((uf, f), (ug, g)))
 
 
 def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -241,23 +220,22 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
     rows: list[list[Polynomial]] = []
 
     one = Fraction(1)
-    zero_mono = (0,) * ctx.nvars
 
-    def push(poly: Polynomial, parts: list[tuple[dict[Monomial, Fraction], list[Polynomial]]]):
-        """Append ``poly`` made monic; its cofactor row is the combination
-        ``parts`` (see ``_combine_rows``), scaled alike."""
+    def push(poly: Polynomial, parts: list[tuple[Polynomial | Fraction, list[Polynomial]]]):
+        """Append ``poly`` made monic; its cofactor row is ``sum(mult * row)``
+        over ``parts``, scaled alike."""
         lm, lc = leading_term(poly, order)
         inv = one / lc
         basis.append(poly * inv)
         lms.append(lm)
-        rows.append(_combine_rows(
-            ctx, [({m: c * inv for m, c in mult.items()}, row) for mult, row in parts], n_in
-        ))
+        parts = [(mult * inv, row) for mult, row in parts]
+        rows.append([Polynomial.combine(ctx, ((mult, row[col]) for mult, row in parts))
+                     for col in range(n_in)])
 
     for j, g in enumerate(inputs):
         if not g.is_zero():
             unit_row = [Polynomial.one(ctx) if k == j else Polynomial.zero(ctx) for k in range(n_in)]
-            push(g, [({zero_mono: one}, unit_row)])
+            push(g, [(one, unit_row)])
 
     if not basis:
         return GroebnerBasis(order, inputs, (), ())
@@ -284,13 +262,13 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         if _chain(lms, i, j, lcm, done):
             continue
         # Basis elements are monic, so both S-polynomial multipliers have coefficient 1.
-        ui, uj = {mono_div(lcm, lms[i]): one}, {mono_div(lcm, lms[j]): -one}
-        [s] = _combine_rows(ctx, [(ui, [basis[i]]), (uj, [basis[j]])], 1)
-        rem, quots = normal_form(s, basis, order)
+        ui = Polynomial._trusted(ctx, {mono_div(lcm, lms[i]): one})
+        uj = Polynomial._trusted(ctx, {mono_div(lcm, lms[j]): -one})
+        rem, quots = normal_form(Polynomial.combine(ctx, ((ui, basis[i]), (uj, basis[j]))),
+                                 basis, order)
         if not rem.is_zero():
             parts = [(ui, rows[i]), (uj, rows[j])]
-            parts += [({m: -c for m, c in q.terms.items()}, rows[k])
-                      for k, q in enumerate(quots) if q.terms]
+            parts += [(-q, rows[k]) for k, q in enumerate(quots) if q]
             push(rem, parts)
             add_pairs(len(basis) - 1)
 
@@ -317,11 +295,11 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         rem, quots = normal_form(basis[i], others, order)
         _, lc = leading_term(rem, order)
         inv = one / lc
-        parts = [({zero_mono: inv}, rows[i])]
-        parts += [({m: -c * inv for m, c in q.terms.items()}, other_row)
-                  for q, other_row in zip(quots, other_rows) if q.terms]
+        parts = [(inv, rows[i])]
+        parts += [(q * -inv, other_row) for q, other_row in zip(quots, other_rows) if q]
         reduced.append(rem * inv)
-        reduced_rows.append(_combine_rows(ctx, parts, n_in))
+        reduced_rows.append([Polynomial.combine(ctx, ((mult, row[col]) for mult, row in parts))
+                             for col in range(n_in)])
 
     ordering = sorted(range(len(reduced)), key=lambda k: order.key(leading_term(reduced[k], order)[0]))
     result = GroebnerBasis(
@@ -351,12 +329,9 @@ def ideal_member(
     rem, quots = normal_form(p, list(gb.generators), gb.order)
     if not rem.is_zero():
         return None
-    cof = _combine_rows(
-        p.context, [(q.terms, row) for q, row in zip(quots, gb.cofactors) if q.terms], len(gens)
-    )
-    acc = Polynomial.zero(p.context)
-    for c, g in zip(cof, gens):
-        acc = acc + c * g
-    if acc != p:
+    parts = [(q, row) for q, row in zip(quots, gb.cofactors) if q]
+    cof = [Polynomial.combine(p.context, ((q, row[col]) for q, row in parts))
+           for col in range(len(gens))]
+    if Polynomial.combine(p.context, zip(cof, gens)) != p:
         raise AssertionError("membership cofactors failed re-verification")
     return cof

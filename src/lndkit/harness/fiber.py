@@ -16,7 +16,7 @@ from fractions import Fraction
 from ..context import VarContext
 from ..errors import DomainError
 from ..polynomial import Polynomial
-from ..subalgebra import Subalgebra, subalgebra_member
+from ..subalgebra import GeneratorSpan, Subalgebra, distinct_nonconstant, subalgebra_member
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,24 @@ def check_fiber_witness(S: Subalgebra, witness: FiberWitness) -> FiberCheck:
     def specialize(p: Polynomial) -> Polynomial:
         return p.substitute(bindings, context=fiber_ctx)
 
-    specialized = [specialize(g) for g in S.algebra_generators]
-    live = tuple(g for g in specialized if not (g.is_zero() or g.is_constant()))
+    live = distinct_nonconstant(specialize(g) for g in S.algebra_generators)
     coords = tuple(specialize(c) for c in witness.coordinates)
     for c in coords:
-        if c.is_zero() or c.is_constant():
+        if c.is_constant():
             raise DomainError(f"claimed coordinate {c} specializes to a constant")
 
-    fiber_algebra = Subalgebra(fiber_ctx, (), _dedupe(live)) if live else None
-    coord_algebra = Subalgebra(fiber_ctx, (), _dedupe(coords))
-
-    for c in coords:
-        if fiber_algebra is None or subalgebra_member(c, fiber_algebra, witness.bound) is None:
-            return FiberCheck(False, "coordinate-not-in-fiber", c)
+    bound = witness.bound
+    if coords:
+        if not live:
+            return FiberCheck(False, "coordinate-not-in-fiber", coords[0])
+        fiber_algebra = Subalgebra(fiber_ctx, (), live)
+        fiber_span = GeneratorSpan(fiber_algebra, bound)
+        for c in coords:
+            if subalgebra_member(c, fiber_algebra, bound, fiber_span) is None:
+                return FiberCheck(False, "coordinate-not-in-fiber", c)
+    coord_algebra = Subalgebra(fiber_ctx, (), distinct_nonconstant(coords))
+    coord_span = GeneratorSpan(coord_algebra, bound)
     for g in live:
-        if subalgebra_member(g, coord_algebra, witness.bound) is None:
+        if subalgebra_member(g, coord_algebra, bound, coord_span) is None:
             return FiberCheck(False, "generator-not-reachable", g)
     return FiberCheck(True, None, None)
-
-
-def _dedupe(polys) -> tuple[Polynomial, ...]:
-    out: list[Polynomial] = []
-    for p in polys:
-        if p not in out:
-            out.append(p)
-    return tuple(out)

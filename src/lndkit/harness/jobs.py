@@ -132,9 +132,6 @@ class JobSpec:
                 lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
 
-    def same_content(self, other: "JobSpec") -> bool:
-        return self.to_text() == other.to_text()
-
 
 def _needs_quoting(value: str) -> bool:
     return any(ch in value for ch in " \t'\"")

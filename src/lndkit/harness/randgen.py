@@ -131,10 +131,10 @@ def run_slice_pipeline_family(
         if witness is None:
             failures.append(label + " [not fixed point free]")
             continue
-        acc = Polynomial.zero(d.context)
-        for name, cof in witness.items():
-            acc = acc + cof * d.images[name]
-        if acc != Polynomial.one(d.context):
+        recombined = Polynomial.combine(
+            d.context, ((cof, d.images[name]) for name, cof in witness.items())
+        )
+        if recombined != Polynomial.one(d.context):
             failures.append(label + " [cofactor identity broke]")
             continue
         S = Subalgebra.full(d.context)
@@ -247,10 +247,7 @@ def run_groebner_oracle_family(seed: int, count: int, oracle_degree: int = 6) ->
             failures.append(label + " [oracle found a witness, engine said No]")
             continue
         if verdict is not None:
-            acc = Polynomial.zero(ctx)
-            for c, g in zip(verdict, gens):
-                acc = acc + c * g
-            if acc != target:
+            if Polynomial.combine(ctx, zip(verdict, gens)) != target:
                 failures.append(label + " [cofactors do not recombine]")
     return FamilyOutcome(count, failures)
 

@@ -6,8 +6,9 @@ task line against it, so handlers receive typed arguments.  Defaults that
 depend on the run (the job seed after ``--seed``, ``--nilpotency-bound``,
 and ``--bound``, which fills a missing ``bound`` of any task) are resolved
 before the first task runs.  Each task runs in isolation: its failures
-become per-task errors.  ``from=<task index>`` takes an earlier task's
-derivation.
+become per-task errors.  ``from=<task index>`` takes the derivation of an
+earlier task whose table entry yields one (``restrict`` and
+``complementary_lnd``); a ``from`` naming any other task is a parse error.
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ def _derivation(name, spec, index, ambient=False):
 def _earlier(text, spec, index):
     if not 1 <= int(text) < index:
         raise ValueError(f"task {text} is not an earlier task")
+    name = spec.tasks[int(text) - 1].name
+    if not TASKS[name].yields_derivation:
+        raise ValueError(f"task {text} ({name}) yields no derivation")
     return TaskRef(int(text))
 
 
@@ -176,13 +180,14 @@ class Task:
     handler: Callable[..., None]
     params: dict[str, Param]  # by handler argument
     coordw: bool = False  # takes one ``coordw`` record per algebra generator
+    yields_derivation: bool = False  # a success carries a derivation that ``from=`` can take
 
 
-def _task(handler, coordw: bool = False, **params) -> Task:
+def _task(handler, coordw: bool = False, yields_derivation: bool = False, **params) -> Task:
     """A table entry; a bare kind, keyed by the argument name, or dict of kinds is required."""
     params = {k: p if isinstance(p, Param) else Param(p) for k, p in params.items()}
     return Task(handler, {k: p if isinstance(p.kinds, dict) else replace(p, kinds={k: p.kinds})
-                          for k, p in params.items()}, coordw)
+                          for k, p in params.items()}, coordw, yields_derivation)
 
 
 # -- task handlers -------------------------------------------------------------
@@ -499,10 +504,11 @@ TASKS: dict[str, Task] = {
                                   slice=Param(POLY, None), slice_bound=Param(POSITIVE, 8),
                                   bound=Param(POSITIVE, Default.COMPUTED)),
     "subalgebra_member": _task(_t_subalgebra_member, target=POLY, bound=BOUND),
-    "restrict": _task(_t_restrict, derivation=AMBIENT, bound=BOUND),
+    "restrict": _task(_t_restrict, yields_derivation=True, derivation=AMBIENT, bound=BOUND),
     "subalgebra_fpf": _task(_t_subalgebra_fpf, derivation=SOURCE, bound=BOUND),
     "kernel_up_to_degree": _task(_t_kernel_up_to_degree, derivation=SOURCE, bound=BOUND),
-    "complementary_lnd": _task(_t_complementary_lnd, coordw=True, v=POLY, u0=POLY, t=POLY,
+    "complementary_lnd": _task(_t_complementary_lnd, coordw=True, yields_derivation=True,
+                               v=POLY, u0=POLY, t=POLY,
                                alpha_cap=Param(NON_NEGATIVE, 3), member_bound=POSITIVE,
                                kernel_bound=POSITIVE),
     "closure": _task(_t_closure, derivation=SOURCE, member_bound=POSITIVE,

@@ -23,14 +23,14 @@ def vec_of(poly) -> Vec:
 
 def _axpy(target: dict, source: dict, scale: Fraction):
     for k, v in source.items():
-        acc = target.get(k)
+        total = target.get(k)
         val = v * scale
-        if acc is None:
+        if total is None:
             target[k] = val
         else:
-            acc = acc + val
-            if acc:
-                target[k] = acc
+            total = total + val
+            if total:
+                target[k] = total
             else:
                 del target[k]
 
@@ -87,10 +87,6 @@ class RowSpace:
     def contains(self, vec: Vec) -> bool:
         red, _ = self._reduce(vec, {})
         return not red
-
-    def residual(self, vec: Vec) -> Vec:
-        red, _ = self._reduce(vec, {})
-        return red
 
 
 def canonical_rref(vectors: Iterable[Vec]) -> list[Vec]:

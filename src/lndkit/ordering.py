@@ -46,9 +46,6 @@ class MonomialOrder:
             return tuple(-mono[i] for i in self.permutation)
         return (-sum(mono), tuple(mono[i] for i in reversed(self.permutation)))
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
 
 def _perm(context: VarContext, names: tuple[str, ...] | None) -> tuple[int, ...]:
     if names is None:

@@ -107,14 +107,14 @@ class _Parser:
         negate = False
         if self.peek().kind in ("+", "-"):
             negate = self.advance().kind == "-"
-        acc = self.term()
+        poly = self.term()
         if negate:
-            acc = -acc
+            poly = -poly
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            poly = poly + rhs if op == "+" else poly - rhs
+        return poly
 
     def term(self) -> Polynomial:
         acc = self.factor()

@@ -12,9 +12,16 @@ Construction contract: the public ``Polynomial(context, terms)`` constructor
 validates every monomial (length, non-negative exponents), coerces every
 coefficient to ``Fraction`` and merges duplicates, so parsed text, job
 files and user values always pass through it.  Arithmetic results
-(``+``, ``-``, ``*``, ``**``, negation and ``partial_derivative``) are valid
-by construction and use the private ``Polynomial._trusted`` path, which
-only puts their terms into canonical order.
+(``+``, ``-``, ``*``, ``**``, negation, ``partial_derivative``,
+``substitute`` and ``combine``) are valid by construction and use the
+private ``Polynomial._trusted`` path, which only puts their terms into
+canonical order.
+
+``Polynomial.combine(context, pairs)`` is the one linear-combination
+kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every
+product in one term dict and building one result.  The polynomial product,
+substitution, derivation images and every witness recombination go
+through it.
 """
 
 from __future__ import annotations
@@ -52,6 +59,17 @@ def mono_degree(a: Monomial) -> int:
     return sum(a)
 
 
+def _scalar(value) -> Fraction:
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"cannot combine Polynomial with {type(value).__name__}")
+
+
+def _check_context(context: VarContext, p: Polynomial):
+    if p.context is not context and p.context != context:
+        raise ContextMismatchError(f"context mismatch: {context} vs {p.context}")
+
+
 class Polynomial:
     """Immutable sparse polynomial attached to a :class:`VarContext`."""
 
@@ -68,19 +86,11 @@ class Polynomial:
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in monomial {mono}")
             coeff = Fraction(coeff)
-            if coeff:
-                acc = combined.get(mono)
-                if acc is None:
-                    combined[mono] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc:
-                        combined[mono] = acc
-                    else:
-                        del combined[mono]
+            prev = combined.get(mono)
+            combined[mono] = coeff if prev is None else prev + coeff
         object.__setattr__(self, "context", context)
         object.__setattr__(
-            self, "terms", dict(sorted(combined.items(), key=lambda kv: kv[0], reverse=True))
+            self, "terms", dict(sorted(((m, c) for m, c in combined.items() if c), reverse=True))
         )
         object.__setattr__(self, "_hash", None)
 
@@ -150,12 +160,6 @@ class Polynomial:
         i = self.context.index(name)
         return max(m[i] for m in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.context.nvars, Fraction(0))
-
     def variables_used(self) -> set[str]:
         names = self.context.variables
         used: set[str] = set()
@@ -186,27 +190,14 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other: Polynomial):
-        if self.context != other.context:
-            raise ContextMismatchError(
-                f"context mismatch: {self.context} vs {other.context}"
-            )
-
     def __add__(self, other) -> Polynomial:
         other = self._coerce(other)
-        self._check(other)
+        _check_context(self.context, other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            acc = terms.get(m)
-            if acc is None:
-                terms[m] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[m] = acc
-                else:
-                    del terms[m]
-        return Polynomial._trusted(self.context, terms)
+            prev = terms.get(m)
+            terms[m] = c if prev is None else prev + c
+        return Polynomial._trusted(self.context, {m: c for m, c in terms.items() if c})
 
     def __radd__(self, other) -> Polynomial:
         return self.__add__(other)
@@ -226,16 +217,7 @@ class Polynomial:
             if not c:
                 return Polynomial.zero(self.context)
             return Polynomial._trusted(self.context, {m: v * c for m, v in self.terms.items()})
-        other = self._coerce(other)
-        self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                acc = out.get(m)
-                prod = c1 * c2
-                out[m] = prod if acc is None else acc + prod
-        return Polynomial._trusted(self.context, {m: c for m, c in out.items() if c})
+        return Polynomial.combine(self.context, ((self, other),))
 
     def __rmul__(self, other) -> Polynomial:
         return self.__mul__(other)
@@ -260,6 +242,41 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return Polynomial.constant(self.context, other)
         raise TypeError(f"cannot combine Polynomial with {type(other).__name__}")
+
+    @classmethod
+    def combine(cls, context: VarContext, pairs: Iterable[tuple]) -> Polynomial:
+        """``sum(a * b)`` over the ``(a, b)`` pairs, in one pass.
+
+        Either side of a pair may be an int or ``Fraction``, taken as a
+        constant; polynomial sides must live in ``context``.  Every product
+        accumulates in one term dict, and the result is one
+        ``Polynomial._trusted`` with the sums that cancelled dropped.
+        """
+        acc: dict[Monomial, Fraction] = {}
+        get = acc.get
+        for a, b in pairs:
+            if not isinstance(a, Polynomial):
+                a, b = b, a  # a scalar side goes second
+            if isinstance(b, Polynomial):
+                _check_context(context, a)
+                _check_context(context, b)
+                b_terms = b.terms.items()
+                for m1, c1 in a.terms.items():
+                    for m2, c2 in b_terms:
+                        m = mono_mul(m1, m2)
+                        prev = get(m)
+                        acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+                continue
+            c = _scalar(b)
+            if isinstance(a, Polynomial):
+                _check_context(context, a)
+                a_terms = a.terms.items()
+            else:
+                a_terms = (((0,) * context.nvars, _scalar(a)),)
+            for m, v in a_terms:
+                prev = get(m)
+                acc[m] = v * c if prev is None else prev + v * c
+        return cls._trusted(context, {m: c for m, c in acc.items() if c})
 
     # -- calculus and substitution --------------------------------------
 
@@ -296,10 +313,10 @@ class Polynomial:
             images.append(img)
         for name in bindings:
             self.context.index(name)  # reject bindings for foreign variables
-        result = Polynomial.zero(target)
+        pairs: list[tuple[Fraction, Polynomial | int]] = []
         power_cache: dict[tuple[int, int], Polynomial] = {}
         for m, c in self.terms.items():
-            term = Polynomial.constant(target, c)
+            term: Polynomial | None = None
             for i, e in enumerate(m):
                 if not e:
                     continue
@@ -308,9 +325,9 @@ class Polynomial:
                 if p is None:
                     p = images[i] ** e
                     power_cache[key] = p
-                term = term * p
-            result = result + term
-        return result
+                term = p if term is None else term * p
+            pairs.append((c, 1 if term is None else term))
+        return Polynomial.combine(target, pairs)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a full rational point."""

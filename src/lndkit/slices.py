@@ -24,7 +24,6 @@ Taylor bound), and slice search shares its image-kernel solver with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -42,6 +41,7 @@ from .subalgebra import (
     RestrictedDerivation,
     Subalgebra,
     _image_kernel,
+    distinct_nonconstant,
     generator_products,
     kernel_up_to_degree,
     subalgebra_member,
@@ -67,9 +67,7 @@ def _solve_unit_image(
     combo = space.express(vec_of(Polynomial.one(context)))
     if combo is None:
         return None
-    s0 = Polynomial.zero(context)
-    for j, c in combo.items():
-        s0 = s0 + products[j][1] * c
+    s0 = Polynomial.combine(context, ((products[j][1], c) for j, c in combo.items()))
     return Polynomial(context, reduce_by_rref(vec_of(s0), kernel))
 
 
@@ -84,10 +82,8 @@ def find_slice(
     point free certified derivation on a full ring a large enough bound
     always succeeds).
     """
-    if span is None and isinstance(D, RestrictedDerivation):
-        # A restricted derivation applies through the span; a full one
-        # applies directly, so it needs only the products.
-        span = GeneratorSpan(S, bound)
+    if span is None:
+        span = _applying_span(D, S, bound)
     products = span.products if span is not None else generator_products(S, bound)
     s = _solve_unit_image(D.product_images(products), products, S.context)
     if s is None:
@@ -95,6 +91,12 @@ def find_slice(
     if D.apply(s, span) != Polynomial.one(S.context):
         raise AssertionError("slice candidate failed the image check")
     return s
+
+
+def _applying_span(D: AnyDerivation, S: Subalgebra, bound: int) -> GeneratorSpan | None:
+    """The span a restricted derivation applies through; a full one applies
+    directly and needs none."""
+    return GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
 
 
 def _iterates(apply: Callable[[Polynomial], Polynomial], a: Polynomial) -> Iterator[Polynomial]:
@@ -113,12 +115,13 @@ def _iterates(apply: Callable[[Polynomial], Polynomial], a: Polynomial) -> Itera
 
 def _project(apply: Callable[[Polynomial], Polynomial], s: Polynomial, a: Polynomial) -> Polynomial:
     """pi_s(a) = sum_i (1/i!) * (-s)^i * D^i(a), D given by ``apply``."""
-    result = Polynomial.zero(a.context)
-    power = Polynomial.one(a.context)  # (-s)^i
+    pairs = []
+    weight = Polynomial.one(a.context)  # (-s)^i / i!
     for i, term in enumerate(_iterates(apply, a)):
-        result = result + power * term * Fraction(1, math.factorial(i))
-        power = power * (-s)
-    return result
+        if i:
+            weight = weight * (s * Fraction(-1, i))
+        pairs.append((weight, term))
+    return Polynomial.combine(a.context, pairs)
 
 
 def dixmier(
@@ -146,17 +149,10 @@ def kernel_generators(
 ) -> list[Polynomial]:
     """Projections of the algebra generators: they generate Ker(D) over the base.
 
-    Zero and constant projections are dropped; duplicates are removed
-    preserving first occurrence.
+    Constant projections (zero included) are dropped; duplicates are
+    removed preserving first occurrence.
     """
-    out: list[Polynomial] = []
-    for g in S.algebra_generators:
-        k = dixmier(D, s, g, span)
-        if k.is_zero() or k.is_constant():
-            continue
-        if k not in out:
-            out.append(k)
-    return out
+    return list(distinct_nonconstant(dixmier(D, s, g, span) for g in S.algebra_generators))
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,23 @@ def verify_slice_theorem(
             bound = _taylor_bound(D, s, S)
         else:
             raise ValueError("an explicit bound is required off the full ring")
-    target = Subalgebra(S.context, S.base_generators, tuple(kgens) + (s,))
+    witnesses = _reexpress(S, tuple(kgens) + (s,), bound)
+    if isinstance(witnesses, IncompleteReexpression):
+        return witnesses
+    if D.apply(s, span) != Polynomial.one(S.context):
+        raise AssertionError("certificate slice lost the unit image")
+    for k in kgens:
+        if not D.apply(k, span).is_zero():
+            raise AssertionError("certificate kernel generator is not killed")
+    return SliceCertificate(s, tuple(kgens), witnesses, bound)
+
+
+def _reexpress(
+    S: Subalgebra, coords: tuple[Polynomial, ...], bound: int
+) -> tuple[MembershipWitness, ...] | IncompleteReexpression:
+    """Witnesses of every algebra generator of S in ``coords`` over the base,
+    or the generators missed at the bound."""
+    target = Subalgebra(S.context, S.base_generators, coords)
     target_span = GeneratorSpan(target, bound)
     witnesses = []
     missing = []
@@ -234,12 +246,7 @@ def verify_slice_theorem(
             witnesses.append(w)
     if missing:
         return IncompleteReexpression(tuple(missing), bound)
-    if D.apply(s, span) != Polynomial.one(S.context):
-        raise AssertionError("certificate slice lost the unit image")
-    for k in kgens:
-        if not D.apply(k, span).is_zero():
-            raise AssertionError("certificate kernel generator is not killed")
-    return SliceCertificate(s, tuple(kgens), tuple(witnesses), bound)
+    return tuple(witnesses)
 
 
 # -- retraction-composed derivations ----------------------------------------
@@ -530,7 +537,7 @@ def transcendence_check(
     unit image forces degree by degree; a found relation is returned with
     its exact coefficients.
     """
-    val = D.apply(x).as_rational()
+    val = D.apply(x, _applying_span(D, S, bound)).as_rational()
     if val is None or val == 0:
         raise DomainError("transcendence check requires a unit image for x")
     ctx = S.context
@@ -542,26 +549,24 @@ def transcendence_check(
         if probe.insert(vec_of(p), len(independent)) is None:
             independent.append(p)
     space = RowSpace()
-    xpow = Polynomial.one(ctx)
+    xpows = [Polynomial.one(ctx)]  # x^0 .. x^i
     for i in range(bound + 1):
         for k, b in enumerate(independent):
-            tag = (i, k)
-            dep = space.insert(vec_of(b * xpow), tag)
+            tag = (i, k)  # b * x^i
+            dep = space.insert(vec_of(b * xpows[i]), tag)
             if dep is not None:
                 # normalize so the newly inserted power enters with +b
-                coeffs = [Polynomial.zero(ctx) for _ in range(bound + 1)]
-                for (ii, kk), c in dep.items():
-                    coeffs[ii] = coeffs[ii] - independent[kk] * c
-                coeffs[i] = coeffs[i] + b
-                acc = Polynomial.zero(ctx)
-                xp = Polynomial.one(ctx)
-                for a in coeffs:
-                    acc = acc + a * xp
-                    xp = xp * x
-                if not acc.is_zero():
+                relation = {tag: Fraction(1)} | {t: -c for t, c in dep.items()}
+                coeffs = tuple(
+                    Polynomial.combine(
+                        ctx, ((independent[kk], c) for (ii, kk), c in relation.items() if ii == n)
+                    )
+                    for n in range(bound + 1)
+                )
+                if not Polynomial.combine(ctx, zip(coeffs, xpows)).is_zero():
                     raise AssertionError("relation failed re-verification")
-                return TranscendenceResult(bound, tuple(coeffs))
-        xpow = xpow * x
+                return TranscendenceResult(bound, coeffs)
+        xpows.append(xpows[i] * x)
     return TranscendenceResult(bound, None)
 
 
@@ -592,14 +597,9 @@ def proportionality_check(
         raise ContextMismatchError("derivations do not live on the given subalgebra")
     if len(cofactors) != len(S.algebra_generators):
         raise DomainError("one cofactor per algebra generator is required")
-    acc = Polynomial.zero(ctx)
-    for a, img in zip(cofactors, d.images):
-        acc = acc + a * img
-    if acc != Polynomial.one(ctx):
+    if Polynomial.combine(ctx, zip(cofactors, d.images)) != Polynomial.one(ctx):
         raise DomainError("invalid fixed-point-free witness")
-    c = Polynomial.zero(ctx)
-    for a, img in zip(cofactors, d1.images):
-        c = c + a * img
+    c = Polynomial.combine(ctx, zip(cofactors, d1.images))
     for g, i1, i0 in zip(S.algebra_generators, d1.images, d.images):
         if i1 != c * i0:
             return ProportionalityResult(None, g)
@@ -665,12 +665,7 @@ def coordinate_system(
                 )
             coords.append(given[k])
         else:
-            kernel_gens = [g for g in current if not (g.is_zero() or g.is_constant())]
-            dedup: list[Polynomial] = []
-            for g in kernel_gens:
-                if g not in dedup:
-                    dedup.append(g)
-            search = Subalgebra(ctx, S.base_generators, tuple(dedup))
+            search = Subalgebra(ctx, S.base_generators, distinct_nonconstant(current))
             products = generator_products(search, bound)
             s_k = _solve_unit_image([apply_k(poly) for _, poly in products], products, ctx)
             if s_k is None:
@@ -679,16 +674,7 @@ def coordinate_system(
         projections.append((apply_k, s_k))
         current = [project(g, k + 1) for g in current]
 
-    target = Subalgebra(ctx, S.base_generators, tuple(coords))
-    target_span = GeneratorSpan(target, bound)
-    witnesses = []
-    missing = []
-    for g in S.algebra_generators:
-        w = subalgebra_member(g, target, bound, target_span)
-        if w is None:
-            missing.append(g)
-        else:
-            witnesses.append(w)
-    if missing:
-        return IncompleteReexpression(tuple(missing), bound)
-    return CoordinateSystem(tuple(coords), tuple(witnesses), bound)
+    witnesses = _reexpress(S, tuple(coords), bound)
+    if isinstance(witnesses, IncompleteReexpression):
+        return witnesses
+    return CoordinateSystem(tuple(coords), witnesses, bound)

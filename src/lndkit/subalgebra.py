@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
@@ -68,9 +69,14 @@ class Subalgebra:
     def weights(self) -> tuple[int, ...]:
         return tuple(g.degree() for g in self.generators)
 
-    def algebra_index(self, k: int) -> int:
-        """Index of the k-th algebra generator within the combined list."""
-        return len(self.base_generators) + k
+
+def distinct_nonconstant(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
+    """``polys`` without constants (zero included) and repeats, first occurrences in order."""
+    out: list[Polynomial] = []
+    for p in polys:
+        if not p.is_constant() and p not in out:
+            out.append(p)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -201,22 +207,21 @@ class RestrictedDerivation:
     def image_of_product(self, expo: tuple[int, ...]) -> Polynomial:
         """Leibniz image of a generator product given by its exponent vector."""
         S = self.subalgebra
-        ctx = S.context
         gens = S.generators
         nbase = len(S.base_generators)
-        out = Polynomial.zero(ctx)
+        pairs = []
         for i, e in enumerate(expo):
-            if e == 0 or i < nbase:
+            if e == 0 or i < nbase or not self.images[i - nbase]:
                 continue
-            img = self.images[i - nbase]
-            if img.is_zero():
-                continue
-            term = Polynomial.constant(ctx, e) * img * gens[i] ** (e - 1)
+            rest = None  # the product with one factor gens[i] taken out
             for k, ek in enumerate(expo):
-                if k != i and ek:
-                    term = term * gens[k] ** ek
-            out = out + term
-        return out
+                if k == i:
+                    ek -= 1
+                if ek:
+                    power = gens[k] ** ek
+                    rest = power if rest is None else rest * power
+            pairs.append((self.images[i - nbase] * e, 1 if rest is None else rest))
+        return Polynomial.combine(S.context, pairs)
 
     def product_images(self, products) -> list[Polynomial]:
         """Images of ``(exponents, polynomial)`` generator products, by exponents."""
@@ -235,10 +240,9 @@ class RestrictedDerivation:
         expr = span.express(f)
         if expr is None:
             raise DomainError("element left the bounded span while applying the derivation")
-        out = Polynomial.zero(self.subalgebra.context)
-        for expo, c in expr.terms.items():
-            out = out + self.image_of_product(expo) * c
-        return out
+        return Polynomial.combine(
+            self.subalgebra.context, ((self.image_of_product(expo), c) for expo, c in expr)
+        )
 
 
 def restriction_of(D: Derivation | RestrictedDerivation, S: Subalgebra) -> RestrictedDerivation:
@@ -296,13 +300,11 @@ def subalgebra_fpf(
     combo = space.express(vec_of(Polynomial.one(ctx)))
     if combo is None:
         return None
-    cof = [Polynomial.zero(ctx) for _ in rd.images]
-    for (j, i), c in combo.items():
-        cof[i] = cof[i] + span.products[j][1] * c
-    acc = Polynomial.zero(ctx)
-    for a, img in zip(cof, rd.images):
-        acc = acc + a * img
-    if acc != Polynomial.one(ctx):
+    cof = [
+        Polynomial.combine(ctx, ((span.products[j][1], c) for (j, k), c in combo.items() if k == i))
+        for i in range(len(rd.images))
+    ]
+    if Polynomial.combine(ctx, zip(cof, rd.images)) != Polynomial.one(ctx):
         raise AssertionError("fpf cofactors failed re-verification")
     return cof
 
@@ -325,9 +327,10 @@ def _image_kernel(
         if dep is None:
             continue
         dependencies.append((j, dep))
-        f = products[j][1]
-        for k, c in dep.items():
-            f = f - products[k][1] * c
+        f = Polynomial.combine(
+            products[j][1].context,
+            [(products[j][1], 1), *((products[k][1], -c) for k, c in dep.items())],
+        )
         if not f.is_zero():
             kernel_vecs.append(vec_of(f))
     return space, dependencies, canonical_rref(kernel_vecs)
@@ -350,9 +353,9 @@ def kernel_up_to_degree(
     images = D.product_images(products)
     _, dependencies, kernel = _image_kernel(images, products)
     for j, dep in dependencies:
-        check = images[j]
-        for k, c in dep.items():
-            check = check - images[k] * c
+        check = Polynomial.combine(
+            S.context, [(images[j], 1), *((images[k], -c) for k, c in dep.items())]
+        )
         if not check.is_zero():
             raise AssertionError("kernel relation failed image re-verification")
     basis = []

@@ -42,6 +42,7 @@ REJECTED = {
     "generator derivation for an ambient one": 'task apply derivation=E poly="X"',
     "from that is not an index": "task kernel_up_to_degree from=abc bound=3",
     "from that is not earlier": "task kernel_up_to_degree from=2 bound=3",
+    "from a task that yields no derivation": "task kernel_up_to_degree from=1 bound=3",
     "from beside derivation": "task kernel_up_to_degree from=1 derivation=D bound=3",
     "polynomial that does not parse": 'task apply derivation=D poly="X +"',
     "unknown order": 'task groebner_basis gens="X; Y" order=grevlex',
@@ -63,6 +64,31 @@ def test_a_rejected_task_line_exits_2_before_any_task_runs(tmp_path, line):
     assert f"(line {BAD_LINE}, column 1)" in result.output
     assert f"task 2 (" in result.output
     assert "lndkit-report" not in result.output  # no task ran
+
+
+def test_from_a_slice_search_is_rejected_at_its_line(tmp_path):
+    job = tmp_path / "from.job"
+    job.write_text(HEAD + "task find_slice derivation=D bound=3\n"
+                   "task kernel_up_to_degree from=2 bound=2\n")
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"(line {BAD_LINE + 1}, column 1)" in result.output
+    assert "task 2 (find_slice) yields no derivation" in result.output
+    assert "lndkit-report" not in result.output
+
+
+def test_only_tasks_that_yield_a_derivation_are_sources():
+    assert sorted(name for name, task in TASKS.items() if task.yields_derivation) == [
+        "complementary_lnd", "restrict"]
+
+
+def test_a_restriction_that_fails_keeps_its_run_time_error():
+    spec = parse_job(SUBALGEBRA_HEAD + "task restrict derivation=D bound=1\n"
+                     "task kernel_up_to_degree from=1 bound=2\n")
+    first, second = run_job(spec).tasks
+    assert first.verdict == "fails-to-restrict"
+    assert second.error == "task 1 produced no derivation"
 
 
 def test_bound_given_by_the_run_is_accepted(tmp_path):

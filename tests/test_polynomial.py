@@ -178,6 +178,66 @@ def test_arithmetic_results_are_canonical(seed, scalar):
         _assert_canonical(r)
 
 
+def _product(ctx, a, b) -> Polynomial:
+    """a * b by the validating constructor, independently of ``combine``."""
+    a, b = (x if isinstance(x, Polynomial) else Polynomial.constant(ctx, x) for x in (a, b))
+    return Polynomial(ctx, [(tuple(i + j for i, j in zip(m1, m2)), c1 * c2)
+                            for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()])
+
+
+def _naive_combine(ctx, pairs) -> Polynomial:
+    """The reference: one new polynomial per accumulated product."""
+    acc = Polynomial.zero(ctx)
+    for a, b in pairs:
+        acc = acc + _product(ctx, a, b)
+    return acc
+
+
+@st.composite
+def _combination(draw):
+    """A context of 1-3 variables and 0-4 pairs, sides polynomial or scalar;
+    half the time the last pair cancels an earlier one."""
+    ctx = VarContext((), ("X", "Y", "Z")[: draw(st.integers(1, 3))])
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * ctx.nvars), coeff, max_size=4).map(
+        lambda terms: Polynomial(ctx, terms)
+    )
+    side = poly | st.integers(-3, 3) | coeff
+    pairs = draw(st.lists(st.tuples(side, side), max_size=4))
+    if len(pairs) >= 2 and draw(st.booleans()):
+        a, b = pairs[draw(st.integers(0, len(pairs) - 2))]
+        pairs[-1] = (a, -b)
+    return ctx, pairs
+
+
+@given(_combination())
+@settings(max_examples=300, deadline=None)
+def test_combine_matches_the_naive_loop(combination):
+    ctx, pairs = combination
+    r = Polynomial.combine(ctx, pairs)
+    assert r == _naive_combine(ctx, pairs)
+    assert r.context == ctx
+    _assert_canonical(r)
+
+
+def test_combine_of_cancelling_pairs_is_zero():
+    a, b = P("X + 1/2"), P("Y - X")
+    assert Polynomial.combine(CTX, [(a, b), (-a, b)]).terms == {}
+    assert Polynomial.combine(CTX, [(2, b), (b, Fraction(-2))]).terms == {}
+    assert Polynomial.combine(CTX, []).terms == {}
+
+
+def test_combine_rejects_foreign_sides():
+    with pytest.raises(ContextMismatchError):
+        Polynomial.combine(CTX, [(P("X"), P("X", CTXT))])
+    with pytest.raises(ContextMismatchError):
+        Polynomial.combine(CTX, [(P("X", CTXT), 2)])
+    with pytest.raises(TypeError):
+        Polynomial.combine(CTX, [(P("X"), "2")])
+    with pytest.raises(TypeError):
+        P("X") * 0.5
+
+
 def test_constructor_rejects_invalid_monomials():
     with pytest.raises(ValueError):
         Polynomial(CTX, {(1,): 1})

@@ -367,6 +367,17 @@ def test_transcendence_worked_slice():
     assert out.no_relation
 
 
+def test_transcendence_with_a_generator_derivation():
+    # The worked derivation given by generator images applies to a slice
+    # that is no generator through the bounded span.
+    S = Subalgebra.full(CTXT)
+    E = RestrictedDerivation(S, (P("t", CTXT), P("1 - t^2*X", CTXT)))
+    s = P("Y + 1/2*t*X^2", CTXT)
+    assert transcendence_check(E, s, S, 3) == transcendence_check(WORKED, s, S, 3)
+    with pytest.raises(DomainError, match="left the bounded span"):
+        transcendence_check(E, s, S, 1)
+
+
 def test_transcendence_over_trivial_base():
     # no coefficient variables at all: the base span is just the rationals
     ctx = VarContext((), ("Y",))
