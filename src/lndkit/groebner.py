@@ -9,18 +9,21 @@ running dividend is a mutable term dict plus a ``heapq`` of
 ``MonomialOrder.neg_key`` values with lazy deletion, so each step pops the
 leading term instead of rescanning the dividend, and subtracts
 ``q * (divisor minus its leading term)`` in place.  The divisor scan order
-is fixed, so quotients and remainders are those of textbook division.
+is fixed, so quotients and remainders are those of textbook division.  It
+is lndkit's one division loop: ``polygcd.exact_divide`` is ``normal_form``
+by one divisor under lex.
 
 Completion (``buchberger``) caches each basis element's leading monomial
 when it joins the basis and keeps the pending S-pairs in a heap.  Pair
 selection is still the normal strategy, smallest lcm under the active
 order and then ``(i, j)``, so bases and cofactor matrices are
-reproducible across runs.  Every cofactor row is built column by column
-with ``Polynomial.combine``, one pass per column: the row of an S-pair
-whose remainder joins the basis is ``sum(mult * row)`` over the two pair
-multipliers and the negated quotients, and the tail-reduction rows and
-the membership cofactors are built alike.  An S-pair that reduces to zero
-gets no row.
+reproducible across runs.  Every cofactor row is ``_row_sum``, one
+``Polynomial.combine`` per column: the row of an S-pair whose remainder
+joins the basis is ``sum(mult * row)`` over the two pair multipliers and
+the negated quotients, and the membership cofactors are built alike.  An
+S-pair that reduces to zero gets no row.  The minimal basis (``_minimal``,
+in closed form) is then tail-reduced, each survivor joining like a
+remainder.
 
 Both completion and ``GroebnerBasis.verify`` skip the S-pairs that
 Buchberger's two criteria settle (B. Buchberger, EUROSAM 1979; Becker and
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+from .context import VarContext
 from .errors import ContextMismatchError, DomainError
 from .ordering import MonomialOrder
 from .polynomial import Monomial, Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
@@ -60,18 +64,16 @@ def normal_form(
     divisor scan order is fixed, so the output is deterministic.
     """
     ctx = p.context
-    for d in divisors:
-        if d.context != ctx:
-            raise ContextMismatchError("normal_form operands share no context")
     neg_key = order.neg_key
-    lead = []  # per divisor: (leading monomial, leading coefficient, tail terms) or None
+    quots: list[dict[Monomial, Fraction]] = []
+    lead = []  # per nonzero divisor: leading monomial, leading coefficient, tail terms, quotient
     for d in divisors:
-        if d.is_zero():
-            lead.append(None)
-        else:
+        if d.context is not ctx and d.context != ctx:
+            raise ContextMismatchError("normal_form operands share no context")
+        quots.append({})
+        if d.terms:
             lm, lc = leading_term(d, order)
-            lead.append((lm, lc, [(m, c) for m, c in d.terms.items() if m != lm]))
-    quots: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
+            lead.append((lm, lc, [(m, c) for m, c in d.terms.items() if m != lm], quots[-1]))
     rem: dict[Monomial, Fraction] = {}
     h = dict(p.terms)
     heap = [(neg_key(m), m) for m in h]
@@ -81,12 +83,12 @@ def normal_form(
         hc = h.pop(hm, None)
         if hc is None:
             continue  # cancelled after it was pushed
-        for k, lt in enumerate(lead):
-            if lt is not None and mono_divides(lt[0], hm):
-                qm = mono_div(hm, lt[0])
-                qc = hc / lt[1]
-                quots[k][qm] = qc  # leading monomials strictly fall, so qm is new
-                for m, c in lt[2]:
+        for lm, lc, tail, q in lead:
+            if mono_divides(lm, hm):
+                qm = mono_div(hm, lm)
+                qc = hc / lc
+                q[qm] = qc  # leading monomials strictly fall, so qm is new
+                for m, c in tail:
                     m = mono_mul(qm, m)
                     acc = h.get(m)
                     if acc is None:
@@ -199,6 +201,20 @@ def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynom
     return Polynomial.combine(ctx, ((uf, f), (ug, g)))
 
 
+def _row_sum(ctx: VarContext, parts: list[tuple], ncols: int) -> list[Polynomial]:
+    """Cofactor row ``sum(mult * row)`` over ``(mult, row)`` parts, one ``combine`` per column."""
+    return [Polynomial.combine(ctx, ((mult, row[col]) for mult, row in parts))
+            for col in range(ncols)]
+
+
+def _minimal(lms: list[Monomial]) -> list[int]:
+    """Indices of a minimal basis: ``i`` survives unless another leading monomial
+    divides ``lms[i]``; of equal leading monomials the last survives."""
+    return [i for i, lm in enumerate(lms)
+            if not any(mono_divides(other, lm) and (j > i or other != lm)
+                       for j, other in enumerate(lms))]
+
+
 def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of <gens> with cofactor tracking.
 
@@ -228,9 +244,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         inv = one / lc
         basis.append(poly * inv)
         lms.append(lm)
-        parts = [(mult * inv, row) for mult, row in parts]
-        rows.append([Polynomial.combine(ctx, ((mult, row[col]) for mult, row in parts))
-                     for col in range(n_in)])
+        rows.append(_row_sum(ctx, [(mult * inv, row) for mult, row in parts], n_in))
 
     for j, g in enumerate(inputs):
         if not g.is_zero():
@@ -272,41 +286,15 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
             push(rem, parts)
             add_pairs(len(basis) - 1)
 
-    # Minimalize: drop elements whose leading term another element divides.
-    alive = list(range(len(basis)))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            for j in alive:
-                if i != j and mono_divides(lms[j], lms[i]):
-                    alive.remove(i)
-                    changed = True
-                    break
-            if changed:
-                break
-
-    # Tail-reduce every survivor against the others.
-    reduced: list[Polynomial] = []
-    reduced_rows: list[list[Polynomial]] = []
+    # Minimalize, then push each survivor tail-reduced against the others.
+    alive = _minimal(lms)
     for i in alive:
-        others = [basis[j] for j in alive if j != i]
-        other_rows = [rows[j] for j in alive if j != i]
-        rem, quots = normal_form(basis[i], others, order)
-        _, lc = leading_term(rem, order)
-        inv = one / lc
-        parts = [(inv, rows[i])]
-        parts += [(q * -inv, other_row) for q, other_row in zip(quots, other_rows) if q]
-        reduced.append(rem * inv)
-        reduced_rows.append([Polynomial.combine(ctx, ((mult, row[col]) for mult, row in parts))
-                             for col in range(n_in)])
-
-    ordering = sorted(range(len(reduced)), key=lambda k: order.key(leading_term(reduced[k], order)[0]))
+        others = [j for j in alive if j != i]
+        rem, quots = normal_form(basis[i], [basis[j] for j in others], order)
+        push(rem, [(one, rows[i])] + [(-q, rows[j]) for q, j in zip(quots, others) if q])
+    reduced = sorted(range(len(basis) - len(alive), len(basis)), key=lambda k: order.key(lms[k]))
     result = GroebnerBasis(
-        order,
-        inputs,
-        tuple(reduced[k] for k in ordering),
-        tuple(tuple(reduced_rows[k]) for k in ordering),
+        order, inputs, tuple(basis[k] for k in reduced), tuple(tuple(rows[k]) for k in reduced)
     )
     result.verify()
     return result
@@ -329,9 +317,7 @@ def ideal_member(
     rem, quots = normal_form(p, list(gb.generators), gb.order)
     if not rem.is_zero():
         return None
-    parts = [(q, row) for q, row in zip(quots, gb.cofactors) if q]
-    cof = [Polynomial.combine(p.context, ((q, row[col]) for q, row in parts))
-           for col in range(len(gens))]
+    cof = _row_sum(p.context, [(q, row) for q, row in zip(quots, gb.cofactors) if q], len(gens))
     if Polynomial.combine(p.context, zip(cof, gens)) != p:
         raise AssertionError("membership cofactors failed re-verification")
     return cof

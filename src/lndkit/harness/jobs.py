@@ -21,7 +21,8 @@ list items.  Every task line is checked against ``runner.TASKS``;
 ``TaskSpec.params`` keeps the raw text and ``TaskSpec.args`` the typed
 values.  ``expect`` records attach expected outcomes (with provenance tags)
 to the preceding task; they are ignored by ``run_job`` and consumed by the
-corpus comparator.  Parse errors carry line numbers.
+corpus comparator.  The records of ``SINGLE_RECORDS`` appear at most once.
+Parse errors carry line numbers.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .runner import check_task, split_items
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*\Z")
 
 PROVENANCE_TAGS = ("trivial", "derived", "external")
+
+SINGLE_RECORDS = ("job", "ring coeff", "ring main", "base", "algebra", "seed", "output", "tags")
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,7 @@ def parse_job(text: str) -> JobSpec:
     output: str | None = None
     notes: list[str] = []
     tags: tuple[str, ...] = ()
+    seen: set[str] = set()
 
     def fail(msg: str, line_no: int):
         raise JobParseError(msg, line_no)
@@ -178,9 +182,14 @@ def parse_job(text: str) -> JobSpec:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("base", "algebra") and rest.startswith(":"):
+            head, rest = head + ":", rest[1:].strip()
+        record = "ring " + rest.partition(":")[0].strip() if head == "ring" else head.rstrip(":")
+        if record in SINGLE_RECORDS:
+            if record in seen:
+                fail(f"duplicate {record} line", line_no)
+            seen.add(record)
         if head == "job":
-            if name is not None:
-                fail("duplicate job line", line_no)
             if not _NAME_RE.match(rest):
                 fail(f"invalid job identifier {rest!r}", line_no)
             name = rest
@@ -197,10 +206,6 @@ def parse_job(text: str) -> JobSpec:
             base_decl = (line_no, rest)
         elif head == "algebra:":
             algebra_decl = (line_no, rest)
-        elif head == "base" and rest.startswith(":"):
-            base_decl = (line_no, rest[1:].strip())
-        elif head == "algebra" and rest.startswith(":"):
-            algebra_decl = (line_no, rest[1:].strip())
         elif head == "derivation":
             dname, sep, body = rest.partition(":")
             dname = dname.strip()

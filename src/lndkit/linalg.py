@@ -4,7 +4,9 @@ Vectors are dicts keyed by ambient monomials (tuples) with nonzero
 ``Fraction`` entries.  :class:`RowSpace` maintains a forward-eliminated
 row space with combination tracking, which yields membership certificates
 (express a target over the inserted vectors) and dependency relations
-(nullspace vectors of the inserted family) as by-products.
+(nullspace vectors of the inserted family) as by-products.  It is the one
+elimination loop: ``canonical_rref`` fills a ``RowSpace`` and only
+back-substitutes its rows.
 """
 
 from __future__ import annotations
@@ -94,27 +96,18 @@ def canonical_rref(vectors: Iterable[Vec]) -> list[Vec]:
 
     The output depends only on the span, not on the presentation: pivots
     are the largest keys, rows are pivot-monic and mutually reduced, and
-    rows are listed by descending pivot.
+    rows are listed by descending pivot.  The ``RowSpace`` rows are
+    pivot-monic already; back-substitution in ascending pivot order clears
+    the lower pivots from each.
     """
-    rows: dict[tuple, Vec] = {}
-    for vec in vectors:
-        red = dict(vec)
-        while True:
-            hits = [k for k in red if k in rows]
-            if not hits:
-                break
-            hit = max(hits)
-            _axpy(red, rows[hit], -red[hit])
-        if not red:
-            continue
-        pivot = max(red)
-        scale = Fraction(1) / red[pivot]
-        red = {k: v * scale for k, v in red.items()}
-        for other in rows.values():
-            if pivot in other:
-                _axpy(other, red, -other[pivot])
-        rows[pivot] = red
-    return [rows[p] for p in sorted(rows, reverse=True)]
+    space = RowSpace()
+    for tag, vec in enumerate(vectors):
+        space.insert(vec, tag)
+    rows = {pivot: space._rows[pivot][0] for pivot in sorted(space._rows)}
+    for pivot, row in rows.items():
+        for lower in [k for k in row if k in rows and k < pivot]:
+            _axpy(row, rows[lower], -row[lower])
+    return list(reversed(rows.values()))
 
 
 def reduce_by_rref(vec: Vec, rref_rows: list[Vec]) -> Vec:

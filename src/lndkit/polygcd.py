@@ -6,68 +6,52 @@ primitive parts and recursing into coefficient rings for contents.  The
 result is normalized so its lexicographic leading coefficient is 1, and
 exact divisibility of both inputs is checked before returning.
 
-The kernels work on mutable term dicts: ``exact_divide`` is heap division
-under descending lex (one pop per step, the divisor's tail subtracted in
-place), ``_prem`` builds each pseudo-division step in one dict and skips
-the products that cancel, and the coefficient views are built through
+``exact_divide`` is ``groebner.normal_form`` by one divisor under the
+context's lex order, so lndkit has one heap-division loop.  ``_prem`` builds
+each pseudo-division step in one term dict and skips the products that
+cancel, and the coefficient views are built through
 ``Polynomial._trusted``, since their terms are valid by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from operator import neg
+from functools import cache
 
 from .errors import ContextMismatchError, DomainError
-from .polynomial import Monomial, Polynomial, mono_div, mono_divides, mono_mul
+from .groebner import normal_form
+from .ordering import MonomialOrder
+from .polynomial import Monomial, Polynomial, mono_mul
 
 
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial | None:
     """Quotient p/d when the division is exact, else None.
 
-    Heap division under descending lex: the dividend is a mutable term dict
-    plus a ``heapq`` of negated monomials with lazy deletion, so each step
-    pops the leading term and subtracts ``q * (d minus its leading term)``
-    in place.
+    ``groebner.normal_form`` by the single divisor ``d`` under the
+    context's lex order; a zero ``d`` raises ``DomainError``.
     """
-    if p.context != d.context:
-        raise ContextMismatchError("exact_divide operands share no context")
     if d.is_zero():
         raise DomainError("division by the zero polynomial")
-    d_mono, d_coeff = d.lex_leading()
-    d_tail = [(m, c) for m, c in d.terms.items() if m != d_mono]
-    quotient: dict[Monomial, Fraction] = {}
-    rem = dict(p.terms)
-    heap = [tuple(map(neg, m)) for m in rem]
-    heapify(heap)
-    while heap:
-        r_mono = tuple(map(neg, heappop(heap)))
-        r_coeff = rem.pop(r_mono, None)
-        if r_coeff is None:
-            continue  # cancelled after it was pushed
-        if not mono_divides(d_mono, r_mono):
-            return None
-        q_mono = mono_div(r_mono, d_mono)
-        q_coeff = r_coeff / d_coeff
-        quotient[q_mono] = q_coeff  # leading monomials strictly fall, so q_mono is new
-        for m, c in d_tail:
-            m = mono_mul(q_mono, m)
-            acc = rem.get(m)
-            if acc is None:
-                rem[m] = -q_coeff * c
-                heappush(heap, tuple(map(neg, m)))
-            else:
-                acc -= q_coeff * c
-                if acc:
-                    rem[m] = acc
-                else:
-                    del rem[m]
-    return Polynomial._trusted(p.context, quotient)
+    rem, (quotient,) = normal_form(p, [d], _lex_order(p.context.nvars))
+    return quotient if rem.is_zero() else None
+
+
+@cache
+def _lex_order(nvars: int) -> MonomialOrder:
+    """``MonomialOrder.lex`` of any context with ``nvars`` variables, built once."""
+    return MonomialOrder("lex", tuple(range(nvars)))
 
 
 def divides(d: Polynomial, p: Polynomial) -> bool:
     return exact_divide(p, d) is not None
+
+
+def _quotient(p: Polynomial, d: Polynomial, what: str) -> Polynomial:
+    """``p / d`` for a division the algorithm knows is exact; a remainder is a bug."""
+    q = exact_divide(p, d)
+    if q is None:
+        raise AssertionError(f"{what} division must be exact")
+    return q
 
 
 def _univariate_coeffs(p: Polynomial, i: int) -> dict[int, Polynomial]:
@@ -153,39 +137,24 @@ def _gcd_inner(p: Polynomial, q: Polynomial) -> Polynomial:
         return _gcd_inner(_content(p, i), q)
     cp, cq = _content(p, i), _content(q, i)
     c = _gcd_inner(cp, cq)
-    f1 = exact_divide(p, cp)
-    f2 = exact_divide(q, cq)
-    if f1 is None or f2 is None:
-        raise AssertionError("content division must be exact")
+    f1, f2 = _quotient(p, cp, "content"), _quotient(q, cq, "content")
     if _deg_in(f1, i) < _deg_in(f2, i):
         f1, f2 = f2, f1
-    g = Polynomial.one(ctx)
-    h = Polynomial.one(ctx)
+    g = h = Polynomial.one(ctx)
     while True:
         delta = _deg_in(f1, i) - _deg_in(f2, i)
         rem = _prem(f1, f2, i)
         if rem.is_zero():
-            pp = exact_divide(f2, _content(f2, i))
-            if pp is None:
-                raise AssertionError("primitive part division must be exact")
-            return (c * pp).monic_lex()
+            return (c * _quotient(f2, _content(f2, i), "primitive part")).monic_lex()
         if _deg_in(rem, i) == 0:
             return c.monic_lex()
         f1 = f2
-        divisor = g * h ** delta
-        f2 = exact_divide(rem, divisor)
-        if f2 is None:
-            raise AssertionError("subresultant division must be exact")
+        f2 = _quotient(rem, g * h ** delta, "subresultant")
         g = _lead_coeff_in(f1, i)
-        if delta == 0:
-            pass
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
-            h_new = exact_divide(g ** delta, h ** (delta - 1))
-            if h_new is None:
-                raise AssertionError("subresultant scaling division must be exact")
-            h = h_new
+        elif delta > 1:
+            h = _quotient(g ** delta, h ** (delta - 1), "subresultant scaling")
 
 
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lndkit
-from lndkit import DomainError, Polynomial, VarContext, divides, exact_divide, gcd, parse_polynomial, polygcd
+from lndkit import (
+    ContextMismatchError, DomainError, Polynomial, VarContext, divides, exact_divide, gcd,
+    parse_polynomial, polygcd,
+)
 from lndkit.polynomial import mono_div, mono_divides
 
 from helpers import rand_poly
@@ -58,6 +61,10 @@ def test_exact_divide():
     q = exact_divide(P("X^2 - Y^2"), P("X - Y"))
     assert q == P("X + Y")
     assert exact_divide(P("X^2 + 1"), P("X")) is None
+    with pytest.raises(DomainError):
+        exact_divide(P("X"), Polynomial.zero(CTX))
+    with pytest.raises(ContextMismatchError):
+        exact_divide(P("X"), P("X", CTXT))
 
 
 def _reference_exact_divide(p, d):

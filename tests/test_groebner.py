@@ -24,7 +24,7 @@ from lndkit import (
 from lndkit import groebner
 from lndkit.groebner import _s_polynomial, leading_term
 from lndkit.linalg import vec_of
-from lndkit.polynomial import mono_div, mono_divides
+from lndkit.polynomial import mono_div, mono_divides, mono_mul
 
 from helpers import cyclic, katsura, rand_poly
 
@@ -397,3 +397,49 @@ def test_bases_are_reduced():
                 for j, (mj, _) in enumerate(leads):
                     if i != j:
                         assert not mono_divides(mj, mono)
+
+
+def _reference_minimal(lms):
+    """The drop-one-at-a-time loop that ``groebner._minimal`` replaces."""
+    alive = list(range(len(lms)))
+    changed = True
+    while changed:
+        changed = False
+        for i in list(alive):
+            for j in alive:
+                if i != j and mono_divides(lms[j], lms[i]):
+                    alive.remove(i)
+                    changed = True
+                    break
+            if changed:
+                break
+    return alive
+
+
+_exponents = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+@st.composite
+def _leading_monomials(draw):
+    """Monomials with repeats (a zero multiplier) and divisibility chains."""
+    lms = draw(st.lists(_exponents, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        lms.append(mono_mul(draw(st.sampled_from(lms)), draw(_exponents)))
+    return draw(st.permutations(lms))
+
+
+@given(_leading_monomials())
+@example([(2, 0, 0), (2, 0, 0)])  # groebner-golden: X^2; X^2 + X keeps the second
+@example([(1, 0, 0), (1, 1, 0), (1, 1, 0), (1, 0, 0), (0, 0, 1)])
+@settings(max_examples=300, deadline=None)
+def test_closed_form_minimalization_matches_the_loop(lms):
+    assert groebner._minimal(lms) == _reference_minimal(lms)
+
+
+def test_one_variable_orders():
+    ctx = VarContext((), ("X",))
+    lex, drl = MonomialOrder.lex(ctx), MonomialOrder.degrevlex(ctx)
+    assert [lex.key((3,)), lex.neg_key((3,))] == [(3,), (-3,)]
+    assert [drl.key((3,)), drl.neg_key((3,))] == [(3, (-3,)), (-3, (3,))]
+    x2, x3, x = (Polynomial(ctx, {(e,): 1, (0,): -1}) for e in (2, 3, 1))
+    assert buchberger([x2, x3], lex).generators == (x,)

@@ -1,6 +1,7 @@
-"""Task lines are checked against the task table when a job is parsed.
+"""Task lines are checked against the task table when a job is parsed, and
+records a job holds once may not repeat.
 
-Every rejection is a parse error: ``lndkit run`` exits 2 with the task's
+Every rejection is a parse error: ``lndkit run`` exits 2 with the offending
 line number, no traceback and no report, before any task runs.
 """
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lndkit import JobParseError
-from lndkit.harness import parse_job, run_job
+from lndkit.harness import jobs, parse_job, run_job
 from lndkit.harness.cli import main as cli_main
 from lndkit.harness.runner import TASK_NAMES, TASKS, Default
 
@@ -208,3 +209,49 @@ def test_a_corpus_entry_without_a_bound_is_an_input_error(tmp_path, monkeypatch)
     result = CliRunner().invoke(cli_main, ["corpus"])
     assert result.exit_code == 2
     assert "unbounded.job: task 2 (find_slice): missing parameter bound" in result.output
+
+
+SINGLES = """job singles
+ring coeff: t
+ring main: X, Y
+base: full
+algebra: full
+seed: 3
+output: singles.txt
+tags: checks
+derivation D: X: t, Y: 1 - t^2*X
+task nilpotency derivation=D
+"""
+REPEATED_LINE = 11  # the line after SINGLES
+
+REPEATS = {
+    "job": "job again",
+    "ring coeff": "ring coeff: u",
+    "ring main": "ring main: Z",
+    "base": "base : t",
+    "algebra": "algebra: X; Y",
+    "seed": "seed: 5",
+    "output": "output: other.txt",
+    "tags": "tags: extra",
+}
+
+
+def test_every_single_record_is_covered():
+    assert set(REPEATS) == set(jobs.SINGLE_RECORDS)
+    spec = parse_job(SINGLES)
+    assert (spec.context.main_vars, spec.seed, spec.tags) == (("X", "Y"), 3, ("checks",))
+
+
+@pytest.mark.parametrize("record, line", REPEATS.items(), ids=REPEATS.keys())
+def test_a_repeated_single_record_is_rejected_at_its_line(tmp_path, record, line):
+    text = SINGLES + line + "\n"
+    with pytest.raises(JobParseError, match=f"duplicate {record} line") as err:
+        parse_job(text)
+    assert err.value.line == REPEATED_LINE
+    job = tmp_path / "repeated.job"
+    job.write_text(text)
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"duplicate {record} line (line {REPEATED_LINE}, column 1)" in result.output
+    assert "lndkit-report" not in result.output
