@@ -9,6 +9,7 @@ from .derivation import (
     is_fixed_point_free,
     is_irreducible,
     is_triangular,
+    iterates,
     nilpotency_verdict,
 )
 from .errors import (

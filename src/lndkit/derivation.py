@@ -6,6 +6,10 @@ computes ``sum_x dp/dx * D(x)`` over the main variables.  Local
 nilpotency is certified on generators by bounded iteration; triangularity
 gives an unconditional certificate in characteristic zero.
 
+``iterates`` is the one loop that applies D until the image vanishes:
+nilpotency indices, Dixmier sums and the retraction and complementary
+certificates read their iterates from it.
+
 ``apply`` and ``product_images`` are the protocol shared with
 ``RestrictedDerivation``, so slice search, projection and kernel
 computations take either kind.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
@@ -59,15 +63,6 @@ class Derivation:
         """Images of the polynomials of ``(exponents, polynomial)`` generator products."""
         return [self.apply(poly) for _, poly in products]
 
-    def iterate(self, p: Polynomial, n: int) -> Polynomial:
-        if n < 0:
-            raise ValueError("iteration count must be non-negative")
-        for _ in range(n):
-            if p.is_zero():
-                break
-            p = self.apply(p)
-        return p
-
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
 
@@ -83,27 +78,42 @@ class NilpotencyVerdict:
         return "certified-lnd" if self.certified else "inconclusive"
 
 
+def iterates(
+    apply: Callable[[Polynomial], Polynomial], a: Polynomial, cap: int
+) -> list[Polynomial] | None:
+    """The nonzero iterates ``[a, D(a), ..., D^(n-1)(a)]``, where D^n(a) == 0.
+
+    D is given by ``apply``.  The list has length n, the nilpotency index
+    of ``a`` (0 for ``a == 0``), and n may reach ``cap + 1``: None means
+    D^(cap+1)(a) is still nonzero, after at most ``cap + 1`` applications.
+    """
+    out: list[Polynomial] = []
+    f = a
+    while f:
+        if len(out) > cap:
+            return None
+        out.append(f)
+        f = apply(f)
+    return out
+
+
 def nilpotency_verdict(D: Derivation, bound: int = DEFAULT_NILPOTENCY_BOUND) -> NilpotencyVerdict:
     """Certify local nilpotency on the ring generators by iteration.
 
-    Certification on the main variables suffices because the locally
-    nilpotent locus is a subalgebra.  An exhausted bound is reported as
-    inconclusive, never as a refutation.
+    Each main variable x is certified when D^(bound+1)(x) == 0, so an index
+    (the smallest n with D^n(x) == 0) can be ``bound + 1``.  Certification
+    on the main variables suffices because the locally nilpotent locus is a
+    subalgebra.  An exhausted bound is reported as inconclusive, never as a
+    refutation.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     indices: dict[str, int] = {}
     for name in D.context.main_vars:
-        p = Polynomial.variable(D.context, name)
-        n = 0
-        while n <= bound:
-            if p.is_zero():
-                break
-            p = D.apply(p)
-            n += 1
-        if not p.is_zero():
+        its = iterates(D.apply, Polynomial.variable(D.context, name), bound)
+        if its is None:
             return NilpotencyVerdict(False, None, bound)
-        indices[name] = n
+        indices[name] = len(its)
     return NilpotencyVerdict(True, indices, bound)
 
 

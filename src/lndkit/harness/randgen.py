@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 
 from ..context import VarContext
-from ..derivation import Derivation, is_fixed_point_free, is_triangular, nilpotency_verdict
+from ..derivation import Derivation, is_fixed_point_free, is_triangular, iterates, nilpotency_verdict
 from ..groebner import ideal_member
 from ..linalg import RowSpace, vec_of
 from ..polynomial import Polynomial
@@ -23,22 +24,13 @@ from ..subalgebra import Subalgebra
 
 @dataclass(frozen=True)
 class TriangularProfile:
-    num_coeff_vars: int = 1
-    image_degree: int = 3
     fpf: bool = True
 
-    def __post_init__(self):
-        if not 0 <= self.num_coeff_vars <= 2:
-            raise ValueError("at most two coefficient variables are supported")
-        if not 1 <= self.image_degree <= 3:
-            raise ValueError("image degree must be between 1 and 3")
 
-
-_COEFF_NAMES = ("t", "u")
-
-
-def _context(profile: TriangularProfile) -> VarContext:
-    return VarContext(_COEFF_NAMES[: profile.num_coeff_vars], ("X", "Y"))
+_TRIANGULAR_CONTEXT = VarContext(("t",), ("X", "Y"))
+_IMAGE_DEGREE = 3
+_MAX_POWER = 5
+_ORACLE_DEGREE = 6
 
 
 def _rand_coeff(rng: random.Random) -> Fraction:
@@ -58,19 +50,19 @@ def _rand_poly(rng, ctx, names, degree, terms, allow_zero=True) -> Polynomial:
 
 
 def random_triangular_lnd(seed: int, profile: TriangularProfile = TriangularProfile()) -> Derivation:
-    """Deterministic-by-seed triangular derivation on two main variables.
+    """Deterministic-by-seed triangular derivation of k[t][X, Y].
 
     With ``fpf`` requested the construction arranges a unit in the image
     ideal and the fixed-point-free verdict is re-checked before returning;
     without it the images generate a proper ideal, also re-checked.
     """
     rng = random.Random(seed)
-    ctx = _context(profile)
+    ctx = _TRIANGULAR_CONTEXT
     coeff = ctx.coeff_vars
-    deg = profile.image_degree
+    deg = _IMAGE_DEGREE
     while True:
         if profile.fpf:
-            if rng.random() < 0.5 or not coeff:
+            if rng.random() < 0.5:
                 img_x = Polynomial.constant(ctx, _rand_coeff(rng))
                 img_y = _rand_poly(rng, ctx, coeff + ("X",), deg, 3)
             else:
@@ -113,13 +105,11 @@ class FamilyOutcome:
         return not self.failures
 
 
-def run_slice_pipeline_family(
-    seed: int, count: int, profile: TriangularProfile = TriangularProfile(), bound: int = 8
-) -> FamilyOutcome:
-    """Full pipeline per seeded instance: certify, witness fpf, slice, re-express."""
+def run_slice_pipeline_family(seed: int, count: int, bound: int = 8) -> FamilyOutcome:
+    """Full pipeline per seeded fpf instance: certify, witness fpf, slice, re-express."""
     failures: list[str] = []
     for k in range(count):
-        d = random_triangular_lnd(seed + k, profile)
+        d = random_triangular_lnd(seed + k)
         label = f"seed {seed + k}: " + ", ".join(
             f"{v}->{d.images[v]}" for v in d.context.main_vars
         )
@@ -154,11 +144,12 @@ def run_slice_pipeline_family(
     return FamilyOutcome(count, failures)
 
 
-def run_falling_factorial_family(seed: int, count: int, max_power: int = 5) -> FamilyOutcome:
+def run_falling_factorial_family(seed: int, count: int) -> FamilyOutcome:
     """Iterated images of a*W^m under a retraction-composed derivation.
 
     Checks D^i(a*W^m) == m(m-1)...(m-i+1) * a * W^(m-i) exactly for all
-    1 <= i <= m+1 (the last one vanishing), with a fixed by the retraction.
+    1 <= i <= m+1 (the last one vanishing), with a fixed by the retraction,
+    from one pass of ``derivation.iterates`` (m+1 applications).
     """
     rng = random.Random(seed)
     ctx = VarContext(("t",), ("W", "U1", "U2"))
@@ -192,26 +183,15 @@ def run_falling_factorial_family(seed: int, count: int, max_power: int = 5) -> F
             alpha_names = ("t", "U1")
         rd = lnd_from_retraction(spec)
         alpha = _rand_poly(rng, ctx, alpha_names, 3, 3, allow_zero=False)
-        m = rng.randint(1, max_power)
-        f = alpha * w ** m
-        expected_factor = 1
-        ok = True
-        for i in range(1, m + 2):
-            if i <= m:
-                expected_factor *= m - i + 1
-                expected = expected_factor * alpha * w ** (m - i)
-            else:
-                expected = Polynomial.zero(ctx)
-            if rd.iterate_composed(f, i) != expected:
-                failures.append(f"case {k}: m={m} i={i} alpha={alpha}")
-                ok = False
-                break
-        if not ok:
-            continue
+        m = rng.randint(1, _MAX_POWER)
+        expected = [perm(m, i) * alpha * w ** (m - i) for i in range(m + 1)]  # D^i(a*W^m)
+        got = iterates(rd.apply_composed, expected[0], m)
+        if got != expected:  # None: D^(m+1)(a*W^m) did not vanish
+            failures.append(f"case {k}: m={m} alpha={alpha}")
     return FamilyOutcome(count, failures)
 
 
-def run_groebner_oracle_family(seed: int, count: int, oracle_degree: int = 6) -> FamilyOutcome:
+def run_groebner_oracle_family(seed: int, count: int) -> FamilyOutcome:
     """Membership engine vs. a brute-force bounded-degree linear oracle.
 
     On every instance where the oracle certifies membership the engine
@@ -221,7 +201,7 @@ def run_groebner_oracle_family(seed: int, count: int, oracle_degree: int = 6) ->
     ctx = VarContext((), ("X", "Y"))
     failures: list[str] = []
     monos = [
-        (i, j) for i in range(oracle_degree + 1) for j in range(oracle_degree + 1 - i)
+        (i, j) for i in range(_ORACLE_DEGREE + 1) for j in range(_ORACLE_DEGREE + 1 - i)
     ]
     for k in range(count):
         gens = [

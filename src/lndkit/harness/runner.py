@@ -451,9 +451,7 @@ def _t_coordinates(spec: JobSpec, out: TaskResult, derivations, elements, bound)
 
 
 _FAMILIES = {
-    "triangular-fpf": lambda seed, count, bound: run_slice_pipeline_family(
-        seed, count, TriangularProfile(fpf=True), bound
-    ),
+    "triangular-fpf": lambda seed, count, bound: run_slice_pipeline_family(seed, count, bound),
     "triangular-nonfpf": lambda seed, count, bound: _nonfpf_family(seed, count),
     "falling-factorial": lambda seed, count, bound: run_falling_factorial_family(seed, count),
     "groebner-membership": lambda seed, count, bound: run_groebner_oracle_family(seed, count),

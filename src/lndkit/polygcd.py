@@ -7,7 +7,8 @@ result is normalized so its lexicographic leading coefficient is 1, and
 exact divisibility of both inputs is checked before returning.
 
 ``exact_divide`` is ``groebner.normal_form`` by one divisor under the
-context's lex order, so lndkit has one heap-division loop.  ``_prem`` builds
+context's lex order, so lndkit has one heap-division loop; a constant
+divisor (most often a content of 1) scales instead.  ``_prem`` builds
 each pseudo-division step in one term dict and skips the products that
 cancel, and the coefficient views are built through
 ``Polynomial._trusted``, since their terms are valid by construction.
@@ -28,10 +29,15 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial | None:
     """Quotient p/d when the division is exact, else None.
 
     ``groebner.normal_form`` by the single divisor ``d`` under the
-    context's lex order; a zero ``d`` raises ``DomainError``.
+    context's lex order; a constant ``d`` divides every term, so ``p`` is
+    scaled instead (``p`` itself for ``d == 1``), with the same quotient.
+    A zero ``d`` raises ``DomainError``.
     """
     if d.is_zero():
         raise DomainError("division by the zero polynomial")
+    if d.is_constant() and (d.context is p.context or d.context == p.context):
+        c = d.as_rational()
+        return p if c == 1 else p * (1 / c)
     rem, (quotient,) = normal_form(p, [d], _lex_order(p.context.nvars))
     return quotient if rem.is_zero() else None
 

@@ -17,9 +17,9 @@ base.
 Full-ring ``Derivation``s and ``RestrictedDerivation``s on subalgebras are
 used through the same two methods, ``apply(f, span)`` and
 ``product_images(products)``.  One routine sums the projection (for
-``dixmier``, the induced derivations of ``coordinate_system`` and the
-Taylor bound), and slice search shares its image-kernel solver with
-``kernel_up_to_degree``.
+``dixmier`` and the induced derivations of ``coordinate_system``), slice
+search shares its image-kernel solver with ``kernel_up_to_degree``, and
+every repeated application of a derivation runs ``derivation.iterates``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from .context import VarContext
-from .derivation import Derivation, NilpotencyVerdict
+from .derivation import Derivation, NilpotencyVerdict, iterates
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError
 from .linalg import RowSpace, reduce_by_rref, vec_of
 from .polygcd import exact_divide, gcd
@@ -99,18 +99,14 @@ def _applying_span(D: AnyDerivation, S: Subalgebra, bound: int) -> GeneratorSpan
     return GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
 
 
-def _iterates(apply: Callable[[Polynomial], Polynomial], a: Polynomial) -> Iterator[Polynomial]:
-    """a, D(a), D^2(a), ... up to the last nonzero iterate, D given by ``apply``."""
-    f = a
-    i = 0
-    while not f.is_zero():
-        if i > DIXMIER_ITERATION_CAP:
-            raise DomainError(
-                f"derivation iterates of {a} did not vanish within {DIXMIER_ITERATION_CAP} steps"
-            )
-        yield f
-        f = apply(f)
-        i += 1
+def _iterates(apply: Callable[[Polynomial], Polynomial], a: Polynomial) -> list[Polynomial]:
+    """``derivation.iterates`` up to ``DIXMIER_ITERATION_CAP``, else ``DomainError``."""
+    its = iterates(apply, a, DIXMIER_ITERATION_CAP)
+    if its is None:
+        raise DomainError(
+            f"derivation iterates of {a} did not vanish within {DIXMIER_ITERATION_CAP} steps"
+        )
+    return its
 
 
 def _project(apply: Callable[[Polynomial], Polynomial], s: Polynomial, a: Polynomial) -> Polynomial:
@@ -171,18 +167,19 @@ class IncompleteReexpression:
     bound: int
 
 
-def _taylor_bound(D: Derivation, s: Polynomial, S: Subalgebra) -> int:
+def _taylor_bound(D: Derivation, s: Polynomial, S: Subalgebra, projections: list[Polynomial]) -> int:
     """A re-expression bound sufficient on full rings.
 
     Every generator g satisfies g = sum_i (s^i/i!) * pi_s(D^i g) and
     pi_s substitutes each main variable by its projection, so the witness
-    degree is bounded by the weighted degree of the iterates.
+    degree is bounded by the weighted degree of the iterates.  On a full
+    ring ``projections``, those of the algebra generators, are the main
+    variables' projections.
     """
     ctx = S.context
     ncoeff = len(ctx.coeff_vars)
     proj_deg = {}
-    for idx, name in enumerate(ctx.main_vars):
-        k = dixmier(D, s, Polynomial.variable(ctx, name))
+    for idx, k in enumerate(projections):
         d = k.degree()
         proj_deg[ncoeff + idx] = 0 if d is None else max(d, 0)
     s_deg = max(1, s.degree() or 1)
@@ -212,10 +209,11 @@ def verify_slice_theorem(
     witness identities are exact; a miss returns the incomplete set
     rather than failing.
     """
-    kgens = kernel_generators(D, s, S, span)
+    projections = [dixmier(D, s, g, span) for g in S.algebra_generators]
+    kgens = list(distinct_nonconstant(projections))
     if bound is None:
         if isinstance(D, Derivation) and S.full_ring:
-            bound = _taylor_bound(D, s, S)
+            bound = _taylor_bound(D, s, S, projections)
         else:
             raise ValueError("an explicit bound is required off the full ring")
     witnesses = _reexpress(S, tuple(kgens) + (s,), bound)
@@ -294,6 +292,7 @@ class RetractionDerivation:
 
     ``apply_composed`` is the total formula f -> retract(df/dW); it is a
     derivation on the target subalgebra (not on the whole ambient ring).
+    Its powers are ``derivation.iterates(rd.apply_composed, f, cap)``.
     """
 
     spec: RetractionSpec
@@ -303,46 +302,32 @@ class RetractionDerivation:
     def apply_composed(self, f: Polynomial) -> Polynomial:
         return self.spec.retract(f.partial_derivative(self.spec.slice_var))
 
-    def iterate_composed(self, f: Polynomial, n: int) -> Polynomial:
-        for _ in range(n):
-            if f.is_zero():
-                break
-            f = self.apply_composed(f)
-        return f
-
 
 def lnd_from_retraction(spec: RetractionSpec) -> RetractionDerivation:
     """Build the derivation g -> retract(dg/dW) on the subalgebra.
 
     Construction checks: the slice variable (when it is a generator) maps
-    to 1, every retraction image is killed, and each generator vanishes
-    within (its degree in the slice variable) + 1 iterations, which
-    certifies local nilpotency.
+    to 1, every retraction image is killed, and the iterates of each
+    generator g vanish within the cap deg_W(g) + 1 of ``iterates``, which
+    certifies local nilpotency.  A generator's index and its image come
+    from one list of its iterates.
     """
     S = spec.subalgebra
     ctx = S.context
     w = spec.slice_var
+    wpoly = Polynomial.variable(ctx, w)
     images = []
     indices: dict[str, int] = {}
     for g in S.algebra_generators:
-        img = spec.retract(g.partial_derivative(w))
-        images.append(img)
-        cap = (g.degree_in(w) or 0) + 1
-        f = g
-        n = 0
-        while not f.is_zero():
-            if n > cap:
-                raise AssertionError("retraction derivation exceeded its grading bound")
-            f = spec.retract(f.partial_derivative(w))
-            n += 1
-        indices[str(g)] = n
-    wpoly = Polynomial.variable(ctx, w)
-    for g, img in zip(S.algebra_generators, images):
-        if g == wpoly and img != Polynomial.one(ctx):
+        its = iterates(lambda f: spec.retract(f.partial_derivative(w)), g, (g.degree_in(w) or 0) + 1)
+        if its is None:
+            raise AssertionError("retraction derivation exceeded its grading bound")
+        images.append(its[1] if len(its) > 1 else Polynomial.zero(ctx))
+        if g == wpoly and images[-1] != Polynomial.one(ctx):
             raise AssertionError("slice variable image is not 1")
+        indices[str(g)] = len(its)
     for img_name, fixed in spec.fixed_images.items():
-        killed = spec.retract(fixed.partial_derivative(w))
-        if not killed.is_zero():
+        if not spec.retract(fixed.partial_derivative(w)).is_zero():
             raise AssertionError(f"retraction image of {img_name!r} is not killed")
     verdict = NilpotencyVerdict(True, indices, max(indices.values(), default=1))
     return RetractionDerivation(spec, RestrictedDerivation(S, tuple(images)), verdict)
@@ -397,8 +382,10 @@ def complementary_lnd(
     images are t^(alpha-k) * dN_g/dU0 with denominators cleared by powers
     of t, and the least alpha <= alpha_cap for which every image lies in
     the bounded span of S is accepted.  Post-checks: the image of V is
-    zero, nilpotency is certified from the U0-degrees of the witnesses,
-    and the bounded kernel lies in the span of the base adjoined with V.
+    zero, nilpotency is certified by the d/dU0 iterates of the witness
+    numerators (each generator's index is their number, its numerator's
+    U0-degree plus one), and the bounded kernel lies in the span of the
+    base adjoined with V.
 
     Raises FailsUpToCapError with the per-alpha trace when no alpha works.
     """
@@ -492,20 +479,16 @@ def complementary_lnd(
     if not images[v_index].is_zero():
         raise AssertionError("the kernel coordinate is not killed")
 
+    d_u = partial(Polynomial.partial_derivative, name=COORD_U)
     indices: dict[str, int] = {}
     for g, cw in zip(S.algebra_generators, witnesses):
-        du = cw.numerator.degree_in(COORD_U)
-        idx = 0 if cw.numerator.is_zero() else (du or 0) + 1
-        probe = cw.numerator
-        for _ in range(idx):
-            probe = probe.partial_derivative(COORD_U)
-        if not probe.is_zero():
+        its = iterates(d_u, cw.numerator, cw.numerator.degree_in(COORD_U) or 0)
+        if its is None:
             raise AssertionError("nilpotency index check failed")
-        indices[str(g)] = idx
+        indices[str(g)] = len(its)
     verdict = NilpotencyVerdict(True, indices, max(indices.values(), default=1))
 
-    kernel_span = GeneratorSpan(S, kernel_bound)
-    basis = kernel_up_to_degree(rd, S, kernel_bound, kernel_span)
+    basis = kernel_up_to_degree(rd, S, kernel_bound)
     sv = Subalgebra(ctx, S.base_generators, (v,))
     sv_span = GeneratorSpan(sv, kernel_bound)
     for f in basis:
@@ -542,10 +525,9 @@ def transcendence_check(
         raise DomainError("transcendence check requires a unit image for x")
     ctx = S.context
     base_only = Subalgebra(ctx, S.base_generators, ())
-    base_products = [poly for _, poly in GeneratorSpan(base_only, bound).products]
     independent: list[Polynomial] = []
     probe = RowSpace()
-    for p in base_products:
+    for _, p in generator_products(base_only, bound):
         if probe.insert(vec_of(p), len(independent)) is None:
             independent.append(p)
     space = RowSpace()

@@ -257,7 +257,7 @@ class RestrictionFailure:
 
 
 def restrict_derivation(
-    D: Derivation, S: Subalgebra, bound: int, span: GeneratorSpan | None = None
+    D: Derivation, S: Subalgebra, bound: int
 ) -> tuple[RestrictedDerivation, tuple[MembershipWitness, ...]] | RestrictionFailure:
     """Restrict an ambient derivation to S, witnessing every image.
 
@@ -265,8 +265,7 @@ def restrict_derivation(
     g; base generators are killed automatically.  Returns the failing
     generator with its image otherwise.
     """
-    if span is None:
-        span = GeneratorSpan(S, bound)
+    span = GeneratorSpan(S, bound)
     images = []
     witnesses = []
     for g in S.algebra_generators:
@@ -279,29 +278,26 @@ def restrict_derivation(
     return RestrictedDerivation(S, tuple(images)), tuple(witnesses)
 
 
-def subalgebra_fpf(
-    rd: RestrictedDerivation, bound: int, span: GeneratorSpan | None = None
-) -> list[Polynomial] | None:
+def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | None:
     """Bounded search for cofactors a_i in S with sum(a_i * D(g_i)) == 1.
 
     Returns cofactors aligned with the algebra generators, or None when no
     combination exists within the bound (not a refutation).
     """
     S = rd.subalgebra
-    if span is None:
-        span = GeneratorSpan(S, bound)
+    products = generator_products(S, bound)
     ctx = S.context
     space = RowSpace()
     for i, img in enumerate(rd.images):
         if img.is_zero():
             continue
-        for j, (_, poly) in enumerate(span.products):
+        for j, (_, poly) in enumerate(products):
             space.insert(vec_of(poly * img), (j, i))
     combo = space.express(vec_of(Polynomial.one(ctx)))
     if combo is None:
         return None
     cof = [
-        Polynomial.combine(ctx, ((span.products[j][1], c) for (j, k), c in combo.items() if k == i))
+        Polynomial.combine(ctx, ((products[j][1], c) for (j, k), c in combo.items() if k == i))
         for i in range(len(rd.images))
     ]
     if Polynomial.combine(ctx, zip(cof, rd.images)) != Polynomial.one(ctx):
@@ -337,18 +333,14 @@ def _image_kernel(
 
 
 def kernel_up_to_degree(
-    D: Derivation | RestrictedDerivation,
-    S: Subalgebra,
-    bound: int,
-    span: GeneratorSpan | None = None,
+    D: Derivation | RestrictedDerivation, S: Subalgebra, bound: int
 ) -> list[Polynomial]:
     """Basis of {f in bounded span of S : D(f) == 0}.
 
     Exact nullspace of the derivation on the span of generator products;
     every relation and every basis element is re-verified.
     """
-    if span is None:
-        span = GeneratorSpan(S, bound)
+    span = GeneratorSpan(S, bound)
     products = span.products
     images = D.product_images(products)
     _, dependencies, kernel = _image_kernel(images, products)

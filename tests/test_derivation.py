@@ -16,6 +16,7 @@ from lndkit import (
     is_fixed_point_free,
     is_irreducible,
     is_triangular,
+    iterates,
     nilpotency_verdict,
     parse_polynomial,
 )
@@ -56,18 +57,48 @@ def test_apply_kills_constants():
 def test_iterate_factorial():
     ctx = VarContext((), ("U", "W"))
     dw = D_of(ctx, U="0", W="1")
-    assert dw.iterate(parse_polynomial("W^3", ctx), 3) == parse_polynomial("6", ctx)
+    its = iterates(dw.apply, parse_polynomial("W^3", ctx), 3)
+    assert [str(f) for f in its] == ["W^3", "3*W^2", "6*W", "6"]
 
 
 def test_iterate_kills_past_degree():
     ctx = VarContext((), ("U", "W"))
     dw = D_of(ctx, U="0", W="1")
-    assert dw.iterate(parse_polynomial("(U^2 + 2)*W^2", ctx), 3).is_zero()
+    assert len(iterates(dw.apply, parse_polynomial("(U^2 + 2)*W^2", ctx), 3)) == 3
 
 
 def test_iterate_triangular_nilpotence():
     d = D_of(CTX, X="Y", Y="0")
-    assert d.iterate(P("X"), 2).is_zero()
+    assert iterates(d.apply, P("X"), 1) == [P("X"), P("Y")]
+
+
+def _reference_iterate(D, p, n):
+    """D^n(p) by the loop that ``Derivation.iterate`` ran."""
+    if n < 0:
+        raise ValueError("iteration count must be non-negative")
+    for _ in range(n):
+        if p.is_zero():
+            break
+        p = D.apply(p)
+    return p
+
+
+@given(st.integers(0, 2 ** 30), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_iterates_match_the_reference_loop(seed, cap):
+    # triangular derivations of k[t][X, Y], so every element has an index
+    rng = random.Random(seed)
+    d = Derivation(CTXT, {
+        "X": rand_poly(rng, CTXT, max_degree=2, max_terms=2, names=("t",)),
+        "Y": rand_poly(rng, CTXT, max_degree=2, max_terms=3, names=("t", "X")),
+    })
+    a = rand_poly(rng, CTXT, max_degree=3, max_terms=3)
+    its = iterates(d.apply, a, cap)
+    index = next(n for n in range(64) if _reference_iterate(d, a, n).is_zero())
+    if index > cap + 1:
+        assert its is None
+    else:
+        assert its == [_reference_iterate(d, a, i) for i in range(index)]
 
 
 def test_nilpotency_partial():
@@ -87,6 +118,11 @@ def test_nilpotency_hand_chain():
     d = D_of(CTX, X="Y", Y="1")  # X, Y, 1, 0
     v = nilpotency_verdict(d, 5)
     assert v.certified and v.indices == {"X": 3, "Y": 2}
+    # bound n certifies when D^(n+1) kills each variable, so index 3 needs bound 2
+    v = nilpotency_verdict(d, 2)
+    assert v.certified and v.indices == {"X": 3, "Y": 2}
+    v = nilpotency_verdict(d, 1)
+    assert not v.certified and v.indices is None
 
 
 def test_triangular_by_inspection():

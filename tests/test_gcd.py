@@ -65,6 +65,8 @@ def test_exact_divide():
         exact_divide(P("X"), Polynomial.zero(CTX))
     with pytest.raises(ContextMismatchError):
         exact_divide(P("X"), P("X", CTXT))
+    with pytest.raises(ContextMismatchError):
+        exact_divide(P("X"), P("2", CTXT))
 
 
 def _reference_exact_divide(p, d):
@@ -122,10 +124,17 @@ def _poly(nvars, max_size):
     return st.dictionaries(mono, coeff, max_size=max_size).map(lambda t: Polynomial(ctx, t))
 
 
+def _constant(nvars):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    ctx = CTX if nvars == 2 else CTX3
+    return st.one_of(st.just(Fraction(1)), coeff).map(lambda c: Polynomial.constant(ctx, c))
+
+
 @st.composite
 def _division_cases(draw):
     nvars = draw(st.integers(2, 3))
-    a, d, r = draw(_poly(nvars, 4)), draw(_poly(nvars, 3)), draw(_poly(nvars, 2))
+    divisor = st.one_of(_poly(nvars, 3), _constant(nvars))  # scaled, not divided
+    a, d, r = draw(_poly(nvars, 4)), draw(divisor), draw(_poly(nvars, 2))
     return a, d, r
 
 

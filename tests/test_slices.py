@@ -21,6 +21,7 @@ from lndkit import (
     coordinate_system,
     dixmier,
     find_slice,
+    iterates,
     kernel_generators,
     kernel_up_to_degree,
     lnd_from_retraction,
@@ -225,18 +226,32 @@ def test_retraction_falling_factorial_identity():
     m = 3
     w = parse_polynomial("W", ctx)
     f = alpha * w ** m
+    its = iterates(rd.apply_composed, f, m)
+    assert len(its) == m + 1  # D^(m+1) kills f
     for i in range(1, m + 1):
         factor = 1
         for j in range(i):
             factor *= m - j
-        assert rd.iterate_composed(f, i) == factor * alpha * w ** (m - i)
-    assert rd.iterate_composed(f, m + 1).is_zero()
+        assert its[i] == factor * alpha * w ** (m - i)
 
 
 def test_retraction_nilpotency_certified():
     spec, _ = retraction_proper()
     rd = lnd_from_retraction(spec)
     assert rd.nilpotency.certified
+
+
+def test_retraction_indices_and_images():
+    # W -> 1 -> 0 and U1 is killed; W*U1^2 + W^3 has W-degree 3, index 4
+    ctx = VarContext(("t",), ("W", "U1"))
+    S = Subalgebra(
+        ctx, (parse_polynomial("t", ctx),),
+        tuple(parse_polynomial(g, ctx) for g in ("W", "U1", "W*U1^2 + W^3")),
+    )
+    rd = lnd_from_retraction(RetractionSpec(S, "W", {"U1": parse_polynomial("U1", ctx)}))
+    assert dict(rd.nilpotency.indices) == {"W": 2, "U1": 1, "W^3 + W*U1^2": 4}
+    assert rd.nilpotency.bound == 4
+    assert [str(i) for i in rd.restricted.images] == ["1", "0", "3*W^2 + U1^2"]
 
 
 def test_retraction_kernel_generators_are_the_retraction_images():
@@ -289,6 +304,7 @@ def test_complementary_trivial_full_ring():
     assert out.alpha == 0
     assert [str(i) for i in out.derivation.images] == ["0", "1"]
     assert out.nilpotency.certified
+    assert dict(out.nilpotency.indices) == {"V": 1, "U": 2}
 
 
 def test_complementary_uncleared_denominator_fails_at_cap_zero():
@@ -313,6 +329,7 @@ def test_complementary_uncleared_denominator_fails_at_cap_zero():
     # one more clearing power succeeds
     out = complementary_lnd(*args, alpha_cap=1, member_bound=4, kernel_bound=3)
     assert out.alpha == 1
+    assert dict(out.nilpotency.indices) == {"V": 1, "U": 2}
 
 
 def test_complementary_witness_must_evaluate():
