@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
 from .groebner import ideal_member
-from .polygcd import gcd
+from .polygcd import gcd_fold
 from .polynomial import Polynomial
 
 DEFAULT_NILPOTENCY_BOUND = 64
@@ -160,11 +160,7 @@ def is_irreducible(D: Derivation) -> tuple[bool, Polynomial | None]:
     images = [img for img in D.images.values() if not img.is_zero()]
     if not images:
         raise DomainError("irreducibility of the zero derivation is undefined")
-    acc = images[0]
-    for img in images[1:]:
-        acc = gcd(acc, img)
-        if acc.is_constant():
-            break
+    acc = gcd_fold(images)
     if acc.is_constant():
         return True, None
     return False, acc.monic_lex()

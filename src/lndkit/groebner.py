@@ -13,11 +13,12 @@ is fixed, so quotients and remainders are those of textbook division.  It
 is lndkit's one division loop: ``polygcd.exact_divide`` is ``normal_form``
 by one divisor under lex.
 
-Completion (``buchberger``) caches each basis element's leading monomial
-when it joins the basis and keeps the pending S-pairs in a heap.  Pair
-selection is still the normal strategy, smallest lcm under the active
-order and then ``(i, j)``, so bases and cofactor matrices are
-reproducible across runs.  Every cofactor row is ``_row_sum``, one
+Completion (``buchberger``) caches each basis element's leading term and
+tail (``_lead``) when it joins the basis, so no division by the basis
+recomputes them (``GroebnerBasis.verify`` computes them once, too), and
+keeps the pending S-pairs in a heap.  Pair selection is still the normal
+strategy, smallest lcm under the active order and then ``(i, j)``, so
+bases and cofactor matrices are reproducible across runs.  Every cofactor row is ``_row_sum``, one
 ``Polynomial.combine`` per column: the row of an S-pair whose remainder
 joins the basis is ``sum(mult * row)`` over the two pair multipliers and
 the negated quotients, and the membership cofactors are built alike.  An
@@ -55,25 +56,46 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Monomial, Fractio
     return mono, p.terms[mono]
 
 
+Lead = tuple[Monomial, Fraction, list[tuple[Monomial, Fraction]]]
+
+
+def _lead(d: Polynomial, lm: Monomial, lc: Fraction) -> Lead:
+    """``(lm, lc, tail)`` of a nonzero divisor whose leading term is
+    ``lc * lm``: the tail is every other term."""
+    return lm, lc, [(m, c) for m, c in d.terms.items() if m != lm]
+
+
 def normal_form(
-    p: Polynomial, divisors: list[Polynomial], order: MonomialOrder
+    p: Polynomial,
+    divisors: list[Polynomial],
+    order: MonomialOrder,
+    _leads: list[Lead] | None = None,
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Multivariate division: ``p == sum(q_i * d_i) + remainder`` exactly.
 
     No remainder term is divisible by any divisor's leading term.  The
     divisor scan order is fixed, so the output is deterministic.
+    ``_leads`` is private: ``buchberger`` and ``GroebnerBasis.verify``
+    pass the ``_lead`` of every divisor, position by position, which they
+    hold, instead of having it recomputed on every call; a lead whose
+    monomial or term count does not fit its divisor is a ``ValueError``.
     """
     ctx = p.context
     neg_key = order.neg_key
     quots: list[dict[Monomial, Fraction]] = []
     lead = []  # per nonzero divisor: leading monomial, leading coefficient, tail terms, quotient
-    for d in divisors:
+    for k, d in enumerate(divisors):
         if d.context is not ctx and d.context != ctx:
             raise ContextMismatchError("normal_form operands share no context")
         quots.append({})
-        if d.terms:
-            lm, lc = leading_term(d, order)
-            lead.append((lm, lc, [(m, c) for m, c in d.terms.items() if m != lm], quots[-1]))
+        if d:
+            if _leads is None:
+                lm, lc, tail = _lead(d, *leading_term(d, order))
+            else:
+                lm, lc, tail = _leads[k]
+                if lm not in d._num or len(tail) != len(d._num) - 1:
+                    raise ValueError(f"_leads[{k}] is not the lead of divisor {k}")
+            lead.append((lm, lc, tail, quots[-1]))
     rem: dict[Monomial, Fraction] = {}
     h = dict(p.terms)
     heap = [(neg_key(m), m) for m in h]
@@ -159,7 +181,8 @@ class GroebnerBasis:
                 raise AssertionError("cofactor recombination mismatch")
         gens = list(self.generators)
         order = self.order
-        lms = [leading_term(g, order)[0] for g in gens]
+        leads = [_lead(g, *leading_term(g, order)) for g in gens]
+        lms = [lead[0] for lead in leads]
         pairs = sorted(
             (order.key(mono_lcm(lms[i], lms[j])), (i, j))
             for j in range(len(gens))
@@ -171,7 +194,7 @@ class GroebnerBasis:
             lcm = mono_lcm(lms[i], lms[j])
             if lcm == mono_mul(lms[i], lms[j]) or _chain(lms, i, j, lcm, settled):
                 continue
-            rem, _ = normal_form(_s_polynomial(gens[i], gens[j], order), gens, order)
+            rem, _ = normal_form(_s_polynomial(gens[i], gens[j], order), gens, order, leads)
             if not rem.is_zero():
                 raise AssertionError("S-polynomial does not reduce to zero")
 
@@ -232,7 +255,8 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
     inputs = tuple(gens)
     n_in = len(inputs)
     basis: list[Polynomial] = []
-    lms: list[Monomial] = []  # leading monomial of each basis element, fixed once pushed
+    leads: list[Lead] = []  # ``_lead`` of each basis element, fixed once pushed
+    lms: list[Monomial] = []  # their leading monomials
     rows: list[list[Polynomial]] = []
 
     one = Fraction(1)
@@ -243,6 +267,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         lm, lc = leading_term(poly, order)
         inv = one / lc
         basis.append(poly * inv)
+        leads.append(_lead(basis[-1], lm, one))
         lms.append(lm)
         rows.append(_row_sum(ctx, [(mult * inv, row) for mult, row in parts], n_in))
 
@@ -279,7 +304,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         ui = Polynomial._trusted(ctx, {mono_div(lcm, lms[i]): one})
         uj = Polynomial._trusted(ctx, {mono_div(lcm, lms[j]): -one})
         rem, quots = normal_form(Polynomial.combine(ctx, ((ui, basis[i]), (uj, basis[j]))),
-                                 basis, order)
+                                 basis, order, leads)
         if not rem.is_zero():
             parts = [(ui, rows[i]), (uj, rows[j])]
             parts += [(-q, rows[k]) for k, q in enumerate(quots) if q]
@@ -290,7 +315,8 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
     alive = _minimal(lms)
     for i in alive:
         others = [j for j in alive if j != i]
-        rem, quots = normal_form(basis[i], [basis[j] for j in others], order)
+        rem, quots = normal_form(basis[i], [basis[j] for j in others], order,
+                                 [leads[j] for j in others])
         push(rem, [(one, rows[i])] + [(-q, rows[j]) for q, j in zip(quots, others) if q])
     reduced = sorted(range(len(basis) - len(alive), len(basis)), key=lambda k: order.key(lms[k]))
     result = GroebnerBasis(

@@ -1,29 +1,38 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals, eliminated fraction-free.
 
-Vectors are dicts keyed by ambient monomials (tuples) with nonzero
-``Fraction`` entries.  :class:`RowSpace` maintains a forward-eliminated
-row space with combination tracking, which yields membership certificates
-(express a target over the inserted vectors) and dependency relations
-(nullspace vectors of the inserted family) as by-products.  It is the one
-elimination loop: ``canonical_rref`` fills a ``RowSpace`` and only
-back-substitutes its rows.
+A vector ``Vec`` is a pair ``(num, den)``: a dict of nonzero int
+numerators keyed by ambient monomials (tuples) over one positive
+denominator, the integer form of a ``Polynomial`` that ``vec_of`` hands
+over.  :class:`RowSpace` maintains a forward-eliminated row space of
+integer rows with integer combination tracking (Bareiss's fraction-free
+elimination, Math. Comp. 22, 1968, with each new row divided by its
+content), which yields membership certificates (express a target over the
+inserted vectors) and dependency relations (nullspace vectors of the
+inserted family) as by-products.  Only its answers hold ``Fraction``
+values, rescaled by the inserted vectors' denominators.  It is the one
+elimination loop: ``canonical_rref`` fills a ``RowSpace`` with vectors and
+only back-substitutes its rows.  ``canonical_rref`` returns rows (``Row``),
+dicts of ``Fraction`` entries, and ``reduce_by_rref`` takes and returns them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable
+from math import gcd
+from typing import Hashable, Iterable, Mapping
 
-Vec = dict[tuple, Fraction]
+Vec = tuple[dict[Hashable, int], int]
+Row = dict[Hashable, Fraction]
 Combo = dict[Hashable, Fraction]
 
 
 def vec_of(poly) -> Vec:
-    """Coordinate vector of a polynomial over its monomial support."""
-    return dict(poly.terms)
+    """Integer form of a polynomial over its monomial support; the dict is
+    shared, never mutated."""
+    return poly._num, poly._den
 
 
-def _axpy(target: dict, source: dict, scale: Fraction):
+def _axpy(target: dict, source: dict, scale):
     for k, v in source.items():
         total = target.get(k)
         val = v * scale
@@ -38,29 +47,61 @@ def _axpy(target: dict, source: dict, scale: Fraction):
 
 
 class RowSpace:
-    """Row space in echelon form, pivot = largest key in tuple order."""
+    """Row space in echelon form, pivot = largest key in tuple order.
+
+    Each row is stored as ``(row, combo)``, integer dicts with
+    ``row == sum(combo[t] * num_t)``, where ``num_t`` are the numerators of
+    the vector inserted under tag ``t``; its pivot entry is positive and
+    the gcd of all its entries is 1.  Tags are distinct.
+    """
 
     def __init__(self):
-        self._rows: dict[tuple, tuple[Vec, Combo]] = {}
+        self._rows: dict[tuple, tuple[dict, dict]] = {}
+        self._dens: dict[Hashable, int] = {}
 
     def __len__(self):
         return len(self._rows)
 
-    def _reduce(self, vec: Vec, combo: Combo) -> tuple[Vec, Combo]:
-        # Eliminating the max key introduces only smaller keys, and any
-        # vector in the span has a pivot as its max key at every step, so
-        # leading-entry elimination alone decides membership.
-        vec = dict(vec)
-        combo = dict(combo)
-        while vec:
-            hit = max(vec)
-            if hit not in self._rows:
+    def _reduce(self, num: dict, combo: dict | None) -> tuple[dict, dict | None, int]:
+        """``(red, combo, scale)`` with ``red == scale * num + sum(combo[t] * num_t)``.
+
+        Eliminating the max key introduces only smaller keys, and any
+        vector in the span has a pivot as its max key at every step, so
+        leading-entry elimination alone decides membership.  Each step
+        cross-multiplies by the pivot entries divided by their gcd; a
+        ``combo`` of None is not tracked.
+        """
+        rows = self._rows
+        red = dict(num)
+        scale = 1
+        while red:
+            hit = max(red)
+            entry = rows.get(hit)
+            if entry is None:
                 break
-            row_vec, row_combo = self._rows[hit]
-            scale = -vec[hit]
-            _axpy(vec, row_vec, scale)
-            _axpy(combo, row_combo, scale)
-        return vec, combo
+            row, row_combo = entry
+            a, b = row[hit], red[hit]
+            g = gcd(a, b)
+            if g != a:
+                a //= g
+                for k in red:
+                    red[k] *= a
+                if combo is not None:
+                    for t in combo:
+                        combo[t] *= a
+                scale *= a
+            b //= g
+            _axpy(red, row, -b)
+            if combo is not None:
+                _axpy(combo, row_combo, -b)
+        return red, combo, scale
+
+    def _combo(self, combo: dict, scale: int, den: int) -> Combo:
+        """``-combo / scale`` over the tags' polynomials, for a vector with
+        denominator ``den`` that reduced to zero."""
+        dens = self._dens
+        den *= scale
+        return {t: Fraction(-c * dens[t], den) for t, c in combo.items() if c}
 
     def insert(self, vec: Vec, tag: Hashable) -> Combo | None:
         """Insert a vector; returns a dependency combo when it is dependent.
@@ -68,49 +109,58 @@ class RowSpace:
         A returned combo ``c`` certifies ``vec == sum(c[t] * vector(t))``
         over previously inserted tags.  Independent vectors return None.
         """
-        red, combo = self._reduce(vec, {})
+        num, den = vec
+        red, combo, scale = self._reduce(num, {})
         if not red:
-            return {t: -v for t, v in combo.items()}
+            return self._combo(combo, scale, den)
+        combo[tag] = scale
+        self._dens[tag] = den
         pivot = max(red)
-        scale = Fraction(1) / red[pivot]
-        red = {k: v * scale for k, v in red.items()}
-        combo = {t: v * scale for t, v in combo.items()}
-        combo[tag] = combo.get(tag, Fraction(0)) + scale
+        g = gcd(*red.values(), *combo.values())
+        if red[pivot] < 0:
+            g = -g
+        if g != 1:
+            red = {k: v // g for k, v in red.items()}
+            combo = {t: v // g for t, v in combo.items()}
         self._rows[pivot] = (red, combo)
         return None
 
     def express(self, vec: Vec) -> Combo | None:
         """Combination of inserted vectors equal to ``vec``, or None."""
-        red, combo = self._reduce(vec, {})
+        num, den = vec
+        red, combo, scale = self._reduce(num, {})
         if red:
             return None
-        return {t: -v for t, v in combo.items() if v}
+        return self._combo(combo, scale, den)
 
     def contains(self, vec: Vec) -> bool:
-        red, _ = self._reduce(vec, {})
-        return not red
+        return not self._reduce(vec[0], None)[0]
 
 
-def canonical_rref(vectors: Iterable[Vec]) -> list[Vec]:
+def canonical_rref(vectors: Iterable[Vec]) -> list[Row]:
     """Fully reduced row echelon form of the span, pivots descending.
 
     The output depends only on the span, not on the presentation: pivots
     are the largest keys, rows are pivot-monic and mutually reduced, and
-    rows are listed by descending pivot.  The ``RowSpace`` rows are
-    pivot-monic already; back-substitution in ascending pivot order clears
-    the lower pivots from each.
+    rows are listed by descending pivot.  The ``RowSpace`` rows are made
+    pivot-monic; back-substitution in ascending pivot order clears the
+    lower pivots from each.
     """
     space = RowSpace()
     for tag, vec in enumerate(vectors):
         space.insert(vec, tag)
-    rows = {pivot: space._rows[pivot][0] for pivot in sorted(space._rows)}
+    rows = {}
+    for pivot in sorted(space._rows):
+        row = space._rows[pivot][0]
+        lead = row[pivot]
+        rows[pivot] = {k: Fraction(v, lead) for k, v in row.items()}
     for pivot, row in rows.items():
         for lower in [k for k in row if k in rows and k < pivot]:
             _axpy(row, rows[lower], -row[lower])
     return list(reversed(rows.values()))
 
 
-def reduce_by_rref(vec: Vec, rref_rows: list[Vec]) -> Vec:
+def reduce_by_rref(vec: Mapping, rref_rows: list[Row]) -> Row:
     """Eliminate every rref pivot from ``vec``; canonical coset representative."""
     out = dict(vec)
     for row in rref_rows:

@@ -2,7 +2,8 @@
 
 Accepted syntax: signed integer and ``a/b`` rational literals, variable
 names ``[A-Za-z][A-Za-z0-9_]*``, binary ``+ - *``, exponentiation ``^``
-with a non-negative integer exponent, and parentheses.  Implicit
+with a non-negative integer exponent of at most ``MAX_EXPONENT``, and
+parentheses.  Implicit
 multiplication (``2X``) is rejected.  ``/`` occurs only inside rational
 literals, never as an operator between expressions.
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .context import VarContext
 from .errors import PolyParseError
-from .polynomial import Polynomial
+from .polynomial import MAX_EXPONENT, Polynomial
 
 _OPS = set("+-*^/()")
 MAX_NESTING_DEPTH = 100
@@ -130,6 +131,8 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "int":
                 self.fail("exponent must be a non-negative integer")
+            if int(tok.text) > MAX_EXPONENT:
+                self.fail(f"exponent {tok.text} exceeds the cap {MAX_EXPONENT}")
             self.advance()
             base = base ** int(tok.text)
         return base

@@ -113,7 +113,7 @@ def _prem(a: Polynomial, b: Polynomial, i: int) -> Polynomial:
         rem = {m: c for m, c in new.items() if c}
         steps -= 1
     result = Polynomial._trusted(ctx, rem)
-    return result * lc_b ** steps if steps > 0 else result
+    return result * lc_b._power(steps) if steps > 0 else result
 
 
 def _content(p: Polynomial, i: int) -> Polynomial:
@@ -155,12 +155,23 @@ def _gcd_inner(p: Polynomial, q: Polynomial) -> Polynomial:
         if _deg_in(rem, i) == 0:
             return c.monic_lex()
         f1 = f2
-        f2 = _quotient(rem, g * h ** delta, "subresultant")
+        f2 = _quotient(rem, g * h._power(delta), "subresultant")
         g = _lead_coeff_in(f1, i)
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _quotient(g ** delta, h ** (delta - 1), "subresultant scaling")
+            h = _quotient(g._power(delta), h._power(delta - 1), "subresultant scaling")
+
+
+def gcd_fold(polys: list[Polynomial]) -> Polynomial:
+    """``gcd`` folded over a nonempty list from the left, stopping at the
+    first constant; one polynomial is returned as it is."""
+    acc = polys[0]
+    for p in polys[1:]:
+        acc = gcd(acc, p)
+        if acc.is_constant():
+            break
+    return acc
 
 
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:

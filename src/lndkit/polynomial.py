@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms map exponent tuples to nonzero ``Fraction`` coefficients and are kept
-in descending lexicographic order (most significant variable first, in
-context order), so iteration and serialization are deterministic.  All
-values are immutable after construction and every operation is exact.
+A polynomial is stored as integer numerators over one positive
+denominator: ``_num`` maps exponent tuples to nonzero ints and ``_den`` is
+a positive int with ``gcd(_den, *_num.values()) == 1``, so the form is
+canonical and equal polynomials have equal fields.  ``terms`` is a view
+built on first use and cached: the same polynomial as ``Fraction``
+coefficients in descending lexicographic order (most significant variable
+first, in context order), so iteration and serialization are
+deterministic.  All values are immutable after construction and every
+operation is exact.
 
 The degree of the zero polynomial is the sentinel ``None``, never an
 integer; callers comparing degrees must treat it explicitly.
@@ -13,28 +18,36 @@ validates every monomial (length, non-negative exponents), coerces every
 coefficient to ``Fraction`` and merges duplicates, so parsed text, job
 files and user values always pass through it.  Arithmetic results
 (``+``, ``-``, ``*``, ``**``, negation, ``partial_derivative``,
-``substitute`` and ``combine``) are valid by construction and use the
-private ``Polynomial._trusted`` path, which only puts their terms into
-canonical order.
+``substitute`` and ``combine``) are valid by construction: they work on the
+numerators and denominators alone and are built by ``_from_ints``, which
+divides out one gcd.  ``Polynomial._trusted`` builds a polynomial from
+valid ``Fraction`` terms (``groebner`` and ``polygcd`` divide with
+``Fraction`` coefficients) and keeps them as the view, so they are never
+rebuilt.
 
 ``Polynomial.combine(context, pairs)`` is the one linear-combination
 kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every
-product in one term dict and building one result.  The polynomial product,
-substitution, derivation images and every witness recombination go
-through it.
+product's numerators over the pairs' common denominator in one dict and
+building one result.  The polynomial product, substitution, derivation
+images and every witness recombination go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from .context import VarContext
-from .errors import ContextMismatchError, UnknownVariableError
+from .errors import ContextMismatchError, UnknownVariableError, UnsupportedSizeError
 
 Monomial = tuple[int, ...]
 Scalar = Union[Fraction, int]
+
+# Largest exponent ``**`` and a ``^`` in polynomial text accept; exponents
+# the library computes itself go through the uncapped ``_power``.
+MAX_EXPONENT = 100
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -55,14 +68,18 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
+def integer_form(values: Mapping) -> tuple[dict, int]:
+    """``(num, den)`` with ``values[k] == num[k] / den`` for every nonzero value.
 
-
-def _scalar(value) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"cannot combine Polynomial with {type(value).__name__}")
+    ``values`` holds int and ``Fraction`` values; ``den`` is the lcm of their
+    denominators, so ``gcd(den, *num.values()) == 1``: a prime power that
+    divides ``den`` exactly divides some value's denominator exactly, and
+    that value's numerator is prime to it.
+    """
+    den = lcm(*(v.denominator for v in values.values()))
+    if den == 1:
+        return {k: v.numerator for k, v in values.items() if v}, 1
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items() if v}, den
 
 
 def _check_context(context: VarContext, p: Polynomial):
@@ -73,7 +90,7 @@ def _check_context(context: VarContext, p: Polynomial):
 class Polynomial:
     """Immutable sparse polynomial attached to a :class:`VarContext`."""
 
-    __slots__ = ("context", "terms", "_hash")
+    __slots__ = ("context", "_num", "_den", "_terms", "_hash")
 
     def __init__(self, context: VarContext, terms: Mapping[Monomial, Scalar] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -88,34 +105,60 @@ class Polynomial:
             coeff = Fraction(coeff)
             prev = combined.get(mono)
             combined[mono] = coeff if prev is None else prev + coeff
-        object.__setattr__(self, "context", context)
-        object.__setattr__(
-            self, "terms", dict(sorted(((m, c) for m, c in combined.items() if c), reverse=True))
-        )
-        object.__setattr__(self, "_hash", None)
+        view = dict(sorted(((m, c) for m, c in combined.items() if c), reverse=True))
+        _fill(self, context, *integer_form(view), view)
 
     @classmethod
     def _trusted(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> Polynomial:
-        """Result of arithmetic on valid polynomials, without re-validation.
+        """Result of ``Fraction`` arithmetic on valid polynomials, without re-validation.
 
         ``terms`` maps valid monomials of ``context`` to nonzero
-        ``Fraction`` coefficients, in any order.  Monomials are unique, so
-        sorting the items never compares coefficients.
+        ``Fraction`` coefficients, in any order; sorted, they become the
+        ``terms`` view.  Monomials are unique, so sorting the items never
+        compares coefficients.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", dict(sorted(terms.items(), reverse=True)))
-        object.__setattr__(self, "_hash", None)
+        _fill(self, context, *integer_form(terms), dict(sorted(terms.items(), reverse=True)))
+        return self
+
+    @classmethod
+    def _from_ints(cls, context: VarContext, num: dict[Monomial, int], den: int) -> Polynomial:
+        """The integer constructor: ``num / den`` made canonical by one gcd.
+
+        ``num`` maps valid monomials of ``context`` to nonzero ints and
+        ``den`` is positive.
+        """
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        self = object.__new__(cls)
+        _fill(self, context, num, den, None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The ``Fraction`` coefficients in descending lex order, built once."""
+        view = self._terms
+        if view is None:
+            den = self._den
+            items = sorted(self._num.items(), reverse=True)
+            if den == 1:
+                view = {m: Fraction(c) for m, c in items}
+            else:
+                view = {m: Fraction(c, den) for m, c in items}
+            _set_terms(self, view)
+        return view
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, context: VarContext) -> Polynomial:
-        return cls(context)
+        return cls._from_ints(context, {}, 1)
 
     @classmethod
     def one(cls, context: VarContext) -> Polynomial:
@@ -123,47 +166,49 @@ class Polynomial:
 
     @classmethod
     def constant(cls, context: VarContext, value: Scalar) -> Polynomial:
-        return cls(context, {(0,) * context.nvars: Fraction(value)})
+        value = Fraction(value)
+        num = {(0,) * context.nvars: value.numerator} if value else {}
+        return cls._from_ints(context, num, value.denominator)
 
     @classmethod
     def variable(cls, context: VarContext, name: str) -> Polynomial:
         i = context.index(name)
         mono = tuple(1 if j == i else 0 for j in range(context.nvars))
-        return cls(context, {mono: Fraction(1)})
+        return cls._from_ints(context, {mono: 1}, 1)
 
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return not any(map(any, self._num))
 
     def as_rational(self) -> Fraction | None:
         """The value of a constant polynomial, else None."""
-        if self.is_zero():
+        if not self._num:
             return Fraction(0)
         if self.is_constant():
-            return next(iter(self.terms.values()))
+            return Fraction(next(iter(self._num.values())), self._den)
         return None
 
     def degree(self) -> int | None:
         """Total degree; ``None`` for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return None
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self._num))
 
     def degree_in(self, name: str) -> int | None:
         """Degree in one variable; ``None`` for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return None
         i = self.context.index(name)
-        return max(m[i] for m in self.terms)
+        return max(m[i] for m in self._num)
 
     def variables_used(self) -> set[str]:
         names = self.context.variables
         used: set[str] = set()
-        for m in self.terms:
+        for m in self._num:
             for i, e in enumerate(m):
                 if e:
                     used.add(names[i])
@@ -174,14 +219,14 @@ class Polynomial:
 
     def lex_leading(self) -> tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) under descending lex; zero poly raises."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        mono = next(iter(self.terms))
-        return mono, self.terms[mono]
+        mono = max(self._num)
+        return mono, Fraction(self._num[mono], self._den)
 
     def monic_lex(self) -> Polynomial:
         """Scale so the lex-leading coefficient is 1."""
-        if not self.terms:
+        if not self._num:
             return self
         _, lead = self.lex_leading()
         if lead == 1:
@@ -193,17 +238,28 @@ class Polynomial:
     def __add__(self, other) -> Polynomial:
         other = self._coerce(other)
         _check_context(self.context, other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = terms.get(m)
-            terms[m] = c if prev is None else prev + c
-        return Polynomial._trusted(self.context, {m: c for m, c in terms.items() if c})
+        den, oden = self._den, other._den
+        if den == oden:
+            num = dict(self._num)
+            oscale = 1
+        else:
+            common = lcm(den, oden)
+            scale, oscale = common // den, common // oden
+            num = {m: c * scale for m, c in self._num.items()}
+            den = common
+        for m, c in other._num.items():
+            total = num.get(m, 0) + c * oscale
+            if total:
+                num[m] = total
+            else:
+                del num[m]
+        return Polynomial._from_ints(self.context, num, den)
 
     def __radd__(self, other) -> Polynomial:
         return self.__add__(other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._trusted(self.context, {m: -c for m, c in self.terms.items()})
+        return Polynomial._from_ints(self.context, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> Polynomial:
         return self.__add__(self._coerce(other).__neg__())
@@ -213,10 +269,11 @@ class Polynomial:
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial.zero(self.context)
-            return Polynomial._trusted(self.context, {m: v * c for m, v in self.terms.items()})
+            n = other.numerator
+            num = {m: c * n for m, c in self._num.items()}
+            return Polynomial._from_ints(self.context, num, self._den * other.denominator)
         return Polynomial.combine(self.context, ((self, other),))
 
     def __rmul__(self, other) -> Polynomial:
@@ -225,6 +282,13 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if exponent > MAX_EXPONENT:
+            raise UnsupportedSizeError(f"exponent {exponent} exceeds the cap {MAX_EXPONENT}")
+        return self._power(exponent)
+
+    def _power(self, exponent: int) -> Polynomial:
+        """``self ** exponent`` without the cap, for exponents the library
+        computes (degrees, pseudo-division steps) rather than reads."""
         result = Polynomial.one(self.context)
         base = self
         e = exponent
@@ -248,35 +312,50 @@ class Polynomial:
         """``sum(a * b)`` over the ``(a, b)`` pairs, in one pass.
 
         Either side of a pair may be an int or ``Fraction``, taken as a
-        constant; polynomial sides must live in ``context``.  Every product
-        accumulates in one term dict, and the result is one
-        ``Polynomial._trusted`` with the sums that cancelled dropped.
+        constant; polynomial sides must live in ``context``.  Each pair's
+        numerator product is scaled to the lcm of the pairs' denominators
+        and accumulates in one dict; the result is one ``_from_ints`` with
+        the sums that cancelled dropped.
         """
-        acc: dict[Monomial, Fraction] = {}
-        get = acc.get
+        one = None
+        parts = []  # (numerators, numerators or int factor, denominator) per nonzero pair
         for a, b in pairs:
             if not isinstance(a, Polynomial):
                 a, b = b, a  # a scalar side goes second
             if isinstance(b, Polynomial):
                 _check_context(context, a)
                 _check_context(context, b)
-                b_terms = b.terms.items()
-                for m1, c1 in a.terms.items():
-                    for m2, c2 in b_terms:
-                        m = mono_mul(m1, m2)
-                        prev = get(m)
-                        acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+                if a._num and b._num:
+                    parts.append((a._num, b._num, a._den * b._den))
                 continue
-            c = _scalar(b)
+            _check_scalar(b)
             if isinstance(a, Polynomial):
                 _check_context(context, a)
-                a_terms = a.terms.items()
+                if a._num and b:
+                    parts.append((a._num, b.numerator, a._den * b.denominator))
             else:
-                a_terms = (((0,) * context.nvars, _scalar(a)),)
-            for m, v in a_terms:
-                prev = get(m)
-                acc[m] = v * c if prev is None else prev + v * c
-        return cls._trusted(context, {m: c for m, c in acc.items() if c})
+                _check_scalar(a)
+                if a and b:
+                    if one is None:
+                        one = (0,) * context.nvars
+                    parts.append(({one: a.numerator}, b.numerator, a.denominator * b.denominator))
+        den = lcm(*(d for _, _, d in parts))
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for a_num, b, d in parts:
+            scale = den // d
+            if isinstance(b, dict):
+                b_items = b.items()
+                for m1, c1 in a_num.items():
+                    c1 *= scale
+                    for m2, c2 in b_items:
+                        m = tuple(map(add, m1, m2))
+                        acc[m] = get(m, 0) + c1 * c2
+            else:
+                b *= scale
+                for m, c in a_num.items():
+                    acc[m] = get(m, 0) + c * b
+        return cls._from_ints(context, {m: c for m, c in acc.items() if c}, den)
 
     # -- calculus and substitution --------------------------------------
 
@@ -284,8 +363,8 @@ class Polynomial:
         i = self.context.index(name)
         # Lowering the i-th exponent is injective on monomials that have
         # one, so no two terms merge.
-        out = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in self.terms.items() if m[i]}
-        return Polynomial._trusted(self.context, out)
+        out = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in self._num.items() if m[i]}
+        return Polynomial._from_ints(self.context, out, self._den)
 
     def substitute(
         self,
@@ -313,9 +392,9 @@ class Polynomial:
             images.append(img)
         for name in bindings:
             self.context.index(name)  # reject bindings for foreign variables
-        pairs: list[tuple[Fraction, Polynomial | int]] = []
+        pairs: list[tuple[int, Polynomial | int]] = []
         power_cache: dict[tuple[int, int], Polynomial] = {}
-        for m, c in self.terms.items():
+        for m, c in self._num.items():
             term: Polynomial | None = None
             for i, e in enumerate(m):
                 if not e:
@@ -323,11 +402,12 @@ class Polynomial:
                 key = (i, e)
                 p = power_cache.get(key)
                 if p is None:
-                    p = images[i] ** e
+                    p = images[i]._power(e)
                     power_cache[key] = p
                 term = p if term is None else term * p
             pairs.append((c, 1 if term is None else term))
-        return Polynomial.combine(target, pairs)
+        total = Polynomial.combine(target, pairs)  # the numerators' image
+        return Polynomial._from_ints(target, total._num, total._den * self._den)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -351,20 +431,25 @@ class Polynomial:
             other = self._coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return (self.context == other.context and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.context, tuple(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.context, self._den, frozenset(self._num.items())))
+            _set_hash(self, h)
         return h
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms.items())
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
+
+    def __len__(self) -> int:
+        """Number of terms."""
+        return len(self._num)
 
     def _render_monomial(self, mono: Monomial) -> str:
         names = self.context.variables
@@ -378,7 +463,7 @@ class Polynomial:
 
     def __str__(self) -> str:
         """Canonical form: descending lex terms, lowest-term coefficients."""
-        if not self.terms:
+        if not self._num:
             return "0"
         chunks: list[str] = []
         for k, (mono, coeff) in enumerate(self.terms.items()):
@@ -396,3 +481,24 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+# The slot descriptors' setters bypass the immutability guard in __setattr__.
+_set_context = Polynomial.context.__set__
+_set_num = Polynomial._num.__set__
+_set_den = Polynomial._den.__set__
+_set_terms = Polynomial._terms.__set__
+_set_hash = Polynomial._hash.__set__
+
+
+def _fill(p: Polynomial, context: VarContext, num: dict, den: int, view: dict | None):
+    _set_context(p, context)
+    _set_num(p, num)
+    _set_den(p, den)
+    _set_terms(p, view)
+    _set_hash(p, None)
+
+
+def _check_scalar(value):
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot combine Polynomial with {type(value).__name__}")

@@ -18,7 +18,7 @@ from typing import Iterable
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
 from .derivation import Derivation
-from .linalg import Combo, RowSpace, Vec, canonical_rref, vec_of
+from .linalg import Combo, Row, RowSpace, canonical_rref, vec_of
 from .polynomial import Polynomial
 
 PRODUCT_CAP = 500_000
@@ -218,7 +218,7 @@ class RestrictedDerivation:
                 if k == i:
                     ek -= 1
                 if ek:
-                    power = gens[k] ** ek
+                    power = gens[k]._power(ek)
                     rest = power if rest is None else rest * power
             pairs.append((self.images[i - nbase] * e, 1 if rest is None else rest))
         return Polynomial.combine(S.context, pairs)
@@ -307,7 +307,7 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
 
 def _image_kernel(
     images: list[Polynomial], products: list[tuple[tuple[int, ...], Polynomial]]
-) -> tuple[RowSpace, list[tuple[int, Combo]], list[Vec]]:
+) -> tuple[RowSpace, list[tuple[int, Combo]], list[Row]]:
     """Row space of ``images``, their dependencies, and the canonical kernel.
 
     Each dependency ``(j, dep)`` says ``images[j] == sum(dep[k] * images[k])``

@@ -35,6 +35,21 @@ def test_common_factor_by_hand():
     assert gcd(P("X^2 - Y^2"), P("X^2 + 2*X*Y + Y^2")) == P("X + Y")
 
 
+def test_gcd_fold():
+    # The fold stops at the first constant gcd; one polynomial comes back as it is.
+    assert polygcd.gcd_fold([P("2*X^2 - 2*Y^2")]) == P("2*X^2 - 2*Y^2")
+    assert polygcd.gcd_fold([P("X^2 - Y^2"), P("3*X + 3*Y"), P("X^2 + Y")]) == P("1")
+    assert polygcd.gcd_fold([P("X^2 - Y^2"), P("X*Y + Y^2"), P("2*X + 2*Y")]) == P("X + Y")
+
+
+def test_gcd_of_high_degree_inputs():
+    # X^150 is parsed as X^100*X^50; pseudo-division raises the leading
+    # coefficient to computed powers above the ``**`` cap.
+    assert gcd(P("X^100*X^50"), P("X")) == P("X")
+    assert gcd(P("X^100*X^50 - X^100*X^49"), P("X^2 - 1")) == P("X - 1")
+    assert gcd(P("X^100*X^50*Y"), P("2*X*Y^2 + X*Y")) == P("X*Y")
+
+
 def test_unit_gcd():
     assert gcd(P("3*X"), P("5")) == P("1")
 

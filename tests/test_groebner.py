@@ -263,6 +263,15 @@ def test_normal_form_single_division_step():
     assert quots == [P("1")]
 
 
+def test_normal_form_checks_the_leads_it_is_handed():
+    divisors = [P("X^2 + Y"), P("Y^2")]
+    leads = [groebner._lead(d, *leading_term(d, DRL)) for d in divisors]
+    p = P("X^3 + Y^3")
+    assert normal_form(p, divisors, DRL, leads) == normal_form(p, divisors, DRL)
+    with pytest.raises(ValueError, match="is not the lead of divisor 0"):
+        normal_form(p, divisors, DRL, leads[::-1])
+
+
 def test_normal_form_identity():
     rng = random.Random(7)
     for _ in range(30):

@@ -308,6 +308,22 @@ def test_cli_run_deeply_nested_polynomial_is_an_input_error(tmp_path):
     assert "nested deeper" in result.output
 
 
+def test_cli_run_unbounded_inputs_end_with_typed_errors(tmp_path):
+    """An exponent above the cap is an input error (exit 2); growing
+    Dixmier iterates are a task error once their term budget is spent."""
+    job = tmp_path / "power.job"
+    job.write_text(MINIMAL.replace("task find_slice derivation=D bound=1",
+                                   'task apply derivation=D poly="(X + Y + t + 1)^400"'))
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 2
+    assert "exponent 400 exceeds the cap" in result.output
+    job = tmp_path / "dixmier.job"
+    job.write_text(DIXMIER_NO_SLICE.replace("X: X,", "X: X^2 + X,"))
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 1
+    assert "error derivation iterates of X exceeded" in result.output
+
+
 def test_cli_corpus_filter():
     runner = CliRunner()
     result = runner.invoke(cli_main, ["corpus", "--filter", "a2-pair"])

@@ -51,6 +51,7 @@ REJECTED = {
     "non-positive count": "task random_family family=triangular-fpf count=-3",
     "fiber point chunk without =": 'task fiber point="t" coords="X; Y" bound=2',
     "coordw record on the wrong task": 'task apply derivation=D poly="X"\n  coordw gen=1 power=0 expr="V_"',
+    "coordw power above the exponent cap": 'task complementary_lnd v="X" u0="Y" t="t" member_bound=2 kernel_bound=2\n  coordw gen=1 power=101 expr="V_"\n  coordw gen=2 power=0 expr="U0_"',
     "complementary_lnd without coordw": 'task complementary_lnd v="X" u0="Y" t="t" member_bound=2 kernel_bound=2',
 }
 

@@ -1,12 +1,16 @@
-"""Sparse exact linear algebra: the canonical reduced row echelon form."""
+"""Sparse exact linear algebra: the canonical reduced row echelon form and
+the fraction-free row space against its ``Fraction`` reference."""
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lndkit.linalg import canonical_rref, reduce_by_rref
+from lndkit import Polynomial, VarContext
+from lndkit.linalg import RowSpace, canonical_rref, reduce_by_rref, vec_of
+from lndkit.polynomial import integer_form
 
 
 def _reference_axpy(target, source, scale):
@@ -58,7 +62,7 @@ def _combination(vectors, rng):
 @example([{(1, 0): Fraction(2), (0, 0): Fraction(1)}, {(1, 0): Fraction(4), (0, 1): Fraction(1)}], 0)
 @settings(max_examples=200, deadline=None)
 def test_canonical_rref_depends_only_on_the_span(vectors, seed):
-    rows = canonical_rref(vectors)
+    rows = canonical_rref([integer_form(vec) for vec in vectors])
     assert rows == _reference_canonical_rref(vectors)
 
     pivots = [max(row) for row in rows]
@@ -75,4 +79,89 @@ def test_canonical_rref_depends_only_on_the_span(vectors, seed):
     other = [{k: v * scale for k, v in vec.items()} for vec, scale in zip(vectors, scales)]
     other += [_combination(vectors, rng) for _ in range(rng.randint(0, 3))] + [{}]
     rng.shuffle(other)
-    assert canonical_rref(other) == rows
+    assert canonical_rref([integer_form(vec) for vec in other]) == rows
+
+
+class _ReferenceRowSpace:
+    """The ``Fraction`` row space that the fraction-free ``RowSpace``
+    replaced: pivot-monic rows, eliminated by ``Fraction`` arithmetic."""
+
+    def __init__(self):
+        self._rows = {}
+
+    def _reduce(self, vec, combo):
+        vec = dict(vec)
+        combo = dict(combo)
+        while vec:
+            hit = max(vec)
+            if hit not in self._rows:
+                break
+            row_vec, row_combo = self._rows[hit]
+            scale = -vec[hit]
+            _reference_axpy(vec, row_vec, scale)
+            _reference_axpy(combo, row_combo, scale)
+        return vec, combo
+
+    def insert(self, vec, tag):
+        red, combo = self._reduce(vec, {})
+        if not red:
+            return {t: -v for t, v in combo.items()}
+        pivot = max(red)
+        scale = Fraction(1) / red[pivot]
+        red = {k: v * scale for k, v in red.items()}
+        combo = {t: v * scale for t, v in combo.items()}
+        combo[tag] = combo.get(tag, Fraction(0)) + scale
+        self._rows[pivot] = (red, combo)
+        return None
+
+    def express(self, vec):
+        red, combo = self._reduce(vec, {})
+        if red:
+            return None
+        return {t: -v for t, v in combo.items() if v}
+
+
+_CTX = VarContext((), ("X", "Y"))
+_polys = st.dictionaries(_keys, _coeffs, max_size=4).map(lambda terms: Polynomial(_CTX, terms))
+
+
+@st.composite
+def _families(draw):
+    """Polynomials to insert, some of them combinations or multiples of
+    earlier ones (dependent inserts), and targets inside and outside the span."""
+    polys = draw(st.lists(_polys, max_size=8))
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    for _ in range(draw(st.integers(0, 3))):
+        if polys:
+            at = rng.randrange(len(polys) + 1)
+            polys.insert(at, Polynomial.combine(_CTX, [
+                (p, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for p in polys[:at]
+            ]))
+    hits = [Polynomial.combine(_CTX, [(p, Fraction(rng.randint(-2, 2), rng.choice([1, 3])))
+                                      for p in polys]) for _ in range(2)]
+    return polys, hits + draw(st.lists(_polys, max_size=3))
+
+
+@given(_families())
+@example(([Polynomial(_CTX, {(1, 0): Fraction(1, 2)}), Polynomial(_CTX, {(1, 0): Fraction(3)})],
+          [Polynomial(_CTX, {(1, 0): Fraction(2, 7)}), Polynomial(_CTX, {(0, 1): 1})]))
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_row_space_matches_the_fraction_reference(family):
+    """Same dependency combos (independent inserts return None) and the
+    same ``express`` hits and misses, as ``Fraction`` dicts."""
+    polys, targets = family
+    space, reference = RowSpace(), _ReferenceRowSpace()
+    for tag, p in enumerate(polys):
+        dep = space.insert(vec_of(p), tag)
+        assert dep == reference.insert(dict(p.terms), tag)
+        assert dep is None or all(type(c) is Fraction for c in dep.values())
+        if dep is not None:
+            assert Polynomial.combine(_CTX, ((polys[t], c) for t, c in dep.items())) == p
+    for tag, (row, combo) in space._rows.items():
+        assert row[tag] > 0 and math.gcd(*row.values(), *combo.values()) == 1
+    for target in targets:
+        combo = space.express(vec_of(target))
+        assert combo == reference.express(dict(target.terms))
+        assert space.contains(vec_of(target)) == (combo is not None)
+        if combo is not None:
+            assert Polynomial.combine(_CTX, ((polys[t], c) for t, c in combo.items())) == target

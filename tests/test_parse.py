@@ -4,6 +4,7 @@ import pytest
 
 from lndkit import PolyParseError, VarContext, parse_polynomial
 from lndkit.parse import MAX_NESTING_DEPTH
+from lndkit.polynomial import MAX_EXPONENT
 
 CTX = VarContext(("t",), ("X", "Y"))
 
@@ -80,6 +81,12 @@ def test_deep_nesting_is_a_parse_error():
         P("(" * depth + "X" + ")" * depth)
     with pytest.raises(PolyParseError):
         P("(" * 5000 + "X" + ")" * 5000)
+
+
+def test_exponent_cap_is_a_parse_error():
+    assert P(f"X^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    with pytest.raises(PolyParseError, match="exceeds the cap"):
+        P(f"(X + Y + 1)^{MAX_EXPONENT + 1}")
 
 
 def test_whitespace_insensitive():

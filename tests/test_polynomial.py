@@ -1,7 +1,9 @@
 """Polynomial arithmetic, calculus, substitution, and canonical form."""
 
+import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from lndkit import (
     ContextMismatchError,
     Polynomial,
     UnknownVariableError,
+    UnsupportedSizeError,
     VarContext,
     parse_polynomial,
 )
+from lndkit.polynomial import MAX_EXPONENT
 
 from helpers import rand_poly
 
@@ -159,9 +163,13 @@ def test_terms_iterate_descending_lex():
 
 
 def _assert_canonical(r: Polynomial):
+    """The integer form is canonical and the ``terms`` view agrees with it."""
+    assert r._den > 0 and math.gcd(r._den, *r._num.values()) == 1
+    assert all(type(c) is int and c != 0 for c in r._num.values())
     keys = list(r.terms)
     assert all(a > b for a, b in zip(keys, keys[1:]))
     assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert r.terms == {m: Fraction(c, r._den) for m, c in r._num.items()}
     assert r == Polynomial(r.context, r.terms)
 
 
@@ -218,6 +226,85 @@ def test_combine_matches_the_naive_loop(combination):
     assert r == _naive_combine(ctx, pairs)
     assert r.context == ctx
     _assert_canonical(r)
+
+
+def _reference_combine(ctx, pairs) -> Polynomial:
+    """The ``Fraction`` kernel that the integer ``combine`` replaced: every
+    product accumulates as a ``Fraction`` in one term dict."""
+    acc = {}
+    get = acc.get
+    for a, b in pairs:
+        if not isinstance(a, Polynomial):
+            a, b = b, a
+        if isinstance(b, Polynomial):
+            b_terms = b.terms.items()
+            for m1, c1 in a.terms.items():
+                for m2, c2 in b_terms:
+                    m = tuple(map(add, m1, m2))
+                    prev = get(m)
+                    acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+            continue
+        c = Fraction(b)
+        a_terms = a.terms.items() if isinstance(a, Polynomial) else (((0,) * ctx.nvars, Fraction(a)),)
+        for m, v in a_terms:
+            prev = get(m)
+            acc[m] = v * c if prev is None else prev + v * c
+    return Polynomial(ctx, {m: c for m, c in acc.items() if c})
+
+
+def _reference_partial_derivative(p: Polynomial, name: str) -> Polynomial:
+    i = p.context.index(name)
+    return Polynomial(p.context, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                  for m, c in p.terms.items() if m[i]})
+
+
+@given(_combination(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_kernels_match_the_fraction_kernels(combination, data):
+    """``combine`` and ``partial_derivative`` on numerators over one
+    denominator equal their ``Fraction`` references, scalar sides,
+    denominators and cancellation to zero included."""
+    ctx, pairs = combination
+    r = Polynomial.combine(ctx, pairs)
+    ref = _reference_combine(ctx, pairs)
+    assert r == ref and r.terms == ref.terms and list(r.terms) == list(ref.terms)
+    _assert_canonical(r)
+    name = data.draw(st.sampled_from(ctx.variables))
+    d = r.partial_derivative(name)
+    assert d == _reference_partial_derivative(r, name)
+    _assert_canonical(d)
+    for a, b in pairs:
+        for side in (a, b):
+            if isinstance(side, Polynomial):
+                _assert_canonical(side.partial_derivative(name))
+
+
+def test_integer_form_of_rational_polynomials():
+    p = P("1/2*X - 1/3*Y + 2")
+    assert (p._num, p._den) == ({(1, 0): 3, (0, 1): -2, (0, 0): 12}, 6)
+    q = p * Fraction(6, 5) - P("2*X")  # 3/5*X - 2/5*Y + 12/5 - 2*X
+    assert (q._num, q._den) == ({(1, 0): -7, (0, 1): -2, (0, 0): 12}, 5)
+    assert ((p - p)._num, (p - p)._den) == ({}, 1)
+    assert (P("2/4*X")._num, P("2/4*X")._den) == ({(1, 0): 1}, 2)
+    for r in (p, q, p - p, p * p, -p, p ** 2, p.partial_derivative("X"),
+              p.substitute({"X": P("1/7*Y")}), Polynomial.constant(CTX, Fraction(-3, 4))):
+        _assert_canonical(r)
+
+
+def test_exponent_cap():
+    x = P("X + 1")
+    assert (x ** MAX_EXPONENT).degree() == MAX_EXPONENT
+    with pytest.raises(UnsupportedSizeError, match="exceeds the cap"):
+        x ** (MAX_EXPONENT + 1)
+
+
+def test_computed_exponents_are_not_capped():
+    # The cap guards ``**`` and parsed text; a term X^150 built as X^100*X^50
+    # substitutes through powers the library computes itself.
+    high = P(f"X^{MAX_EXPONENT}*X^50 + Y")
+    assert high.degree() == MAX_EXPONENT + 50
+    assert high.substitute({"X": P("Y")}) == P(f"Y^{MAX_EXPONENT}*Y^50 + Y")
+    assert high.substitute({"X": P("2")}) == P("Y") + 2 ** (MAX_EXPONENT + 50)
 
 
 def test_combine_of_cancelling_pairs_is_zero():

@@ -33,6 +33,7 @@ from lndkit import (
 )
 
 from lndkit.harness import random_triangular_lnd
+from lndkit.slices import DIXMIER_TERM_BUDGET
 
 from helpers import rand_poly
 
@@ -124,6 +125,15 @@ def test_dixmier_worked_instance():
 def test_dixmier_requires_slice():
     with pytest.raises(DomainError):
         dixmier(NEGATIVE, P("X", CTXT), P("Y", CTXT))
+
+
+def test_dixmier_term_budget_ends_growing_iterates():
+    """X -> X^2 + X has the slice Y of Y -> 1 but is not locally nilpotent,
+    and D^n(X) has n + 1 terms: the term budget ends the sum long before
+    the step cap would."""
+    d = D_of(CTX, X="X^2 + X", Y="1")
+    with pytest.raises(DomainError, match=f"exceeded {DIXMIER_TERM_BUDGET} terms"):
+        dixmier(d, P("Y"), P("X"))
 
 
 def test_kernel_generators_partial():

@@ -8,6 +8,7 @@ from lndkit import (
     Derivation,
     GeneratorSpan,
     Polynomial,
+    RestrictedDerivation,
     RestrictionFailure,
     Subalgebra,
     VarContext,
@@ -175,11 +176,11 @@ def test_kernel_rechecks_fire_on_a_wrong_solver(restricted, monkeypatch):
 
     def wrong_basis(images, products):
         space, dependencies, _ = solve(images, products)
-        return space, dependencies, [vec_of(P("Y", ctx))]
+        return space, dependencies, [P("Y", ctx).terms]
 
     def outside_span(images, products):
         space, dependencies, _ = solve(images, products)
-        return space, dependencies, [vec_of(P("X^3", ctx))]
+        return space, dependencies, [P("X^3", ctx).terms]
 
     def wrong_relation(images, products):
         space, dependencies, kernel = solve(images, products)
@@ -273,3 +274,11 @@ def test_bounded_fpf_agrees_with_completion_engine():
         for a, img in zip(cof, rd.images):
             acc = acc + a * img
         assert acc == Polynomial.one(d.context)
+
+
+def test_image_of_a_high_product_is_not_capped():
+    # Leibniz takes one factor out of Y^150, so the rest is a power the
+    # library computes, above the ``**`` cap.
+    S = Subalgebra(CTXT, (P("t", CTXT),), (P("X", CTXT), P("Y", CTXT)))
+    rd = RestrictedDerivation(S, (P("0", CTXT), P("t", CTXT)))
+    assert rd.image_of_product((0, 0, 150)) == P("150*t*Y^100*Y^49", CTXT)
