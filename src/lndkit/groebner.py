@@ -8,10 +8,13 @@ Division (``normal_form``) is the heap method of Monagan and Pearce: the
 running dividend is a mutable term dict plus a ``heapq`` of
 ``MonomialOrder.neg_key`` values with lazy deletion, so each step pops the
 leading term instead of rescanning the dividend, and subtracts
-``q * (divisor minus its leading term)`` in place.  The divisor scan order
-is fixed, so quotients and remainders are those of textbook division.  It
-is lndkit's one division loop: ``polygcd.exact_divide`` is ``normal_form``
-by one divisor under lex.
+``q * (divisor minus its leading term)`` in place.  It divides with the
+``Fraction`` coefficients of the cached ``terms`` views, since quotients
+are rational, and builds the remainder and the quotients by
+``Polynomial._from_ints``.  The divisor scan order is fixed, so quotients
+and remainders are those of textbook division.  It is lndkit's one
+division loop: ``polygcd.exact_divide`` is ``normal_form`` by one divisor
+under lex.
 
 Completion (``buchberger``) caches each basis element's leading term and
 tail (``_lead``) when it joins the basis, so no division by the basis
@@ -46,7 +49,9 @@ from heapq import heapify, heappop, heappush
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError
 from .ordering import MonomialOrder
-from .polynomial import Monomial, Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
+from .polynomial import (
+    Monomial, Polynomial, integer_form, mono_div, mono_divides, mono_lcm, mono_mul,
+)
 
 
 def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Monomial, Fraction]:
@@ -125,7 +130,8 @@ def normal_form(
                 break
         else:
             rem[hm] = hc
-    return Polynomial._trusted(ctx, rem), [Polynomial._trusted(ctx, q) for q in quots]
+    return (Polynomial._from_ints(ctx, *integer_form(rem)),
+            [Polynomial._from_ints(ctx, *integer_form(q)) for q in quots])
 
 
 @dataclass(frozen=True)
@@ -219,8 +225,8 @@ def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynom
     gm, gc = leading_term(g, order)
     lcm = mono_lcm(fm, gm)
     ctx = f.context
-    uf = Polynomial._trusted(ctx, {mono_div(lcm, fm): Fraction(1) / fc})
-    ug = Polynomial._trusted(ctx, {mono_div(lcm, gm): Fraction(-1) / gc})
+    uf = Polynomial._from_ints(ctx, *integer_form({mono_div(lcm, fm): 1 / fc}))
+    ug = Polynomial._from_ints(ctx, *integer_form({mono_div(lcm, gm): -1 / gc}))
     return Polynomial.combine(ctx, ((uf, f), (ug, g)))
 
 
@@ -301,8 +307,8 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         if _chain(lms, i, j, lcm, done):
             continue
         # Basis elements are monic, so both S-polynomial multipliers have coefficient 1.
-        ui = Polynomial._trusted(ctx, {mono_div(lcm, lms[i]): one})
-        uj = Polynomial._trusted(ctx, {mono_div(lcm, lms[j]): -one})
+        ui = Polynomial._from_ints(ctx, {mono_div(lcm, lms[i]): 1}, 1)
+        uj = Polynomial._from_ints(ctx, {mono_div(lcm, lms[j]): -1}, 1)
         rem, quots = normal_form(Polynomial.combine(ctx, ((ui, basis[i]), (uj, basis[j]))),
                                  basis, order, leads)
         if not rem.is_zero():

@@ -89,16 +89,11 @@ def run_entry(spec: JobSpec, path: Path | None = None) -> EntryOutcome:
     report = run_job(spec)
     outcome = EntryOutcome(spec.name, str(path) if path else "<memory>", report)
     for index, task in enumerate(spec.tasks, start=1):
-        result = report.tasks[index - 1]
         for exp in task.expectations:
             if exp.key == "verdict":
-                actual = result.verdict
+                actual = report.tasks[index - 1].verdict
             else:
-                actual = None
-                for k, v in result.values:
-                    if k == exp.key:
-                        actual = v
-                        break
+                actual = report.task_value(index, exp.key)
             outcome.checks.append(
                 CheckResult(
                     index,

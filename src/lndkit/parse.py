@@ -22,6 +22,7 @@ from .errors import PolyParseError
 from .polynomial import MAX_EXPONENT, Polynomial
 
 _OPS = set("+-*^/()")
+_DIGITS = set("0123456789")  # ``str.isdigit`` also takes other scripts' digits and superscripts
 MAX_NESTING_DEPTH = 100
 
 
@@ -51,9 +52,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and (text[j].isalpha() or text[j] == "_"):
                 raise PolyParseError("implicit multiplication is not accepted", line, col)

@@ -8,15 +8,15 @@ exact divisibility of both inputs is checked before returning.
 
 ``exact_divide`` is ``groebner.normal_form`` by one divisor under the
 context's lex order, so lndkit has one heap-division loop; a constant
-divisor (most often a content of 1) scales instead.  ``_prem`` builds
-each pseudo-division step in one term dict and skips the products that
-cancel, and the coefficient views are built through
-``Polynomial._trusted``, since their terms are valid by construction.
+divisor (most often a content of 1) scales instead.  Coefficient views
+and pseudo-remainders run over the integer numerators and are built by
+``Polynomial._from_ints``: ``_prem`` builds each pseudo-division step in
+one integer term dict, skips the products that cancel, and carries the
+denominators in one int.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .errors import ContextMismatchError, DomainError
@@ -62,23 +62,20 @@ def _quotient(p: Polynomial, d: Polynomial, what: str) -> Polynomial:
 
 def _univariate_coeffs(p: Polynomial, i: int) -> dict[int, Polynomial]:
     """View p as univariate in variable i: exponent -> coefficient polynomial."""
-    ctx = p.context
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in p.terms.items():
-        e = m[i]
-        rest = m[:i] + (0,) + m[i + 1:]
-        buckets.setdefault(e, {})[rest] = c
-    return {e: Polynomial._trusted(ctx, terms) for e, terms in buckets.items()}
+    buckets: dict[int, dict[Monomial, int]] = {}
+    for m, c in p._num.items():
+        buckets.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+    return {e: Polynomial._from_ints(p.context, num, p._den) for e, num in buckets.items()}
 
 
 def _deg_in(p: Polynomial, i: int) -> int:
-    return max((m[i] for m in p.terms), default=-1)
+    return max((m[i] for m in p._num), default=-1)
 
 
 def _lead_coeff_in(p: Polynomial, i: int) -> Polynomial:
     d = _deg_in(p, i)
-    return Polynomial._trusted(
-        p.context, {m[:i] + (0,) + m[i + 1:]: c for m, c in p.terms.items() if m[i] == d}
+    return Polynomial._from_ints(
+        p.context, {m[:i] + (0,) + m[i + 1:]: c for m, c in p._num.items() if m[i] == d}, p._den
     )
 
 
@@ -88,14 +85,15 @@ def _prem(a: Polynomial, b: Polynomial, i: int) -> Polynomial:
     Each step builds ``lc(b) * rem - lc(rem) * x_i^(dr-db) * b`` in one
     term dict, where ``lc`` is the leading coefficient in variable i.  Its
     terms of degree ``dr`` in x_i cancel exactly, so only the lower parts
-    of ``rem`` and ``b`` are multiplied out.
+    of ``rem`` and ``b`` are multiplied out.  The step runs over integer
+    numerators: with ``b``'s numerators in place of ``b`` and ``lc(b)``,
+    it drops one factor ``den(b)``, so after ``k`` steps the remainder is
+    ``rem / (den(a) * den(b)^k)``.
     """
-    ctx = a.context
     da, db = _deg_in(a, i), _deg_in(b, i)
-    lc_b = _lead_coeff_in(b, i)
-    lc_b_terms = list(lc_b.terms.items())
-    b_low = [(m, c) for m, c in b.terms.items() if m[i] < db]
-    rem = dict(a.terms)
+    lc_b = [(m[:i] + (0,) + m[i + 1:], c) for m, c in b._num.items() if m[i] == db]
+    b_low = [(m, c) for m, c in b._num.items() if m[i] < db]
+    rem, den = a._num, a._den
     steps = da - db + 1
     while rem:
         dr = max(m[i] for m in rem)
@@ -103,17 +101,18 @@ def _prem(a: Polynomial, b: Polynomial, i: int) -> Polynomial:
             break
         neg_lc_r = [(m[:i] + (dr - db,) + m[i + 1:], -c) for m, c in rem.items() if m[i] == dr]
         rem_low = [(m, c) for m, c in rem.items() if m[i] < dr]
-        new: dict[Monomial, Fraction] = {}
-        for left, right in ((lc_b_terms, rem_low), (neg_lc_r, b_low)):
+        new: dict[Monomial, int] = {}
+        get = new.get
+        for left, right in ((lc_b, rem_low), (neg_lc_r, b_low)):
             for m1, c1 in left:
                 for m2, c2 in right:
                     m = mono_mul(m1, m2)
-                    acc = new.get(m)
-                    new[m] = c1 * c2 if acc is None else acc + c1 * c2
+                    new[m] = get(m, 0) + c1 * c2
         rem = {m: c for m, c in new.items() if c}
+        den *= b._den
         steps -= 1
-    result = Polynomial._trusted(ctx, rem)
-    return result * lc_b._power(steps) if steps > 0 else result
+    result = Polynomial._from_ints(a.context, rem, den)
+    return result * _lead_coeff_in(b, i)._power(steps) if steps > 0 else result
 
 
 def _content(p: Polynomial, i: int) -> Polynomial:

@@ -14,16 +14,16 @@ The degree of the zero polynomial is the sentinel ``None``, never an
 integer; callers comparing degrees must treat it explicitly.
 
 Construction contract: the public ``Polynomial(context, terms)`` constructor
-validates every monomial (length, non-negative exponents), coerces every
-coefficient to ``Fraction`` and merges duplicates, so parsed text, job
-files and user values always pass through it.  Arithmetic results
-(``+``, ``-``, ``*``, ``**``, negation, ``partial_derivative``,
-``substitute`` and ``combine``) are valid by construction: they work on the
-numerators and denominators alone and are built by ``_from_ints``, which
-divides out one gcd.  ``Polynomial._trusted`` builds a polynomial from
-valid ``Fraction`` terms (``groebner`` and ``polygcd`` divide with
-``Fraction`` coefficients) and keeps them as the view, so they are never
-rebuilt.
+is for input from outside the library.  It validates every monomial
+(length, non-negative exponents), coerces every coefficient to
+``Fraction`` and merges duplicates, so parsed text, job files and user
+values always pass through it.  Every result the library computes
+(arithmetic, ``partial_derivative``, ``substitute``, ``combine``, and the
+divisions, pseudo-remainders and gcds of ``groebner`` and ``polygcd``) is
+valid by construction and is built by ``_from_ints`` from integer
+numerators over one denominator, dividing out one gcd.  No constructor
+builds the ``Fraction`` view: only the ``terms`` property does, on first
+use.
 
 ``Polynomial.combine(context, pairs)`` is the one linear-combination
 kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every
@@ -105,21 +105,7 @@ class Polynomial:
             coeff = Fraction(coeff)
             prev = combined.get(mono)
             combined[mono] = coeff if prev is None else prev + coeff
-        view = dict(sorted(((m, c) for m, c in combined.items() if c), reverse=True))
-        _fill(self, context, *integer_form(view), view)
-
-    @classmethod
-    def _trusted(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> Polynomial:
-        """Result of ``Fraction`` arithmetic on valid polynomials, without re-validation.
-
-        ``terms`` maps valid monomials of ``context`` to nonzero
-        ``Fraction`` coefficients, in any order; sorted, they become the
-        ``terms`` view.  Monomials are unique, so sorting the items never
-        compares coefficients.
-        """
-        self = object.__new__(cls)
-        _fill(self, context, *integer_form(terms), dict(sorted(terms.items(), reverse=True)))
-        return self
+        _fill(self, context, *integer_form(combined))
 
     @classmethod
     def _from_ints(cls, context: VarContext, num: dict[Monomial, int], den: int) -> Polynomial:
@@ -134,7 +120,7 @@ class Polynomial:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
         self = object.__new__(cls)
-        _fill(self, context, num, den, None)
+        _fill(self, context, num, den)
         return self
 
     def __setattr__(self, name, value):
@@ -491,11 +477,11 @@ _set_terms = Polynomial._terms.__set__
 _set_hash = Polynomial._hash.__set__
 
 
-def _fill(p: Polynomial, context: VarContext, num: dict, den: int, view: dict | None):
+def _fill(p: Polynomial, context: VarContext, num: dict, den: int):
     _set_context(p, context)
     _set_num(p, num)
     _set_den(p, den)
-    _set_terms(p, view)
+    _set_terms(p, None)
     _set_hash(p, None)
 
 

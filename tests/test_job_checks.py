@@ -46,6 +46,7 @@ REJECTED = {
     "from a task that yields no derivation": "task kernel_up_to_degree from=1 bound=3",
     "from beside derivation": "task kernel_up_to_degree from=1 derivation=D bound=3",
     "polynomial that does not parse": 'task apply derivation=D poly="X +"',
+    "polynomial with a non-ASCII digit": 'task apply derivation=D poly="X^\u0661 + Y"',
     "unknown order": 'task groebner_basis gens="X; Y" order=grevlex',
     "unknown family": "task random_family family=nope count=2",
     "non-positive count": "task random_family family=triangular-fpf count=-3",

@@ -44,6 +44,14 @@ def test_unknown_variable_with_position():
     assert err.value.col == 5
 
 
+@pytest.mark.parametrize("text, col", [("X^\u00b2", 3), ("\u00b2", 1), ("X^\u0661", 3)])
+def test_only_ascii_digits_are_digits(text, col):
+    """A superscript two or an Arabic-Indic one is no digit, not even in an exponent."""
+    with pytest.raises(PolyParseError) as err:
+        P(text)
+    assert err.value.col == col
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(PolyParseError):
         P("X^-2")

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 
 from lndkit import (
     ContextMismatchError,
+    MonomialOrder,
     Polynomial,
     UnknownVariableError,
     UnsupportedSizeError,
     VarContext,
+    exact_divide,
+    gcd,
+    normal_form,
     parse_polynomial,
+    polygcd,
 )
 from lndkit.polynomial import MAX_EXPONENT
 
@@ -182,6 +187,13 @@ def test_arithmetic_results_are_canonical(seed, scalar):
     name = rng.choice(CTXT.variables)
     results = [a + b, a - b, a - a, -a, a * b, a * scalar, scalar * a, a * 0,
                a * Fraction(0), a ** 3, a.partial_derivative(name)]
+    rem, quots = normal_form(a, [b], MonomialOrder.degrevlex(CTXT))
+    results += [rem, *quots]
+    results += [polygcd._prem(a, b, i) for i in range(CTXT.nvars) if polygcd._deg_in(b, i) > 0]
+    if b:
+        results.append(exact_divide(a * b, b))
+    if a or b:
+        results.append(gcd(a, b))
     for r in results:
         _assert_canonical(r)
 
