@@ -32,7 +32,7 @@ from lndkit import (
     verify_slice_theorem,
 )
 
-from lndkit.harness import random_triangular_lnd
+from lndkit.harness import load_corpus, random_triangular_lnd
 from lndkit.slices import DIXMIER_TERM_BUDGET
 
 from helpers import rand_poly
@@ -335,11 +335,23 @@ def test_complementary_uncleared_denominator_fails_at_cap_zero():
     )
     with pytest.raises(FailsUpToCapError) as err:
         complementary_lnd(*args, alpha_cap=0, member_bound=4, kernel_bound=3)
-    assert err.value.trace
+    assert err.value.trace == [(0, "U", "denominator does not clear")]
     # one more clearing power succeeds
     out = complementary_lnd(*args, alpha_cap=1, member_bound=4, kernel_bound=3)
     assert out.alpha == 1
     assert dict(out.nilpotency.indices) == {"V": 1, "U": 2}
+
+
+def test_complementary_cusp_base_fails_at_cap_zero():
+    """The cusp-base corpus task needs alpha 1: at alpha 0 the second
+    generator's image is outside the span, and the trace says so."""
+    (_, spec), = [(p, s) for p, s in load_corpus() if s.name == "asanuma-bhatwadekar"]
+    args = dict(spec.tasks[0].args, alpha_cap=0)
+    with pytest.raises(FailsUpToCapError) as err:
+        complementary_lnd(spec.subalgebra, **args)
+    assert err.value.trace == [
+        (0, "X*V^2*W^2 + W", "image 2*X*V^2*W + 1 not found in span at 8"),
+    ]
 
 
 def test_complementary_witness_must_evaluate():
