@@ -16,7 +16,7 @@ from fractions import Fraction
 from ..context import VarContext
 from ..errors import DomainError
 from ..polynomial import Polynomial
-from ..subalgebra import GeneratorSpan, Subalgebra, distinct_nonconstant, subalgebra_member
+from ..subalgebra import GeneratorSpan, Subalgebra, distinct_nonconstant
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,12 @@ def check_fiber_witness(S: Subalgebra, witness: FiberWitness) -> FiberCheck:
     if coords:
         if not live:
             return FiberCheck(False, "coordinate-not-in-fiber", coords[0])
-        fiber_algebra = Subalgebra(fiber_ctx, (), live)
-        fiber_span = GeneratorSpan(fiber_algebra, bound)
+        fiber_span = GeneratorSpan(Subalgebra(fiber_ctx, (), live), bound)
         for c in coords:
-            if subalgebra_member(c, fiber_algebra, bound, fiber_span) is None:
+            if fiber_span.member(c) is None:
                 return FiberCheck(False, "coordinate-not-in-fiber", c)
-    coord_algebra = Subalgebra(fiber_ctx, (), distinct_nonconstant(coords))
-    coord_span = GeneratorSpan(coord_algebra, bound)
+    coord_span = GeneratorSpan(Subalgebra(fiber_ctx, (), distinct_nonconstant(coords)), bound)
     for g in live:
-        if subalgebra_member(g, coord_algebra, bound, coord_span) is None:
+        if coord_span.member(g) is None:
             return FiberCheck(False, "generator-not-reachable", g)
     return FiberCheck(True, None, None)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
+from typing import Mapping
 
 REPORT_VERSION = 1
 SCHEMA_RESOURCE = "report-schema.txt"
@@ -96,10 +99,14 @@ _KIND_RE = {
 }
 
 
-def load_schema() -> dict[str, list[str]]:
-    """Parse the shipped schema file into first-token -> field-kind list."""
+@cache
+def load_schema() -> Mapping[str, tuple[tuple[str, ...], ...]]:
+    """Parse the shipped schema file into first-token -> field-kind lists.
+
+    Read once per process; the result is read-only, since it is shared.
+    """
     text = resources.files("lndkit.data").joinpath(SCHEMA_RESOURCE).read_text()
-    patterns: dict[str, list[str]] = {}
+    patterns: dict[str, list[tuple[str, ...]]] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -114,8 +121,8 @@ def load_schema() -> dict[str, list[str]]:
                 kinds.append(tok[1:-1])
             else:
                 kinds.append(f"={tok}")
-        patterns.setdefault(head, []).append(kinds)
-    return patterns
+        patterns.setdefault(head, []).append(tuple(kinds))
+    return MappingProxyType({head: tuple(options) for head, options in patterns.items()})
 
 
 def validate_report_text(text: str) -> list[str]:

@@ -18,12 +18,13 @@ is for input from outside the library.  It validates every monomial
 (length, non-negative exponents), coerces every coefficient to
 ``Fraction`` and merges duplicates, so parsed text, job files and user
 values always pass through it.  Every result the library computes
-(arithmetic, ``partial_derivative``, ``substitute``, ``combine``, and the
-divisions, pseudo-remainders and gcds of ``groebner`` and ``polygcd``) is
-valid by construction and is built by ``_from_ints`` from integer
-numerators over one denominator, dividing out one gcd.  No constructor
-builds the ``Fraction`` view: only the ``terms`` property does, on first
-use.
+(arithmetic, ``partial_derivative``, ``substitute``, ``combine``, the
+divisions, pseudo-remainders and gcds of ``groebner`` and ``polygcd``,
+``GeneratorSpan.express``'s symbol polynomial, ``kernel_up_to_degree``'s
+basis elements and the slice ``_solve_unit_image`` returns) is valid by
+construction and is built by ``_from_ints`` from integer numerators over
+one denominator, dividing out one gcd.  No constructor builds the
+``Fraction`` view: only the ``terms`` property does, on first use.
 
 ``Polynomial.combine(context, pairs)`` is the one linear-combination
 kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every

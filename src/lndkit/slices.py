@@ -20,6 +20,7 @@ used through the same two methods, ``apply(f, span)`` and
 ``dixmier`` and the induced derivations of ``coordinate_system``), slice
 search shares its image-kernel solver with ``kernel_up_to_degree``, and
 every repeated application of a derivation runs ``derivation.iterates``.
+Membership witnesses are asked of a ``GeneratorSpan`` built once per bound.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .derivation import Derivation, NilpotencyVerdict, iterates
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError
 from .linalg import RowSpace, reduce_by_rref, vec_of
 from .polygcd import exact_divide, gcd_fold
-from .polynomial import MAX_EXPONENT, Polynomial
+from .polynomial import MAX_EXPONENT, Polynomial, integer_form
 from .subalgebra import (
     GeneratorSpan,
     MembershipWitness,
@@ -72,12 +73,10 @@ def _solve_unit_image(
     if combo is None:
         return None
     s0 = Polynomial.combine(context, ((products[j][1], c) for j, c in combo.items()))
-    return Polynomial(context, reduce_by_rref(s0.terms, kernel))
+    return Polynomial._from_ints(context, *integer_form(reduce_by_rref(s0.terms, kernel)))
 
 
-def find_slice(
-    D: AnyDerivation, S: Subalgebra, bound: int, span: GeneratorSpan | None = None
-) -> Polynomial | None:
+def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None:
     """Search the bounded span for s with D(s) == 1.
 
     Callers should have certified local nilpotency first.  Among all
@@ -86,8 +85,7 @@ def find_slice(
     point free certified derivation on a full ring a large enough bound
     always succeeds).
     """
-    if span is None:
-        span = _applying_span(D, S, bound)
+    span = _applying_span(D, S, bound)
     products = span.products if span is not None else generator_products(S, bound)
     s = _solve_unit_image(D.product_images(products), products, S.context)
     if s is None:
@@ -250,19 +248,10 @@ def _reexpress(
 ) -> tuple[MembershipWitness, ...] | IncompleteReexpression:
     """Witnesses of every algebra generator of S in ``coords`` over the base,
     or the generators missed at the bound."""
-    target = Subalgebra(S.context, S.base_generators, coords)
-    target_span = GeneratorSpan(target, bound)
-    witnesses = []
-    missing = []
-    for g in S.algebra_generators:
-        w = subalgebra_member(g, target, bound, target_span)
-        if w is None:
-            missing.append(g)
-        else:
-            witnesses.append(w)
-    if missing:
-        return IncompleteReexpression(tuple(missing), bound)
-    return tuple(witnesses)
+    span = GeneratorSpan(Subalgebra(S.context, S.base_generators, coords), bound)
+    witnesses = tuple(span.member(g) for g in S.algebra_generators)
+    missing = tuple(g for g, w in zip(S.algebra_generators, witnesses) if w is None)
+    return IncompleteReexpression(missing, bound) if missing else witnesses
 
 
 # -- retraction-composed derivations ----------------------------------------
@@ -398,14 +387,15 @@ def complementary_lnd(
 ) -> ComplementaryLnd:
     """Derivation with image t^alpha along the U0 coordinate and V in its kernel.
 
-    Each generator g carries a witness t^k * g == N_g(V, U0); the candidate
+    Each generator g carries a witness t^k * g == N_g(V, U0), and one list
+    of the d/dU0 iterates of N_g gives both g's nilpotency index (its
+    length, N_g's U0-degree plus one, which certifies nilpotency) and the
+    numerator dN_g/dU0 of g's image (its second entry).  The candidate
     images are t^(alpha-k) * dN_g/dU0 with denominators cleared by powers
     of t, and the least alpha <= alpha_cap for which every image lies in
     the bounded span of S is accepted.  Post-checks: the image of V is
-    zero, nilpotency is certified by the d/dU0 iterates of the witness
-    numerators (each generator's index is their number, its numerator's
-    U0-degree plus one), and the bounded kernel lies in the span of the
-    base adjoined with V.
+    zero and the bounded kernel lies in the span of the base adjoined
+    with V.
 
     Raises FailsUpToCapError with the per-alpha trace when no alpha works.
     """
@@ -428,42 +418,45 @@ def complementary_lnd(
         if cw.numerator.substitute(bindings, context=ctx) != lhs:
             raise DomainError(f"coordinate witness for {g} does not evaluate exactly")
 
+    d_u = partial(Polynomial.partial_derivative, name=COORD_U)
+    base_images: list[Polynomial] = []  # dN_g/dU0 at (v, u0)
+    indices: dict[str, int] = {}
+    for g, cw in zip(S.algebra_generators, witnesses):
+        its = iterates(d_u, cw.numerator, cw.numerator.degree_in(COORD_U) or 0)
+        if its is None:
+            raise AssertionError("nilpotency index check failed")
+        indices[str(g)] = len(its)
+        numerator = its[1] if len(its) > 1 else Polynomial.zero(cw.numerator.context)
+        base_images.append(numerator.substitute(bindings, context=ctx))
+    verdict = NilpotencyVerdict(True, indices, max(indices.values(), default=1))
+
     span = GeneratorSpan(S, member_bound)
     trace: list[tuple[int, str, str]] = []
-    chosen: tuple[int, list[Polynomial], list[MembershipWitness]] | None = None
     for alpha in range(alpha_cap + 1):
         images: list[Polynomial] = []
         mwits: list[MembershipWitness] = []
-        ok = True
-        for g, cw in zip(S.algebra_generators, witnesses):
-            deriv = cw.numerator.partial_derivative(COORD_U)
-            base_img = deriv.substitute(bindings, context=ctx)
+        for g, cw, base_img in zip(S.algebra_generators, witnesses, base_images):
             if base_img.is_zero():
                 img = base_img
             elif alpha >= cw.t_power:
                 img = t._power(alpha - cw.t_power) * base_img
             else:
-                quo = exact_divide(base_img, t._power(cw.t_power - alpha))
-                if quo is None:
+                img = exact_divide(base_img, t._power(cw.t_power - alpha))
+                if img is None:
                     trace.append((alpha, str(g), "denominator does not clear"))
-                    ok = False
                     break
-                img = quo
-            w = subalgebra_member(img, S, member_bound, span)
+            w = span.member(img)
             if w is None:
                 trace.append((alpha, str(g), f"image {img} not found in span at {member_bound}"))
-                ok = False
                 break
             images.append(img)
             mwits.append(w)
-        if ok:
-            chosen = (alpha, images, mwits)
+        else:
             break
-    if chosen is None:
+    else:
         raise FailsUpToCapError(
             f"no alpha up to {alpha_cap} maps every generator into the subalgebra", trace
         )
-    alpha, images, mwits = chosen
 
     # Irreducibility reduction: divide out a common base factor when the
     # quotients stay inside the subalgebra.
@@ -478,31 +471,18 @@ def complementary_lnd(
             ]
             if all(q is not None for q in quotients):
                 new_wits = []
-                good = True
                 for q in quotients:
-                    w = subalgebra_member(q, S, member_bound, span)
+                    w = span.member(q)
                     if w is None:
-                        good = False
                         break
                     new_wits.append(w)
-                if good:
-                    images = quotients  # type: ignore[assignment]
-                    mwits = new_wits
-                    reduced_by = common
+                else:
+                    images, mwits, reduced_by = quotients, new_wits, common
 
     rd = RestrictedDerivation(S, tuple(images))
     v_index = S.algebra_generators.index(v)
     if not images[v_index].is_zero():
         raise AssertionError("the kernel coordinate is not killed")
-
-    d_u = partial(Polynomial.partial_derivative, name=COORD_U)
-    indices: dict[str, int] = {}
-    for g, cw in zip(S.algebra_generators, witnesses):
-        its = iterates(d_u, cw.numerator, cw.numerator.degree_in(COORD_U) or 0)
-        if its is None:
-            raise AssertionError("nilpotency index check failed")
-        indices[str(g)] = len(its)
-    verdict = NilpotencyVerdict(True, indices, max(indices.values(), default=1))
 
     basis = kernel_up_to_degree(rd, S, kernel_bound)
     sv = Subalgebra(ctx, S.base_generators, (v,))

@@ -4,7 +4,9 @@ A subalgebra is given by base generators (polynomials in the coefficient
 variables, generating the base ring) and algebra generators.  Membership,
 fixed-point-freeness and kernel computations all search the span of
 generator products of bounded *formal degree*: the sum of the formal
-exponents weighted by the total degree of each generator.  Bounded
+exponents weighted by the total degree of each generator.  Membership
+is asked of a ``GeneratorSpan``, the row space of those products at one
+bound, whose ``member`` builds and re-verifies every witness.  Bounded
 searches are semi-decisions; a miss is reported with its bound, never as
 a refutation.
 """
@@ -19,7 +21,7 @@ from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
 from .derivation import Derivation
 from .linalg import Combo, Row, RowSpace, canonical_rref, vec_of
-from .polynomial import Polynomial
+from .polynomial import Polynomial, integer_form
 
 PRODUCT_CAP = 500_000
 
@@ -153,37 +155,43 @@ class GeneratorSpan:
         combo = self.space.express(vec_of(f))
         if combo is None:
             return None
-        sym = symbol_context(self.subalgebra)
         terms = {self.products[j][0]: c for j, c in combo.items() if c}
         if not terms and not f.is_zero():
             return None
-        return Polynomial(sym, terms)
+        return Polynomial._from_ints(symbol_context(self.subalgebra), *integer_form(terms))
 
     def contains(self, f: Polynomial) -> bool:
         return self.space.contains(vec_of(f))
 
+    def member(self, f: Polynomial) -> MembershipWitness | None:
+        """Search f in the span.
 
-def subalgebra_member(
-    f: Polynomial, S: Subalgebra, bound: int, span: GeneratorSpan | None = None
-) -> MembershipWitness | None:
-    """Search f in the bounded span of generator products.
+        A hit returns a witness stamped with this span's bound and
+        re-verified by evaluation; None means not found up to the bound,
+        which is not a refutation.
+        """
+        _check_query(f, self.subalgebra, self.bound)
+        expr = self.express(f)
+        if expr is None:
+            return None
+        witness = MembershipWitness(f, expr, self.bound)
+        if witness.evaluate(self.subalgebra) != f:
+            raise AssertionError("membership witness failed re-verification")
+        return witness
 
-    A hit returns a re-verified witness; None means not found up to the
-    bound, which is not a refutation.
-    """
+
+def subalgebra_member(f: Polynomial, S: Subalgebra, bound: int) -> MembershipWitness | None:
+    """``GeneratorSpan(S, bound).member(f)``, with the query checked
+    before the span is built."""
+    _check_query(f, S, bound)
+    return GeneratorSpan(S, bound).member(f)
+
+
+def _check_query(f: Polynomial, S: Subalgebra, bound: int):
     if f.context != S.context:
         raise ContextMismatchError("membership query across contexts")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if span is None:
-        span = GeneratorSpan(S, bound)
-    expr = span.express(f)
-    if expr is None:
-        return None
-    witness = MembershipWitness(f, expr, bound)
-    if witness.evaluate(S) != f:
-        raise AssertionError("membership witness failed re-verification")
-    return witness
 
 
 @dataclass(frozen=True)
@@ -270,7 +278,7 @@ def restrict_derivation(
     witnesses = []
     for g in S.algebra_generators:
         img = D.apply(g)
-        w = subalgebra_member(img, S, bound, span)
+        w = span.member(img)
         if w is None:
             return RestrictionFailure(g, img)
         images.append(img)
@@ -352,7 +360,7 @@ def kernel_up_to_degree(
             raise AssertionError("kernel relation failed image re-verification")
     basis = []
     for row in kernel:
-        f = Polynomial(S.context, row)
+        f = Polynomial._from_ints(S.context, *integer_form(row))
         if not span.contains(f):
             raise AssertionError("kernel basis element left the span")
         if not D.apply(f, span).is_zero():

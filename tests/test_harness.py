@@ -93,6 +93,33 @@ def test_report_validates_against_schema():
     assert report.task_value(1, "slice") == "Y"
 
 
+def test_schema_is_read_once(monkeypatch):
+    from types import SimpleNamespace
+
+    from lndkit.harness import report as report_module
+
+    reads = []
+    real_files = report_module.resources.files
+
+    def files(package):
+        reads.append(package)
+        return real_files(package)
+
+    text = run_job(parse_job(MINIMAL)).to_text()
+    report_module.load_schema.cache_clear()
+    monkeypatch.setattr(report_module, "resources", SimpleNamespace(files=files))
+    assert validate_report_text(text) == []
+    assert validate_report_text(text) == []
+    assert reads == ["lndkit.data"]
+    schema = report_module.load_schema()
+    with pytest.raises(TypeError):
+        schema["bogus"] = ()
+    assert all(
+        isinstance(options, tuple) and all(isinstance(kinds, tuple) for kinds in options)
+        for options in schema.values()
+    )
+
+
 def test_schema_rejects_malformed_reports():
     report = run_job(parse_job(MINIMAL)).to_text()
     assert validate_report_text(report.replace("lndkit-report 1", "bogus 1"))

@@ -54,6 +54,13 @@ def test_member_product_of_generators():
     assert w.evaluate(S) == P("X^5", CTX1)
 
 
+def test_span_member_stamps_the_span_bound():
+    S = cusp_base()
+    assert subalgebra_member(P("X^5", CTX1), S, 2) is None
+    w = GeneratorSpan(S, 5).member(P("X^5", CTX1))
+    assert w is not None and w.bound == 5
+
+
 def test_member_odd_power_never_found():
     S = cusp_base()
     assert subalgebra_member(P("X", CTX1), S, 6) is None
@@ -213,7 +220,7 @@ def test_witnesses_always_evaluate_exactly():
     span = GeneratorSpan(S, 8)
     for _ in range(10):
         expo, product = span.products[rng.randrange(len(span.products))]
-        w = subalgebra_member(product, S, 8, span)
+        w = span.member(product)
         assert w is not None and w.evaluate(S) == product
 
 
