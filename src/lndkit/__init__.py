@@ -16,6 +16,7 @@ from .errors import (
     ContextMismatchError,
     DomainError,
     FailsUpToCapError,
+    InvariantError,
     JobParseError,
     LndkitError,
     PolyParseError,

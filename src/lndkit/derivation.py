@@ -8,7 +8,7 @@ gives an unconditional certificate in characteristic zero.
 
 ``iterates`` is the one loop that applies D until the image vanishes:
 nilpotency indices, Dixmier sums and the retraction and complementary
-certificates read their iterates from it.
+certificates read their iterates from it, the first two via ``metered_iterates``.
 
 ``apply`` and ``product_images`` are the protocol shared with
 ``RestrictedDerivation``, so slice search, projection and kernel
@@ -22,12 +22,16 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .context import VarContext
-from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
+from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .groebner import ideal_member
 from .polygcd import gcd_fold
 from .polynomial import Polynomial
 
 DEFAULT_NILPOTENCY_BOUND = 64
+ITERATION_CAP = 4096
+# Terms the iterates of one element may hold in total, so the cap limits work, not
+# only steps; the corpus, the tests and the seeded families peak at 293.
+TERM_BUDGET = 20_000
 TRIANGULAR_VAR_CAP = 8
 
 
@@ -97,21 +101,42 @@ def iterates(
     return out
 
 
+def metered_iterates(apply: Callable[[Polynomial], Polynomial], a: Polynomial,
+                     cap: int = ITERATION_CAP) -> list[Polynomial]:
+    """``iterates`` within ``cap`` steps and ``TERM_BUDGET`` terms, else ``DomainError``."""
+    spent = len(a)
+
+    def metered(f: Polynomial) -> Polynomial:
+        nonlocal spent
+        image = apply(f)
+        spent += len(image)
+        if spent > TERM_BUDGET:
+            raise DomainError(f"derivation iterates of {a} exceeded {TERM_BUDGET} terms"
+                              " before they vanished")
+        return image
+
+    its = iterates(metered, a, cap)
+    if its is None:
+        raise DomainError(f"derivation iterates of {a} did not vanish within {cap} steps")
+    return its
+
+
 def nilpotency_verdict(D: Derivation, bound: int = DEFAULT_NILPOTENCY_BOUND) -> NilpotencyVerdict:
     """Certify local nilpotency on the ring generators by iteration.
 
     Each main variable x is certified when D^(bound+1)(x) == 0, so an index
     (the smallest n with D^n(x) == 0) can be ``bound + 1``.  Certification
     on the main variables suffices because the locally nilpotent locus is a
-    subalgebra.  An exhausted bound is reported as inconclusive, never as a
+    subalgebra.  An exhausted bound or term budget is inconclusive, never a
     refutation.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    if not 1 <= bound <= ITERATION_CAP:
+        raise ValueError(f"bound must be from 1 to {ITERATION_CAP}")
     indices: dict[str, int] = {}
     for name in D.context.main_vars:
-        its = iterates(D.apply, Polynomial.variable(D.context, name), bound)
-        if its is None:
+        try:
+            its = metered_iterates(D.apply, Polynomial.variable(D.context, name), bound)
+        except DomainError:
             return NilpotencyVerdict(False, None, bound)
         indices[name] = len(its)
     return NilpotencyVerdict(True, indices, bound)
@@ -145,10 +170,8 @@ def is_triangular(D: Derivation) -> tuple[str, ...] | None:
 
 
 def divergence(D: Derivation) -> Polynomial:
-    out = Polynomial.zero(D.context)
-    for name in D.context.main_vars:
-        out = out + D.images[name].partial_derivative(name)
-    return out
+    return Polynomial.combine(D.context, ((D.images[n].partial_derivative(n), 1)
+                                          for n in D.context.main_vars))
 
 
 def is_irreducible(D: Derivation) -> tuple[bool, Polynomial | None]:
@@ -180,6 +203,6 @@ def is_fixed_point_free(D: Derivation) -> dict[str, Polynomial] | None:
     if cof is None:
         return None
     witness = {n: c for n, c in zip(names, cof)}
-    if Polynomial.combine(D.context, ((c, D.images[n]) for n, c in witness.items())) != one:
-        raise AssertionError("fixed-point-free witness failed re-verification")
+    invariant(Polynomial.combine(D.context, ((c, D.images[n]) for n, c in witness.items())) == one,
+              "fixed-point-free witness failed re-verification")
     return witness

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the invariant policy: a
+re-verification that fails is a bug, raised by ``invariant`` as ``InvariantError``."""
 
 
 class LndkitError(Exception):
@@ -45,3 +46,14 @@ class FailsUpToCapError(LndkitError):
     def __init__(self, message: str, trace: list):
         super().__init__(message)
         self.trace = trace
+
+
+class InvariantError(AssertionError):
+    """A failed internal invariant, such as a witness that did not re-verify:
+    a bug, never bad input."""
+
+
+def invariant(ok: object, message: str) -> None:
+    """Raise ``InvariantError(message)`` unless ``ok``; unlike ``assert``, ``python -O`` keeps it."""
+    if not ok:
+        raise InvariantError(message)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .context import VarContext
-from .errors import ContextMismatchError, DomainError
+from .errors import ContextMismatchError, DomainError, invariant
 from .ordering import MonomialOrder
 from .polynomial import (
     Monomial, Polynomial, integer_form, mono_div, mono_divides, mono_lcm, mono_mul,
@@ -183,8 +183,8 @@ class GroebnerBasis:
             return
         ctx = self.inputs[0].context
         for g, row in zip(self.generators, self.cofactors):
-            if Polynomial.combine(ctx, zip(row, self.inputs)) != g:
-                raise AssertionError("cofactor recombination mismatch")
+            invariant(Polynomial.combine(ctx, zip(row, self.inputs)) == g,
+                      "cofactor recombination mismatch")
         gens = list(self.generators)
         order = self.order
         leads = [_lead(g, *leading_term(g, order)) for g in gens]
@@ -201,8 +201,7 @@ class GroebnerBasis:
             if lcm == mono_mul(lms[i], lms[j]) or _chain(lms, i, j, lcm, settled):
                 continue
             rem, _ = normal_form(_s_polynomial(gens[i], gens[j], order), gens, order, leads)
-            if not rem.is_zero():
-                raise AssertionError("S-polynomial does not reduce to zero")
+            invariant(rem.is_zero(), "S-polynomial does not reduce to zero")
 
 
 def _chain(
@@ -350,6 +349,6 @@ def ideal_member(
     if not rem.is_zero():
         return None
     cof = _row_sum(p.context, [(q, row) for q, row in zip(quots, gb.cofactors) if q], len(gens))
-    if Polynomial.combine(p.context, zip(cof, gens)) != p:
-        raise AssertionError("membership cofactors failed re-verification")
+    invariant(Polynomial.combine(p.context, zip(cof, gens)) == p,
+              "membership cofactors failed re-verification")
     return cof

@@ -1,8 +1,8 @@
 """Command-line interface: run job files, the corpus, and random families.
 
 Exit codes: 0 all pass, 1 verdict or expectation mismatch, 2 input error,
-3 internal error (``lndkit run`` only: a task failed an internal invariant,
-such as a witness that did not re-verify, or raised an unexpected exception).
+3 internal error (``lndkit run`` only: a task raised ``InvariantError``, as a
+witness that did not re-verify does, or an unexpected exception).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from ..derivation import DEFAULT_NILPOTENCY_BOUND
+from ..derivation import DEFAULT_NILPOTENCY_BOUND, ITERATION_CAP
 from ..errors import JobParseError, LndkitError
 from .corpus import corpus_report_text, run_corpus
 from .jobs import parse_job
@@ -32,8 +32,8 @@ def main():
 @click.option("--bound", type=click.IntRange(min=1), default=None,
               help="Override the bound of every task that does not set one.")
 @click.option("--seed", type=int, default=None, help="Override the job seed.")
-@click.option("--nilpotency-bound", type=click.IntRange(min=1), default=DEFAULT_NILPOTENCY_BOUND,
-              show_default=True, help="Iteration bound for nilpotency certification.")
+@click.option("--nilpotency-bound", type=click.IntRange(1, ITERATION_CAP), show_default=True,
+              default=DEFAULT_NILPOTENCY_BOUND, help="Iteration bound for nilpotency certification.")
 def run_command(job_file: Path, out: Path | None, bound: int | None, seed: int | None,
                 nilpotency_bound: int):
     """Run a job file and emit its report."""

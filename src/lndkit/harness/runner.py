@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 
 from ..derivation import (
     DEFAULT_NILPOTENCY_BOUND,
+    ITERATION_CAP,
     divergence,
     is_fixed_point_free,
     is_irreducible,
@@ -32,7 +33,7 @@ from ..errors import FailsUpToCapError, JobParseError, LndkitError
 from ..groebner import buchberger, ideal_member
 from ..ordering import MonomialOrder
 from ..parse import parse_polynomial
-from ..polynomial import Polynomial
+from ..polynomial import MAX_EXPONENT, Polynomial
 from ..slices import (
     CoordinateWitness,
     IncompleteReexpression,
@@ -95,9 +96,11 @@ def split_items(text: str, sep: str = ";") -> list[str]:
     return [item.strip() for item in text.split(sep) if item.strip()]
 
 
-def _at_least(low: int, text: str) -> int:
+def _int_in(low: int, text: str, high: int | None = None) -> int:
     if int(text) < low:
         raise ValueError(f"{text} is below {low}")
+    if high is not None and int(text) > high:
+        raise ValueError(f"{text} is above {high}")
     return int(text)
 
 
@@ -146,9 +149,12 @@ def _choice(options) -> Kind:
 
 POLY = Kind("polynomial", lambda text, spec, index: parse_polynomial(text, spec.context))
 POLYS = Kind("polynomials", _list(POLY))
-POSITIVE = Kind("positive int", lambda text, spec, index: _at_least(1, text))
-NON_NEGATIVE = Kind("non-negative int", lambda text, spec, index: _at_least(0, text))
+POSITIVE = Kind("positive int", lambda text, spec, index: _int_in(1, text))
 INT = Kind("int", lambda text, spec, index: int(text))
+NILPOTENCY_BOUND = Kind(f"int from 1 to {ITERATION_CAP}",
+                        lambda text, spec, index: _int_in(1, text, ITERATION_CAP))
+ALPHA_CAP = Kind(f"int from 0 to {MAX_EXPONENT}",
+                 lambda text, spec, index: _int_in(0, text, MAX_EXPONENT))
 AMBIENT = Kind("ambient derivation", lambda text, spec, index: _derivation(text, spec, index, True))
 DERIVATION = Kind("derivation", _derivation)
 AMBIENTS = Kind("ambient derivations", _list(AMBIENT))
@@ -486,7 +492,7 @@ SOURCE = {"from": EARLIER, "derivation": DERIVATION}
 
 TASKS: dict[str, Task] = {
     "nilpotency": _task(_t_nilpotency, derivation=AMBIENT,
-                        bound=Param(POSITIVE, Default.NILPOTENCY_BOUND)),
+                        bound=Param(NILPOTENCY_BOUND, Default.NILPOTENCY_BOUND)),
     "triangular": _task(_t_triangular, derivation=AMBIENT),
     "divergence": _task(_t_divergence, derivation=AMBIENT),
     "irreducible": _task(_t_irreducible, derivation=AMBIENT),
@@ -507,7 +513,7 @@ TASKS: dict[str, Task] = {
     "kernel_up_to_degree": _task(_t_kernel_up_to_degree, derivation=SOURCE, bound=BOUND),
     "complementary_lnd": _task(_t_complementary_lnd, coordw=True, yields_derivation=True,
                                v=POLY, u0=POLY, t=POLY,
-                               alpha_cap=Param(NON_NEGATIVE, 3), member_bound=POSITIVE,
+                               alpha_cap=Param(ALPHA_CAP, 3), member_bound=POSITIVE,
                                kernel_bound=POSITIVE),
     "closure": _task(_t_closure, derivation=SOURCE, member_bound=POSITIVE,
                      elem_degree=Param(POSITIVE, 6), factor=POLY, family_vars=VARIABLES),
@@ -612,8 +618,8 @@ def run_job(
         except (ValueError, KeyError) as exc:
             result.error = f"{type(exc).__name__}: {exc}"
         except AssertionError as exc:
-            # A failed internal invariant, such as a witness that did not
-            # re-verify.
+            # An InvariantError: a failed internal invariant, such as a
+            # witness that did not re-verify.
             result.error = f"internal: {str(exc) or type(exc).__name__}"
             result.internal = True
         except Exception as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .context import VarContext
-from .errors import PolyParseError
+from .errors import InvariantError, PolyParseError
 from .polynomial import MAX_EXPONENT, Polynomial
 
 _OPS = set("+-*^/()")
@@ -168,7 +168,7 @@ class _Parser:
             self.advance()
             return inner
         self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
-        raise AssertionError  # unreachable
+        raise InvariantError("unreachable")
 
 
 def parse_polynomial(text: str, context: VarContext) -> Polynomial:

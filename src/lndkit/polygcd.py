@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import ContextMismatchError, DomainError
+from .errors import ContextMismatchError, DomainError, invariant
 from .groebner import normal_form
 from .ordering import MonomialOrder
 from .polynomial import Monomial, Polynomial, mono_mul
@@ -55,8 +55,7 @@ def divides(d: Polynomial, p: Polynomial) -> bool:
 def _quotient(p: Polynomial, d: Polynomial, what: str) -> Polynomial:
     """``p / d`` for a division the algorithm knows is exact; a remainder is a bug."""
     q = exact_divide(p, d)
-    if q is None:
-        raise AssertionError(f"{what} division must be exact")
+    invariant(q is not None, f"{what} division must be exact")
     return q
 
 
@@ -183,6 +182,6 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.is_zero() and q.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
     g = _gcd_inner(p, q)
-    if not (p.is_zero() or divides(g, p)) or not (q.is_zero() or divides(g, q)):
-        raise AssertionError("gcd postcondition failed")
+    invariant((p.is_zero() or divides(g, p)) and (q.is_zero() or divides(g, q)),
+              "gcd postcondition failed")
     return g

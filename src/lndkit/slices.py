@@ -31,8 +31,9 @@ from functools import partial
 from typing import Callable
 
 from .context import VarContext
-from .derivation import Derivation, NilpotencyVerdict, iterates
-from .errors import ContextMismatchError, DomainError, FailsUpToCapError
+from .derivation import TERM_BUDGET as DIXMIER_TERM_BUDGET  # kept public here
+from .derivation import Derivation, NilpotencyVerdict, iterates, metered_iterates
+from .errors import ContextMismatchError, DomainError, FailsUpToCapError, invariant
 from .linalg import RowSpace, reduce_by_rref, vec_of
 from .polygcd import exact_divide, gcd_fold
 from .polynomial import MAX_EXPONENT, Polynomial, integer_form
@@ -47,12 +48,6 @@ from .subalgebra import (
     kernel_up_to_degree,
     subalgebra_member,
 )
-
-DIXMIER_ITERATION_CAP = 4096
-# Total number of terms the iterates of one Dixmier sum may hold, so the
-# cap limits work, not only steps; the shipped corpus, the tests and the
-# seeded families peak at 293.
-DIXMIER_TERM_BUDGET = 20_000
 
 AnyDerivation = Derivation | RestrictedDerivation
 
@@ -90,8 +85,7 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     s = _solve_unit_image(D.product_images(products), products, S.context)
     if s is None:
         return None
-    if D.apply(s, span) != Polynomial.one(S.context):
-        raise AssertionError("slice candidate failed the image check")
+    invariant(D.apply(s, span) == Polynomial.one(S.context), "slice candidate failed the image check")
     return s
 
 
@@ -101,35 +95,11 @@ def _applying_span(D: AnyDerivation, S: Subalgebra, bound: int) -> GeneratorSpan
     return GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
 
 
-def _iterates(apply: Callable[[Polynomial], Polynomial], a: Polynomial) -> list[Polynomial]:
-    """``derivation.iterates`` up to ``DIXMIER_ITERATION_CAP`` and within
-    ``DIXMIER_TERM_BUDGET`` terms in total, else ``DomainError``."""
-    spent = len(a)
-
-    def metered(f: Polynomial) -> Polynomial:
-        nonlocal spent
-        image = apply(f)
-        spent += len(image)
-        if spent > DIXMIER_TERM_BUDGET:
-            raise DomainError(
-                f"derivation iterates of {a} exceeded {DIXMIER_TERM_BUDGET} terms"
-                " before they vanished"
-            )
-        return image
-
-    its = iterates(metered, a, DIXMIER_ITERATION_CAP)
-    if its is None:
-        raise DomainError(
-            f"derivation iterates of {a} did not vanish within {DIXMIER_ITERATION_CAP} steps"
-        )
-    return its
-
-
 def _project(apply: Callable[[Polynomial], Polynomial], s: Polynomial, a: Polynomial) -> Polynomial:
     """pi_s(a) = sum_i (1/i!) * (-s)^i * D^i(a), D given by ``apply``."""
     pairs = []
     weight = Polynomial.one(a.context)  # (-s)^i / i!
-    for i, term in enumerate(_iterates(apply, a)):
+    for i, term in enumerate(metered_iterates(apply, a)):
         if i:
             weight = weight * (s * Fraction(-1, i))
         pairs.append((weight, term))
@@ -151,8 +121,7 @@ def dixmier(
     if D.apply(s, span) != Polynomial.one(a.context):
         raise DomainError("dixmier projection needs a slice: D(s) must be 1")
     result = _project(partial(D.apply, span=span), s, a)
-    if not D.apply(result, span).is_zero():
-        raise AssertionError("dixmier image is not a kernel element")
+    invariant(D.apply(result, span).is_zero(), "dixmier image is not a kernel element")
     return result
 
 
@@ -201,7 +170,7 @@ def _taylor_bound(D: Derivation, s: Polynomial, S: Subalgebra, projections: list
     s_deg = max(1, s.degree() or 1)
     best = 1
     for g in S.algebra_generators:
-        for i, f in enumerate(_iterates(D.apply, g)):
+        for i, f in enumerate(metered_iterates(D.apply, g)):
             for mono in f.terms:
                 w = sum(mono[:ncoeff])
                 for j in range(ncoeff, ctx.nvars):
@@ -235,11 +204,9 @@ def verify_slice_theorem(
     witnesses = _reexpress(S, tuple(kgens) + (s,), bound)
     if isinstance(witnesses, IncompleteReexpression):
         return witnesses
-    if D.apply(s, span) != Polynomial.one(S.context):
-        raise AssertionError("certificate slice lost the unit image")
+    invariant(D.apply(s, span) == Polynomial.one(S.context), "certificate slice lost the unit image")
     for k in kgens:
-        if not D.apply(k, span).is_zero():
-            raise AssertionError("certificate kernel generator is not killed")
+        invariant(D.apply(k, span).is_zero(), "certificate kernel generator is not killed")
     return SliceCertificate(s, tuple(kgens), witnesses, bound)
 
 
@@ -327,15 +294,13 @@ def lnd_from_retraction(spec: RetractionSpec) -> RetractionDerivation:
     indices: dict[str, int] = {}
     for g in S.algebra_generators:
         its = iterates(lambda f: spec.retract(f.partial_derivative(w)), g, (g.degree_in(w) or 0) + 1)
-        if its is None:
-            raise AssertionError("retraction derivation exceeded its grading bound")
+        invariant(its is not None, "retraction derivation exceeded its grading bound")
         images.append(its[1] if len(its) > 1 else Polynomial.zero(ctx))
-        if g == wpoly and images[-1] != Polynomial.one(ctx):
-            raise AssertionError("slice variable image is not 1")
+        invariant(g != wpoly or images[-1] == Polynomial.one(ctx), "slice variable image is not 1")
         indices[str(g)] = len(its)
     for img_name, fixed in spec.fixed_images.items():
-        if not spec.retract(fixed.partial_derivative(w)).is_zero():
-            raise AssertionError(f"retraction image of {img_name!r} is not killed")
+        invariant(spec.retract(fixed.partial_derivative(w)).is_zero(),
+                  f"retraction image of {img_name!r} is not killed")
     verdict = NilpotencyVerdict(True, indices, max(indices.values(), default=1))
     return RetractionDerivation(spec, RestrictedDerivation(S, tuple(images)), verdict)
 
@@ -423,8 +388,7 @@ def complementary_lnd(
     indices: dict[str, int] = {}
     for g, cw in zip(S.algebra_generators, witnesses):
         its = iterates(d_u, cw.numerator, cw.numerator.degree_in(COORD_U) or 0)
-        if its is None:
-            raise AssertionError("nilpotency index check failed")
+        invariant(its is not None, "nilpotency index check failed")
         indices[str(g)] = len(its)
         numerator = its[1] if len(its) > 1 else Polynomial.zero(cw.numerator.context)
         base_images.append(numerator.substitute(bindings, context=ctx))
@@ -481,8 +445,7 @@ def complementary_lnd(
 
     rd = RestrictedDerivation(S, tuple(images))
     v_index = S.algebra_generators.index(v)
-    if not images[v_index].is_zero():
-        raise AssertionError("the kernel coordinate is not killed")
+    invariant(images[v_index].is_zero(), "the kernel coordinate is not killed")
 
     basis = kernel_up_to_degree(rd, S, kernel_bound)
     sv = Subalgebra(ctx, S.base_generators, (v,))
@@ -541,8 +504,8 @@ def transcendence_check(
                     )
                     for n in range(bound + 1)
                 )
-                if not Polynomial.combine(ctx, zip(coeffs, xpows)).is_zero():
-                    raise AssertionError("relation failed re-verification")
+                invariant(Polynomial.combine(ctx, zip(coeffs, xpows)).is_zero(),
+                          "relation failed re-verification")
                 return TranscendenceResult(bound, coeffs)
         xpows.append(xpows[i] * x)
     return TranscendenceResult(bound, None)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .context import VarContext
-from .errors import ContextMismatchError, DomainError, UnsupportedSizeError
+from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .derivation import Derivation
 from .linalg import Combo, Row, RowSpace, canonical_rref, vec_of
 from .polynomial import Polynomial, integer_form
@@ -175,8 +175,7 @@ class GeneratorSpan:
         if expr is None:
             return None
         witness = MembershipWitness(f, expr, self.bound)
-        if witness.evaluate(self.subalgebra) != f:
-            raise AssertionError("membership witness failed re-verification")
+        invariant(witness.evaluate(self.subalgebra) == f, "membership witness failed re-verification")
         return witness
 
 
@@ -308,8 +307,8 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
         Polynomial.combine(ctx, ((products[j][1], c) for (j, k), c in combo.items() if k == i))
         for i in range(len(rd.images))
     ]
-    if Polynomial.combine(ctx, zip(cof, rd.images)) != Polynomial.one(ctx):
-        raise AssertionError("fpf cofactors failed re-verification")
+    invariant(Polynomial.combine(ctx, zip(cof, rd.images)) == Polynomial.one(ctx),
+              "fpf cofactors failed re-verification")
     return cof
 
 
@@ -356,14 +355,11 @@ def kernel_up_to_degree(
         check = Polynomial.combine(
             S.context, [(images[j], 1), *((images[k], -c) for k, c in dep.items())]
         )
-        if not check.is_zero():
-            raise AssertionError("kernel relation failed image re-verification")
+        invariant(check.is_zero(), "kernel relation failed image re-verification")
     basis = []
     for row in kernel:
         f = Polynomial._from_ints(S.context, *integer_form(row))
-        if not span.contains(f):
-            raise AssertionError("kernel basis element left the span")
-        if not D.apply(f, span).is_zero():
-            raise AssertionError("kernel basis element not killed by derivation")
+        invariant(span.contains(f), "kernel basis element left the span")
+        invariant(D.apply(f, span).is_zero(), "kernel basis element not killed by derivation")
         basis.append(f)
     return basis

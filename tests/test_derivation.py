@@ -20,6 +20,7 @@ from lndkit import (
     nilpotency_verdict,
     parse_polynomial,
 )
+from lndkit.derivation import ITERATION_CAP
 
 from helpers import rand_poly
 
@@ -123,6 +124,27 @@ def test_nilpotency_hand_chain():
     assert v.certified and v.indices == {"X": 3, "Y": 2}
     v = nilpotency_verdict(d, 1)
     assert not v.certified and v.indices is None
+
+
+def test_nilpotency_term_budget_makes_growing_iterates_inconclusive():
+    """D^n(X) grows by about n terms a step, so the term budget, not the
+    bound, ends the check; without it bound 512 ran for over a minute."""
+    d = D_of(CTXT, X="X^2 + t*X + 1", Y="1")
+    v = nilpotency_verdict(d, 512)
+    assert not v.certified and v.indices is None and v.bound == 512
+
+
+def test_nilpotency_at_the_iteration_cap_ends():
+    """D^n(X) = n! * X^(n+1) never vanishes; the cap bounds the steps."""
+    d = D_of(CTX, X="X^2", Y="X*Y")
+    v = nilpotency_verdict(d, ITERATION_CAP)
+    assert not v.certified and v.bound == ITERATION_CAP
+
+
+@pytest.mark.parametrize("bound", [0, ITERATION_CAP + 1])
+def test_nilpotency_bound_outside_its_range_is_rejected(bound):
+    with pytest.raises(ValueError, match=f"bound must be from 1 to {ITERATION_CAP}"):
+        nilpotency_verdict(DY, bound)
 
 
 def test_triangular_by_inspection():

@@ -1,0 +1,47 @@
+"""The invariant policy: ``lndkit.errors.invariant`` is the one place that
+raises ``InvariantError``, and no other module restates the policy."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from lndkit import InvariantError
+from lndkit.errors import invariant
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lndkit"
+
+
+def test_invariant_raises_invariant_error_with_its_message():
+    invariant(True, "holds")
+    with pytest.raises(InvariantError) as err:
+        invariant(False, "m")
+    assert str(err.value) == "m"
+    assert isinstance(err.value, AssertionError)  # the runner's clause catches it
+
+
+def _hand_rolled(path: Path) -> list[str]:
+    """Bare ``assert`` statements, and ``raise AssertionError`` outside errors.py."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Assert):
+            found.append(f"{path.name}:{node.lineno}: assert statement")
+        elif isinstance(node, ast.Raise) and node.exc is not None and path.name != "errors.py":
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}: raise AssertionError")
+    return found
+
+
+def test_no_module_restates_the_invariant_policy():
+    paths = sorted(SRC.rglob("*.py"))
+    assert any(path.name == "errors.py" for path in paths)
+    assert [hit for path in paths for hit in _hand_rolled(path)] == []
+
+
+def test_the_guard_sees_both_forms(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("assert x\nraise AssertionError('m')\nraise AssertionError\n")
+    assert _hand_rolled(sample) == ["sample.py:1: assert statement",
+                                    "sample.py:2: raise AssertionError",
+                                    "sample.py:3: raise AssertionError"]

@@ -54,6 +54,8 @@ REJECTED = {
     "coordw record on the wrong task": 'task apply derivation=D poly="X"\n  coordw gen=1 power=0 expr="V_"',
     "coordw power above the exponent cap": 'task complementary_lnd v="X" u0="Y" t="t" member_bound=2 kernel_bound=2\n  coordw gen=1 power=101 expr="V_"\n  coordw gen=2 power=0 expr="U0_"',
     "complementary_lnd without coordw": 'task complementary_lnd v="X" u0="Y" t="t" member_bound=2 kernel_bound=2',
+    "alpha_cap above the exponent cap": 'task complementary_lnd v="X" u0="Y" t="t" alpha_cap=101 member_bound=2 kernel_bound=2\n  coordw gen=1 power=0 expr="V_"\n  coordw gen=2 power=0 expr="U0_"',
+    "nilpotency bound above the iteration cap": "task nilpotency derivation=D bound=4097",
 }
 
 
@@ -111,6 +113,17 @@ def test_non_positive_run_bounds_are_rejected(tmp_path, flag):
     assert "lndkit-report" not in result.output
 
 
+def test_a_nilpotency_bound_above_the_iteration_cap_is_rejected(tmp_path):
+    job = tmp_path / "job.job"
+    job.write_text(HEAD)
+    result = CliRunner().invoke(cli_main, ["run", str(job), "--nilpotency-bound", "4097"])
+    assert result.exit_code == 2
+    assert "1<=x<=4096" in result.output
+    assert "lndkit-report" not in result.output
+    result = CliRunner().invoke(cli_main, ["run", str(job), "--nilpotency-bound", "4096"])
+    assert result.exit_code == 0
+
+
 # -- fuzz ----------------------------------------------------------------------------
 
 SUBALGEBRA_HEAD = """job checks
@@ -128,7 +141,8 @@ _PLAUSIBLE = {
     "polynomial": ["X", "Y + 1/2*t*X^2", "1 - t^2*X", "t", "0"],
     "polynomials": ["X; Y", "X", "1 - t^2*X; X", "", "1"],
     "positive int": ["1", "2", "3", "0"],
-    "non-negative int": ["0", "1", "2", "-1"],
+    "int from 1 to 4096": ["1", "2", "64", "4096", "0", "4097"],
+    "int from 0 to 100": ["0", "1", "3", "100", "-1", "101"],
     "int": ["-1", "0", "1", "7"],
     "ambient derivation": ["D", "D", "E"],
     "derivation": ["D", "E"],
@@ -177,6 +191,54 @@ def test_a_job_that_parses_runs_without_a_parameter_error(head, lines, bound):
         error = task.error or ""
         assert "needs parameter" not in error and "unknown task" not in error, error
         assert not error.startswith("ValueError:") and not task.internal, error
+
+
+# Every line but the job and task lines is a record the property below fuzzes.
+RECORDS_JOB = """job fuzz
+ring coeff: t
+ring main: X, Y
+base: full
+algebra: X; Y
+derivation D: X: t, Y: 1 - t^2*X
+derivation E gens: 0, 1
+seed: 3
+tags: checks, fuzz
+task complementary_lnd v="X" u0="Y" t="t" member_bound=2 kernel_bound=2
+coordw gen=1 power=0 expr="V_"
+coordw gen=2 power=1 expr="t*U0_"
+expect verdict=found type=text provenance=trivial oracle="by hand"
+"""
+_FUZZED_LINES = [i for i, line in enumerate(RECORDS_JOB.splitlines())
+                 if not line.startswith(("job ", "task "))]
+# Digits stop at 3, so no example raises a sum to a power with many terms.
+_RECORD_TEXT = st.text(alphabet="XYtUV0_123 +-*^/=:;,()'\"#", max_size=12)
+
+
+@st.composite
+def _fuzzed_record_job(draw) -> str:
+    """The job with a slice of one record's body replaced by arbitrary text."""
+    lines = RECORDS_JOB.splitlines()
+    index = draw(st.sampled_from(_FUZZED_LINES))
+    keyword, _, body = lines[index].partition(" ")
+    start = draw(st.integers(0, len(body)))
+    end = draw(st.integers(start, len(body)))
+    lines[index] = f"{keyword} {body[:start]}{draw(_RECORD_TEXT)}{body[end:]}"
+    return "\n".join(lines) + "\n"
+
+
+def test_the_records_job_parses():
+    spec = parse_job(RECORDS_JOB)
+    assert len(spec.tasks[0].coord_witnesses) == 2 and spec.tags == ("checks", "fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzzed_record_job())
+def test_any_non_task_record_parses_or_raises_a_job_parse_error(text):
+    try:
+        spec = parse_job(text)
+    except JobParseError:
+        return
+    assert [task.name for task in spec.tasks] == ["complementary_lnd"]
 
 
 # -- the README task list ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Grammar acceptance and rejection for the polynomial parser."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lndkit import PolyParseError, VarContext, parse_polynomial
 from lndkit.parse import MAX_NESTING_DEPTH
@@ -99,3 +101,40 @@ def test_exponent_cap_is_a_parse_error():
 
 def test_whitespace_insensitive():
     assert P(" X\n+ \tY ") == P("X + Y")
+
+
+# Operands and operators, well formed five times in six, so that a fair share
+# of the texts parse, besides arbitrary text.  Exponents stay small, so no
+# example raises a sum to a power with many terms.
+_OPERANDS = (["X", "Y", "t", "2", "1/2", "(X + t)", "Y^3", "(1 - t*X)"], ["Z", "(", "3^", "0.5", ""])
+_OPERATORS = ([" + ", " - ", "*", "^2", "/3", "^0"], ["/", "^", ")", "", "**", "^-1", "/0"])
+
+
+@st.composite
+def _poly_text(draw) -> str:
+    def part(choices):
+        good, bad = choices
+        return draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad))
+
+    parts = [part(_OPERANDS)]
+    for _ in range(draw(st.integers(0, 4))):
+        parts += [part(_OPERATORS), part(_OPERANDS)]
+    return "".join(parts)
+
+
+_POLY_TEXT = st.one_of(
+    _poly_text(),
+    st.text(alphabet="XYtZ0123+-*/^(). _\t", max_size=20),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_POLY_TEXT)
+@example("X^\u00b2")  # a Unicode digit once escaped as a bare ValueError
+def test_any_text_parses_or_raises_a_parse_error(text):
+    try:
+        p = P(text)
+    except PolyParseError:
+        return
+    assert p.context == CTX
