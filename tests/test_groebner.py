@@ -93,7 +93,7 @@ def _reference_normal_form(p, divisors, order):
 
 def _terms(nvars):
     mono = st.tuples(*[st.integers(0, 3)] * nvars)
-    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    coeff = st.fractions(min_value=-12, max_value=12, max_denominator=5).filter(bool)
     return st.dictionaries(mono, coeff, max_size=5)
 
 
@@ -108,6 +108,11 @@ def _division_cases(draw):
 
 @given(_division_cases())
 @example((P("X^3*Y + X*Y^2 - Y"), [Polynomial.zero(CTX), P("X*Y - 1"), P("Y^2 + X")], DRL))
+@example((P("(2*X - 3*Y + 1)^6"), [P("6*X^2 + 4*Y"), P("9*X*Y - 2/5*Y^2 + 1")], DRL))
+@example((P("(3/2*X + 5*Y - 7)^5"), [P("-4*Y^2 + X"), P("10*X^2 - 3*X*Y - 1/7")], LEX))
+@example((parse_polynomial("(2*X*Y - 3*Z + 5)^4", CTX3),
+          [parse_polynomial(t, CTX3) for t in ("7*X*Y - 2*Z^2", "-6*Z^3 + 4*X", "15*Y^2 - 9*Z")],
+          ORDERS[3][0]))
 @settings(max_examples=200, deadline=None)
 def test_heap_normal_form_matches_reference_division(case):
     p, divisors, order = case
@@ -127,9 +132,10 @@ def _basis_digest(gb):
 
 @pytest.mark.parametrize("system, kind, digest", [
     (katsura(3), "degrevlex", "8d29e479105ff1f14aae3eac1a149e176b45a91a017ce7cca11a6470fdf6bedc"),
+    (katsura(5), "degrevlex", "e0b7f74516eee9bf222a8cf7920079087b1c25a73f3d0d075847d70dcb84a859"),
     (cyclic(4), "lex", "0b0417c966386b340f37eefbaef12430a847287d90c6dfad7cb1a1f34d8329c9"),
     (cyclic(4), "degrevlex", "892b67c1a21c1c8c8e81ab905cbb00403fe28df6ae64abe702a64f302f30bdf8"),
-], ids=["katsura-3-degrevlex", "cyclic-4-lex", "cyclic-4-degrevlex"])
+], ids=["katsura-3-degrevlex", "katsura-5-degrevlex", "cyclic-4-lex", "cyclic-4-degrevlex"])
 def test_pinned_bases_and_cofactors(system, kind, digest):
     """Generators and cofactor matrices are pinned, so a change of pair or
     reduction order shows even where the reduced basis stays the same."""

@@ -82,6 +82,45 @@ def test_canonical_rref_depends_only_on_the_span(vectors, seed):
     assert canonical_rref([integer_form(vec) for vec in other]) == rows
 
 
+def _fraction_canonical_rref(vectors):
+    """The ``Fraction`` kernel that the integer ``canonical_rref`` replaced:
+    the ``RowSpace`` rows made pivot-monic, then back-substituted in
+    ascending pivot order."""
+    space = RowSpace()
+    for tag, vec in enumerate(vectors):
+        space.insert(vec, tag)
+    rows = {}
+    for pivot in sorted(space._rows):
+        row = space._rows[pivot][0]
+        lead = row[pivot]
+        rows[pivot] = {k: Fraction(v, lead) for k, v in row.items()}
+    for pivot, row in rows.items():
+        for lower in [k for k in row if k in rows and k < pivot]:
+            _reference_axpy(row, rows[lower], -row[lower])
+    return list(reversed(rows.values()))
+
+
+def _fraction_reduce_by_rref(vec, rref_rows):
+    """The ``Fraction`` kernel that the integer ``reduce_by_rref`` replaced."""
+    out = dict(vec)
+    for row in rref_rows:
+        pivot = max(row)
+        if pivot in out:
+            _reference_axpy(out, row, -out[pivot])
+    return out
+
+
+@given(_vectors, st.lists(st.dictionaries(_keys, _coeffs, max_size=6), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_rref_kernels_match_their_fraction_references(vectors, targets):
+    vecs = [integer_form(vec) for vec in vectors]
+    rows = _fraction_canonical_rref(vecs)
+    got = canonical_rref(vecs)
+    assert got == rows
+    for target in targets:
+        assert reduce_by_rref(target, got) == _fraction_reduce_by_rref(target, rows)
+
+
 class _ReferenceRowSpace:
     """The ``Fraction`` row space that the fraction-free ``RowSpace``
     replaced: pivot-monic rows, eliminated by ``Fraction`` arithmetic."""
