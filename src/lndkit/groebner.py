@@ -8,15 +8,15 @@ Division (``normal_form``) is the heap method of Monagan and Pearce: the
 running dividend is a mutable term dict plus a ``heapq`` of
 ``MonomialOrder.neg_key`` values with lazy deletion, so each step pops the
 leading term instead of rescanning the dividend, and subtracts
-``q * (divisor minus its leading term)`` in place.  It divides with the
-``Fraction`` coefficients of the cached ``terms`` views, since quotients
-are rational, and builds the remainder and the quotients by
-``Polynomial._from_ints``.  The divisor scan order is fixed, so quotients
-and remainders are those of textbook division.  It is lndkit's one
-division loop: ``polygcd.exact_divide`` is ``normal_form`` by one divisor
-under lex.
+``q * (divisor minus its leading term)`` in place.  It runs on integer
+numerators over one int scale, which a step by leading numerators ``a``
+(divisor) and ``c`` (dividend) multiplies by ``|a| / gcd(a, c)``; each
+term is recorded with the scale of its step and each result built once
+at the final scale.  The divisor scan order is fixed, so quotients and
+remainders are those of textbook division.  It is lndkit's one division
+loop: ``polygcd.exact_divide`` is ``normal_form`` by one divisor under lex.
 
-Completion (``buchberger``) caches each basis element's leading term and
+Completion (``buchberger``) caches each basis element's integer lead and
 tail (``_lead``) when it joins the basis, so no division by the basis
 recomputes them (``GroebnerBasis.verify`` computes them once, too), and
 keeps the pending S-pairs in a heap.  Pair selection is still the normal
@@ -45,29 +45,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, invariant
 from .ordering import MonomialOrder
 from .polynomial import (
-    Monomial, Polynomial, integer_form, mono_div, mono_divides, mono_lcm, mono_mul,
+    Monomial, Polynomial, mono_div, mono_divides, mono_lcm, mono_mul,
 )
 
 
 def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Monomial, Fraction]:
     if p.is_zero():
         raise ValueError("zero polynomial has no leading term")
-    mono = max(p.terms, key=order.key)
-    return mono, p.terms[mono]
+    mono = max(p._num, key=order.key)
+    return mono, Fraction(p._num[mono], p._den)
 
 
-Lead = tuple[Monomial, Fraction, list[tuple[Monomial, Fraction]]]
+Lead = tuple[Monomial, int, list[tuple[Monomial, int]]]
 
 
-def _lead(d: Polynomial, lm: Monomial, lc: Fraction) -> Lead:
-    """``(lm, lc, tail)`` of a nonzero divisor whose leading term is
-    ``lc * lm``: the tail is every other term."""
-    return lm, lc, [(m, c) for m, c in d.terms.items() if m != lm]
+def _lead(d: Polynomial, order: MonomialOrder) -> Lead:
+    """``(lm, a, tail)`` of a nonzero divisor: its leading monomial, and the integer
+    numerators of its leading coefficient and of every other term."""
+    lm = max(d._num, key=order.key)
+    return lm, d._num[lm], [(m, c) for m, c in d._num.items() if m != lm]
 
 
 def normal_form(
@@ -83,26 +85,23 @@ def normal_form(
     ``_leads`` is private: ``buchberger`` and ``GroebnerBasis.verify``
     pass the ``_lead`` of every divisor, position by position, which they
     hold, instead of having it recomputed on every call; a lead whose
-    monomial or term count does not fit its divisor is a ``ValueError``.
+    numerator or term count does not fit its divisor is a ``ValueError``.
     """
     ctx = p.context
     neg_key = order.neg_key
-    quots: list[dict[Monomial, Fraction]] = []
-    lead = []  # per nonzero divisor: leading monomial, leading coefficient, tail terms, quotient
+    quots: list[list[tuple[Monomial, int, int]]] = []
+    lead = []  # per nonzero divisor: leading monomial and numerator, denominator, tail, quotient
     for k, d in enumerate(divisors):
         if d.context is not ctx and d.context != ctx:
             raise ContextMismatchError("normal_form operands share no context")
-        quots.append({})
+        quots.append([])
         if d:
-            if _leads is None:
-                lm, lc, tail = _lead(d, *leading_term(d, order))
-            else:
-                lm, lc, tail = _leads[k]
-                if lm not in d._num or len(tail) != len(d._num) - 1:
-                    raise ValueError(f"_leads[{k}] is not the lead of divisor {k}")
-            lead.append((lm, lc, tail, quots[-1]))
-    rem: dict[Monomial, Fraction] = {}
-    h = dict(p.terms)
+            lm, a, tail = _lead(d, order) if _leads is None else _leads[k]
+            if d._num.get(lm) != a or len(tail) != len(d._num) - 1:
+                raise ValueError(f"_leads[{k}] is not the lead of divisor {k}")
+            lead.append((lm, a, d._den, tail, quots[-1]))
+    rem: list[tuple[Monomial, int, int]] = []
+    h, scale = dict(p._num), p._den
     heap = [(neg_key(m), m) for m in h]
     heapify(heap)
     while heap:
@@ -110,28 +109,34 @@ def normal_form(
         hc = h.pop(hm, None)
         if hc is None:
             continue  # cancelled after it was pushed
-        for lm, lc, tail, q in lead:
+        for lm, a, den, tail, q in lead:
             if mono_divides(lm, hm):
                 qm = mono_div(hm, lm)
-                qc = hc / lc
-                q[qm] = qc  # leading monomials strictly fall, so qm is new
+                g = gcd(a, hc) if a > 0 else -gcd(a, hc)
+                f, e = a // g, hc // g
+                if f != 1:
+                    for m in h:
+                        h[m] *= f
+                    scale *= f
+                q.append((qm, e * den, scale))  # leading monomials strictly fall, so qm is new
                 for m, c in tail:
                     m = mono_mul(qm, m)
                     acc = h.get(m)
                     if acc is None:
-                        h[m] = -qc * c
+                        h[m] = -e * c
                         heappush(heap, (neg_key(m), m))
                     else:
-                        acc -= qc * c
+                        acc -= e * c
                         if acc:
                             h[m] = acc
                         else:
                             del h[m]
                 break
         else:
-            rem[hm] = hc
-    return (Polynomial._from_ints(ctx, *integer_form(rem)),
-            [Polynomial._from_ints(ctx, *integer_form(q)) for q in quots])
+            rem.append((hm, hc, scale))
+    out = [Polynomial._from_ints(ctx, {m: c * (scale // s) for m, c, s in terms}, scale)
+           for terms in (rem, *quots)]
+    return out[0], out[1:]
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,7 @@ class GroebnerBasis:
                       "cofactor recombination mismatch")
         gens = list(self.generators)
         order = self.order
-        leads = [_lead(g, *leading_term(g, order)) for g in gens]
+        leads = [_lead(g, order) for g in gens]
         lms = [lead[0] for lead in leads]
         pairs = sorted(
             (order.key(mono_lcm(lms[i], lms[j])), (i, j))
@@ -220,12 +225,12 @@ def _chain(
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
+    fm, fa, _ = _lead(f, order)
+    gm, ga, _ = _lead(g, order)
     lcm = mono_lcm(fm, gm)
     ctx = f.context
-    uf = Polynomial._from_ints(ctx, *integer_form({mono_div(lcm, fm): 1 / fc}))
-    ug = Polynomial._from_ints(ctx, *integer_form({mono_div(lcm, gm): -1 / gc}))
+    uf = Polynomial._from_ints(ctx, {mono_div(lcm, fm): f._den}, 1) * Fraction(1, fa)
+    ug = Polynomial._from_ints(ctx, {mono_div(lcm, gm): -g._den}, 1) * Fraction(1, ga)
     return Polynomial.combine(ctx, ((uf, f), (ug, g)))
 
 
@@ -264,22 +269,20 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
     lms: list[Monomial] = []  # their leading monomials
     rows: list[list[Polynomial]] = []
 
-    one = Fraction(1)
-
-    def push(poly: Polynomial, parts: list[tuple[Polynomial | Fraction, list[Polynomial]]]):
+    def push(poly: Polynomial, parts: list[tuple[Polynomial | int, list[Polynomial]]]):
         """Append ``poly`` made monic; its cofactor row is ``sum(mult * row)``
         over ``parts``, scaled alike."""
-        lm, lc = leading_term(poly, order)
-        inv = one / lc
+        lm, a, _ = _lead(poly, order)
+        inv = Fraction(poly._den, a)
         basis.append(poly * inv)
-        leads.append(_lead(basis[-1], lm, one))
+        leads.append(_lead(basis[-1], order))
         lms.append(lm)
         rows.append(_row_sum(ctx, [(mult * inv, row) for mult, row in parts], n_in))
 
     for j, g in enumerate(inputs):
         if not g.is_zero():
             unit_row = [Polynomial.one(ctx) if k == j else Polynomial.zero(ctx) for k in range(n_in)]
-            push(g, [(one, unit_row)])
+            push(g, [(1, unit_row)])
 
     if not basis:
         return GroebnerBasis(order, inputs, (), ())
@@ -322,7 +325,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder | None = None) -> Gr
         others = [j for j in alive if j != i]
         rem, quots = normal_form(basis[i], [basis[j] for j in others], order,
                                  [leads[j] for j in others])
-        push(rem, [(one, rows[i])] + [(-q, rows[j]) for q, j in zip(quots, others) if q])
+        push(rem, [(1, rows[i])] + [(-q, rows[j]) for q, j in zip(quots, others) if q])
     reduced = sorted(range(len(basis) - len(alive), len(basis)), key=lambda k: order.key(lms[k]))
     result = GroebnerBasis(
         order, inputs, tuple(basis[k] for k in reduced), tuple(tuple(rows[k]) for k in reduced)

@@ -11,18 +11,17 @@ inserted vectors) and dependency relations (nullspace vectors of the
 inserted family) as by-products.  Only its answers hold ``Fraction``
 values, rescaled by the inserted vectors' denominators.  It is the one
 elimination loop: ``canonical_rref`` fills a ``RowSpace`` with vectors and
-only back-substitutes its rows.  ``canonical_rref`` returns rows (``Row``),
-dicts of ``Fraction`` entries, and ``reduce_by_rref`` takes and returns them.
+only back-substitutes its rows.  ``canonical_rref`` returns its rows as
+``Vec`` pairs, and ``reduce_by_rref`` takes and returns a ``Vec``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 Vec = tuple[dict[Hashable, int], int]
-Row = dict[Hashable, Fraction]
 Combo = dict[Hashable, Fraction]
 
 
@@ -46,6 +45,18 @@ def _axpy(target: dict, source: dict, scale):
                 del target[k]
 
 
+def _eliminate(target: dict, row: dict, a: int, b: int) -> int:
+    """Clear ``b`` in ``target`` against ``row``'s positive entry ``a`` at that key:
+    ``target = f * target - (b / g) * row``, ``g = gcd(a, b)``; returns ``f = a / g``."""
+    g = gcd(a, b)
+    f = a // g
+    if f != 1:
+        for k in target:
+            target[k] *= f
+    _axpy(target, row, -(b // g))
+    return f
+
+
 class RowSpace:
     """Row space in echelon form, pivot = largest key in tuple order.
 
@@ -67,9 +78,9 @@ class RowSpace:
 
         Eliminating the max key introduces only smaller keys, and any
         vector in the span has a pivot as its max key at every step, so
-        leading-entry elimination alone decides membership.  Each step
-        cross-multiplies by the pivot entries divided by their gcd; a
-        ``combo`` of None is not tracked.
+        leading-entry elimination alone decides membership.  Each step is
+        one ``_eliminate`` on ``red`` and the same on ``combo``; a ``combo``
+        of None is not tracked.
         """
         rows = self._rows
         red = dict(num)
@@ -81,19 +92,9 @@ class RowSpace:
                 break
             row, row_combo = entry
             a, b = row[hit], red[hit]
-            g = gcd(a, b)
-            if g != a:
-                a //= g
-                for k in red:
-                    red[k] *= a
-                if combo is not None:
-                    for t in combo:
-                        combo[t] *= a
-                scale *= a
-            b //= g
-            _axpy(red, row, -b)
+            scale *= _eliminate(red, row, a, b)
             if combo is not None:
-                _axpy(combo, row_combo, -b)
+                _eliminate(combo, row_combo, a, b)
         return red, combo, scale
 
     def _combo(self, combo: dict, scale: int, den: int) -> Combo:
@@ -137,34 +138,34 @@ class RowSpace:
         return not self._reduce(vec[0], None)[0]
 
 
-def canonical_rref(vectors: Iterable[Vec]) -> list[Row]:
+def canonical_rref(vectors: Iterable[Vec]) -> list[Vec]:
     """Fully reduced row echelon form of the span, pivots descending.
 
     The output depends only on the span, not on the presentation: pivots
     are the largest keys, rows are pivot-monic and mutually reduced, and
-    rows are listed by descending pivot.  The ``RowSpace`` rows are made
-    pivot-monic; back-substitution in ascending pivot order clears the
-    lower pivots from each.
+    rows are listed by descending pivot.  Each row is a ``Vec`` in lowest
+    terms with ``num[pivot] == den``: in ascending pivot order, each
+    ``RowSpace`` row is reduced by the rows below it and divided by its content.
     """
     space = RowSpace()
     for tag, vec in enumerate(vectors):
         space.insert(vec, tag)
     rows = {}
     for pivot in sorted(space._rows):
-        row = space._rows[pivot][0]
-        lead = row[pivot]
-        rows[pivot] = {k: Fraction(v, lead) for k, v in row.items()}
-    for pivot, row in rows.items():
-        for lower in [k for k in row if k in rows and k < pivot]:
-            _axpy(row, rows[lower], -row[lower])
+        row, _ = reduce_by_rref((space._rows[pivot][0], 1), rows.values())
+        g = gcd(*row.values())
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+        rows[pivot] = (row, row[pivot])
     return list(reversed(rows.values()))
 
 
-def reduce_by_rref(vec: Mapping, rref_rows: list[Row]) -> Row:
+def reduce_by_rref(vec: Vec, rref_rows: Iterable[Vec]) -> Vec:
     """Eliminate every rref pivot from ``vec``; canonical coset representative."""
-    out = dict(vec)
-    for row in rref_rows:
-        pivot = max(row)
-        if pivot in out:
-            _axpy(out, row, -out[pivot])
-    return out
+    num, den = vec
+    out = dict(num)
+    for row, row_den in rref_rows:
+        c = out.get(max(row))
+        if c:
+            den *= _eliminate(out, row, row_den, c)
+    return out, den

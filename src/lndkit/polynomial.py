@@ -23,8 +23,8 @@ divisions, pseudo-remainders and gcds of ``groebner`` and ``polygcd``,
 ``GeneratorSpan.express``'s symbol polynomial, ``kernel_up_to_degree``'s
 basis elements and the slice ``_solve_unit_image`` returns) is valid by
 construction and is built by ``_from_ints`` from integer numerators over
-one denominator, dividing out one gcd.  No constructor builds the
-``Fraction`` view: only the ``terms`` property does, on first use.
+one denominator, dividing out one gcd.  Only ``terms`` builds the ``Fraction``
+view, on first use, for rendering, ``evaluate`` and outside readers.
 
 ``Polynomial.combine(context, pairs)`` is the one linear-combination
 kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every

@@ -36,7 +36,7 @@ from .derivation import Derivation, NilpotencyVerdict, iterates, metered_iterate
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError, invariant
 from .linalg import RowSpace, reduce_by_rref, vec_of
 from .polygcd import exact_divide, gcd_fold
-from .polynomial import MAX_EXPONENT, Polynomial, integer_form
+from .polynomial import MAX_EXPONENT, Polynomial
 from .subalgebra import (
     GeneratorSpan,
     MembershipWitness,
@@ -68,7 +68,7 @@ def _solve_unit_image(
     if combo is None:
         return None
     s0 = Polynomial.combine(context, ((products[j][1], c) for j, c in combo.items()))
-    return Polynomial._from_ints(context, *integer_form(reduce_by_rref(s0.terms, kernel)))
+    return Polynomial._from_ints(context, *reduce_by_rref(vec_of(s0), kernel))
 
 
 def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None:
@@ -171,7 +171,7 @@ def _taylor_bound(D: Derivation, s: Polynomial, S: Subalgebra, projections: list
     best = 1
     for g in S.algebra_generators:
         for i, f in enumerate(metered_iterates(D.apply, g)):
-            for mono in f.terms:
+            for mono in f._num:
                 w = sum(mono[:ncoeff])
                 for j in range(ncoeff, ctx.nvars):
                     w += mono[j] * proj_deg[j]

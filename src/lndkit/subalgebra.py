@@ -20,7 +20,7 @@ from typing import Iterable
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .derivation import Derivation
-from .linalg import Combo, Row, RowSpace, canonical_rref, vec_of
+from .linalg import Combo, RowSpace, Vec, canonical_rref, vec_of
 from .polynomial import Polynomial, integer_form
 
 PRODUCT_CAP = 500_000
@@ -314,7 +314,7 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
 
 def _image_kernel(
     images: list[Polynomial], products: list[tuple[tuple[int, ...], Polynomial]]
-) -> tuple[RowSpace, list[tuple[int, Combo]], list[Row]]:
+) -> tuple[RowSpace, list[tuple[int, Combo]], list[Vec]]:
     """Row space of ``images``, their dependencies, and the canonical kernel.
 
     Each dependency ``(j, dep)`` says ``images[j] == sum(dep[k] * images[k])``
@@ -358,7 +358,7 @@ def kernel_up_to_degree(
         invariant(check.is_zero(), "kernel relation failed image re-verification")
     basis = []
     for row in kernel:
-        f = Polynomial._from_ints(S.context, *integer_form(row))
+        f = Polynomial._from_ints(S.context, *row)
         invariant(span.contains(f), "kernel basis element left the span")
         invariant(D.apply(f, span).is_zero(), "kernel basis element not killed by derivation")
         basis.append(f)

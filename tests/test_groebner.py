@@ -270,12 +270,15 @@ def test_normal_form_single_division_step():
 
 
 def test_normal_form_checks_the_leads_it_is_handed():
-    divisors = [P("X^2 + Y"), P("Y^2")]
-    leads = [groebner._lead(d, *leading_term(d, DRL)) for d in divisors]
+    divisors = [P("2*X^2 + Y"), P("Y^2")]
+    leads = [groebner._lead(d, DRL) for d in divisors]
+    assert leads[0] == ((2, 0), 2, [((0, 1), 1)])
     p = P("X^3 + Y^3")
     assert normal_form(p, divisors, DRL, leads) == normal_form(p, divisors, DRL)
     with pytest.raises(ValueError, match="is not the lead of divisor 0"):
         normal_form(p, divisors, DRL, leads[::-1])
+    with pytest.raises(ValueError, match="is not the lead of divisor 0"):
+        normal_form(p, divisors, DRL, [((2, 0), 1, [((0, 1), 1)]), leads[1]])
 
 
 def test_normal_form_identity():

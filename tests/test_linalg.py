@@ -63,15 +63,15 @@ def _combination(vectors, rng):
 @settings(max_examples=200, deadline=None)
 def test_canonical_rref_depends_only_on_the_span(vectors, seed):
     rows = canonical_rref([integer_form(vec) for vec in vectors])
-    assert rows == _reference_canonical_rref(vectors)
+    assert rows == [integer_form(row) for row in _reference_canonical_rref(vectors)]
 
-    pivots = [max(row) for row in rows]
+    pivots = [max(row) for row, _ in rows]
     assert pivots == sorted(pivots, reverse=True) and len(set(pivots)) == len(pivots)
-    for pivot, row in zip(pivots, rows):
-        assert row[pivot] == 1 and all(row.values())  # pivot-monic, no stored zeros
+    for pivot, (row, den) in zip(pivots, rows):
+        assert row[pivot] == den and all(row.values())  # pivot-monic, no stored zeros
         assert all(p not in row for p in pivots if p != pivot)  # mutually reduced
     for vec in vectors:  # every input lies in the span of the rows
-        assert not reduce_by_rref(vec, rows)
+        assert not reduce_by_rref(integer_form(vec), rows)[0]
 
     # Shuffled, rescaled and padded with combinations and zero vectors: same span.
     rng = random.Random(seed)
@@ -116,9 +116,11 @@ def test_rref_kernels_match_their_fraction_references(vectors, targets):
     vecs = [integer_form(vec) for vec in vectors]
     rows = _fraction_canonical_rref(vecs)
     got = canonical_rref(vecs)
-    assert got == rows
+    assert got == [integer_form(row) for row in rows]
     for target in targets:
-        assert reduce_by_rref(target, got) == _fraction_reduce_by_rref(target, rows)
+        num, den = reduce_by_rref(integer_form(target), got)
+        assert integer_form({k: Fraction(v, den) for k, v in num.items()}) == integer_form(
+            _fraction_reduce_by_rref(target, rows))
 
 
 class _ReferenceRowSpace:

@@ -183,11 +183,11 @@ def test_kernel_rechecks_fire_on_a_wrong_solver(restricted, monkeypatch):
 
     def wrong_basis(images, products):
         space, dependencies, _ = solve(images, products)
-        return space, dependencies, [P("Y", ctx).terms]
+        return space, dependencies, [vec_of(P("Y", ctx))]
 
     def outside_span(images, products):
         space, dependencies, _ = solve(images, products)
-        return space, dependencies, [P("X^3", ctx).terms]
+        return space, dependencies, [vec_of(P("X^3", ctx))]
 
     def wrong_relation(images, products):
         space, dependencies, kernel = solve(images, products)
