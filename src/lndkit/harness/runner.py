@@ -307,8 +307,7 @@ def _t_verify_slice_theorem(spec: JobSpec, out: TaskResult, derivation, slice, s
     out.values.append(("slice", str(cert.slice)))
     out.values.append(("bound", str(cert.bound)))
     out.values.extend(_poly_values("kernel", cert.kernel_generators))
-    for g, w in zip(S.algebra_generators, cert.reexpression):
-        out.values.append((f"witness.{g}", str(w.expression)))
+    out.values.extend(_poly_values("witness", [w.expression for w in cert.reexpression]))
     out.payload = cert
 
 
@@ -451,8 +450,7 @@ def _t_coordinates(spec: JobSpec, out: TaskResult, derivations, elements, bound)
         return
     out.verdict = "ok"
     out.values.extend(_poly_values("coordinate", result.coordinates))
-    for g, w in zip(spec.subalgebra.algebra_generators, result.witnesses):
-        out.values.append((f"witness.{g}", str(w.expression)))
+    out.values.extend(_poly_values("witness", [w.expression for w in result.witnesses]))
     out.payload = result
 
 

@@ -57,19 +57,19 @@ REPORT_DIGESTS = {
     "a1-prop-18": "7680dc2edac3e621b3737c50032c921a5422d2a7ecff2376216894dd3482e222",
     "a1-prop-19": "6c60dd5b2696e0ebfcc40e66fd7eb0271c505dee581b34b606960a0c69373870",
     "a1-prop-20": "3b1255de37f1d07968920126c006037df54478a56e75c6f8b159ab47fb1ee37b",
-    "a2-pair": "21f9aa14fcbdaa81fed445901ba1fa44f2c04d2db5947838cbc92044ec6bf811",
-    "a3-tuple": "59088af9250e4b90886df0eb8ab80787df3bfa39f9ec249c3580ced743c24c9f",
+    "a2-pair": "1b08b201597041560c0d56c3448c395858c1c929b8a156b2c11c00e59d194d2a",
+    "a3-tuple": "a3ff68c6167a79621c0ec21361f6d208c9c4b22f1472f2ec569bbd5c2792c59d",
     "asanuma-bhatwadekar": "3b231613fad66d6d727a4fffbfc8f575e77d790367bfc8ba39e46c89ae0f7e9d",
     "falling-factorial-family": "d8f70f7ee2d1719382f81b9568ce186412380761fa8baaecc0709cb127c7e109",
     "groebner-golden": "4fa41d3c1d1f0ada7ac7c8c73d39b60121ba3341c9f1051c0177c34c29e61b01",
     "groebner-oracle-family": "8c08204dca59a39a5a1a0536c852721900de9877d49c3cc3025c37811fadbba9",
     "negative-control": "1596eff82281837f85adc3366b4da29d97e7ca8e8adc7fdb97201d3ff4bd7130",
     "nodal-base-fibration": "cb16ecf66b73355f351c0b4a51a5b9d002baae6873766afabd16d7666c9d920e",
-    "partial-derivative": "b4f679b75fa464cb616ae51960efffb337b49d53f64f4a34839c7b331c3ffd45",
+    "partial-derivative": "e997478d42c472f3c322686a6d941226ac48e543c3f086bd15e334bdd136d4dc",
     "projection-laws-family": "a90542e7d6e868bc09be696991a72383623c7af19055e11feb8c88fb8ec9f8be",
     "stably-polynomial-nontrivial": "df9c87e10ab860f85a86c8b8788b60ee833cf8602c4f69aa03e5a8ca10478e5a",
     "triangular-fpf-family": "ee6e3294712b7fd05496a72be544ecf7ddd5b5c15e6c93757e453aeb69d502da",
-    "worked-t-slice": "edded11be6e8a323d22ba89cde696c8db34b27b95ecc28e117ce410e548fee54",
+    "worked-t-slice": "385455af185da4890ea7bd254ee480dc2c06e2047e6ff0819eb3c30b7088419d",
 }
 
 

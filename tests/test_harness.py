@@ -327,6 +327,34 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert result.exit_code == 2
 
 
+NON_VARIABLE_GENERATORS = """
+job non-variable-generators
+ring coeff: t
+ring main: X, Y
+base: full
+algebra: X; Y + t*X^2
+"""
+
+
+@pytest.mark.parametrize("records", [
+    'derivation D: X: 0, Y: 1\n'
+    'task verify_slice_theorem derivation=D slice="Y + t*X^2" bound=3\n',
+    'derivation D1: X: 1, Y: -2*t*X\nderivation D2: X: 0, Y: 1\n'
+    'task coordinates derivations="D2; D1" elements="Y + t*X^2" bound=3\n',
+], ids=["verify_slice_theorem", "coordinates"])
+def test_witness_keys_of_non_variable_generators_pass_the_schema(tmp_path, records):
+    """Witnesses are keyed by generator index, so a generator that is not a
+    variable still gives a key the schema accepts."""
+    text = NON_VARIABLE_GENERATORS + records
+    report = run_job(parse_job(text))
+    assert validate_report_text(report.to_text()) == []
+    assert [k for k, _ in report.tasks[0].values if k.startswith("witness.")] == ["witness.1", "witness.2"]
+    job = tmp_path / "generators.job"
+    job.write_text(text)
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 0, result.output
+
+
 def test_cli_run_deeply_nested_polynomial_is_an_input_error(tmp_path):
     job = tmp_path / "deep.job"
     job.write_text(MINIMAL.replace("Y: 1", "Y: " + "(" * 400 + "1" + ")" * 400))
