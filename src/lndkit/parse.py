@@ -3,7 +3,9 @@
 Accepted syntax: signed integer and ``a/b`` rational literals, variable
 names ``[A-Za-z][A-Za-z0-9_]*``, binary ``+ - *``, exponentiation ``^``
 with a non-negative integer exponent of at most ``MAX_EXPONENT``, and
-parentheses.  Implicit
+parentheses.  A ``*`` or ``^`` whose result would raise a variable's
+exponent above ``MAX_EXPONENT`` is rejected at the operator, before it
+multiplies, so every accepted polynomial prints as text that parses.  Implicit
 multiplication (``2X``) is rejected.  ``/`` occurs only inside rational
 literals, never as an operator between expressions.
 
@@ -80,6 +82,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _exponents(p: Polynomial):
+    """Each variable's largest exponent in ``p``; none for the zero polynomial."""
+    return map(max, zip(*p._num))
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], context: VarContext):
         self.tokens = tokens
@@ -118,24 +125,35 @@ class _Parser:
             poly = poly + rhs if op == "+" else poly - rhs
         return poly
 
+    def cap(self, exponents, op: _Token):
+        """Fail at the operator ``op`` when its result would carry a
+        variable's exponent above ``MAX_EXPONENT``."""
+        for name, e in zip(self.context.variables, exponents):
+            if e > MAX_EXPONENT:
+                self.fail(f"exponent {e} of {name} exceeds the cap {MAX_EXPONENT}", op)
+
     def term(self) -> Polynomial:
         acc = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            acc = acc * self.factor()
+            op = self.advance()
+            rhs = self.factor()
+            self.cap([x + y for x, y in zip(_exponents(acc), _exponents(rhs))], op)
+            acc = acc * rhs
         return acc
 
     def factor(self) -> Polynomial:
         base = self.primary()
         while self.peek().kind == "^":
-            self.advance()
+            op = self.advance()
             tok = self.peek()
             if tok.kind != "int":
                 self.fail("exponent must be a non-negative integer")
-            if int(tok.text) > MAX_EXPONENT:
+            n = int(tok.text)
+            if n > MAX_EXPONENT:
                 self.fail(f"exponent {tok.text} exceeds the cap {MAX_EXPONENT}")
+            self.cap([n * e for e in _exponents(base)], op)
             self.advance()
-            base = base ** int(tok.text)
+            base = base ** n
         return base
 
     def primary(self) -> Polynomial:

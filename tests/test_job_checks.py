@@ -47,6 +47,9 @@ REJECTED = {
     "from beside derivation": "task kernel_up_to_degree from=1 derivation=D bound=3",
     "polynomial that does not parse": 'task apply derivation=D poly="X +"',
     "polynomial with a non-ASCII digit": 'task apply derivation=D poly="X^\u0661 + Y"',
+    "power of a power above the exponent cap": 'task apply derivation=D poly="((X^33)^3)^3"',
+    "product above the exponent cap": 'task apply derivation=D poly="X^60*X^60"',
+    "product of powers above the exponent cap": 'task apply derivation=D poly="(X*Y)^50*X^51"',
     "unknown order": 'task groebner_basis gens="X; Y" order=grevlex',
     "unknown family": "task random_family family=nope count=2",
     "non-positive count": "task random_family family=triangular-fpf count=-3",

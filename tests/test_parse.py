@@ -99,6 +99,15 @@ def test_exponent_cap_is_a_parse_error():
         P(f"(X + Y + 1)^{MAX_EXPONENT + 1}")
 
 
+@pytest.mark.parametrize("text, col", [("((X^33)^3)^3", 11), ("X^60*X^60", 5), ("(X*Y)^50*X^51", 9)])
+def test_computed_exponents_above_the_cap_fail_at_their_operator(text, col):
+    with pytest.raises(PolyParseError, match="of X exceeds the cap") as err:
+        P(text)
+    assert err.value.col == col
+    at_cap = P("(X*Y)^50*X^50 + ((X^10)^5)^2")
+    assert at_cap.degree_in("X") == MAX_EXPONENT and P(str(at_cap)) == at_cap
+
+
 def test_whitespace_insensitive():
     assert P(" X\n+ \tY ") == P("X + Y")
 
@@ -138,3 +147,4 @@ def test_any_text_parses_or_raises_a_parse_error(text):
     except PolyParseError:
         return
     assert p.context == CTX
+    assert P(str(p)) == p

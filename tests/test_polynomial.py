@@ -311,11 +311,11 @@ def test_exponent_cap():
 
 
 def test_computed_exponents_are_not_capped():
-    # The cap guards ``**`` and parsed text; a term X^150 built as X^100*X^50
-    # substitutes through powers the library computes itself.
-    high = P(f"X^{MAX_EXPONENT}*X^50 + Y")
+    # The cap guards ``**`` and parsed text; a term X^150 built as X^100
+    # times X^50 substitutes through powers the library computes itself.
+    high = P(f"X^{MAX_EXPONENT}") * P("X^50") + P("Y")
     assert high.degree() == MAX_EXPONENT + 50
-    assert high.substitute({"X": P("Y")}) == P(f"Y^{MAX_EXPONENT}*Y^50 + Y")
+    assert high.substitute({"X": P("Y")}) == P(f"Y^{MAX_EXPONENT}") * P("Y^50") + P("Y")
     assert high.substitute({"X": P("2")}) == P("Y") + 2 ** (MAX_EXPONENT + 50)
 
 
