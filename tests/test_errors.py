@@ -1,5 +1,8 @@
 """The invariant policy: ``lndkit.errors.invariant`` is the one place that
-raises ``InvariantError``, and no other module restates the policy."""
+raises ``InvariantError``, and no other module restates the policy.  The
+coefficient format: only ``polynomial.py`` reads the ``Fraction`` view
+``terms``, and ``integer_form`` is imported only where ``GeneratorSpan``
+turns ``Fraction`` combinations into a polynomial (``subalgebra.py``)."""
 
 import ast
 from pathlib import Path
@@ -21,7 +24,9 @@ def test_invariant_raises_invariant_error_with_its_message():
 
 
 def _hand_rolled(path: Path) -> list[str]:
-    """Bare ``assert`` statements, and ``raise AssertionError`` outside errors.py."""
+    """Bare ``assert`` statements, and ``raise AssertionError`` outside errors.py;
+    reads of ``.terms`` outside polynomial.py, and imports of ``integer_form``
+    outside polynomial.py and subalgebra.py."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Assert):
@@ -30,12 +35,17 @@ def _hand_rolled(path: Path) -> list[str]:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{path.name}:{node.lineno}: raise AssertionError")
+        elif isinstance(node, ast.Attribute) and node.attr == "terms" and path.name != "polynomial.py":
+            found.append(f"{path.name}:{node.lineno}: reads .terms")
+        elif (isinstance(node, ast.ImportFrom) and path.name not in ("polynomial.py", "subalgebra.py")
+              and any(alias.name == "integer_form" for alias in node.names)):
+            found.append(f"{path.name}:{node.lineno}: imports integer_form")
     return found
 
 
 def test_no_module_restates_the_invariant_policy():
     paths = sorted(SRC.rglob("*.py"))
-    assert any(path.name == "errors.py" for path in paths)
+    assert {"errors.py", "polynomial.py", "subalgebra.py"} <= {path.name for path in paths}
     assert [hit for path in paths for hit in _hand_rolled(path)] == []
 
 
@@ -45,3 +55,16 @@ def test_the_guard_sees_both_forms(tmp_path):
     assert _hand_rolled(sample) == ["sample.py:1: assert statement",
                                     "sample.py:2: raise AssertionError",
                                     "sample.py:3: raise AssertionError"]
+
+
+def test_the_guard_sees_the_format_breaches(tmp_path):
+    code = "from .polynomial import Polynomial, integer_form\nview = p.terms\n"
+    sample = tmp_path / "slices.py"
+    sample.write_text(code)
+    assert _hand_rolled(sample) == ["slices.py:1: imports integer_form", "slices.py:2: reads .terms"]
+    allowed = tmp_path / "subalgebra.py"
+    allowed.write_text(code)
+    assert _hand_rolled(allowed) == ["subalgebra.py:2: reads .terms"]
+    home = tmp_path / "polynomial.py"
+    home.write_text(code)
+    assert _hand_rolled(home) == []
