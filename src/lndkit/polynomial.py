@@ -18,19 +18,22 @@ is for input from outside the library.  It validates every monomial
 (length, non-negative exponents), coerces every coefficient to
 ``Fraction`` and merges duplicates, so parsed text, job files and user
 values always pass through it.  Every result the library computes
-(arithmetic, ``partial_derivative``, ``substitute``, ``combine``, the
-divisions, pseudo-remainders and gcds of ``groebner`` and ``polygcd``,
-``GeneratorSpan.express``'s symbol polynomial, ``kernel_up_to_degree``'s
-basis elements and the slice ``_solve_unit_image`` returns) is valid by
-construction and is built by ``_from_ints`` from integer numerators over
-one denominator, dividing out one gcd.  Only ``terms`` builds the ``Fraction``
-view, on first use, for rendering, ``evaluate`` and outside readers.
+(arithmetic, ``partial_derivative``, ``substitute``, ``combine``, derivation
+images, generator products, the divisions, pseudo-remainders and gcds of
+``groebner`` and ``polygcd``, ``GeneratorSpan.express``'s symbol polynomial,
+``kernel_up_to_degree``'s basis elements and the slice ``_solve_unit_image``
+returns) is valid by construction and is built by ``_from_ints`` from
+integer numerators over one denominator, dividing out one gcd.  Only
+``terms`` builds the ``Fraction`` view, on first use, for rendering,
+``evaluate`` and outside readers.
 
 ``Polynomial.combine(context, pairs)`` is the one linear-combination
 kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every
 product's numerators over the pairs' common denominator in one dict and
-building one result.  The polynomial product, substitution, derivation
-images and every witness recombination go through it.
+building one result.  The polynomial product, substitution, the Leibniz
+images of a ``RestrictedDerivation`` and every witness recombination go
+through it; ``Derivation.apply`` sums its Leibniz terms in its own pass,
+and ``generator_products`` multiplies by a monic monomial by a shift.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .derivation import Derivation
 from .linalg import Combo, RowSpace, Vec, canonical_rref, vec_of
-from .polynomial import Polynomial, integer_form
+from .polynomial import Polynomial, integer_form, mono_mul
 
 PRODUCT_CAP = 500_000
 
@@ -96,9 +96,13 @@ def generator_products(
     """All products of generators with weighted formal degree <= bound.
 
     Deterministic exponent-lexicographic order; includes the empty product 1.
+    A generator that is a monomial with coefficient 1 multiplies by shifting
+    exponents; the others multiply by ``*``.
     """
     gens = S.generators
     weights = S.weights
+    shifts = [next(iter(g._num)) if g._den == 1 and list(g._num.values()) == [1] else None
+              for g in gens]
     out: list[tuple[tuple[int, ...], Polynomial]] = []
 
     def rec(idx: int, budget: int, expo: list[int], poly: Polynomial):
@@ -109,7 +113,7 @@ def generator_products(
                 )
             out.append((tuple(expo), poly))
             return
-        w = weights[idx]
+        w, shift = weights[idx], shifts[idx]
         current = poly
         e = 0
         while e * w <= budget:
@@ -118,7 +122,8 @@ def generator_products(
             expo.pop()
             e += 1
             if e * w <= budget:
-                current = current * gens[idx]
+                current = current * gens[idx] if shift is None else Polynomial._from_ints(
+                    S.context, {mono_mul(m, shift): c for m, c in current._num.items()}, current._den)
 
     rec(0, bound, [], Polynomial.one(S.context))
     return out
@@ -345,10 +350,13 @@ def kernel_up_to_degree(
     """Basis of {f in bounded span of S : D(f) == 0}.
 
     Exact nullspace of the derivation on the span of generator products;
-    every relation and every basis element is re-verified.
+    every relation and every basis element is re-verified.  On the full
+    ring that span is every polynomial of total degree <= bound, so a full
+    derivation there builds no row space.
     """
-    span = GeneratorSpan(S, bound)
-    products = span.products
+    full = isinstance(D, Derivation) and S == Subalgebra.full(S.context)
+    span = None if full else GeneratorSpan(S, bound)
+    products = generator_products(S, bound) if full else span.products
     images = D.product_images(products)
     _, dependencies, kernel = _image_kernel(images, products)
     for j, dep in dependencies:
@@ -359,7 +367,7 @@ def kernel_up_to_degree(
     basis = []
     for row in kernel:
         f = Polynomial._from_ints(S.context, *row)
-        invariant(span.contains(f), "kernel basis element left the span")
+        invariant(f.degree() <= bound if full else span.contains(f), "kernel basis element left the span")
         invariant(D.apply(f, span).is_zero(), "kernel basis element not killed by derivation")
         basis.append(f)
     return basis

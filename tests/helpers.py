@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,17 @@ def rand_poly(
             mono[rng.choice(idx)] += 1
         terms[tuple(mono)] = rand_coeff(rng)
     return Polynomial(ctx, terms)
+
+
+def assert_canonical(r: Polynomial):
+    """The integer form is canonical and the ``terms`` view agrees with it."""
+    assert r._den > 0 and math.gcd(r._den, *r._num.values()) == 1
+    assert all(type(c) is int and c != 0 for c in r._num.values())
+    keys = list(r.terms)
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert r.terms == {m: Fraction(c, r._den) for m, c in r._num.items()}
+    assert r == Polynomial(r.context, r.terms)
 
 
 def katsura(n: int) -> tuple[VarContext, list[Polynomial]]:

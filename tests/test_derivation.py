@@ -22,7 +22,7 @@ from lndkit import (
 )
 from lndkit.derivation import ITERATION_CAP
 
-from helpers import rand_poly
+from helpers import assert_canonical, rand_poly
 
 CTX = VarContext((), ("X", "Y"))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -235,6 +235,36 @@ def test_leibniz_rule(seed):
     )
     p, q = rand_poly(rng, CTXT), rand_poly(rng, CTXT)
     assert d.apply(p * q) == p * d.apply(q) + q * d.apply(p)
+
+
+def _reference_apply(D, p):
+    """The Leibniz sum that the one-pass ``apply`` replaced: one partial
+    derivative per image, summed by ``combine``."""
+    return Polynomial.combine(D.context, (
+        (p.partial_derivative(name), img) for name, img in D.images.items() if img
+    ))
+
+
+CTX3 = VarContext(("t",), ("X", "Y", "Z"))
+
+
+def _polynomials(ctx, max_terms):
+    """Polynomials of degree <= 2 per variable with rational coefficients of
+    assorted denominators; the empty dict draws zero."""
+    monomial = st.tuples(*[st.integers(0, 2)] * ctx.nvars)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.dictionaries(monomial, coeff, max_size=max_terms).map(lambda t: Polynomial(ctx, t))
+
+
+@given(st.lists(_polynomials(CTX3, 3) | st.just(Polynomial.zero(CTX3)), min_size=3, max_size=3),
+       _polynomials(CTX3, 5))
+@settings(max_examples=200, deadline=None)
+def test_apply_matches_the_reference_leibniz_sum(images, p):
+    """Zero images, images over different denominators and rational p."""
+    d = Derivation(CTX3, dict(zip(CTX3.main_vars, images)))
+    r = d.apply(p)
+    assert r == _reference_apply(d, p)
+    assert_canonical(r)
 
 
 @given(st.integers(0, 2 ** 30))

@@ -1,6 +1,5 @@
 """Polynomial arithmetic, calculus, substitution, and canonical form."""
 
-import math
 import random
 from fractions import Fraction
 from operator import add
@@ -24,7 +23,7 @@ from lndkit import (
 )
 from lndkit.polynomial import MAX_EXPONENT
 
-from helpers import rand_poly
+from helpers import assert_canonical, rand_poly
 
 CTX = VarContext((), ("X", "Y"))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -167,17 +166,6 @@ def test_terms_iterate_descending_lex():
     assert [m for m, _ in p] == sorted(p.terms, reverse=True)
 
 
-def _assert_canonical(r: Polynomial):
-    """The integer form is canonical and the ``terms`` view agrees with it."""
-    assert r._den > 0 and math.gcd(r._den, *r._num.values()) == 1
-    assert all(type(c) is int and c != 0 for c in r._num.values())
-    keys = list(r.terms)
-    assert all(a > b for a, b in zip(keys, keys[1:]))
-    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
-    assert r.terms == {m: Fraction(c, r._den) for m, c in r._num.items()}
-    assert r == Polynomial(r.context, r.terms)
-
-
 @given(st.integers(0, 2 ** 30), st.fractions(max_denominator=6) | st.integers(-4, 4))
 @settings(max_examples=100, deadline=None)
 def test_arithmetic_results_are_canonical(seed, scalar):
@@ -195,7 +183,7 @@ def test_arithmetic_results_are_canonical(seed, scalar):
     if a or b:
         results.append(gcd(a, b))
     for r in results:
-        _assert_canonical(r)
+        assert_canonical(r)
 
 
 def _product(ctx, a, b) -> Polynomial:
@@ -237,7 +225,7 @@ def test_combine_matches_the_naive_loop(combination):
     r = Polynomial.combine(ctx, pairs)
     assert r == _naive_combine(ctx, pairs)
     assert r.context == ctx
-    _assert_canonical(r)
+    assert_canonical(r)
 
 
 def _reference_combine(ctx, pairs) -> Polynomial:
@@ -280,15 +268,15 @@ def test_integer_kernels_match_the_fraction_kernels(combination, data):
     r = Polynomial.combine(ctx, pairs)
     ref = _reference_combine(ctx, pairs)
     assert r == ref and r.terms == ref.terms and list(r.terms) == list(ref.terms)
-    _assert_canonical(r)
+    assert_canonical(r)
     name = data.draw(st.sampled_from(ctx.variables))
     d = r.partial_derivative(name)
     assert d == _reference_partial_derivative(r, name)
-    _assert_canonical(d)
+    assert_canonical(d)
     for a, b in pairs:
         for side in (a, b):
             if isinstance(side, Polynomial):
-                _assert_canonical(side.partial_derivative(name))
+                assert_canonical(side.partial_derivative(name))
 
 
 def test_integer_form_of_rational_polynomials():
@@ -300,7 +288,7 @@ def test_integer_form_of_rational_polynomials():
     assert (P("2/4*X")._num, P("2/4*X")._den) == ({(1, 0): 1}, 2)
     for r in (p, q, p - p, p * p, -p, p ** 2, p.partial_derivative("X"),
               p.substitute({"X": P("1/7*Y")}), Polynomial.constant(CTX, Fraction(-3, 4))):
-        _assert_canonical(r)
+        assert_canonical(r)
 
 
 def test_exponent_cap():

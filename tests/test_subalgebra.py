@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lndkit import (
     Derivation,
@@ -12,6 +14,7 @@ from lndkit import (
     RestrictionFailure,
     Subalgebra,
     VarContext,
+    generator_products,
     kernel_up_to_degree,
     parse_polynomial,
     restrict_derivation,
@@ -21,6 +24,8 @@ from lndkit import (
     symbol_context,
 )
 from lndkit.linalg import RowSpace, vec_of
+
+from helpers import assert_canonical
 
 CTX1 = VarContext(("X",), ("Y",))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -252,12 +257,54 @@ def test_generator_validation():
 
 
 def test_product_enumeration_cap():
-    from lndkit import UnsupportedSizeError, generator_products
+    from lndkit import UnsupportedSizeError
 
     ctx = VarContext((), ("X", "Y"))
     S = Subalgebra.full(ctx)
     with pytest.raises(UnsupportedSizeError):
         generator_products(S, 12, cap=50)
+
+
+def _reference_generator_products(S, bound):
+    """The enumeration that the shifting one replaced: every step multiplies by ``*``."""
+    gens, weights = S.generators, S.weights
+    out = []
+
+    def rec(idx, budget, expo, poly):
+        if idx == len(gens):
+            out.append((tuple(expo), poly))
+            return
+        current = poly
+        e = 0
+        while e * weights[idx] <= budget:
+            expo.append(e)
+            rec(idx + 1, budget - e * weights[idx], expo, current)
+            expo.pop()
+            e += 1
+            if e * weights[idx] <= budget:
+                current = current * gens[idx]
+
+    rec(0, bound, [], Polynomial.one(S.context))
+    return out
+
+
+# Monomials with coefficient 1 take the shifting path; the scaled, negated
+# and two-term generators must not.
+_BASE_POOL = tuple(P(g, CTXT) for g in ("t", "t^2", "2*t", "1/2*t", "-t", "t + 1"))
+_ALGEBRA_POOL = tuple(P(g, CTXT) for g in (
+    "X", "Y", "X*Y", "t*Y^2", "2*X", "1/2*X", "-X", "X + t", "-3/4*X*Y + Y", "1/3*t*Y"))
+
+
+@given(st.lists(st.sampled_from(_BASE_POOL), unique=True, max_size=2),
+       st.lists(st.sampled_from(_ALGEBRA_POOL), unique=True, max_size=4),
+       st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_generator_products_match_the_reference_enumeration(base, algebra, bound):
+    S = Subalgebra(CTXT, tuple(base), tuple(algebra))
+    products = generator_products(S, bound)
+    assert products == _reference_generator_products(S, bound)
+    for _, poly in products:
+        assert_canonical(poly)
 
 
 def test_bounded_fpf_agrees_with_completion_engine():
