@@ -12,8 +12,8 @@ gives an unconditional certificate in characteristic zero.
 nilpotency indices, Dixmier sums and the retraction and complementary
 certificates read their iterates from it, the first two via ``metered_iterates``.
 
-``apply`` and ``product_images`` are the protocol shared with
-``RestrictedDerivation``, so slice search, projection and kernel
+``apply``, ``product_images`` and ``fixes_origin`` are the protocol shared
+with ``RestrictedDerivation``, so slice search, projection and kernel
 computations take either kind.
 """
 
@@ -84,6 +84,14 @@ class Derivation:
     def product_images(self, products) -> list[Polynomial]:
         """Images of the polynomials of ``(exponents, polynomial)`` generator products."""
         return [self.apply(poly) for _, poly in products]
+
+    def fixes_origin(self) -> bool:
+        """Whether every image vanishes at the origin.
+
+        Then every D(p) does too, since each Leibniz term carries an image:
+        D has no slice and no combination of its images is 1.
+        """
+        return all(img.vanishes_at_origin() for img in self.images.values())
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -211,7 +219,9 @@ def is_fixed_point_free(D: Derivation) -> dict[str, Polynomial] | None:
     """Decide ``1 in <D(x) : x main>`` on the full polynomial ring.
 
     A Yes returns cofactors ``a_x`` with ``sum(a_x * D(x)) == 1``, exact and
-    re-verified before returning.  None is a definitive No.
+    re-verified before returning.  None is a definitive No; a derivation
+    that fixes the origin gets it from ``ideal_member`` without a Groebner
+    basis.
     """
     names = [n for n in D.context.main_vars if not D.images[n].is_zero()]
     if not names:

@@ -341,10 +341,17 @@ def ideal_member(
 
     Returns the cofactor list (aligned with ``gens``) or None for a
     definitive No.  The returned identity is re-verified exactly before
-    returning.
+    returning.  When every generator vanishes at the origin and p does
+    not, so does every element of the ideal, and the No is returned
+    without a Groebner basis.
     """
     if not gens:
         raise DomainError("ideal membership over an empty generator list")
+    ctx = p.context  # a foreign generator skips the exit and raises below
+    if not p.vanishes_at_origin() and all(
+        g.vanishes_at_origin() and (g.context is ctx or g.context == ctx) for g in gens
+    ):
+        return None
     gb = buchberger(gens, order)
     if not gb.generators:
         return [Polynomial.zero(p.context) for _ in gens] if p.is_zero() else None

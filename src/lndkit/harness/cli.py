@@ -47,8 +47,9 @@ def run_command(job_file: Path, out: Path | None, bound: int | None, seed: int |
     _emit(report, out or (Path(spec.output) if spec.output else None))
 
 
-def _emit(report: Report, destination: Path | None):
-    """Validate, write or print the report, and exit with its status."""
+def _emit(report: Report, destination: Path | None, mismatch: bool = False):
+    """Validate, write or print the report, and exit with its status;
+    ``mismatch`` (a failed verdict the caller checks) exits 1."""
     text = report.to_text()
     problems = validate_report_text(text)
     if problems:
@@ -63,7 +64,7 @@ def _emit(report: Report, destination: Path | None):
         click.echo(text, nl=False)
     if report.has_internal_error:
         sys.exit(3)
-    sys.exit(0 if report.all_ok else 1)
+    sys.exit(0 if report.all_ok and not mismatch else 1)
 
 
 @main.command("corpus")
@@ -92,10 +93,12 @@ def corpus_command(filter_tag: str | None, out: Path | None):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--bound", type=click.IntRange(min=1), default=8, show_default=True)
 def random_command(family: str, count: int, seed: int, bound: int):
-    """Run a seeded randomized property family as a one-task job and report it."""
+    """Run a seeded randomized property family as a one-task job and report
+    it; a ``fail`` verdict exits 1."""
     spec = parse_job(f"job random-{family}\nring main: X\nseed: {seed}\n"
                      f"task random_family family={family} count={count} seed={seed} bound={bound}\n")
-    _emit(run_job(spec), None)
+    report = run_job(spec)
+    _emit(report, None, mismatch=report.tasks[0].verdict == "fail")
 
 
 if __name__ == "__main__":

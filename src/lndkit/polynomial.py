@@ -174,6 +174,11 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not any(map(any, self._num))
 
+    def vanishes_at_origin(self) -> bool:
+        """Whether the value at the origin (every variable, coefficient
+        variables included, set to 0), that is the constant term, is zero."""
+        return (0,) * self.context.nvars not in self._num
+
     def as_rational(self) -> Fraction | None:
         """The value of a constant polynomial, else None."""
         if not self._num:

@@ -78,8 +78,12 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     solutions the canonical kernel-reduced one is returned, so outputs are
     deterministic; None means none exists up to the bound (for a fixed
     point free certified derivation on a full ring a large enough bound
-    always succeeds).
+    always succeeds).  A derivation that fixes the origin (every image
+    vanishes there) has no slice at any bound: it returns None before any
+    product is built.
     """
+    if D.fixes_origin():
+        return None
     span = _applying_span(D, S, bound)
     products = span.products if span is not None else generator_products(S, bound)
     s = _solve_unit_image(D.product_images(products), products, S.context)

@@ -239,6 +239,11 @@ class RestrictedDerivation:
         """Images of ``(exponents, polynomial)`` generator products, by exponents."""
         return [self.image_of_product(expo) for expo, _ in products]
 
+    def fixes_origin(self) -> bool:
+        """Whether every generator image vanishes at the origin; see
+        ``Derivation.fixes_origin``."""
+        return all(img.vanishes_at_origin() for img in self.images)
+
     def apply(self, f: Polynomial, span: GeneratorSpan | None = None) -> Polynomial:
         """Image of f through its expression over the products of ``span``.
 
@@ -294,8 +299,12 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
     """Bounded search for cofactors a_i in S with sum(a_i * D(g_i)) == 1.
 
     Returns cofactors aligned with the algebra generators, or None when no
-    combination exists within the bound (not a refutation).
+    combination exists within the bound (not a refutation).  When every
+    image vanishes at the origin no combination exists at any bound, and
+    None is returned before any product is built.
     """
+    if rd.fixes_origin():
+        return None
     S = rd.subalgebra
     products = generator_products(S, bound)
     ctx = S.context

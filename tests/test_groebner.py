@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lndkit import (
+    ContextMismatchError,
     DomainError,
     GroebnerBasis,
     MonomialOrder,
@@ -340,6 +341,16 @@ def test_ideal_member_hand_identity():
 def test_ideal_member_empty_rejected():
     with pytest.raises(DomainError):
         ideal_member(P("1"), [])
+
+
+def test_ideal_member_checks_contexts_before_the_origin():
+    """1 against generators that vanish at the origin is a No without a
+    basis, but only in one shared context."""
+    assert ideal_member(P("1"), [P("X"), P("Y^2")]) is None
+    with pytest.raises(ContextMismatchError):
+        ideal_member(P("1"), [P("X"), parse_polynomial("Y", CTX3)])
+    with pytest.raises(ContextMismatchError):
+        ideal_member(parse_polynomial("1", CTX3), [P("X"), P("Y")])
 
 
 def _brute_force_member(p, gens, deg_bound=6):

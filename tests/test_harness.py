@@ -428,6 +428,16 @@ def test_cli_random_family():
     assert "verdict pass" in result.output
 
 
+def test_cli_random_exits_with_the_family_verdict():
+    """A ``fail`` verdict exits 1: triangular-fpf at bound 1 finds no slice."""
+    runner = CliRunner()
+    args = ["random", "--family", "triangular-fpf", "--count", "5", "--seed", "1"]
+    passed = runner.invoke(cli_main, [*args, "--bound", "8"])
+    failed = runner.invoke(cli_main, [*args, "--bound", "1"])
+    assert "verdict pass" in passed.output and passed.exit_code == 0
+    assert "verdict fail" in failed.output and failed.exit_code == 1
+
+
 def test_cli_random_rejects_a_non_positive_count():
     result = CliRunner().invoke(cli_main, ["random", "--family", "triangular-fpf", "--count", "-3"])
     assert result.exit_code == 2

@@ -67,6 +67,16 @@ def test_find_slice_negative_control():
     assert find_slice(NEGATIVE, Subalgebra.full(CTXT), 10) is None
 
 
+def test_find_slice_misses_off_the_origin():
+    """X -> 0, Y -> X - 1 does not fix the origin, so the bounded search runs
+    and misses: D(s) lies in the ideal (X - 1), which holds no 1."""
+    d = D_of(CTXT, X="0", Y="X - 1")
+    assert not d.fixes_origin()
+    S = Subalgebra.full(CTXT)
+    assert find_slice(d, S, 4) is None
+    assert find_slice(restriction_of(d, S), S, 4) is None
+
+
 @pytest.mark.parametrize("D, ctx, bound", [
     (DY, CTX, 1), (DY, CTX, 3), (WORKED, CTXT, 2), (WORKED, CTXT, 3), (WORKED, CTXT, 4),
     (NEGATIVE, CTXT, 4),

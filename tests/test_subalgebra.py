@@ -147,6 +147,15 @@ def test_fpf_proper_image_ideal_not_found():
     assert subalgebra_fpf(rd, 10) is None
 
 
+def test_fpf_misses_off_the_origin():
+    """The images 0 and X - 1 do not vanish at the origin, so the bounded
+    search runs, and no combination of them is 1."""
+    S = Subalgebra.full(CTXT)
+    rd = restriction_of(Derivation(CTXT, {"X": P("0", CTXT), "Y": P("X - 1", CTXT)}), S)
+    assert not rd.fixes_origin()
+    assert subalgebra_fpf(rd, 6) is None
+
+
 def test_kernel_of_partial_derivative():
     ctx = VarContext((), ("X", "Y"))
     S = Subalgebra.full(ctx)
