@@ -1,8 +1,9 @@
 """Command-line interface: run job files, the corpus, and random families.
 
-Exit codes: 0 all pass, 1 verdict or expectation mismatch, 2 input error,
-3 internal error (``lndkit run`` only: a task raised ``InvariantError``, as a
-witness that did not re-verify does, or an unexpected exception).
+Exit codes: 0 all pass, 1 a task verdict ``fail``, a task error or an
+expectation mismatch, 2 input error, 3 internal error (``lndkit run``
+only: a task raised ``InvariantError``, as a witness that did not
+re-verify does, or an unexpected exception).
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ def run_command(job_file: Path, out: Path | None, bound: int | None, seed: int |
     _emit(report, out or (Path(spec.output) if spec.output else None))
 
 
-def _emit(report: Report, destination: Path | None, mismatch: bool = False):
-    """Validate, write or print the report, and exit with its status;
-    ``mismatch`` (a failed verdict the caller checks) exits 1."""
+def _emit(report: Report, destination: Path | None):
+    """Validate, write or print the report, and exit with its status: 3 on
+    an internal error, 1 on any other task error or a task verdict ``fail``."""
     text = report.to_text()
     problems = validate_report_text(text)
     if problems:
@@ -64,7 +65,8 @@ def _emit(report: Report, destination: Path | None, mismatch: bool = False):
         click.echo(text, nl=False)
     if report.has_internal_error:
         sys.exit(3)
-    sys.exit(0 if report.all_ok and not mismatch else 1)
+    failed = any(task.verdict == "fail" for task in report.tasks)
+    sys.exit(0 if report.all_ok and not failed else 1)
 
 
 @main.command("corpus")
@@ -98,7 +100,7 @@ def random_command(family: str, count: int, seed: int, bound: int):
     spec = parse_job(f"job random-{family}\nring main: X\nseed: {seed}\n"
                      f"task random_family family={family} count={count} seed={seed} bound={bound}\n")
     report = run_job(spec)
-    _emit(report, None, mismatch=report.tasks[0].verdict == "fail")
+    _emit(report, None)
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ def _compare(expected: Expectation, actual: str | None, spec: JobSpec) -> bool:
         try:
             lhs = parse_polynomial(expected.value, spec.context)
             rhs = parse_polynomial(actual, spec.context)
-        except Exception:
+        except LndkitError:
             return False
         return lhs == rhs
     if expected.kind == "int":

@@ -17,12 +17,17 @@ Format (one record per line, ``#`` comments and blank lines ignored)::
       expect slice="Y + 1/2*t*X^2" type=poly provenance=derived oracle="..."
 
 Polynomial values never contain commas or semicolons, so those separate
-list items.  Every task line is checked against ``runner.TASKS``;
-``TaskSpec.params`` keeps the raw text and ``TaskSpec.args`` the typed
-values.  ``expect`` records attach expected outcomes (with provenance tags)
-to the preceding task; they are ignored by ``run_job`` and consumed by the
-corpus comparator.  The records of ``SINGLE_RECORDS`` appear at most once.
-Parse errors carry line numbers.
+list items.  ``full`` stands for the coefficient (``base``) or main
+(``algebra``) variables; spelled out in context order they give the same
+full ring, ``Subalgebra.full_ring``.  Each ``gens`` derivation is built
+once, as a ``RestrictedDerivation`` on the job's subalgebra, and kept in
+``JobSpec.derivations`` beside the ambient ones.  Every task line is
+checked against ``runner.TASKS``; ``TaskSpec.params`` keeps the raw text
+and ``TaskSpec.args`` the typed values.  ``expect`` records attach
+expected outcomes (with provenance tags) to the preceding task; they are
+ignored by ``run_job`` and consumed by the corpus comparator.  The records
+of ``SINGLE_RECORDS`` appear at most once.  Parse errors carry line
+numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from ..derivation import Derivation
 from ..errors import JobParseError, PolyParseError
 from ..parse import parse_polynomial
 from ..polynomial import Polynomial
-from ..subalgebra import Subalgebra
+from ..subalgebra import RestrictedDerivation, Subalgebra
 from .runner import check_task, split_items
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*\Z")
@@ -78,11 +83,8 @@ class TaskSpec:
 class JobSpec:
     name: str
     context: VarContext
-    base_full: bool
-    algebra_full: bool
     subalgebra: Subalgebra
-    derivations: dict[str, Derivation]
-    generator_derivations: dict[str, tuple[Polynomial, ...]]
+    derivations: dict[str, Derivation | RestrictedDerivation]  # ambient, or by generator images
     tasks: list[TaskSpec]
     seed: int = 0
     output: str | None = None
@@ -95,22 +97,15 @@ class JobSpec:
         if self.context.coeff_vars:
             lines.append("ring coeff: " + ", ".join(self.context.coeff_vars))
         lines.append("ring main: " + ", ".join(self.context.main_vars))
-        if self.base_full:
-            lines.append("base: full")
-        else:
-            lines.append("base: " + "; ".join(str(g) for g in self.subalgebra.base_generators))
-        if self.algebra_full:
-            lines.append("algebra: full")
-        else:
-            lines.append(
-                "algebra: " + "; ".join(str(g) for g in self.subalgebra.algebra_generators)
-            )
-        for name in self.derivations:
-            d = self.derivations[name]
-            images = ", ".join(f"{v}: {d.images[v]}" for v in self.context.main_vars)
-            lines.append(f"derivation {name}: {images}")
-        for name, images in self.generator_derivations.items():
-            lines.append(f"derivation {name} gens: " + ", ".join(str(p) for p in images))
+        S = self.subalgebra
+        for record, gens in (("base", S.base_generators), ("algebra", S.algebra_generators)):
+            lines.append(f"{record}: " + ("full" if S.full_ring else "; ".join(map(str, gens))))
+        for name, d in self.derivations.items():
+            if isinstance(d, RestrictedDerivation):
+                lines.append(f"derivation {name} gens: " + ", ".join(map(str, d.images)))
+            else:
+                images = ", ".join(f"{v}: {d.images[v]}" for v in self.context.main_vars)
+                lines.append(f"derivation {name}: {images}")
         lines.append(f"seed: {self.seed}")
         if self.tags:
             lines.append("tags: " + ", ".join(self.tags))
@@ -286,30 +281,21 @@ def parse_job(text: str) -> JobSpec:
         except PolyParseError as exc:
             raise JobParseError(f"in polynomial {text_!r}: {exc}", line_no) from None
 
-    base_line, base_text = base_decl if base_decl else (1, "full")
-    algebra_line, algebra_text = algebra_decl if algebra_decl else (1, "full")
-    base_full = base_text == "full"
-    algebra_full = algebra_text == "full"
-    if base_full and algebra_full:
-        subalgebra = Subalgebra.full(context)
-    else:
-        if base_full:
-            base_gens = tuple(Polynomial.variable(context, n) for n in context.coeff_vars)
-        else:
-            base_gens = tuple(parse_poly(p, base_line) for p in split_items(base_text))
-        if algebra_full:
-            algebra_gens = tuple(Polynomial.variable(context, n) for n in context.main_vars)
-        else:
-            algebra_gens = tuple(parse_poly(p, algebra_line) for p in split_items(algebra_text))
-        try:
-            subalgebra = Subalgebra(context, base_gens, algebra_gens)
-        except ValueError as exc:
-            raise JobParseError(str(exc), base_line) from None
+    def generators(decl: tuple[int, str] | None, names: tuple[str, ...]) -> tuple[Polynomial, ...]:
+        line_no, text_ = decl or (1, "full")
+        if text_ == "full":
+            return tuple(Polynomial.variable(context, n) for n in names)
+        return tuple(parse_poly(p, line_no) for p in split_items(text_))
 
-    derivations: dict[str, Derivation] = {}
-    generator_derivations: dict[str, tuple[Polynomial, ...]] = {}
+    try:
+        subalgebra = Subalgebra(context, generators(base_decl, context.coeff_vars),
+                                generators(algebra_decl, context.main_vars))
+    except ValueError as exc:
+        raise JobParseError(str(exc), base_decl[0] if base_decl else 1) from None
+
+    derivations: dict[str, Derivation | RestrictedDerivation] = {}
     for line_no, dname, body, by_gens in derivation_decls:
-        if dname in derivations or dname in generator_derivations:
+        if dname in derivations:
             raise JobParseError(f"duplicate derivation {dname!r}", line_no)
         if by_gens:
             images = tuple(parse_poly(p, line_no) for p in split_items(body, ","))
@@ -319,7 +305,7 @@ def parse_job(text: str) -> JobSpec:
                     f"({len(subalgebra.algebra_generators)} expected, {len(images)} given)",
                     line_no,
                 )
-            generator_derivations[dname] = images
+            derivations[dname] = RestrictedDerivation(subalgebra, images)
         else:
             images: dict[str, Polynomial] = {}
             for chunk in split_items(body, ","):
@@ -342,11 +328,8 @@ def parse_job(text: str) -> JobSpec:
     spec = JobSpec(
         name=name,
         context=context,
-        base_full=base_full,
-        algebra_full=algebra_full,
         subalgebra=subalgebra,
         derivations=derivations,
-        generator_derivations=generator_derivations,
         tasks=tasks,
         seed=seed,
         output=output,

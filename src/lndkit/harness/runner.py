@@ -105,11 +105,10 @@ def _int_in(low: int, text: str, high: int | None = None) -> int:
 
 
 def _derivation(name, spec, index, ambient=False):
-    if name in spec.derivations:
-        return spec.derivations[name]
-    if name in spec.generator_derivations and not ambient:
-        return RestrictedDerivation(spec.subalgebra, spec.generator_derivations[name])
-    raise ValueError(f"{name!r} is not {'an ambient' if ambient else 'a'} derivation of the job")
+    derivation = spec.derivations.get(name)
+    if derivation is None or ambient and isinstance(derivation, RestrictedDerivation):
+        raise ValueError(f"{name!r} is not {'an ambient' if ambient else 'a'} derivation of the job")
+    return derivation
 
 
 def _earlier(text, spec, index):

@@ -33,7 +33,8 @@ product's numerators over the pairs' common denominator in one dict and
 building one result.  The polynomial product, substitution, the Leibniz
 images of a ``RestrictedDerivation`` and every witness recombination go
 through it; ``Derivation.apply`` sums its Leibniz terms in its own pass,
-and ``generator_products`` multiplies by a monic monomial by a shift.
+and ``generator_products``, which extends each product by the powers of
+one generator at a time, multiplies by a monic monomial by a shift.
 """
 
 from __future__ import annotations

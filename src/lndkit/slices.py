@@ -15,8 +15,9 @@ complementary one defined through coordinate witnesses over a localized
 base.
 
 Full-ring ``Derivation``s and ``RestrictedDerivation``s on subalgebras are
-used through the same two methods, ``apply(f, span)`` and
-``product_images(products)``.  One routine sums the projection (for
+used through the same three methods, ``apply(f, span)``,
+``product_images(products)`` and ``fixes_origin()``; a restricted one
+applies only through a span.  One routine sums the projection (for
 ``dixmier`` and the induced derivations of ``coordinate_system``), slice
 search shares its image-kernel solver with ``kernel_up_to_degree``, and
 every repeated application of a derivation runs ``derivation.iterates``.
@@ -25,7 +26,7 @@ Membership witnesses are asked of a ``GeneratorSpan`` built once per bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -271,42 +272,47 @@ class RetractionDerivation:
     ``apply_composed`` is the total formula f -> retract(df/dW); it is a
     derivation on the target subalgebra (not on the whole ambient ring).
     Its powers are ``derivation.iterates(rd.apply_composed, f, cap)``.
+    ``restricted`` and ``nilpotency`` are derived from ``spec`` when the
+    derivation is built, by iterating ``apply_composed`` on each generator:
+    the iterates of g vanish within the cap deg_W(g) + 1, which certifies
+    local nilpotency, and g's index and image come from that one list.
+    Construction also checks that the slice variable (when it is a
+    generator) maps to 1 and that every retraction image is killed.
     """
 
     spec: RetractionSpec
-    restricted: RestrictedDerivation
-    nilpotency: NilpotencyVerdict
+    restricted: RestrictedDerivation = field(init=False)
+    nilpotency: NilpotencyVerdict = field(init=False)
+
+    def __post_init__(self):
+        spec = self.spec
+        S = spec.subalgebra
+        ctx = S.context
+        w = spec.slice_var
+        wpoly = Polynomial.variable(ctx, w)
+        images = []
+        indices: dict[str, int] = {}
+        for g in S.algebra_generators:
+            its = iterates(self.apply_composed, g, (g.degree_in(w) or 0) + 1)
+            invariant(its is not None, "retraction derivation exceeded its grading bound")
+            images.append(its[1] if len(its) > 1 else Polynomial.zero(ctx))
+            invariant(g != wpoly or images[-1] == Polynomial.one(ctx), "slice variable image is not 1")
+            indices[str(g)] = len(its)
+        for img_name, fixed in spec.fixed_images.items():
+            invariant(self.apply_composed(fixed).is_zero(),
+                      f"retraction image of {img_name!r} is not killed")
+        object.__setattr__(self, "restricted", RestrictedDerivation(S, tuple(images)))
+        object.__setattr__(self, "nilpotency",
+                           NilpotencyVerdict(True, indices, max(indices.values(), default=1)))
 
     def apply_composed(self, f: Polynomial) -> Polynomial:
         return self.spec.retract(f.partial_derivative(self.spec.slice_var))
 
 
 def lnd_from_retraction(spec: RetractionSpec) -> RetractionDerivation:
-    """Build the derivation g -> retract(dg/dW) on the subalgebra.
-
-    Construction checks: the slice variable (when it is a generator) maps
-    to 1, every retraction image is killed, and the iterates of each
-    generator g vanish within the cap deg_W(g) + 1 of ``iterates``, which
-    certifies local nilpotency.  A generator's index and its image come
-    from one list of its iterates.
-    """
-    S = spec.subalgebra
-    ctx = S.context
-    w = spec.slice_var
-    wpoly = Polynomial.variable(ctx, w)
-    images = []
-    indices: dict[str, int] = {}
-    for g in S.algebra_generators:
-        its = iterates(lambda f: spec.retract(f.partial_derivative(w)), g, (g.degree_in(w) or 0) + 1)
-        invariant(its is not None, "retraction derivation exceeded its grading bound")
-        images.append(its[1] if len(its) > 1 else Polynomial.zero(ctx))
-        invariant(g != wpoly or images[-1] == Polynomial.one(ctx), "slice variable image is not 1")
-        indices[str(g)] = len(its)
-    for img_name, fixed in spec.fixed_images.items():
-        invariant(spec.retract(fixed.partial_derivative(w)).is_zero(),
-                  f"retraction image of {img_name!r} is not killed")
-    verdict = NilpotencyVerdict(True, indices, max(indices.values(), default=1))
-    return RetractionDerivation(spec, RestrictedDerivation(S, tuple(images)), verdict)
+    """Build and check the derivation g -> retract(dg/dW) on the subalgebra;
+    see ``RetractionDerivation``."""
+    return RetractionDerivation(spec)
 
 
 # -- complementary derivation from coordinate witnesses ----------------------

@@ -1,14 +1,17 @@
 """Finitely generated subalgebras and bounded-degree exact linear algebra.
 
 A subalgebra is given by base generators (polynomials in the coefficient
-variables, generating the base ring) and algebra generators.  Membership,
-fixed-point-freeness and kernel computations all search the span of
-generator products of bounded *formal degree*: the sum of the formal
-exponents weighted by the total degree of each generator.  Membership
-is asked of a ``GeneratorSpan``, the row space of those products at one
-bound, whose ``member`` builds and re-verifies every witness.  Bounded
-searches are semi-decisions; a miss is reported with its bound, never as
-a refutation.
+variables, generating the base ring) and algebra generators; whether it
+is the full ring R[main variables] is decided once, when it is built
+(``Subalgebra.full_ring``).  Membership, fixed-point-freeness and kernel
+computations all search the span of generator products of bounded
+*formal degree*: the sum of the formal exponents weighted by the total
+degree of each generator.  ``generator_products`` lists them in one loop
+that extends every product so far by the powers of one generator at a
+time.  Membership is asked of a ``GeneratorSpan``, the row space of those
+products at one bound, whose ``member`` builds and re-verifies every
+witness.  Bounded searches are semi-decisions; a miss is reported with its
+bound, never as a refutation.
 """
 
 from __future__ import annotations
@@ -28,10 +31,17 @@ PRODUCT_CAP = 500_000
 
 @dataclass(frozen=True)
 class Subalgebra:
+    """The algebra over the base generated by ``algebra_generators``.
+
+    ``full_ring`` is true when the base generators are the coefficient
+    variables and the algebra generators the main variables, both in
+    context order: the polynomial ring R[main variables] itself, however
+    it was spelled.
+    """
+
     context: VarContext
     base_generators: tuple[Polynomial, ...]
     algebra_generators: tuple[Polynomial, ...]
-    full_ring: bool = False
 
     def __post_init__(self):
         seen = set()
@@ -43,16 +53,14 @@ class Subalgebra:
             if g in seen:
                 raise ValueError(f"duplicate generator {g}")
             seen.add(g)
-        coeff = set(self.context.coeff_vars)
+        ctx = self.context
+        coeff = set(ctx.coeff_vars)
         for g in self.base_generators:
             if not g.involves_only(coeff):
                 raise ValueError(f"base generator {g} involves main variables")
-        if self.full_ring:
-            expected = tuple(
-                Polynomial.variable(self.context, n) for n in self.context.main_vars
-            )
-            if self.algebra_generators != expected:
-                raise ValueError("full_ring requires the main variables as algebra generators")
+        variables = tuple(Polynomial.variable(ctx, n) for n in ctx.variables)
+        object.__setattr__(self, "full_ring", self.generators == variables
+                           and len(self.base_generators) == len(ctx.coeff_vars))
 
     @classmethod
     def full(cls, context: VarContext) -> Subalgebra:
@@ -60,7 +68,6 @@ class Subalgebra:
             context,
             tuple(Polynomial.variable(context, n) for n in context.coeff_vars),
             tuple(Polynomial.variable(context, n) for n in context.main_vars),
-            full_ring=True,
         )
 
     @property
@@ -96,37 +103,29 @@ def generator_products(
     """All products of generators with weighted formal degree <= bound.
 
     Deterministic exponent-lexicographic order; includes the empty product 1.
-    A generator that is a monomial with coefficient 1 multiplies by shifting
-    exponents; the others multiply by ``*``.
+    The list grows one generator at a time: each product so far is
+    multiplied by the successive powers of the next generator that its
+    remaining weight allows.  A generator that is a monomial with
+    coefficient 1 multiplies by shifting exponents; the others multiply by
+    ``*``.  Every product so far extends to at least one final product, so
+    the count is checked as the list grows: UnsupportedSizeError is raised
+    before any product past ``cap`` is built.
     """
-    gens = S.generators
-    weights = S.weights
-    shifts = [next(iter(g._num)) if g._den == 1 and list(g._num.values()) == [1] else None
-              for g in gens]
-    out: list[tuple[tuple[int, ...], Polynomial]] = []
-
-    def rec(idx: int, budget: int, expo: list[int], poly: Polynomial):
-        if idx == len(gens):
-            if len(out) >= cap:
-                raise UnsupportedSizeError(
-                    f"more than {cap} generator products below bound {bound}"
-                )
-            out.append((tuple(expo), poly))
-            return
-        w, shift = weights[idx], shifts[idx]
-        current = poly
-        e = 0
-        while e * w <= budget:
-            expo.append(e)
-            rec(idx + 1, budget - e * w, expo, current)
-            expo.pop()
-            e += 1
-            if e * w <= budget:
-                current = current * gens[idx] if shift is None else Polynomial._from_ints(
-                    S.context, {mono_mul(m, shift): c for m, c in current._num.items()}, current._den)
-
-    rec(0, bound, [], Polynomial.one(S.context))
-    return out
+    out = [((), Polynomial.one(S.context), bound)]  # (exponents, product, weight left)
+    for g, w in zip(S.generators, S.weights):
+        shift = next(iter(g._num)) if g._den == 1 and list(g._num.values()) == [1] else None
+        grown = []
+        for expo, poly, left in out:
+            count = left // w + 1
+            if len(grown) + count > cap:
+                raise UnsupportedSizeError(f"more than {cap} generator products below bound {bound}")
+            for e in range(count):
+                if e:
+                    poly = poly * g if shift is None else Polynomial._from_ints(
+                        S.context, {mono_mul(m, shift): c for m, c in poly._num.items()}, poly._den)
+                grown.append((expo + (e,), poly, left - e * w))
+        out = grown
+    return [(expo, poly) for expo, poly, _ in out]
 
 
 @dataclass(frozen=True)
@@ -245,15 +244,10 @@ class RestrictedDerivation:
         return all(img.vanishes_at_origin() for img in self.images)
 
     def apply(self, f: Polynomial, span: GeneratorSpan | None = None) -> Polynomial:
-        """Image of f through its expression over the products of ``span``.
-
-        Without a span f must be one of the algebra generators.
-        """
+        """Image of f through its expression over the products of ``span``;
+        without a span there is no expression, and DomainError is raised."""
         if span is None:
-            for gen, img in zip(self.subalgebra.algebra_generators, self.images):
-                if gen == f:
-                    return img
-            raise DomainError(f"{f} is not an algebra generator")
+            raise DomainError("a restricted derivation applies through a generator span")
         expr = span.express(f)
         if expr is None:
             raise DomainError("element left the bounded span while applying the derivation")
@@ -263,7 +257,10 @@ class RestrictedDerivation:
 
 
 def restriction_of(D: Derivation | RestrictedDerivation, S: Subalgebra) -> RestrictedDerivation:
-    """RestrictedDerivation view of D on S's algebra generators (images unchecked)."""
+    """RestrictedDerivation view of D on S's algebra generators (images
+    unchecked); a restricted derivation on S is returned unchanged."""
+    if isinstance(D, RestrictedDerivation) and D.subalgebra == S:
+        return D
     return RestrictedDerivation(S, tuple(D.apply(g) for g in S.algebra_generators))
 
 
@@ -363,7 +360,7 @@ def kernel_up_to_degree(
     ring that span is every polynomial of total degree <= bound, so a full
     derivation there builds no row space.
     """
-    full = isinstance(D, Derivation) and S == Subalgebra.full(S.context)
+    full = isinstance(D, Derivation) and S.full_ring
     span = None if full else GeneratorSpan(S, bound)
     products = generator_products(S, bound) if full else span.products
     images = D.product_images(products)

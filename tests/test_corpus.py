@@ -149,3 +149,27 @@ def test_kernel_inertness_spot_check_on_corpus():
                 assert kspan.contains(vec_of(f)), (f, g)
                 assert kspan.contains(vec_of(g)), (f, g)
     assert checked > 0
+
+
+def test_unparsable_poly_expectation_is_a_mismatch():
+    from lndkit.harness import parse_job
+
+    spec = parse_job("job odd\nring main: X, Y\nderivation D: X: 0, Y: 1\n"
+                     "task find_slice derivation=D bound=1\n"
+                     '  expect slice="Y +" type=poly provenance=trivial\n')
+    (check,) = run_entry(spec).checks
+    assert check.actual == "Y" and not check.ok
+
+
+def test_a_comparison_bug_is_not_a_mismatch(monkeypatch):
+    from lndkit.harness import parse_job
+
+    def broken(text, context):
+        raise TypeError("comparison bug")
+
+    spec = parse_job("job odd\nring main: X, Y\nderivation D: X: 0, Y: 1\n"
+                     "task find_slice derivation=D bound=1\n"
+                     '  expect slice="Y" type=poly provenance=trivial\n')
+    monkeypatch.setattr(corpus, "parse_polynomial", broken)
+    with pytest.raises(TypeError, match="comparison bug"):
+        run_entry(spec)

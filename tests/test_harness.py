@@ -468,3 +468,51 @@ def test_output_file_roundtrip(tmp_path):
     result = runner.invoke(cli_main, ["run", str(job), "--out", str(out)])
     assert result.exit_code == 0
     assert validate_report_text(out.read_text()) == []
+
+
+WORKED_RING = """
+job worked-ring
+ring coeff: t
+ring main: X, Y
+base: {base}
+algebra: {algebra}
+derivation D: X: t, Y: 1 - t^2*X
+task verify_slice_theorem derivation=D slice="Y + 1/2*t*X^2"
+task kernel_up_to_degree derivation=D bound=4
+"""
+
+
+def test_explicit_variable_lists_are_the_full_ring():
+    full = parse_job(WORKED_RING.format(base="full", algebra="full"))
+    explicit = parse_job(WORKED_RING.format(base="t", algebra="X; Y"))
+    assert explicit.subalgebra == full.subalgebra and explicit.subalgebra.full_ring
+    assert explicit.to_text() == full.to_text()
+    reports = [run_job(spec) for spec in (full, explicit)]  # no --bound needed
+    assert reports[0].comparable_text() == reports[1].comparable_text()
+    certificate = reports[1].tasks[0]
+    assert certificate.verdict == "certificate" and ("bound", "9") in certificate.values
+    assert reports[0].tasks[1].payload == reports[1].tasks[1].payload
+
+
+def test_generator_derivations_are_built_once():
+    from lndkit import RestrictedDerivation
+
+    spec = parse_job(MINIMAL + "derivation E gens: 0, 1\n"
+                     "task find_slice derivation=E bound=1\ntask subalgebra_fpf derivation=E bound=1\n")
+    E = spec.derivations["E"]
+    assert isinstance(E, RestrictedDerivation) and E.subalgebra is spec.subalgebra
+    assert spec.tasks[1].args["derivation"] is E and spec.tasks[2].args["derivation"] is E
+    assert parse_job(spec.to_text()).derivations == spec.derivations
+    with pytest.raises(JobParseError, match="'E' is not an ambient derivation of the job"):
+        parse_job(MINIMAL.replace("find_slice derivation=D bound=1", "apply derivation=E poly=X")
+                  + "derivation E gens: 0, 1\n")
+
+
+@pytest.mark.parametrize("bound,verdict,code", [(1, "fail", 1), (8, "pass", 0)])
+def test_cli_run_exit_code_follows_the_verdict(tmp_path, bound, verdict, code):
+    job = tmp_path / "family.job"
+    job.write_text("job family\nring main: X\n"
+                   f"task random_family family=triangular-fpf count=5 seed=1 bound={bound}\n")
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert f"verdict {verdict}" in result.output.splitlines()
+    assert result.exit_code == code

@@ -184,6 +184,15 @@ def test_verify_slice_theorem_worked_instance():
         assert w.evaluate(target) == g
 
 
+def test_taylor_bound_only_on_the_full_ring():
+    s = P("Y + 1/2*t*X^2", CTXT)
+    S = Subalgebra(CTXT, (P("t^2", CTXT),), (P("X", CTXT), P("Y", CTXT)))
+    assert not S.full_ring
+    with pytest.raises(ValueError, match="explicit bound"):
+        verify_slice_theorem(WORKED, s, S)
+    assert verify_slice_theorem(WORKED, s, Subalgebra.full(CTXT)).bound == 9
+
+
 def test_verify_slice_theorem_guards_sham_slice():
     with pytest.raises(DomainError):
         verify_slice_theorem(NEGATIVE, P("X", CTXT), Subalgebra.full(CTXT), 4)

@@ -266,12 +266,48 @@ def test_generator_validation():
 
 
 def test_product_enumeration_cap():
+    """The cap admits exactly ``cap`` products."""
     from lndkit import UnsupportedSizeError
 
     ctx = VarContext((), ("X", "Y"))
     S = Subalgebra.full(ctx)
     with pytest.raises(UnsupportedSizeError):
         generator_products(S, 12, cap=50)
+    for S, bound in [
+        (S, 12),  # 91 products
+        (Subalgebra(CTXT, (P("t", CTXT),), (P("X*Y", CTXT), P("1/2*X", CTXT), P("Y", CTXT))), 5),
+        (example_53_subalgebra(), 4),
+    ]:
+        products = generator_products(S, bound)
+        assert generator_products(S, bound, cap=len(products)) == products
+        with pytest.raises(UnsupportedSizeError, match=f"more than {len(products) - 1} "):
+            generator_products(S, bound, cap=len(products) - 1)
+
+
+def test_full_ring_is_decided_from_the_generators():
+    t, X, Y = (P(n, CTXT) for n in ("t", "X", "Y"))
+    assert Subalgebra(CTXT, (t,), (X, Y)).full_ring
+    assert Subalgebra(CTXT, (t,), (X, Y)) == Subalgebra.full(CTXT)
+    assert not Subalgebra(CTXT, (P("t^2", CTXT),), (X, Y)).full_ring
+    assert not Subalgebra(CTXT, (t,), (Y, X)).full_ring  # not in context order
+    assert not Subalgebra(CTXT, (), (t, X, Y)).full_ring
+    assert not Subalgebra(CTXT, (t,), (X,)).full_ring
+
+
+def test_restricted_apply_needs_a_span():
+    from lndkit import DomainError
+
+    S = Subalgebra.full(CTXT)
+    rd = RestrictedDerivation(S, (P("t", CTXT), P("1 - t^2*X", CTXT)))
+    with pytest.raises(DomainError, match="applies through a generator span"):
+        rd.apply(P("X", CTXT))
+    assert rd.apply(P("X", CTXT), GeneratorSpan(S, 1)) == P("t", CTXT)
+
+
+def test_restriction_of_a_restriction_on_its_subalgebra_is_itself():
+    S = example_53_subalgebra()
+    rd = RestrictedDerivation(S, tuple(Polynomial.zero(CTX53) for _ in S.algebra_generators))
+    assert restriction_of(rd, rd.subalgebra) is rd
 
 
 def _reference_generator_products(S, bound):
