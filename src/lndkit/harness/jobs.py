@@ -99,7 +99,7 @@ class JobSpec:
         lines.append("ring main: " + ", ".join(self.context.main_vars))
         S = self.subalgebra
         for record, gens in (("base", S.base_generators), ("algebra", S.algebra_generators)):
-            lines.append(f"{record}: " + ("full" if S.full_ring else "; ".join(map(str, gens))))
+            lines.append(f"{record}: {'full' if S.full_ring else '; '.join(map(str, gens))}".rstrip())
         for name, d in self.derivations.items():
             if isinstance(d, RestrictedDerivation):
                 lines.append(f"derivation {name} gens: " + ", ".join(map(str, d.images)))

@@ -8,21 +8,18 @@ integer rows with integer combination tracking (Bareiss's fraction-free
 elimination, Math. Comp. 22, 1968, with each new row divided by its
 content), which yields membership certificates (express a target over the
 inserted vectors) and dependency relations (nullspace vectors of the
-inserted family) as by-products.  Only its answers hold ``Fraction``
-values, rescaled by the inserted vectors' denominators.  It is the one
-elimination loop: ``canonical_rref`` fills a ``RowSpace`` with vectors and
-only back-substitutes its rows.  ``canonical_rref`` returns its rows as
-``Vec`` pairs, and ``reduce_by_rref`` takes and returns a ``Vec``.
+inserted family) as by-products, both ``Vec`` pairs keyed by tags.  It is
+the one elimination loop: ``canonical_rref`` fills a ``RowSpace`` with
+vectors and only back-substitutes its rows.  ``canonical_rref`` returns its
+rows as ``Vec`` pairs, and ``reduce_by_rref`` takes and returns a ``Vec``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Hashable, Iterable
 
 Vec = tuple[dict[Hashable, int], int]
-Combo = dict[Hashable, Fraction]
 
 
 def vec_of(poly) -> Vec:
@@ -97,17 +94,16 @@ class RowSpace:
                 _eliminate(combo, row_combo, a, b)
         return red, combo, scale
 
-    def _combo(self, combo: dict, scale: int, den: int) -> Combo:
-        """``-combo / scale`` over the tags' polynomials, for a vector with
+    def _combo(self, combo: dict, scale: int, den: int) -> Vec:
+        """``-combo / scale`` over the tags' vectors, for a vector with
         denominator ``den`` that reduced to zero."""
         dens = self._dens
-        den *= scale
-        return {t: Fraction(-c * dens[t], den) for t, c in combo.items() if c}
+        return {t: -c * dens[t] for t, c in combo.items() if c}, den * scale
 
-    def insert(self, vec: Vec, tag: Hashable) -> Combo | None:
+    def insert(self, vec: Vec, tag: Hashable) -> Vec | None:
         """Insert a vector; returns a dependency combo when it is dependent.
 
-        A returned combo ``c`` certifies ``vec == sum(c[t] * vector(t))``
+        A returned combo ``(c, d)`` certifies ``vec == sum(c[t] * vector(t)) / d``
         over previously inserted tags.  Independent vectors return None.
         """
         num, den = vec
@@ -126,8 +122,8 @@ class RowSpace:
         self._rows[pivot] = (red, combo)
         return None
 
-    def express(self, vec: Vec) -> Combo | None:
-        """Combination of inserted vectors equal to ``vec``, or None."""
+    def express(self, vec: Vec) -> Vec | None:
+        """Combo ``(c, d)`` of inserted vectors with ``vec == sum(c[t] * vector(t)) / d``, or None."""
         num, den = vec
         red, combo, scale = self._reduce(num, {})
         if red:

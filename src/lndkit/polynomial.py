@@ -3,12 +3,10 @@
 A polynomial is stored as integer numerators over one positive
 denominator: ``_num`` maps exponent tuples to nonzero ints and ``_den`` is
 a positive int with ``gcd(_den, *_num.values()) == 1``, so the form is
-canonical and equal polynomials have equal fields.  ``terms`` is a view
-built on first use and cached: the same polynomial as ``Fraction``
-coefficients in descending lexicographic order (most significant variable
-first, in context order), so iteration and serialization are
-deterministic.  All values are immutable after construction and every
-operation is exact.
+canonical and equal polynomials have equal fields.  Rendering walks the
+numerators in descending lexicographic order (most significant variable
+first, in context order), so serialization is deterministic.  All values
+are immutable after construction and every operation is exact.
 
 The degree of the zero polynomial is the sentinel ``None``, never an
 integer; callers comparing degrees must treat it explicitly.
@@ -23,9 +21,10 @@ images, generator products, the divisions, pseudo-remainders and gcds of
 ``groebner`` and ``polygcd``, ``GeneratorSpan.express``'s symbol polynomial,
 ``kernel_up_to_degree``'s basis elements and the slice ``_solve_unit_image``
 returns) is valid by construction and is built by ``_from_ints`` from
-integer numerators over one denominator, dividing out one gcd.  Only
-``terms`` builds the ``Fraction`` view, on first use, for rendering,
-``evaluate`` and outside readers.
+integer numerators over one denominator, dividing out one gcd.  The
+library reads only ``_num`` and ``_den``, and a polynomial does not
+iterate; ``terms``, a ``Fraction`` view in descending lex order built on
+each read, is for outside readers (the benchmark and the tests).
 
 ``Polynomial.combine(context, pairs)`` is the one linear-combination
 kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every
@@ -42,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .context import VarContext
 from .errors import ContextMismatchError, UnknownVariableError, UnsupportedSizeError
@@ -95,7 +94,7 @@ def _check_context(context: VarContext, p: Polynomial):
 class Polynomial:
     """Immutable sparse polynomial attached to a :class:`VarContext`."""
 
-    __slots__ = ("context", "_num", "_den", "_terms", "_hash")
+    __slots__ = ("context", "_num", "_den", "_hash")
 
     def __init__(self, context: VarContext, terms: Mapping[Monomial, Scalar] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -133,17 +132,9 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        """The ``Fraction`` coefficients in descending lex order, built once."""
-        view = self._terms
-        if view is None:
-            den = self._den
-            items = sorted(self._num.items(), reverse=True)
-            if den == 1:
-                view = {m: Fraction(c) for m, c in items}
-            else:
-                view = {m: Fraction(c, den) for m, c in items}
-            _set_terms(self, view)
-        return view
+        """The ``Fraction`` coefficients in descending lex order, for outside readers."""
+        den = self._den
+        return {m: Fraction(c, den) for m, c in sorted(self._num.items(), reverse=True)}
 
     # -- constructors -------------------------------------------------
 
@@ -412,13 +403,13 @@ class Polynomial:
             raise UnknownVariableError(f"no value for variables {sorted(missing)}")
         idx = {self.context.index(name): Fraction(v) for name, v in point.items()}
         total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
+        for m, c in self._num.items():
+            val = Fraction(c)
             for i, e in enumerate(m):
                 if e:
                     val *= idx[i] ** e
             total += val
-        return total
+        return total / self._den
 
     # -- equality, hashing, rendering -----------------------------------
 
@@ -436,9 +427,6 @@ class Polynomial:
             h = hash((self.context, self._den, frozenset(self._num.items())))
             _set_hash(self, h)
         return h
-
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self.terms.items())
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -462,9 +450,9 @@ class Polynomial:
         if not self._num:
             return "0"
         chunks: list[str] = []
-        for k, (mono, coeff) in enumerate(self.terms.items()):
+        for k, (mono, coeff) in enumerate(sorted(self._num.items(), reverse=True)):
             mono_s = self._render_monomial(mono)
-            mag = abs(coeff)
+            mag = Fraction(abs(coeff), self._den)
             if mono_s:
                 body = mono_s if mag == 1 else f"{mag}*{mono_s}"
             else:
@@ -483,7 +471,6 @@ class Polynomial:
 _set_context = Polynomial.context.__set__
 _set_num = Polynomial._num.__set__
 _set_den = Polynomial._den.__set__
-_set_terms = Polynomial._terms.__set__
 _set_hash = Polynomial._hash.__set__
 
 
@@ -491,7 +478,6 @@ def _fill(p: Polynomial, context: VarContext, num: dict, den: int):
     _set_context(p, context)
     _set_num(p, num)
     _set_den(p, den)
-    _set_terms(p, None)
     _set_hash(p, None)
 
 

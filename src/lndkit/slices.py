@@ -32,7 +32,6 @@ from functools import partial
 from typing import Callable
 
 from .context import VarContext
-from .derivation import TERM_BUDGET as DIXMIER_TERM_BUDGET  # kept public here
 from .derivation import Derivation, NilpotencyVerdict, iterates, metered_iterates
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError, invariant
 from .linalg import RowSpace, reduce_by_rref, vec_of
@@ -43,6 +42,7 @@ from .subalgebra import (
     MembershipWitness,
     RestrictedDerivation,
     Subalgebra,
+    _combine_over,
     _image_kernel,
     distinct_nonconstant,
     generator_products,
@@ -68,8 +68,9 @@ def _solve_unit_image(
     combo = space.express(vec_of(Polynomial.one(context)))
     if combo is None:
         return None
-    s0 = Polynomial.combine(context, ((products[j][1], c) for j, c in combo.items()))
-    return Polynomial._from_ints(context, *reduce_by_rref(vec_of(s0), kernel))
+    num, den = combo
+    s0 = Polynomial.combine(context, ((products[j][1], c) for j, c in num.items()))
+    return Polynomial._from_ints(context, *reduce_by_rref((s0._num, s0._den * den), kernel))
 
 
 def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None:
@@ -278,11 +279,12 @@ class RetractionDerivation:
     local nilpotency, and g's index and image come from that one list.
     Construction also checks that the slice variable (when it is a
     generator) maps to 1 and that every retraction image is killed.
+    Equality and hashing come from ``spec`` alone.
     """
 
     spec: RetractionSpec
-    restricted: RestrictedDerivation = field(init=False)
-    nilpotency: NilpotencyVerdict = field(init=False)
+    restricted: RestrictedDerivation = field(init=False, compare=False)
+    nilpotency: NilpotencyVerdict = field(init=False, compare=False)
 
     def __post_init__(self):
         spec = self.spec
@@ -507,10 +509,11 @@ def transcendence_check(
             dep = space.insert(vec_of(b * xpows[i]), tag)
             if dep is not None:
                 # normalize so the newly inserted power enters with +b
-                relation = {tag: Fraction(1)} | {t: -c for t, c in dep.items()}
+                num, den = dep
+                relation = {tag: den} | {t: -c for t, c in num.items()}
                 coeffs = tuple(
-                    Polynomial.combine(
-                        ctx, ((independent[kk], c) for (ii, kk), c in relation.items() if ii == n)
+                    _combine_over(
+                        ctx, ((independent[kk], c) for (ii, kk), c in relation.items() if ii == n), den
                     )
                     for n in range(bound + 1)
                 )
@@ -621,6 +624,7 @@ def coordinate_system(
             s_k = _solve_unit_image([apply_k(poly) for _, poly in products], products, ctx)
             if s_k is None:
                 raise DomainError(f"no slice found for induced derivation {k + 1} at {bound}")
+            invariant(apply_k(s_k) == Polynomial.one(ctx), "induced slice failed the image check")
             coords.append(s_k)
         projections.append((apply_k, s_k))
         current = [project(g, k + 1) for g in current]

@@ -10,8 +10,9 @@ degree of each generator.  ``generator_products`` lists them in one loop
 that extends every product so far by the powers of one generator at a
 time.  Membership is asked of a ``GeneratorSpan``, the row space of those
 products at one bound, whose ``member`` builds and re-verifies every
-witness.  Bounded searches are semi-decisions; a miss is reported with its
-bound, never as a refutation.
+witness.  ``RowSpace`` answers, integer coefficients over one denominator,
+are read as they come: no ``Fraction`` is built here.  Bounded searches are
+semi-decisions; a miss is reported with its bound, never as a refutation.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Iterable
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .derivation import Derivation
-from .linalg import Combo, RowSpace, Vec, canonical_rref, vec_of
-from .polynomial import Polynomial, integer_form, mono_mul
+from .linalg import RowSpace, Vec, canonical_rref, vec_of
+from .polynomial import Polynomial, mono_mul
 
 PRODUCT_CAP = 500_000
 
@@ -88,13 +89,22 @@ def distinct_nonconstant(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def symbol_context(S: Subalgebra) -> VarContext:
     """Context of abstract generator symbols: b1..bn for base, g1..gm for algebra."""
-    names = tuple(f"b{i + 1}" for i in range(len(S.base_generators))) + tuple(
-        f"g{i + 1}" for i in range(len(S.algebra_generators))
-    )
-    return VarContext((), names)
+    return _symbol_context(len(S.base_generators), len(S.algebra_generators))
+
+
+@lru_cache(maxsize=None)
+def _symbol_context(nbase: int, nalgebra: int) -> VarContext:
+    """Cached by the generator counts, so the cache holds no subalgebra."""
+    names = [f"b{i + 1}" for i in range(nbase)] + [f"g{i + 1}" for i in range(nalgebra)]
+    return VarContext((), tuple(names))
+
+
+def _combine_over(context: VarContext, pairs, den: int) -> Polynomial:
+    """``Polynomial.combine(context, pairs) / den``, for an integer ``RowSpace`` answer."""
+    total = Polynomial.combine(context, pairs)
+    return Polynomial._from_ints(context, total._num, total._den * den)
 
 
 def generator_products(
@@ -146,10 +156,10 @@ class MembershipWitness:
 class GeneratorSpan:
     """Reusable row space of the generator products up to one bound."""
 
-    def __init__(self, S: Subalgebra, bound: int, cap: int = PRODUCT_CAP):
+    def __init__(self, S: Subalgebra, bound: int):
         self.subalgebra = S
         self.bound = bound
-        self.products = generator_products(S, bound, cap)
+        self.products = generator_products(S, bound)
         self.space = RowSpace()
         for j, (_, poly) in enumerate(self.products):
             self.space.insert(vec_of(poly), j)
@@ -159,10 +169,9 @@ class GeneratorSpan:
         combo = self.space.express(vec_of(f))
         if combo is None:
             return None
-        terms = {self.products[j][0]: c for j, c in combo.items() if c}
-        if not terms and not f.is_zero():
-            return None
-        return Polynomial._from_ints(symbol_context(self.subalgebra), *integer_form(terms))
+        num, den = combo
+        symbols = {self.products[j][0]: c for j, c in num.items()}
+        return Polynomial._from_ints(symbol_context(self.subalgebra), symbols, den)
 
     def contains(self, f: Polynomial) -> bool:
         return self.space.contains(vec_of(f))
@@ -248,12 +257,12 @@ class RestrictedDerivation:
         without a span there is no expression, and DomainError is raised."""
         if span is None:
             raise DomainError("a restricted derivation applies through a generator span")
-        expr = span.express(f)
-        if expr is None:
+        combo = span.space.express(vec_of(f))
+        if combo is None:
             raise DomainError("element left the bounded span while applying the derivation")
-        return Polynomial.combine(
-            self.subalgebra.context, ((self.image_of_product(expo), c) for expo, c in expr)
-        )
+        num, den = combo
+        return _combine_over(self.subalgebra.context, (
+            (self.image_of_product(span.products[j][0]), c) for j, c in num.items()), den)
 
 
 def restriction_of(D: Derivation | RestrictedDerivation, S: Subalgebra) -> RestrictedDerivation:
@@ -314,8 +323,9 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
     combo = space.express(vec_of(Polynomial.one(ctx)))
     if combo is None:
         return None
+    num, den = combo
     cof = [
-        Polynomial.combine(ctx, ((products[j][1], c) for (j, k), c in combo.items() if k == i))
+        _combine_over(ctx, ((products[j][1], c) for (j, k), c in num.items() if k == i), den)
         for i in range(len(rd.images))
     ]
     invariant(Polynomial.combine(ctx, zip(cof, rd.images)) == Polynomial.one(ctx),
@@ -325,13 +335,13 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
 
 def _image_kernel(
     images: list[Polynomial], products: list[tuple[tuple[int, ...], Polynomial]]
-) -> tuple[RowSpace, list[tuple[int, Combo]], list[Vec]]:
+) -> tuple[RowSpace, list[tuple[int, Vec]], list[Vec]]:
     """Row space of ``images``, their dependencies, and the canonical kernel.
 
-    Each dependency ``(j, dep)`` says ``images[j] == sum(dep[k] * images[k])``
-    over earlier indices, so ``products[j] - sum(dep[k] * products[k])`` is
-    killed; the kernel is the ``canonical_rref`` of those polynomials, which
-    depends only on their span.
+    Each dependency ``(j, (dep, d))`` says ``d * images[j] == sum(dep[k] *
+    images[k])`` over earlier indices, so ``d * products[j] - sum(dep[k] *
+    products[k])`` is killed; the kernel is the ``canonical_rref`` of those
+    polynomials, which depends only on their span.
     """
     space = RowSpace()
     dependencies = []
@@ -341,9 +351,10 @@ def _image_kernel(
         if dep is None:
             continue
         dependencies.append((j, dep))
+        num, den = dep
         f = Polynomial.combine(
             products[j][1].context,
-            [(products[j][1], 1), *((products[k][1], -c) for k, c in dep.items())],
+            [(products[j][1], den), *((products[k][1], -c) for k, c in num.items())],
         )
         if not f.is_zero():
             kernel_vecs.append(vec_of(f))
@@ -365,9 +376,9 @@ def kernel_up_to_degree(
     products = generator_products(S, bound) if full else span.products
     images = D.product_images(products)
     _, dependencies, kernel = _image_kernel(images, products)
-    for j, dep in dependencies:
+    for j, (num, den) in dependencies:
         check = Polynomial.combine(
-            S.context, [(images[j], 1), *((images[k], -c) for k, c in dep.items())]
+            S.context, [(images[j], den), *((images[k], -c) for k, c in num.items())]
         )
         invariant(check.is_zero(), "kernel relation failed image re-verification")
     basis = []

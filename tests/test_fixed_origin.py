@@ -10,6 +10,7 @@ the same error.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -79,8 +80,9 @@ def _reference_subalgebra_fpf(rd, bound):
     combo = space.express(vec_of(Polynomial.one(ctx)))
     if combo is None:
         return None
+    num, den = combo
     cof = [
-        Polynomial.combine(ctx, ((products[j][1], c) for (j, k), c in combo.items() if k == i))
+        Polynomial.combine(ctx, ((products[j][1], Fraction(c, den)) for (j, k), c in num.items() if k == i))
         for i in range(len(rd.images))
     ]
     invariant(Polynomial.combine(ctx, zip(cof, rd.images)) == Polynomial.one(ctx),

@@ -71,12 +71,17 @@ def test_jobspec_roundtrip():
 
 
 def test_corpus_files_roundtrip():
+    """Every corpus job, and one without base generators, serializes to text
+    that parses back to the same text and has no trailing blanks."""
     from lndkit.harness import corpus_dir
 
-    for path in sorted(Path(corpus_dir()).glob("*.job")):
-        spec = parse_job(path.read_text())
+    texts = {path.name: path.read_text() for path in sorted(Path(corpus_dir()).glob("*.job"))}
+    texts["empty-base"] = "job j\nring main: X, Y\nalgebra: X^2; Y\n"
+    for name, text in texts.items():
+        spec = parse_job(text)
         again = parse_job(spec.to_text())
-        assert again.to_text() == spec.to_text(), path.name
+        assert again.to_text() == spec.to_text(), name
+        assert all(line == line.rstrip() for line in spec.to_text().splitlines()), name
 
 
 def test_run_job_deterministic():

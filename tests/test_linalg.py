@@ -183,25 +183,34 @@ def _families(draw):
     return polys, hits + draw(st.lists(_polys, max_size=3))
 
 
+def _as_fractions(answer):
+    """A ``RowSpace`` answer ``(num, den)`` as the ``Fraction`` dict it stands for."""
+    if answer is None:
+        return None
+    num, den = answer
+    assert den > 0 and all(type(c) is int and c for c in num.values())
+    return {t: Fraction(c, den) for t, c in num.items()}
+
+
 @given(_families())
 @example(([Polynomial(_CTX, {(1, 0): Fraction(1, 2)}), Polynomial(_CTX, {(1, 0): Fraction(3)})],
           [Polynomial(_CTX, {(1, 0): Fraction(2, 7)}), Polynomial(_CTX, {(0, 1): 1})]))
 @settings(max_examples=300, deadline=None)
 def test_fraction_free_row_space_matches_the_fraction_reference(family):
     """Same dependency combos (independent inserts return None) and the
-    same ``express`` hits and misses, as ``Fraction`` dicts."""
+    same ``express`` hits and misses; the integer answers over their
+    denominator equal the reference's ``Fraction`` dicts."""
     polys, targets = family
     space, reference = RowSpace(), _ReferenceRowSpace()
     for tag, p in enumerate(polys):
-        dep = space.insert(vec_of(p), tag)
+        dep = _as_fractions(space.insert(vec_of(p), tag))
         assert dep == reference.insert(dict(p.terms), tag)
-        assert dep is None or all(type(c) is Fraction for c in dep.values())
         if dep is not None:
             assert Polynomial.combine(_CTX, ((polys[t], c) for t, c in dep.items())) == p
     for tag, (row, combo) in space._rows.items():
         assert row[tag] > 0 and math.gcd(*row.values(), *combo.values()) == 1
     for target in targets:
-        combo = space.express(vec_of(target))
+        combo = _as_fractions(space.express(vec_of(target)))
         assert combo == reference.express(dict(target.terms))
         assert space.contains(vec_of(target)) == (combo is not None)
         if combo is not None:

@@ -163,7 +163,10 @@ def test_canonical_form_examples():
 
 def test_terms_iterate_descending_lex():
     p = parse_polynomial("Y + t + X", CTXT)
-    assert [m for m, _ in p] == sorted(p.terms, reverse=True)
+    assert list(p.terms) == sorted(p._num, reverse=True)
+    assert p.terms == {m: Fraction(c, p._den) for m, c in p._num.items()}
+    with pytest.raises(TypeError):
+        iter(p)
 
 
 @given(st.integers(0, 2 ** 30), st.fractions(max_denominator=6) | st.integers(-4, 4))

@@ -32,8 +32,8 @@ from lndkit import (
     verify_slice_theorem,
 )
 
+from lndkit.derivation import TERM_BUDGET
 from lndkit.harness import load_corpus, random_triangular_lnd
-from lndkit.slices import DIXMIER_TERM_BUDGET
 
 from helpers import rand_poly
 
@@ -144,7 +144,7 @@ def test_dixmier_term_budget_ends_growing_iterates():
     and D^n(X) has n + 1 terms: the term budget ends the sum long before
     the step cap would."""
     d = D_of(CTX, X="X^2 + X", Y="1")
-    with pytest.raises(DomainError, match=f"exceeded {DIXMIER_TERM_BUDGET} terms"):
+    with pytest.raises(DomainError, match=f"exceeded {TERM_BUDGET} terms"):
         dixmier(d, P("Y"), P("X"))
 
 
@@ -270,6 +270,14 @@ def test_retraction_nilpotency_certified():
     spec, _ = retraction_proper()
     rd = lnd_from_retraction(spec)
     assert rd.nilpotency.certified
+
+
+def test_retraction_derivations_hash_and_compare_by_their_spec():
+    spec, _ = retraction_proper()
+    rd = lnd_from_retraction(spec)
+    assert rd == lnd_from_retraction(spec)
+    assert hash(rd) == hash(lnd_from_retraction(spec))
+    assert len({rd, lnd_from_retraction(spec), lnd_from_retraction(retraction_plain()[0])}) == 2
 
 
 def test_retraction_indices_and_images():
@@ -517,6 +525,22 @@ def test_coordinate_triple_three_derivations():
     target = Subalgebra(ctx, S.base_generators, out.coordinates)
     for g, wit in zip(S.algebra_generators, out.witnesses):
         assert wit.evaluate(target) == g
+
+
+def test_coordinate_system_checks_a_discovered_coordinate_on_a_wrong_solver(monkeypatch):
+    """Each coordinate the slice search discovers passes the same image
+    check as ``find_slice``'s, an explicit raise that fires under
+    ``python -O`` too."""
+    from lndkit import slices
+
+    ctx = VarContext(("t",), ("X", "Y"))
+    S = Subalgebra.full(ctx)
+    d1 = D_of(ctx, X="1", Y="0")
+    d2 = D_of(ctx, X="-3*t*Y^2", Y="1")
+    v = parse_polynomial("X + t*Y^3", ctx)
+    monkeypatch.setattr(slices, "_solve_unit_image", lambda images, products, context: v)
+    with pytest.raises(AssertionError, match="induced slice failed the image check"):
+        coordinate_system([d1, d2], [v], S, 8)
 
 
 def test_coordinate_system_rejects_unkilled_given():

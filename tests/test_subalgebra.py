@@ -205,7 +205,7 @@ def test_kernel_rechecks_fire_on_a_wrong_solver(restricted, monkeypatch):
 
     def wrong_relation(images, products):
         space, dependencies, kernel = solve(images, products)
-        return space, [(j, {j: 2}) for j, _ in dependencies], kernel
+        return space, [(j, ({j: 2}, 1)) for j, _ in dependencies], kernel
 
     monkeypatch.setattr(subalgebra, "_image_kernel", wrong_basis)
     with pytest.raises(AssertionError, match="not killed by derivation"):
@@ -254,6 +254,18 @@ def test_kernel_inertness_spot_check():
         for g in elements:
             if kspan.contains(vec_of(f * g)):
                 assert kspan.contains(vec_of(f)) and kspan.contains(vec_of(g))
+
+
+def test_symbol_contexts_are_cached_by_generator_counts():
+    """The cache keeps one context per pair of generator counts, not one
+    per subalgebra (with its polynomials)."""
+    from lndkit.subalgebra import _symbol_context
+
+    _symbol_context.cache_clear()
+    for k in range(1, 30):
+        S = Subalgebra(CTXT, (P(f"t^{k}", CTXT),), (P(f"X + t^{k}", CTXT), P("Y", CTXT)))
+        assert symbol_context(S).variables == ("b1", "g1", "g2")
+    assert _symbol_context.cache_info().currsize == 1
 
 
 def test_generator_validation():
