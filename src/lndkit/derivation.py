@@ -4,7 +4,9 @@ A derivation kills every coefficient variable (it is linear over the base
 ring) and extends to the whole ring by the Leibniz rule, so ``apply``
 computes ``sum_x dp/dx * D(x)`` over the main variables, in one pass that
 adds ``c * m[x]`` times the numerators of D(x), shifted by ``m / x``, into
-one int dict per term ``c*m`` of p; it builds no partial derivative.  Local
+one int dict per term ``c*m`` of p; it builds no partial derivative.  The
+same loop gives ``monomial_image``, the image of one monomial as an integer
+vector, which the full-ring slice and kernel searches read.  Local
 nilpotency is certified on generators by bounded iteration; triangularity
 gives an unconditional certificate in characteristic zero.
 
@@ -66,20 +68,29 @@ class Derivation:
     def __hash__(self):
         return hash((self.context, tuple(sorted(self.images.items()))))
 
-    def apply(self, p: Polynomial, span=None) -> Polynomial:
-        """D(p) by the Leibniz rule; ``span`` is ignored, every polynomial has an image."""
-        if p.context is not self.context and p.context != self.context:
-            raise ContextMismatchError("derivation applied across contexts")
+    def _leibniz_sum(self, terms) -> dict[tuple[int, ...], int]:
+        """Numerators of ``sum(c * D(m))`` over the ``(m, c)`` int terms, over ``_den``."""
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
-        for m, c in p._num.items():
+        for m, c in terms:
             for i, shifted, scale in self._leibniz:
                 if m[i]:
                     k = c * m[i] * scale
                     for m2, c2 in shifted:
                         key = tuple(map(add, m, m2))
                         acc[key] = get(key, 0) + k * c2
-        return Polynomial._from_ints(self.context, {m: c for m, c in acc.items() if c}, self._den * p._den)
+        return {m: c for m, c in acc.items() if c}
+
+    def apply(self, p: Polynomial, span=None) -> Polynomial:
+        """D(p) by the Leibniz rule; ``span`` is ignored, every polynomial has an image."""
+        if p.context is not self.context and p.context != self.context:
+            raise ContextMismatchError("derivation applied across contexts")
+        return Polynomial._from_ints(self.context, self._leibniz_sum(p._num.items()), self._den * p._den)
+
+    def monomial_image(self, mono: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+        """D(x^mono) as an integer vector ``(num, den)``, never a ``Polynomial``;
+        not reduced to lowest terms."""
+        return self._leibniz_sum(((mono, 1),)), self._den
 
     def product_images(self, products) -> list[Polynomial]:
         """Images of the polynomials of ``(exponents, polynomial)`` generator products."""

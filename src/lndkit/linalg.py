@@ -12,11 +12,12 @@ inserted family) as by-products, both ``Vec`` pairs keyed by tags.  It is
 the one elimination loop: ``canonical_rref`` fills a ``RowSpace`` with
 vectors and only back-substitutes its rows.  ``canonical_rref`` returns its
 rows as ``Vec`` pairs, and ``reduce_by_rref`` takes and returns a ``Vec``.
+``combine`` is the integer linear combination of ``Vec`` pairs.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Hashable, Iterable
 
 Vec = tuple[dict[Hashable, int], int]
@@ -52,6 +53,17 @@ def _eliminate(target: dict, row: dict, a: int, b: int) -> int:
             target[k] *= f
     _axpy(target, row, -(b // g))
     return f
+
+
+def combine(pairs: Iterable[tuple[Vec, int]]) -> Vec:
+    """``sum(c * v)`` over ``(v, c)`` pairs with int ``c``, over the lcm of the
+    denominators; not reduced to lowest terms."""
+    pairs = list(pairs)
+    den = lcm(*(d for (_, d), _ in pairs))
+    out: dict = {}
+    for (num, d), c in pairs:
+        _axpy(out, num, c * (den // d))
+    return out, den
 
 
 class RowSpace:

@@ -19,21 +19,25 @@ values always pass through it.  Every result the library computes
 (arithmetic, ``partial_derivative``, ``substitute``, ``combine``, derivation
 images, generator products, the divisions, pseudo-remainders and gcds of
 ``groebner`` and ``polygcd``, ``GeneratorSpan.express``'s symbol polynomial,
-``kernel_up_to_degree``'s basis elements and the slice ``_solve_unit_image``
+``kernel_up_to_degree``'s basis elements and the slices that ``find_slice``
 returns) is valid by construction and is built by ``_from_ints`` from
-integer numerators over one denominator, dividing out one gcd.  The
-library reads only ``_num`` and ``_den``, and a polynomial does not
-iterate; ``terms``, a ``Fraction`` view in descending lex order built on
-each read, is for outside readers (the benchmark and the tests).
+integer numerators over one denominator, dividing out one gcd.  On the
+full ring the slice and kernel searches never build a ``Polynomial`` for a
+monomial or its image: both are integer vectors (``Derivation.monomial_image``),
+and only the answer is built.  The library reads only ``_num`` and
+``_den``, and a polynomial does not iterate; ``terms``, a ``Fraction`` view
+in descending lex order built on each read, is for outside readers (the
+benchmark and the tests).
 
 ``Polynomial.combine(context, pairs)`` is the one linear-combination
-kernel: it returns ``sum(a * b)`` over ``(a, b)`` pairs, accumulating every
-product's numerators over the pairs' common denominator in one dict and
-building one result.  The polynomial product, substitution, the Leibniz
-images of a ``RestrictedDerivation`` and every witness recombination go
-through it; ``Derivation.apply`` sums its Leibniz terms in its own pass,
-and ``generator_products``, which extends each product by the powers of
-one generator at a time, multiplies by a monic monomial by a shift.
+kernel of polynomials: it returns ``sum(a * b)`` over ``(a, b)`` pairs,
+accumulating every product's numerators over the pairs' common
+denominator in one dict and building one result.  The polynomial product,
+substitution, the Leibniz images of a ``RestrictedDerivation`` and every
+witness recombination go through it; ``Derivation.apply`` sums its Leibniz
+terms in its own pass, ``generator_products`` carries a monic monomial
+generator as an exponent shift and builds each product once, and the
+kernel and slice solvers combine integer vectors with ``linalg.combine``.
 """
 
 from __future__ import annotations

@@ -18,10 +18,15 @@ Full-ring ``Derivation``s and ``RestrictedDerivation``s on subalgebras are
 used through the same three methods, ``apply(f, span)``,
 ``product_images(products)`` and ``fixes_origin()``; a restricted one
 applies only through a span.  One routine sums the projection (for
-``dixmier`` and the induced derivations of ``coordinate_system``), slice
-search shares its image-kernel solver with ``kernel_up_to_degree``, and
+``dixmier`` and the induced derivations of ``coordinate_system``), and
 every repeated application of a derivation runs ``derivation.iterates``.
-Membership witnesses are asked of a ``GeneratorSpan`` built once per bound.
+Slice search has two solvers that return the same slice: on the full ring
+a ``Derivation`` is solved over the monomials' integer images, whose
+``RowSpace.express`` answer is already the canonical slice (the lemma in
+``find_slice``); every other input goes through the general solver, which
+shares its image-kernel step with ``kernel_up_to_degree`` and reduces its
+solution by the kernel.  Membership witnesses are asked of a
+``GeneratorSpan`` built once per bound.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Callable
 from .context import VarContext
 from .derivation import Derivation, NilpotencyVerdict, iterates, metered_iterates
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError, invariant
-from .linalg import RowSpace, reduce_by_rref, vec_of
+from .linalg import RowSpace, combine, reduce_by_rref, vec_of
 from .polygcd import exact_divide, gcd_fold
 from .polynomial import MAX_EXPONENT, Polynomial
 from .subalgebra import (
@@ -47,6 +52,7 @@ from .subalgebra import (
     distinct_nonconstant,
     generator_products,
     kernel_up_to_degree,
+    product_exponents,
     subalgebra_member,
 )
 
@@ -64,13 +70,26 @@ def _solve_unit_image(
     the kernel of the image map (deterministic regardless of candidate
     order), or None when the system is infeasible.
     """
-    space, _, kernel = _image_kernel(images, products)
+    vecs = [vec_of(poly) for _, poly in products]
+    space, _, kernel = _image_kernel([vec_of(img) for img in images], vecs)
     combo = space.express(vec_of(Polynomial.one(context)))
     if combo is None:
         return None
     num, den = combo
-    s0 = Polynomial.combine(context, ((products[j][1], c) for j, c in num.items()))
-    return Polynomial._from_ints(context, *reduce_by_rref((s0._num, s0._den * den), kernel))
+    s0, s0_den = combine((vecs[j], c) for j, c in num.items())
+    return Polynomial._from_ints(context, *reduce_by_rref((s0, s0_den * den), kernel))
+
+
+def _full_ring_slice(D: Derivation, S: Subalgebra, bound: int) -> Polynomial | None:
+    """The canonical solution of D(s) == 1 over the monomials of degree <=
+    bound, or None; see ``find_slice``.  The images are integer vectors and
+    the monomials are the row space's tags, so the one ``Polynomial`` built
+    is the answer."""
+    space = RowSpace()
+    for mono in product_exponents(S, bound):
+        space.insert(D.monomial_image(mono), mono)
+    combo = space.express(vec_of(Polynomial.one(S.context)))
+    return None if combo is None else Polynomial._from_ints(S.context, *combo)
 
 
 def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None:
@@ -82,13 +101,42 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     point free certified derivation on a full ring a large enough bound
     always succeeds).  A derivation that fixes the origin (every image
     vanishes there) has no slice at any bound: it returns None before any
-    product is built.
+    product is built.  Every answer passes the image check D(s) == 1.
+
+    A full-ring ``Derivation`` is solved by ``_full_ring_slice``, the
+    others by ``_solve_unit_image``; both return the same slice.
+
+    Lemma.  On the full ring the generator products are the monomials
+    m_1 < ... < m_N of degree <= bound in ascending tuple order.  Insert
+    the images D(m_j) into a ``RowSpace`` in that order.  Then m_j is a
+    pivot of the kernel's ``canonical_rref`` exactly when D(m_j) depends on
+    D(m_1), ..., D(m_(j-1)), that is, when ``insert`` reports it as
+    dependent; and the combination ``express(1)`` returns is the
+    kernel-reduced solution.
+
+    Proof.  A dependency of D(m_j) names the kernel element
+    f_j = d * m_j - sum_(k<j) c_k * m_k, whose largest monomial is m_j.
+    The f_j are independent (distinct largest monomials) and span the
+    kernel: a nonzero kernel element g has a largest monomial m_j, and
+    D(m_j) is a combination of the images of g's smaller monomials, so m_j
+    is dependent and g minus a multiple of f_j is a kernel element with a
+    smaller largest monomial.  So the largest monomials of the nonzero
+    kernel elements, the pivots of its rref, are exactly the dependent
+    m_j.  A ``RowSpace`` row's combination only holds the tags of vectors
+    inserted as independent, and so does ``express``'s answer: the
+    solution has no term on a pivot, which ``reduce_by_rref`` leaves as it
+    is.  Two pivot-free solutions differ by a pivot-free kernel element,
+    which is zero, so that solution is the unique kernel-reduced one.
     """
     if D.fixes_origin():
         return None
-    span = _applying_span(D, S, bound)
-    products = span.products if span is not None else generator_products(S, bound)
-    s = _solve_unit_image(D.product_images(products), products, S.context)
+    if isinstance(D, Derivation) and S.full_ring:
+        span = None
+        s = _full_ring_slice(D, S, bound)
+    else:
+        span = _applying_span(D, S, bound)
+        products = span.products if span is not None else generator_products(S, bound)
+        s = _solve_unit_image(D.product_images(products), products, S.context)
     if s is None:
         return None
     invariant(D.apply(s, span) == Polynomial.one(S.context), "slice candidate failed the image check")

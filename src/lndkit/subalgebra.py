@@ -6,13 +6,16 @@ is the full ring R[main variables] is decided once, when it is built
 (``Subalgebra.full_ring``).  Membership, fixed-point-freeness and kernel
 computations all search the span of generator products of bounded
 *formal degree*: the sum of the formal exponents weighted by the total
-degree of each generator.  ``generator_products`` lists them in one loop
-that extends every product so far by the powers of one generator at a
-time.  Membership is asked of a ``GeneratorSpan``, the row space of those
-products at one bound, whose ``member`` builds and re-verifies every
-witness.  ``RowSpace`` answers, integer coefficients over one denominator,
-are read as they come: no ``Fraction`` is built here.  Bounded searches are
-semi-decisions; a miss is reported with its bound, never as a refutation.
+degree of each generator.  One loop lists them, extending every product
+so far by the powers of one generator at a time and checking the product
+cap as it goes; ``generator_products`` builds each product once from it,
+and ``product_exponents`` reads the exponent vectors alone, which on the
+full ring are the monomials themselves.  Membership is asked of a
+``GeneratorSpan``, the row space of those products at one bound, whose
+``member`` builds and re-verifies every witness.  ``RowSpace`` answers,
+integer coefficients over one denominator, are read as they come: no
+``Fraction`` is built here.  Bounded searches are semi-decisions; a miss is
+reported with its bound, never as a refutation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterable
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .derivation import Derivation
-from .linalg import RowSpace, Vec, canonical_rref, vec_of
+from .linalg import RowSpace, Vec, canonical_rref, combine, vec_of
 from .polynomial import Polynomial, mono_mul
 
 PRODUCT_CAP = 500_000
@@ -108,34 +111,65 @@ def _combine_over(context: VarContext, pairs, den: int) -> Polynomial:
 
 
 def generator_products(
-    S: Subalgebra, bound: int, cap: int = PRODUCT_CAP
+    S: Subalgebra, bound: int, cap: int | None = None
 ) -> list[tuple[tuple[int, ...], Polynomial]]:
     """All products of generators with weighted formal degree <= bound.
 
-    Deterministic exponent-lexicographic order; includes the empty product 1.
-    The list grows one generator at a time: each product so far is
-    multiplied by the successive powers of the next generator that its
-    remaining weight allows.  A generator that is a monomial with
-    coefficient 1 multiplies by shifting exponents; the others multiply by
-    ``*``.  Every product so far extends to at least one final product, so
-    the count is checked as the list grows: UnsupportedSizeError is raised
-    before any product past ``cap`` is built.
+    Deterministic exponent-lexicographic order (ascending tuples); includes
+    the empty product 1.  Each product is built once, from the factors
+    ``_factored_products`` lists; past ``cap`` products it raises
+    UnsupportedSizeError before building any.
     """
-    out = [((), Polynomial.one(S.context), bound)]  # (exponents, product, weight left)
+    ctx = S.context
+    out = []
+    for expo, poly, shift in _factored_products(S, bound, cap):
+        if poly is None:
+            poly = Polynomial._from_ints(ctx, {shift: 1}, 1)
+        elif any(shift):
+            poly = Polynomial._from_ints(ctx, {mono_mul(m, shift): c for m, c in poly._num.items()}, poly._den)
+        out.append((expo, poly))
+    return out
+
+
+def product_exponents(S: Subalgebra, bound: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of ``generator_products``, with no product built;
+    on the full ring each one is its product's monomial."""
+    return [expo for expo, _, _ in _factored_products(S, bound, None)]
+
+
+def _factored_products(
+    S: Subalgebra, bound: int, cap: int | None
+) -> list[tuple[tuple[int, ...], Polynomial | None, tuple[int, ...]]]:
+    """``(exponents, poly, shift)`` per generator product, in order: the
+    product is ``poly * x^shift``, where ``poly`` (None for 1) multiplies the
+    powers of the generators that are not monomials with coefficient 1 and
+    ``shift`` adds up the exponents of those that are.
+
+    The list grows one generator at a time: each entry so far is extended
+    by the successive powers of the next generator that its remaining
+    weight allows.  Every entry so far extends to at least one product, so
+    the count is checked as the list grows: UnsupportedSizeError is raised
+    before any entry past ``cap`` (default ``PRODUCT_CAP``) is listed.
+    This is the one place the cap is enforced.
+    """
+    cap = PRODUCT_CAP if cap is None else cap
+    out = [((), None, (0,) * S.context.nvars, bound)]  # (exponents, poly, shift, weight left)
     for g, w in zip(S.generators, S.weights):
-        shift = next(iter(g._num)) if g._den == 1 and list(g._num.values()) == [1] else None
+        mono = next(iter(g._num)) if g._den == 1 and list(g._num.values()) == [1] else None
         grown = []
-        for expo, poly, left in out:
+        for expo, poly, shift, left in out:
             count = left // w + 1
             if len(grown) + count > cap:
                 raise UnsupportedSizeError(f"more than {cap} generator products below bound {bound}")
-            for e in range(count):
-                if e:
-                    poly = poly * g if shift is None else Polynomial._from_ints(
-                        S.context, {mono_mul(m, shift): c for m, c in poly._num.items()}, poly._den)
-                grown.append((expo + (e,), poly, left - e * w))
+            grown.append((expo + (0,), poly, shift, left))
+            for e in range(1, count):
+                if mono is not None:
+                    shift = mono_mul(shift, mono)
+                else:
+                    poly = g if poly is None else poly * g
+                grown.append((expo + (e,), poly, shift, left - e * w))
         out = grown
-    return [(expo, poly) for expo, poly, _ in out]
+    return [(expo, poly, shift) for expo, poly, shift, _ in out]
 
 
 @dataclass(frozen=True)
@@ -334,30 +368,27 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
 
 
 def _image_kernel(
-    images: list[Polynomial], products: list[tuple[tuple[int, ...], Polynomial]]
+    images: list[Vec], products: list[Vec]
 ) -> tuple[RowSpace, list[tuple[int, Vec]], list[Vec]]:
     """Row space of ``images``, their dependencies, and the canonical kernel.
 
     Each dependency ``(j, (dep, d))`` says ``d * images[j] == sum(dep[k] *
     images[k])`` over earlier indices, so ``d * products[j] - sum(dep[k] *
     products[k])`` is killed; the kernel is the ``canonical_rref`` of those
-    polynomials, which depends only on their span.
+    vectors, which depends only on their span.
     """
     space = RowSpace()
     dependencies = []
     kernel_vecs = []
-    for j, img in enumerate(images):
-        dep = space.insert(vec_of(img), j)
+    for j, image in enumerate(images):
+        dep = space.insert(image, j)
         if dep is None:
             continue
         dependencies.append((j, dep))
         num, den = dep
-        f = Polynomial.combine(
-            products[j][1].context,
-            [(products[j][1], den), *((products[k][1], -c) for k, c in num.items())],
-        )
-        if not f.is_zero():
-            kernel_vecs.append(vec_of(f))
+        f = combine([(products[j], den), *((products[k], -c) for k, c in num.items())])
+        if f[0]:
+            kernel_vecs.append(f)
     return space, dependencies, canonical_rref(kernel_vecs)
 
 
@@ -368,19 +399,25 @@ def kernel_up_to_degree(
 
     Exact nullspace of the derivation on the span of generator products;
     every relation and every basis element is re-verified.  On the full
-    ring that span is every polynomial of total degree <= bound, so a full
-    derivation there builds no row space.
+    ring that span is every polynomial of total degree <= bound: a full
+    derivation there builds no row space of products, and its products and
+    images are the integer vectors of the monomials and their
+    ``monomial_image``s, so no ``Polynomial`` is built before the basis.
     """
     full = isinstance(D, Derivation) and S.full_ring
-    span = None if full else GeneratorSpan(S, bound)
-    products = generator_products(S, bound) if full else span.products
-    images = D.product_images(products)
+    if full:
+        span = None
+        monomials = product_exponents(S, bound)
+        products = [({m: 1}, 1) for m in monomials]
+        images = [D.monomial_image(m) for m in monomials]
+    else:
+        span = GeneratorSpan(S, bound)
+        products = [vec_of(poly) for _, poly in span.products]
+        images = [vec_of(img) for img in D.product_images(span.products)]
     _, dependencies, kernel = _image_kernel(images, products)
     for j, (num, den) in dependencies:
-        check = Polynomial.combine(
-            S.context, [(images[j], den), *((images[k], -c) for k, c in num.items())]
-        )
-        invariant(check.is_zero(), "kernel relation failed image re-verification")
+        check, _ = combine([(images[j], den), *((images[k], -c) for k, c in num.items())])
+        invariant(not check, "kernel relation failed image re-verification")
     basis = []
     for row in kernel:
         f = Polynomial._from_ints(S.context, *row)

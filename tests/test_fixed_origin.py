@@ -197,7 +197,7 @@ def test_a_miss_off_the_origin_still_meets_the_product_cap(monkeypatch):
     """A derivation that does not fix the origin still runs the bounded
     search into the cap, here lowered to 10 products, which bound 3 (20
     products) exceeds."""
-    monkeypatch.setattr(subalgebra.generator_products, "__defaults__", (10,))
+    monkeypatch.setattr(subalgebra, "PRODUCT_CAP", 10)
     S = Subalgebra.full(CTXT)
     assert not MISS.fixes_origin()
     with pytest.raises(UnsupportedSizeError):

@@ -1,8 +1,13 @@
 """Slice search, kernel projection, certificates, and witness-guided builds."""
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lndkit import (
     CoordinateWitness,
@@ -15,6 +20,7 @@ from lndkit import (
     RestrictedDerivation,
     RetractionSpec,
     Subalgebra,
+    UnsupportedSizeError,
     VarContext,
     complementary_lnd,
     coordinate_context,
@@ -34,6 +40,7 @@ from lndkit import (
 
 from lndkit.derivation import TERM_BUDGET
 from lndkit.harness import load_corpus, random_triangular_lnd
+from lndkit.linalg import RowSpace, canonical_rref, reduce_by_rref, vec_of
 
 from helpers import rand_poly
 
@@ -102,16 +109,117 @@ def test_full_and_restricted_derivations_agree(seed):
     assert kernel_generators(D, s, S) == kernel_generators(rd, s, S, GeneratorSpan(S, 12))
 
 
+CTXZ = VarContext((), ("X", "Y", "Z"))
+
+
+def _monomials(ctx, bound):
+    """The monomials of degree <= bound, as polynomials."""
+    return [Polynomial(ctx, {m: 1}) for m in itertools.product(range(bound + 1), repeat=ctx.nvars)
+            if sum(m) <= bound]
+
+
+def _reference_find_slice(D, bound):
+    """The polynomial slice solver that the full-ring one replaced: products
+    and images as polynomials, the kernel's ``canonical_rref``, and the
+    solution of D(s) == 1 reduced by it; no exit at the origin."""
+    ctx = D.context
+    products = _monomials(ctx, bound)
+    space = RowSpace()
+    kernel_vecs = []
+    for j, poly in enumerate(products):
+        dep = space.insert(vec_of(D.apply(poly)), j)
+        if dep is None:
+            continue
+        num, den = dep
+        f = Polynomial.combine(ctx, [(poly, den), *((products[k], -c) for k, c in num.items())])
+        if not f.is_zero():
+            kernel_vecs.append(vec_of(f))
+    combo = space.express(vec_of(Polynomial.one(ctx)))
+    if combo is None:
+        return None
+    num, den = combo
+    s0 = Polynomial.combine(ctx, ((products[j], c) for j, c in num.items()))
+    return Polynomial._from_ints(ctx, *reduce_by_rref((s0._num, s0._den * den), canonical_rref(kernel_vecs)))
+
+
+def _polys(ctx, names, max_degree=2):
+    """Polynomials of degree <= max_degree in ``names``, up to three terms."""
+    idx = {ctx.index(n) for n in names}
+    monos = [m for m in itertools.product(range(max_degree + 1), repeat=ctx.nvars)
+             if sum(m) <= max_degree and all(i in idx for i, e in enumerate(m) if e)]
+    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2, 3]))
+    return st.dictionaries(st.sampled_from(monos), coeffs, max_size=3).map(lambda t: Polynomial(ctx, t))
+
+
+@st.composite
+def _derivations(draw):
+    """Derivations of k[t][X, Y] and k[X, Y, Z]: triangular (each image in the
+    base and the earlier variables) or not, with a unit constant term on the
+    first image (then a triangular one is fixed point free) or not, and
+    with one image zero or not."""
+    ctx = draw(st.sampled_from([CTXT, CTXZ]))
+    triangular = draw(st.booleans())
+    allowed = list(ctx.coeff_vars)
+    images = {}
+    for name in ctx.main_vars:
+        images[name] = draw(_polys(ctx, allowed if triangular else ctx.variables))
+        allowed.append(name)
+    first = ctx.main_vars[0]
+    if draw(st.booleans()):
+        images[first] = images[first] + draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    if draw(st.booleans()):
+        images[draw(st.sampled_from(ctx.main_vars))] = Polynomial.zero(ctx)
+    return Derivation(ctx, images)
+
+
+@given(_derivations(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_full_ring_slice_search_matches_the_general_path(D, bound):
+    """The full-ring solver reads the canonical slice off ``express`` (see
+    ``find_slice``): it equals the general path through the restriction and
+    the polynomial solver it replaced, slice for slice and miss for miss."""
+    S = Subalgebra.full(D.context)
+    s = find_slice(D, S, bound)
+    assert s == find_slice(restriction_of(D, S), S, bound)
+    assert s == _reference_find_slice(D, bound)
+    for poly in _monomials(D.context, 2):
+        (mono,) = poly._num
+        assert Polynomial._from_ints(D.context, *D.monomial_image(mono)) == D.apply(poly)
+
+
+@pytest.mark.parametrize("ctx, bound", [(CTXT, 3), (CTXZ, 2)], ids=["t-X-Y", "X-Y-Z"])
+def test_full_ring_searches_meet_the_product_cap(ctx, bound, monkeypatch):
+    """The full-ring slice and kernel searches list their monomials under
+    the one product cap: exactly ``count`` products pass, one fewer raises."""
+    from lndkit import subalgebra
+
+    S = Subalgebra.full(ctx)
+    d = Derivation(ctx, {n: Polynomial.one(ctx) for n in ctx.main_vars})
+    count = math.comb(bound + ctx.nvars, ctx.nvars)
+    monkeypatch.setattr(subalgebra, "PRODUCT_CAP", count)
+    assert find_slice(d, S, bound) is not None
+    assert kernel_up_to_degree(d, S, bound)
+    monkeypatch.setattr(subalgebra, "PRODUCT_CAP", count - 1)
+    for search in (find_slice, kernel_up_to_degree):
+        with pytest.raises(UnsupportedSizeError, match=f"more than {count - 1} generator products below bound {bound}"):
+            search(d, S, bound)
+
+
 @pytest.mark.parametrize("restricted", [False, True])
 def test_slice_and_projection_checks_fire_on_a_wrong_solver(restricted, monkeypatch):
     """The image checks of find_slice and dixmier are explicit raises, so
-    they fire under ``python -O`` too."""
+    they fire under ``python -O`` too.  A full-ring derivation is solved by
+    ``_full_ring_slice``, a restricted one by ``_solve_unit_image``."""
     from lndkit import slices
 
     S = Subalgebra.full(CTXT)
     span = GeneratorSpan(S, 4)
-    d = restriction_of(WORKED, S) if restricted else WORKED
-    monkeypatch.setattr(slices, "_solve_unit_image", lambda images, products, context: P("X", CTXT))
+    if restricted:
+        d = restriction_of(WORKED, S)
+        monkeypatch.setattr(slices, "_solve_unit_image", lambda images, products, context: P("X", CTXT))
+    else:
+        d = WORKED
+        monkeypatch.setattr(slices, "_full_ring_slice", lambda D, S, bound: P("X", CTXT))
     with pytest.raises(AssertionError, match="slice candidate failed the image check"):
         find_slice(d, S, 4)
     monkeypatch.setattr(slices, "_project", lambda apply, s, a: a)
