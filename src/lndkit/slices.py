@@ -21,9 +21,10 @@ applies only through a span.  One routine sums the projection (for
 ``dixmier`` and the induced derivations of ``coordinate_system``), and
 every repeated application of a derivation runs ``derivation.iterates``.
 Slice search has two solvers that return the same slice: on the full ring
-a ``Derivation`` is solved over the monomials' integer images, whose
-``RowSpace.express`` answer is already the canonical slice (the lemma in
-``find_slice``); every other input goes through the general solver, which
+a ``Derivation`` is solved over the monomials' integer images, listed
+lazily, up to the first that puts 1 in the span: ``RowSpace.express`` then
+answers the canonical slice (the lemma and corollary in ``find_slice``);
+every other input goes through the general solver, which
 shares its image-kernel step with ``kernel_up_to_degree`` and reduces its
 solution by the kernel.  Membership witnesses are asked of a
 ``GeneratorSpan`` built once per bound.
@@ -52,7 +53,7 @@ from .subalgebra import (
     distinct_nonconstant,
     generator_products,
     kernel_up_to_degree,
-    product_exponents,
+    monomials_up_to,
     subalgebra_member,
 )
 
@@ -82,14 +83,18 @@ def _solve_unit_image(
 
 def _full_ring_slice(D: Derivation, S: Subalgebra, bound: int) -> Polynomial | None:
     """The canonical solution of D(s) == 1 over the monomials of degree <=
-    bound, or None; see ``find_slice``.  The images are integer vectors and
-    the monomials are the row space's tags, so the one ``Polynomial`` built
-    is the answer."""
+    bound, or None; see ``find_slice``, whose corollary stops the search at
+    the first image that puts 1 in the span.  The images are integer
+    vectors and the monomials the row space's tags, so the one
+    ``Polynomial`` built is the answer."""
     space = RowSpace()
-    for mono in product_exponents(S, bound):
-        space.insert(D.monomial_image(mono), mono)
-    combo = space.express(vec_of(Polynomial.one(S.context)))
-    return None if combo is None else Polynomial._from_ints(S.context, *combo)
+    one = vec_of(Polynomial.one(S.context))
+    for mono in monomials_up_to(S.context, bound):
+        if space.insert(D.monomial_image(mono), mono) is None:
+            combo = space.express(one)
+            if combo is not None:
+                return Polynomial._from_ints(S.context, *combo)
+    return None
 
 
 def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None:
@@ -127,6 +132,13 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     solution has no term on a pivot, which ``reduce_by_rref`` leaves as it
     is.  Two pivot-free solutions differ by a pivot-free kernel element,
     which is zero, so that solution is the unique kernel-reduced one.
+
+    Corollary.  The first answer of ``express(1)`` after an independent
+    insert is the answer after all N inserts, so the search stops there.
+    Proof: rows never change once inserted, and a row whose pivot is the
+    smallest key, the monomial 1, holds only that key.  Reducing 1 reads
+    only that row: ``express(1)`` is None, at the cost of one lookup, until
+    an independent insert adds it, and the same answer from then on.
     """
     if D.fixes_origin():
         return None

@@ -8,9 +8,10 @@ computations all search the span of generator products of bounded
 *formal degree*: the sum of the formal exponents weighted by the total
 degree of each generator.  One loop lists them, extending every product
 so far by the powers of one generator at a time and checking the product
-cap as it goes; ``generator_products`` builds each product once from it,
-and ``product_exponents`` reads the exponent vectors alone, which on the
-full ring are the monomials themselves.  Membership is asked of a
+cap as it goes; ``generator_products`` builds each product once from it.
+On the full ring the exponent vectors are the monomials themselves, and
+``monomials_up_to`` lists them lazily in the same order, checking the same
+cap by their count before the first one.  Membership is asked of a
 ``GeneratorSpan``, the row space of those products at one bound, whose
 ``member`` builds and re-verifies every witness.  ``RowSpace`` answers,
 integer coefficients over one denominator, are read as they come: no
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from math import comb
+from typing import Iterable, Iterator
 
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
@@ -131,10 +133,28 @@ def generator_products(
     return out
 
 
-def product_exponents(S: Subalgebra, bound: int) -> list[tuple[int, ...]]:
-    """The exponent vectors of ``generator_products``, with no product built;
-    on the full ring each one is its product's monomial."""
-    return [expo for expo, _, _ in _factored_products(S, bound, None)]
+def monomials_up_to(context: VarContext, bound: int) -> Iterator[tuple[int, ...]]:
+    """The full ring's ``generator_products`` exponents, the monomials of
+    degree <= bound in ascending tuple order, listed lazily; their count is
+    checked against ``PRODUCT_CAP`` first, and a negative bound lists none."""
+    if bound < 0:
+        return iter(())
+    n = context.nvars
+    _check_cap(comb(bound + n, n), PRODUCT_CAP, bound)
+
+    def tails(k: int, left: int) -> Iterator[tuple[int, ...]]:
+        """The exponents from position k on, of degree <= left."""
+        if k == n - 1:
+            return ((e,) for e in range(left + 1))
+        return ((e,) + t for e in range(left + 1) for t in tails(k + 1, left - e))
+
+    return tails(0, bound)
+
+
+def _check_cap(count: int, cap: int, bound: int):
+    """The one place the product cap is enforced."""
+    if count > cap:
+        raise UnsupportedSizeError(f"more than {cap} generator products below bound {bound}")
 
 
 def _factored_products(
@@ -149,18 +169,18 @@ def _factored_products(
     by the successive powers of the next generator that its remaining
     weight allows.  Every entry so far extends to at least one product, so
     the count is checked as the list grows: UnsupportedSizeError is raised
-    before any entry past ``cap`` (default ``PRODUCT_CAP``) is listed.
-    This is the one place the cap is enforced.
+    before any entry past ``cap`` (default ``PRODUCT_CAP``) is listed.  A
+    negative bound lists no product, not even 1.
     """
     cap = PRODUCT_CAP if cap is None else cap
-    out = [((), None, (0,) * S.context.nvars, bound)]  # (exponents, poly, shift, weight left)
+    # (exponents, poly, shift, weight left) per product so far
+    out = [((), None, (0,) * S.context.nvars, bound)] if bound >= 0 else []
     for g, w in zip(S.generators, S.weights):
         mono = next(iter(g._num)) if g._den == 1 and list(g._num.values()) == [1] else None
         grown = []
         for expo, poly, shift, left in out:
             count = left // w + 1
-            if len(grown) + count > cap:
-                raise UnsupportedSizeError(f"more than {cap} generator products below bound {bound}")
+            _check_cap(len(grown) + count, cap, bound)
             grown.append((expo + (0,), poly, shift, left))
             for e in range(1, count):
                 if mono is not None:
@@ -407,7 +427,7 @@ def kernel_up_to_degree(
     full = isinstance(D, Derivation) and S.full_ring
     if full:
         span = None
-        monomials = product_exponents(S, bound)
+        monomials = list(monomials_up_to(S.context, bound))
         products = [({m: 1}, 1) for m in monomials]
         images = [D.monomial_image(m) for m in monomials]
     else:

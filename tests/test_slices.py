@@ -187,6 +187,58 @@ def test_full_ring_slice_search_matches_the_general_path(D, bound):
         assert Polynomial._from_ints(D.context, *D.monomial_image(mono)) == D.apply(poly)
 
 
+def _reference_full_ring_slice(D, bound):
+    """The full-ring solver before it stopped early: every monomial's image
+    is inserted, in ascending order, and only then is 1 expressed."""
+    space = RowSpace()
+    for poly in _monomials(D.context, bound):
+        (mono,) = poly._num
+        space.insert(D.monomial_image(mono), mono)
+    combo = space.express(vec_of(Polynomial.one(D.context)))
+    return None if combo is None else Polynomial._from_ints(D.context, *combo)
+
+
+@given(_derivations(), st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_early_exit_slice_matches_the_insert_everything_solver(D, bound):
+    """Stopping once 1 is in the span gives the answer after every insert
+    (the corollary in ``find_slice``)."""
+    assert find_slice(D, Subalgebra.full(D.context), bound) == _reference_full_ring_slice(D, bound)
+
+
+def _count_images(monkeypatch):
+    """Record the monomials ``Derivation.monomial_image`` is asked for."""
+    seen = []
+    image = Derivation.monomial_image
+
+    def counted(self, mono):
+        seen.append(mono)
+        return image(self, mono)
+
+    monkeypatch.setattr(Derivation, "monomial_image", counted)
+    return seen
+
+
+def test_full_ring_slice_search_stops_once_1_is_in_the_span(monkeypatch):
+    """D(X) = 1, D(Y) = 0: the nine powers of Y image to 0, so 1 enters the
+    span with X, the tenth monomial; the other 155 are never imaged."""
+    seen = _count_images(monkeypatch)
+    d = D_of(CTXT, X="1", Y="0")
+    assert find_slice(d, Subalgebra.full(CTXT), 8) == P("X", CTXT)
+    assert len(seen) == 10
+    assert seen[-1] == (0, 1, 0)
+
+
+def test_a_full_ring_slice_miss_images_every_monomial(monkeypatch):
+    """D(X) = 1 + t has no slice: 1 never enters the span, and all
+    comb(bound + 3, 3) monomials are imaged."""
+    seen = _count_images(monkeypatch)
+    d = D_of(CTXT, X="1 + t", Y="0")
+    assert find_slice(d, Subalgebra.full(CTXT), 5) is None
+    assert len(seen) == math.comb(5 + 3, 3)
+    assert len(set(seen)) == len(seen)
+
+
 @pytest.mark.parametrize("ctx, bound", [(CTXT, 3), (CTXZ, 2)], ids=["t-X-Y", "X-Y-Z"])
 def test_full_ring_searches_meet_the_product_cap(ctx, bound, monkeypatch):
     """The full-ring slice and kernel searches list their monomials under

@@ -364,6 +364,42 @@ def test_generator_products_match_the_reference_enumeration(base, algebra, bound
         assert_canonical(poly)
 
 
+_LISTER_CONTEXTS = {
+    "X": VarContext((), ("X",)),
+    "X-Y": VarContext((), ("X", "Y")),
+    "t-X-Y": CTXT,
+    "s-t-X-Y": VarContext(("s", "t"), ("X", "Y")),
+}
+
+
+@pytest.mark.parametrize("ctx", _LISTER_CONTEXTS.values(), ids=_LISTER_CONTEXTS.keys())
+def test_monomial_lister_matches_the_full_ring_products(ctx):
+    """The lazy lister lists the full ring's product exponents, in order,
+    at bounds 0 to 8."""
+    from lndkit.subalgebra import _factored_products, monomials_up_to
+
+    for bound in range(9):
+        listed = list(monomials_up_to(ctx, bound))
+        assert listed == [e for e, _, _ in _factored_products(Subalgebra.full(ctx), bound, None)]
+
+
+@pytest.mark.parametrize("bound", [-1, -5])
+def test_a_negative_bound_lists_no_products(bound):
+    """No product has negative degree, not even 1: a negative bound lists
+    none, and the slice and kernel searches find nothing on either path."""
+    from lndkit import find_slice
+    from lndkit.subalgebra import monomials_up_to
+
+    S = Subalgebra.full(CTXT)
+    d = Derivation(CTXT, {"X": P("1", CTXT), "Y": P("X", CTXT)})
+    assert generator_products(S, bound) == []
+    assert generator_products(example_53_subalgebra(), bound) == []
+    assert list(monomials_up_to(CTXT, bound)) == []
+    for D in (d, restriction_of(d, S)):
+        assert find_slice(D, S, bound) is None
+        assert kernel_up_to_degree(D, S, bound) == []
+
+
 def test_bounded_fpf_agrees_with_completion_engine():
     """On full rings, the bounded witness search confirms every Yes the
     completion engine produces, at a bound covering its cofactors."""
