@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .groebner import GroebnerBasis, buchberger, ideal_member, normal_form
-from .linalg import RowSpace, canonical_rref, reduce_by_rref
+from .linalg import RowSpace
 from .ordering import MonomialOrder
 from .parse import parse_polynomial
 from .polygcd import divides, exact_divide, gcd

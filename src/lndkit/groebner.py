@@ -34,10 +34,12 @@ Buchberger's two criteria settle (B. Buchberger, EUROSAM 1979; Becker and
 Weispfenning, *Groebner Bases*, section 5.5): a pair whose leading
 monomials are coprime, and a pair whose lcm some third leading monomial
 divides when that element's pairs with both were settled earlier (the
-chain criterion, ``_chain``).  ``verify`` settles the pairs of the reduced
-basis in increasing lcm order and re-checks every cofactor recombination
-in full; its docstring proves that it accepts exactly the bases that
-reducing every S-pair would accept.
+chain criterion, ``_chain``).  ``verify`` re-checks every cofactor
+recombination in full, reduces every input to zero by the basis, so the
+basis spans the inputs' ideal and no sub-ideal, and settles the pairs of
+the reduced basis in increasing lcm order; its docstring proves that it
+accepts exactly the bases of that ideal that reducing every S-pair would
+accept.
 """
 
 from __future__ import annotations
@@ -149,12 +151,18 @@ class GroebnerBasis:
     cofactors: tuple[tuple[Polynomial, ...], ...]  # generators[i] == sum_j cofactors[i][j]*inputs[j]
 
     def verify(self) -> None:
-        """Re-check the recombination identity and the Buchberger criterion.
+        """Re-check that the generators are a Groebner basis of the inputs' ideal.
 
-        Every cofactor row is recombined in full.  The S-pairs are settled
-        in increasing lcm order, ties broken by ``(i, j)``; a pair is
-        reduced unless Buchberger's criteria (see ``_chain``) skip it, and
-        any nonzero remainder rejects the basis.
+        Every cofactor row is recombined in full, so each generator lies in
+        the ideal of the inputs, and every nonzero input must reduce to zero
+        by the generators (unless one is a constant, whose ideal holds every
+        input), so each input lies in theirs: the two ideals are equal, and
+        an empty basis passes only when every input is zero.
+        Over a Groebner basis an element of its ideal reduces to zero, so
+        this rejects no basis of the same ideal.  Then the S-pairs are
+        settled in increasing lcm order, ties broken by ``(i, j)``; a pair
+        is reduced unless Buchberger's criteria (see ``_chain``) skip it,
+        and any nonzero remainder rejects the basis.
 
         Why a skipped pair needs no reduction.  Write ``L_ab`` for
         ``lcm(lm_a, lm_b)``, ``lt_a`` for the leading term of ``g_a`` and
@@ -181,10 +189,11 @@ class GroebnerBasis:
         So when every reduced pair reduces to zero, every pair has an lcm
         representation and the generators are a Groebner basis.
         Conversely, over a Groebner basis every S-polynomial reduces to
-        zero.  Hence this accepts exactly the bases that reducing every
-        pair accepts.
+        zero.  Hence this accepts exactly the bases of the inputs' ideal
+        that reducing every pair accepts.
         """
         if not self.generators:
+            invariant(not any(self.inputs), "an input is not in the ideal of the empty basis")
             return
         ctx = self.inputs[0].context
         for g, row in zip(self.generators, self.cofactors):
@@ -193,6 +202,11 @@ class GroebnerBasis:
         gens = list(self.generators)
         order = self.order
         leads = [_lead(g, order) for g in gens]
+        if not any(g.is_constant() for g in gens):
+            for f in self.inputs:
+                if f:
+                    rem, _ = normal_form(f, gens, order, leads)
+                    invariant(rem.is_zero(), "an input does not reduce to zero by the basis")
         lms = [lead[0] for lead in leads]
         pairs = sorted(
             (order.key(mono_lcm(lms[i], lms[j])), (i, j))

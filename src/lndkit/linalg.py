@@ -9,10 +9,10 @@ elimination, Math. Comp. 22, 1968, with each new row divided by its
 content), which yields membership certificates (express a target over the
 inserted vectors) and dependency relations (nullspace vectors of the
 inserted family) as by-products, both ``Vec`` pairs keyed by tags.  It is
-the one elimination loop: ``canonical_rref`` fills a ``RowSpace`` with
-vectors and only back-substitutes its rows.  ``canonical_rref`` returns its
-rows as ``Vec`` pairs, and ``reduce_by_rref`` takes and returns a ``Vec``.
-``combine`` is the integer linear combination of ``Vec`` pairs.
+the one elimination loop: ``RowSpace.rref`` only back-substitutes the rows
+it holds, carrying their combinations, into the fully reduced basis that
+the slice and kernel solver of ``subalgebra`` reads.  ``combine`` is the
+integer linear combination of ``Vec`` pairs.
 """
 
 from __future__ import annotations
@@ -145,35 +145,26 @@ class RowSpace:
     def contains(self, vec: Vec) -> bool:
         return not self._reduce(vec[0], None)[0]
 
+    def rref(self) -> list[tuple[dict, dict]]:
+        """The rows fully reduced, as ``(row, combo)`` pairs by ascending pivot.
 
-def canonical_rref(vectors: Iterable[Vec]) -> list[Vec]:
-    """Fully reduced row echelon form of the span, pivots descending.
-
-    The output depends only on the span, not on the presentation: pivots
-    are the largest keys, rows are pivot-monic and mutually reduced, and
-    rows are listed by descending pivot.  Each row is a ``Vec`` in lowest
-    terms with ``num[pivot] == den``: in ascending pivot order, each
-    ``RowSpace`` row is reduced by the rows below it and divided by its content.
-    """
-    space = RowSpace()
-    for tag, vec in enumerate(vectors):
-        space.insert(vec, tag)
-    rows = {}
-    for pivot in sorted(space._rows):
-        row, _ = reduce_by_rref((space._rows[pivot][0], 1), rows.values())
-        g = gcd(*row.values())
-        if g != 1:
-            row = {k: v // g for k, v in row.items()}
-        rows[pivot] = (row, row[pivot])
-    return list(reversed(rows.values()))
-
-
-def reduce_by_rref(vec: Vec, rref_rows: Iterable[Vec]) -> Vec:
-    """Eliminate every rref pivot from ``vec``; canonical coset representative."""
-    num, den = vec
-    out = dict(num)
-    for row, row_den in rref_rows:
-        c = out.get(max(row))
-        if c:
-            den *= _eliminate(out, row, row_den, c)
-    return out, den
+        In that order each row and its combination are back-substituted once
+        by the reduced rows below it, which have no term on another pivot,
+        so no row ends with one.  ``row == sum(combo[t] * num_t)`` still
+        holds, and each pair is divided by its content, pivot entry positive.
+        """
+        out: dict[tuple, tuple[dict, dict]] = {}
+        for pivot in sorted(self._rows):
+            row, combo = self._rows[pivot]
+            row, combo = dict(row), dict(combo)
+            for lower in [k for k in row if k in out]:
+                lower_row, lower_combo = out[lower]
+                a, b = lower_row[lower], row[lower]
+                _eliminate(row, lower_row, a, b)
+                _eliminate(combo, lower_combo, a, b)
+            g = gcd(*row.values(), *combo.values())
+            if g != 1:
+                row = {k: v // g for k, v in row.items()}
+                combo = {t: v // g for t, v in combo.items()}
+            out[pivot] = (row, combo)
+        return list(out.values())

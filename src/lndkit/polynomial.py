@@ -21,10 +21,10 @@ images, generator products, the divisions, pseudo-remainders and gcds of
 ``groebner`` and ``polygcd``, ``GeneratorSpan.express``'s symbol polynomial,
 ``kernel_up_to_degree``'s basis elements and the slices that ``find_slice``
 returns) is valid by construction and is built by ``_from_ints`` from
-integer numerators over one denominator, dividing out one gcd.  On the
-full ring the slice and kernel searches never build a ``Polynomial`` for a
-monomial or its image: both are integer vectors (``Derivation.monomial_image``),
-and only the answer is built.  The library reads only ``_num`` and
+integer numerators over one denominator, dividing out one gcd.  The slice
+and kernel solver builds no ``Polynomial`` for a basis row of the span or
+its image: both are integer vectors (on the full ring a monomial and its
+``Derivation.monomial_image``), and only the answer is built.  The library reads only ``_num`` and
 ``_den``, and a polynomial does not iterate; ``terms``, a ``Fraction`` view
 in descending lex order built on each read, is for outside readers (the
 benchmark and the tests).
@@ -37,7 +37,7 @@ substitution, the Leibniz images of a ``RestrictedDerivation`` and every
 witness recombination go through it; ``Derivation.apply`` sums its Leibniz
 terms in its own pass, ``generator_products`` carries a monic monomial
 generator as an exponent shift and builds each product once, and the
-kernel and slice solvers combine integer vectors with ``linalg.combine``.
+kernel and slice solver combines integer vectors with ``linalg.combine``.
 """
 
 from __future__ import annotations

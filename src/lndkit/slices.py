@@ -20,14 +20,15 @@ used through the same three methods, ``apply(f, span)``,
 applies only through a span.  One routine sums the projection (for
 ``dixmier`` and the induced derivations of ``coordinate_system``), and
 every repeated application of a derivation runs ``derivation.iterates``.
-Slice search has two solvers that return the same slice: on the full ring
-a ``Derivation`` is solved over the monomials' integer images, listed
-lazily, up to the first that puts 1 in the span: ``RowSpace.express`` then
-answers the canonical slice (the lemma and corollary in ``find_slice``);
-every other input goes through the general solver, which
-shares its image-kernel step with ``kernel_up_to_degree`` and reduces its
-solution by the kernel.  Membership witnesses are asked of a
-``GeneratorSpan`` built once per bound.
+Slice search and ``kernel_up_to_degree`` share one solver,
+``subalgebra.solve_images``: it inserts the images of an rref basis of the
+bounded span in ascending pivot order, the monomials on the full ring
+(listed lazily, imaged as integer vectors) and the ``RowSpace.rref`` rows
+of a ``GeneratorSpan`` elsewhere.  The slice is its first unit answer,
+the canonical kernel-reduced one (the lemma and corollary in
+``find_slice``), and the induced derivations of ``coordinate_system`` are
+solved alike.  Membership witnesses are asked of a ``GeneratorSpan``
+built once per bound.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable
 from .context import VarContext
 from .derivation import Derivation, NilpotencyVerdict, iterates, metered_iterates
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError, invariant
-from .linalg import RowSpace, combine, reduce_by_rref, vec_of
+from .linalg import RowSpace, combine, vec_of
 from .polygcd import exact_divide, gcd_fold
 from .polynomial import MAX_EXPONENT, Polynomial
 from .subalgebra import (
@@ -49,51 +50,25 @@ from .subalgebra import (
     RestrictedDerivation,
     Subalgebra,
     _combine_over,
-    _image_kernel,
     distinct_nonconstant,
     generator_products,
     kernel_up_to_degree,
-    monomials_up_to,
+    rref_rows,
+    solve_images,
+    span_rows,
     subalgebra_member,
 )
 
 AnyDerivation = Derivation | RestrictedDerivation
 
 
-def _solve_unit_image(
-    images: list[Polynomial],
-    products: list[tuple[tuple[int, ...], Polynomial]],
-    context: VarContext,
-) -> Polynomial | None:
-    """Solve sum(c_j * images[j]) == 1 and canonicalize modulo the kernel.
-
-    Returns the unique solution carrying no term on a pivot monomial of
-    the kernel of the image map (deterministic regardless of candidate
-    order), or None when the system is infeasible.
-    """
-    vecs = [vec_of(poly) for _, poly in products]
-    space, _, kernel = _image_kernel([vec_of(img) for img in images], vecs)
-    combo = space.express(vec_of(Polynomial.one(context)))
-    if combo is None:
-        return None
-    num, den = combo
-    s0, s0_den = combine((vecs[j], c) for j, c in num.items())
-    return Polynomial._from_ints(context, *reduce_by_rref((s0, s0_den * den), kernel))
-
-
-def _full_ring_slice(D: Derivation, S: Subalgebra, bound: int) -> Polynomial | None:
-    """The canonical solution of D(s) == 1 over the monomials of degree <=
-    bound, or None; see ``find_slice``, whose corollary stops the search at
-    the first image that puts 1 in the span.  The images are integer
-    vectors and the monomials the row space's tags, so the one
-    ``Polynomial`` built is the answer."""
-    space = RowSpace()
-    one = vec_of(Polynomial.one(S.context))
-    for mono in monomials_up_to(S.context, bound):
-        if space.insert(D.monomial_image(mono), mono) is None:
-            combo = space.express(one)
-            if combo is not None:
-                return Polynomial._from_ints(S.context, *combo)
+def _unit_solution(tags, image, expand, context: VarContext) -> Polynomial | None:
+    """The first ``express(1)`` answer of ``solve_images``, built as
+    ``sum(c_k * r_k)``, or None; see ``find_slice``."""
+    for _, _, unit in solve_images(tags, image, context):
+        if unit is not None:
+            num, den = unit
+            return Polynomial._from_ints(context, expand(num), den)
     return None
 
 
@@ -108,30 +83,38 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     vanishes there) has no slice at any bound: it returns None before any
     product is built.  Every answer passes the image check D(s) == 1.
 
-    A full-ring ``Derivation`` is solved by ``_full_ring_slice``, the
-    others by ``_solve_unit_image``; both return the same slice.
+    The slice is the first unit answer of ``solve_images`` over the
+    ``rref_rows`` of the span: the monomials on the full ring, the
+    ``RowSpace.rref`` rows of a ``GeneratorSpan`` elsewhere.
 
-    Lemma.  On the full ring the generator products are the monomials
-    m_1 < ... < m_N of degree <= bound in ascending tuple order.  Insert
-    the images D(m_j) into a ``RowSpace`` in that order.  Then m_j is a
-    pivot of the kernel's ``canonical_rref`` exactly when D(m_j) depends on
-    D(m_1), ..., D(m_(j-1)), that is, when ``insert`` reports it as
-    dependent; and the combination ``express(1)`` returns is the
-    kernel-reduced solution.
+    Lemma.  Let r_1, ..., r_N be a basis of the bounded span in reduced
+    row echelon form, listed by ascending pivot mu_1 < ... < mu_N (a
+    row's pivot is its largest monomial, and no row has a term on another
+    row's pivot), and insert the images D(r_j) into a ``RowSpace`` in that
+    order.  Then mu_j is a pivot of the kernel's reduced echelon form
+    exactly when ``insert`` reports D(r_j) as dependent on D(r_1), ...,
+    D(r_(j-1)); the row of that pivot is f_j / d, where the dependency
+    ``(c, d)`` names f_j = d * r_j - sum_(k<j) c_k * r_k; and the
+    combination ``express(1)`` returns, sum c_k * r_k, is the
+    kernel-reduced solution of D(s) == 1.
 
-    Proof.  A dependency of D(m_j) names the kernel element
-    f_j = d * m_j - sum_(k<j) c_k * m_k, whose largest monomial is m_j.
-    The f_j are independent (distinct largest monomials) and span the
-    kernel: a nonzero kernel element g has a largest monomial m_j, and
-    D(m_j) is a combination of the images of g's smaller monomials, so m_j
-    is dependent and g minus a multiple of f_j is a kernel element with a
-    smaller largest monomial.  So the largest monomials of the nonzero
-    kernel elements, the pivots of its rref, are exactly the dependent
-    m_j.  A ``RowSpace`` row's combination only holds the tags of vectors
-    inserted as independent, and so does ``express``'s answer: the
-    solution has no term on a pivot, which ``reduce_by_rref`` leaves as it
-    is.  Two pivot-free solutions differ by a pivot-free kernel element,
-    which is zero, so that solution is the unique kernel-reduced one.
+    Proof.  f_j is killed, and its leading monomial is mu_j, since each
+    r_k with k < j lies below mu_j.  The f_j are independent (distinct
+    leading monomials) and span the kernel: a nonzero kernel element
+    g = sum a_k * r_k has the leading monomial mu_j of its largest j with
+    a_j != 0, and D(r_j) is a combination of the images of the smaller
+    r_k, so r_j is dependent and g minus a multiple of f_j is a kernel
+    element with a smaller leading monomial.  So the leading monomials of
+    the kernel, the pivots of its reduced form, are exactly the dependent
+    mu_j.  A ``RowSpace`` row's combination only holds the tags of
+    vectors inserted as independent, and so do a dependency and
+    ``express``'s answer.  An independent r_k has no term on another
+    row's pivot, dependent ones included, so f_j / d has no term on
+    another kernel pivot and its pivot coefficient is 1: it is the row of
+    mu_j in the kernel's reduced form.  Likewise the solution has no term
+    on a kernel pivot.  Two such solutions differ by a kernel element
+    with no term on a kernel pivot, which is zero, so that solution is
+    the unique kernel-reduced one.
 
     Corollary.  The first answer of ``express(1)`` after an independent
     insert is the answer after all N inserts, so the search stops there.
@@ -142,23 +125,12 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     """
     if D.fixes_origin():
         return None
-    if isinstance(D, Derivation) and S.full_ring:
-        span = None
-        s = _full_ring_slice(D, S, bound)
-    else:
-        span = _applying_span(D, S, bound)
-        products = span.products if span is not None else generator_products(S, bound)
-        s = _solve_unit_image(D.product_images(products), products, S.context)
+    span, *rows = rref_rows(D, S, bound)
+    s = _unit_solution(*rows, S.context)
     if s is None:
         return None
     invariant(D.apply(s, span) == Polynomial.one(S.context), "slice candidate failed the image check")
     return s
-
-
-def _applying_span(D: AnyDerivation, S: Subalgebra, bound: int) -> GeneratorSpan | None:
-    """The span a restricted derivation applies through; a full one applies
-    directly and needs none."""
-    return GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
 
 
 def _project(apply: Callable[[Polynomial], Polynomial], s: Polynomial, a: Polynomial) -> Polynomial:
@@ -551,7 +523,8 @@ def transcendence_check(
     unit image forces degree by degree; a found relation is returned with
     its exact coefficients.
     """
-    val = D.apply(x, _applying_span(D, S, bound)).as_rational()
+    span = GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
+    val = D.apply(x, span).as_rational()
     if val is None or val == 0:
         raise DomainError("transcendence check requires a unit image for x")
     ctx = S.context
@@ -679,9 +652,9 @@ def coordinate_system(
                 )
             coords.append(given[k])
         else:
-            search = Subalgebra(ctx, S.base_generators, distinct_nonconstant(current))
-            products = generator_products(search, bound)
-            s_k = _solve_unit_image([apply_k(poly) for _, poly in products], products, ctx)
+            gens = distinct_nonconstant(g for g in current if g not in S.base_generators)
+            span = GeneratorSpan(Subalgebra(ctx, S.base_generators, gens), bound)
+            s_k = _unit_solution(*span_rows(span, lambda j: apply_k(span.products[j][1])), ctx)
             if s_k is None:
                 raise DomainError(f"no slice found for induced derivation {k + 1} at {bound}")
             invariant(apply_k(s_k) == Polynomial.one(ctx), "induced slice failed the image check")

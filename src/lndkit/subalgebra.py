@@ -13,23 +13,26 @@ On the full ring the exponent vectors are the monomials themselves, and
 ``monomials_up_to`` lists them lazily in the same order, checking the same
 cap by their count before the first one.  Membership is asked of a
 ``GeneratorSpan``, the row space of those products at one bound, whose
-``member`` builds and re-verifies every witness.  ``RowSpace`` answers,
-integer coefficients over one denominator, are read as they come: no
-``Fraction`` is built here.  Bounded searches are semi-decisions; a miss is
-reported with its bound, never as a refutation.
+``member`` builds and re-verifies every witness, and which checks a
+derivation's product images against the relations among the products.
+``solve_images`` is the one slice and kernel solver, over the rref basis
+of a span that ``rref_rows`` lists.  ``RowSpace`` answers, integer
+coefficients over one denominator, are read as they come: no ``Fraction``
+is built here.  Bounded searches are semi-decisions; a miss is reported
+with its bound, never as a refutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .derivation import Derivation
-from .linalg import RowSpace, Vec, canonical_rref, combine, vec_of
+from .linalg import RowSpace, Vec, combine, vec_of
 from .polynomial import Polynomial, mono_mul
 
 PRODUCT_CAP = 500_000
@@ -208,15 +211,39 @@ class MembershipWitness:
 
 
 class GeneratorSpan:
-    """Reusable row space of the generator products up to one bound."""
+    """Reusable row space of the generator products up to one bound.
+
+    ``relations`` keeps each dependency ``(j, (c, d))`` that inserting the
+    products returned: ``d * p_j == sum(c[k] * p_k)`` over earlier products.
+    """
 
     def __init__(self, S: Subalgebra, bound: int):
         self.subalgebra = S
         self.bound = bound
         self.products = generator_products(S, bound)
         self.space = RowSpace()
+        self.relations: list[tuple[int, Vec]] = []
         for j, (_, poly) in enumerate(self.products):
-            self.space.insert(vec_of(poly), j)
+            dep = self.space.insert(vec_of(poly), j)
+            if dep is not None:
+                self.relations.append((j, dep))
+        self._images: dict = {}
+
+    def images(self, D: Derivation | RestrictedDerivation) -> list[Polynomial]:
+        """D's images of the products, built and checked once per derivation.
+
+        Images that break a relation ``d * p_j == sum(c[k] * p_k)`` define
+        no derivation of the subalgebra: DomainError names p_j.
+        """
+        images = self._images.get(D)
+        if images is None:
+            images = D.product_images(self.products)
+            for j, (num, d) in self.relations:
+                if combine([(vec_of(images[j]), d), *((vec_of(images[k]), -c) for k, c in num.items())])[0]:
+                    raise DomainError(f"the derivation's images break the relation of the generator "
+                                      f"product {self.products[j][1]}: it is no derivation of the subalgebra")
+            self._images[D] = images
+        return images
 
     def express(self, f: Polynomial) -> Polynomial | None:
         """Expression of f over the products, as a symbol polynomial."""
@@ -307,16 +334,17 @@ class RestrictedDerivation:
         return all(img.vanishes_at_origin() for img in self.images)
 
     def apply(self, f: Polynomial, span: GeneratorSpan | None = None) -> Polynomial:
-        """Image of f through its expression over the products of ``span``;
-        without a span there is no expression, and DomainError is raised."""
+        """Image of f through its expression over the products of ``span``,
+        whose checked ``images`` it reads; without a span there is no
+        expression, and DomainError is raised."""
         if span is None:
             raise DomainError("a restricted derivation applies through a generator span")
         combo = span.space.express(vec_of(f))
         if combo is None:
             raise DomainError("element left the bounded span while applying the derivation")
+        images = span.images(self)
         num, den = combo
-        return _combine_over(self.subalgebra.context, (
-            (self.image_of_product(span.products[j][0]), c) for j, c in num.items()), den)
+        return _combine_over(self.subalgebra.context, ((images[j], c) for j, c in num.items()), den)
 
 
 def restriction_of(D: Derivation | RestrictedDerivation, S: Subalgebra) -> RestrictedDerivation:
@@ -387,61 +415,85 @@ def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | N
     return cof
 
 
-def _image_kernel(
-    images: list[Vec], products: list[Vec]
-) -> tuple[RowSpace, list[tuple[int, Vec]], list[Vec]]:
-    """Row space of ``images``, their dependencies, and the canonical kernel.
+def rref_rows(
+    D: Derivation | RestrictedDerivation, S: Subalgebra, bound: int
+) -> tuple[GeneratorSpan | None, Iterable[Hashable], Callable[[Hashable], Vec], Callable[[dict], dict]]:
+    """An rref basis r_1 < r_2 < ... of the bounded span of S as
+    ``solve_images`` takes it: the span D applies through (None for none),
+    the rows' tags by ascending pivot, lazily, the image D(r_j) of a tag,
+    and the integer row ``sum(c[t] * r_t)`` of a combination over tags.
+    On the full ring a ``Derivation``'s rows are the monomials, their own
+    tags, imaged by ``monomial_image``; elsewhere ``span_rows`` lists a
+    ``GeneratorSpan``'s rows from its checked product images.
+    """
+    if isinstance(D, Derivation) and S.full_ring:
+        return None, monomials_up_to(S.context, bound), D.monomial_image, lambda combo: combo
+    span = GeneratorSpan(S, bound)
+    return (span, *span_rows(span, span.images(D).__getitem__))
 
-    Each dependency ``(j, (dep, d))`` says ``d * images[j] == sum(dep[k] *
-    images[k])`` over earlier indices, so ``d * products[j] - sum(dep[k] *
-    products[k])`` is killed; the kernel is the ``canonical_rref`` of those
-    vectors, which depends only on their span.
+
+def span_rows(
+    span: GeneratorSpan, image: Callable[[int], Polynomial]
+) -> tuple[range, Callable[[int], Vec], Callable[[dict], dict]]:
+    """``rref_rows`` over the ``RowSpace.rref`` rows of ``span``, tagged by
+    position, given the image of the product at an index.  A row is
+    ``sum(combo[t] * num_t)`` over its products' numerators, so its image is
+    that combination of their images; each product is imaged at most once.
+    """
+    rows = span.space.rref()
+    dens = [poly._den for _, poly in span.products]
+    imaged = cache(lambda t: vec_of(image(t)))
+
+    def row_image(j: int) -> Vec:
+        return combine((imaged(t), c * dens[t]) for t, c in rows[j][1].items())
+
+    def expand(combo: dict) -> dict:
+        return combine(((rows[j][0], 1), c) for j, c in combo.items())[0]
+
+    return range(len(rows)), row_image, expand
+
+
+def solve_images(
+    tags: Iterable[Hashable], image: Callable[[Hashable], Vec], context: VarContext
+) -> Iterator[tuple[Hashable, Vec | None, Vec | None]]:
+    """The one slice and kernel solver: insert the image D(r_j) of each tag
+    into one ``RowSpace`` and yield ``(tag, dependency, unit)`` per row.  A
+    dependency ``(c, d)`` (None when independent) names the kernel row
+    ``d * r_j - sum(c[k] * r_k)``, and ``unit`` is the ``express(1)``
+    answer once 1 is in the span; ``find_slice`` proves both canonical.
     """
     space = RowSpace()
-    dependencies = []
-    kernel_vecs = []
-    for j, image in enumerate(images):
-        dep = space.insert(image, j)
-        if dep is None:
-            continue
-        dependencies.append((j, dep))
-        num, den = dep
-        f = combine([(products[j], den), *((products[k], -c) for k, c in num.items())])
-        if f[0]:
-            kernel_vecs.append(f)
-    return space, dependencies, canonical_rref(kernel_vecs)
+    one = ({(0,) * context.nvars: 1}, 1)
+    unit = None
+    for tag in tags:
+        dep = space.insert(image(tag), tag)
+        if dep is None and unit is None:
+            unit = space.express(one)
+        yield tag, dep, unit
 
 
 def kernel_up_to_degree(
     D: Derivation | RestrictedDerivation, S: Subalgebra, bound: int
 ) -> list[Polynomial]:
-    """Basis of {f in bounded span of S : D(f) == 0}.
+    """Basis of {f in bounded span of S : D(f) == 0}, by descending pivot.
 
-    Exact nullspace of the derivation on the span of generator products;
-    every relation and every basis element is re-verified.  On the full
-    ring that span is every polynomial of total degree <= bound: a full
-    derivation there builds no row space of products, and its products and
-    images are the integer vectors of the monomials and their
-    ``monomial_image``s, so no ``Polynomial`` is built before the basis.
+    Each dependency of ``solve_images`` over the ``rref_rows`` of the span
+    is one row of the kernel's reduced echelon form, made pivot-monic (the
+    lemma in ``find_slice``); every relation and every basis element is
+    re-verified.
     """
-    full = isinstance(D, Derivation) and S.full_ring
-    if full:
-        span = None
-        monomials = list(monomials_up_to(S.context, bound))
-        products = [({m: 1}, 1) for m in monomials]
-        images = [D.monomial_image(m) for m in monomials]
-    else:
-        span = GeneratorSpan(S, bound)
-        products = [vec_of(poly) for _, poly in span.products]
-        images = [vec_of(img) for img in D.product_images(span.products)]
-    _, dependencies, kernel = _image_kernel(images, products)
-    for j, (num, den) in dependencies:
+    span, tags, image, expand = rref_rows(D, S, bound)
+    images = {tag: image(tag) for tag in tags}
+    basis = []
+    for j, dep, _ in solve_images(images, images.__getitem__, S.context):
+        if dep is None:
+            continue
+        num, den = dep
         check, _ = combine([(images[j], den), *((images[k], -c) for k, c in num.items())])
         invariant(not check, "kernel relation failed image re-verification")
-    basis = []
-    for row in kernel:
-        f = Polynomial._from_ints(S.context, *row)
-        invariant(f.degree() <= bound if full else span.contains(f), "kernel basis element left the span")
+        row = expand({j: den} | {k: -c for k, c in num.items()})
+        f = Polynomial._from_ints(S.context, row, row[max(row)])
+        invariant(f.degree() <= bound if span is None else span.contains(f), "kernel basis element left the span")
         invariant(D.apply(f, span).is_zero(), "kernel basis element not killed by derivation")
         basis.append(f)
-    return basis
+    return basis[::-1]

@@ -6,7 +6,8 @@ import math
 import random
 from fractions import Fraction
 
-from lndkit import Polynomial, VarContext
+from lndkit import Polynomial, VarContext, generator_products
+from lndkit.linalg import RowSpace, _eliminate, combine, vec_of
 
 
 def rand_coeff(rng: random.Random) -> Fraction:
@@ -85,3 +86,84 @@ def cyclic(n: int) -> tuple[VarContext, list[Polynomial]]:
         prod = prod * xi
     eqs.append(prod - 1)
     return ctx, eqs
+
+
+# -- the solvers that ``subalgebra.solve_images`` replaced, kept as references --
+
+
+def canonical_rref(vectors):
+    """Fully reduced row echelon form of the span of integer ``Vec``s, pivots
+    descending: each row a ``Vec`` in lowest terms with ``num[pivot] == den``.
+    In ascending pivot order, each ``RowSpace`` row is reduced by the rows
+    below it and divided by its content."""
+    space = RowSpace()
+    for tag, vec in enumerate(vectors):
+        space.insert(vec, tag)
+    rows = {}
+    for pivot in sorted(space._rows):
+        row, _ = reduce_by_rref((space._rows[pivot][0], 1), rows.values())
+        g = math.gcd(*row.values())
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+        rows[pivot] = (row, row[pivot])
+    return list(reversed(rows.values()))
+
+
+def reduce_by_rref(vec, rref_rows):
+    """Eliminate every rref pivot from ``vec``; canonical coset representative."""
+    num, den = vec
+    out = dict(num)
+    for row, row_den in rref_rows:
+        c = out.get(max(row))
+        if c:
+            den *= _eliminate(out, row, row_den, c)
+    return out, den
+
+
+def reference_image_kernel(images, products):
+    """Every image inserted, in product order: the row space, the
+    dependencies ``(j, (c, d))`` and the ``canonical_rref`` of the killed
+    vectors ``d * products[j] - sum(c[k] * products[k])``."""
+    space = RowSpace()
+    dependencies = []
+    kernel_vecs = []
+    for j, image in enumerate(images):
+        dep = space.insert(image, j)
+        if dep is None:
+            continue
+        dependencies.append((j, dep))
+        num, den = dep
+        f = combine([(products[j], den), *((products[k], -c) for k, c in num.items())])
+        if f[0]:
+            kernel_vecs.append(f)
+    return space, dependencies, canonical_rref(kernel_vecs)
+
+
+def reference_solve_unit_image(images, products, context):
+    """Solve sum(c_j * images[j]) == 1 over the ``(exponents, polynomial)``
+    products after inserting every image, and reduce the solution by the
+    kernel's ``canonical_rref``; None when no solution exists."""
+    vecs = [vec_of(poly) for _, poly in products]
+    space, _, kernel = reference_image_kernel([vec_of(img) for img in images], vecs)
+    combo = space.express(vec_of(Polynomial.one(context)))
+    if combo is None:
+        return None
+    num, den = combo
+    s0, s0_den = combine((vecs[j], c) for j, c in num.items())
+    return Polynomial._from_ints(context, *reduce_by_rref((s0, s0_den * den), kernel))
+
+
+def reference_find_slice(D, S, bound):
+    """``find_slice``'s search through ``reference_solve_unit_image`` over all
+    generator products, without the exit at the origin or the image check."""
+    products = generator_products(S, bound)
+    return reference_solve_unit_image(D.product_images(products), products, S.context)
+
+
+def reference_kernel(D, S, bound):
+    """``kernel_up_to_degree``'s basis through ``reference_image_kernel``
+    over all generator products, without its re-checks."""
+    products = generator_products(S, bound)
+    _, _, kernel = reference_image_kernel([vec_of(img) for img in D.product_images(products)],
+                                          [vec_of(poly) for _, poly in products])
+    return [Polynomial._from_ints(S.context, *row) for row in kernel]

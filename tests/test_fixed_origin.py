@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from lndkit import (
     Derivation,
     DomainError,
+    GeneratorSpan,
     LndkitError,
     Polynomial,
     RestrictedDerivation,
@@ -29,6 +30,7 @@ from lndkit import (
     generator_products,
     ideal_member,
     is_fixed_point_free,
+    kernel_up_to_degree,
     normal_form,
     parse_polynomial,
     restriction_of,
@@ -38,8 +40,9 @@ from lndkit import subalgebra
 from lndkit.errors import UnsupportedSizeError, invariant
 from lndkit.groebner import _row_sum
 from lndkit.linalg import RowSpace, vec_of
-from lndkit.slices import _applying_span, _solve_unit_image
 from lndkit.subalgebra import PRODUCT_CAP
+
+from helpers import reference_find_slice, reference_kernel
 
 CTXT = VarContext(("t",), ("X", "Y"))
 
@@ -58,11 +61,10 @@ SUBALGEBRAS = (
 # -- the bounded bodies, without the exit -------------------------------------
 
 def _reference_find_slice(D, S, bound):
-    span = _applying_span(D, S, bound)
-    products = span.products if span is not None else generator_products(S, bound)
-    s = _solve_unit_image(D.product_images(products), products, S.context)
+    s = reference_find_slice(D, S, bound)
     if s is None:
         return None
+    span = GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
     invariant(D.apply(s, span) == Polynomial.one(S.context), "slice candidate failed the image check")
     return s
 
@@ -166,6 +168,20 @@ def test_restricted_searches_match_the_references(S, data, bound):
     rd = RestrictedDerivation(S, tuple(images))
     assert _outcome(find_slice, rd, S, bound) == _outcome(_reference_find_slice, rd, S, bound)
     assert _outcome(subalgebra_fpf, rd, bound) == _outcome(_reference_subalgebra_fpf, rd, bound)
+    assert _outcome(kernel_up_to_degree, rd, S, bound) == _outcome(reference_kernel, rd, S, bound)
+
+
+@given(st.sampled_from(SUBALGEBRAS), st.lists(_images(), min_size=2, max_size=2), st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_the_one_solver_matches_the_insert_every_product_solvers(S, images, bound):
+    """Slice and kernel basis over the rref rows of the span equal those of
+    the solvers that inserted every product's image, for an ambient
+    derivation and for its restriction; bound 4 meets the relation
+    X^2 * Y^2 == (X*Y)^2 of the second subalgebra."""
+    D = Derivation(CTXT, dict(zip(CTXT.main_vars, images)))
+    for d in (D, restriction_of(D, S)):
+        assert find_slice(d, S, bound) == reference_find_slice(d, S, bound)
+        assert kernel_up_to_degree(d, S, bound) == reference_kernel(d, S, bound)
 
 
 @given(_images(4), st.lists(_images(), min_size=1, max_size=3))

@@ -156,9 +156,28 @@ def test_verify_rejects_a_wrong_cofactor_or_an_incomplete_basis():
         GroebnerBasis(DRL, inputs, inputs, unit).verify()
 
 
+@pytest.mark.parametrize("generators, cofactors", [
+    ((P("X"),), ((P("1"), P("0")),)),
+    ((), ()),
+], ids=["the-ideal-of-X", "empty"])
+def test_verify_rejects_a_basis_of_a_smaller_ideal(generators, cofactors):
+    """For the inputs X, Y both bases recombine and pass the S-pair check,
+    but Y is not in their ideal; the rejection is an ``invariant``, so it
+    fires under ``python -O`` too."""
+    inputs = (P("X"), P("Y"))
+    with pytest.raises(AssertionError, match="not in the ideal|does not reduce to zero"):
+        GroebnerBasis(DRL, inputs, generators, cofactors).verify()
+    zero = (Polynomial.zero(CTX),)
+    GroebnerBasis(DRL, zero, (), ()).verify()
+    GroebnerBasis(DRL, inputs + zero, (P("X"), P("Y")), ((P("1"), P("0"), P("0")), (P("0"), P("1"), P("0")))).verify()
+
+
 def _reference_verify(gb):
-    """The all-pairs check: recombine every cofactor row, reduce every S-pair."""
+    """The all-pairs check: recombine every cofactor row, reduce every input
+    and every S-pair."""
     if not gb.generators:
+        if any(gb.inputs):
+            raise AssertionError("an input is not in the ideal of the empty basis")
         return
     ctx = gb.inputs[0].context
     for g, row in zip(gb.generators, gb.cofactors):
@@ -168,6 +187,9 @@ def _reference_verify(gb):
         if acc != g:
             raise AssertionError("cofactor recombination mismatch")
     gens = list(gb.generators)
+    for f in gb.inputs:
+        if not normal_form(f, gens, gb.order)[0].is_zero():
+            raise AssertionError("an input does not reduce to zero by the basis")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             rem, _ = normal_form(_s_polynomial(gens[i], gens[j], gb.order), gens, gb.order)
@@ -207,8 +229,10 @@ def _perturb_tail(g, order):
 @functools.lru_cache(maxsize=None)
 def _verify_cases():
     """Seeded candidate bases, each with the all-pairs verdict: reduced
-    bases, each with one element dropped or one tail coefficient
-    perturbed, and raw planar generating sets."""
+    bases, each with one element dropped (over the original inputs, whose
+    ideal it no longer spans, and over its own generators, so that only the
+    S-pairs can reject it) or one tail coefficient perturbed, and raw
+    planar generating sets."""
     cases = []
     reduced = []
     for (ctx, eqs), kind in [(katsura(3), "lex"), (katsura(3), "degrevlex"),
@@ -227,8 +251,9 @@ def _verify_cases():
         n = len(gb.generators)
         for k in range(n):
             if n > 1:
-                cases.append(GroebnerBasis(gb.order, gb.inputs, gb.generators[:k] + gb.generators[k + 1:],
-                                           gb.cofactors[:k] + gb.cofactors[k + 1:]))
+                dropped = gb.generators[:k] + gb.generators[k + 1:]
+                cases.append(GroebnerBasis(gb.order, gb.inputs, dropped, gb.cofactors[:k] + gb.cofactors[k + 1:]))
+                cases.append(_as_basis(gb.order, dropped))
             bent = _perturb_tail(gb.generators[k], gb.order)
             if bent is not None:
                 cases.append(_as_basis(gb.order, gb.generators[:k] + (bent,) + gb.generators[k + 1:]))

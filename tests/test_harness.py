@@ -277,6 +277,37 @@ def test_fiber_point_with_zero_denominator_is_a_task_error(tmp_path):
     assert "summary tasks 14 ok 13 failed 1" in lines
 
 
+ILL_DEFINED = """job illdef
+ring main: X, Y
+base:
+algebra: X; X^2; Y
+derivation E gens: Y, 1, 0
+derivation F gens: 1, 0, 0
+derivation G gens: 1, 2*X, X
+task find_slice derivation=E bound=3
+task kernel_up_to_degree derivation=F bound=3
+task find_slice derivation=G bound=3
+task kernel_up_to_degree derivation=G bound=3
+"""
+
+
+def test_generator_images_that_define_no_derivation_are_a_user_error(tmp_path):
+    """D(X) = Y (or 1) with D(X^2) = 1 (or 0) breaks X * X == X^2: both
+    tasks are refused as input, naming the product, and the run exits 1;
+    the consistent images of G keep their slice and kernel."""
+    job = tmp_path / "illdef.job"
+    job.write_text(ILL_DEFINED)
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    refusal = ("error the derivation's images break the relation of the generator product X^2: "
+               "it is no derivation of the subalgebra")
+    assert lines.count(refusal) == 2
+    assert "error internal" not in result.output and "value slice X^2" not in lines
+    assert "value slice X" in lines
+    assert ["value basis.1 X^2 - 2*Y", "value basis.2 1"] == [line for line in lines if "basis." in line]
+
+
 def test_random_triangular_deterministic():
     a = random_triangular_lnd(1, TriangularProfile(fpf=True))
     b = random_triangular_lnd(1, TriangularProfile(fpf=True))

@@ -1,5 +1,5 @@
-"""Sparse exact linear algebra: the canonical reduced row echelon form and
-the fraction-free row space against its ``Fraction`` reference."""
+"""Sparse exact linear algebra: the fully reduced rows of ``RowSpace.rref``
+and the fraction-free row space against their ``Fraction`` references."""
 
 import math
 import random
@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lndkit import Polynomial, VarContext
-from lndkit.linalg import RowSpace, canonical_rref, reduce_by_rref, vec_of
+from lndkit.linalg import RowSpace, vec_of
 from lndkit.polynomial import integer_form
+
+from helpers import canonical_rref, reduce_by_rref
 
 
 def _reference_axpy(target, source, scale):
@@ -58,20 +60,40 @@ def _combination(vectors, rng):
     return out
 
 
+def _rref(vectors):
+    """``RowSpace.rref`` of the integer forms of ``vectors``, tags their positions."""
+    space = RowSpace()
+    for tag, vec in enumerate(vectors):
+        space.insert(integer_form(vec), tag)
+    return space.rref()
+
+
+def _monic(rows):
+    """``RowSpace.rref`` rows as pivot-monic ``Vec``s in lowest terms, pivots descending."""
+    return [integer_form({k: Fraction(v, row[max(row)]) for k, v in row.items()})
+            for row, _ in reversed(rows)]
+
+
 @given(_vectors, st.integers(0, 2 ** 30))
 @example([{(1, 0): Fraction(2), (0, 0): Fraction(1)}, {(1, 0): Fraction(4), (0, 1): Fraction(1)}], 0)
 @settings(max_examples=200, deadline=None)
 def test_canonical_rref_depends_only_on_the_span(vectors, seed):
-    rows = canonical_rref([integer_form(vec) for vec in vectors])
-    assert rows == [integer_form(row) for row in _reference_canonical_rref(vectors)]
+    rows = _rref(vectors)
+    assert _monic(rows) == [integer_form(row) for row in _reference_canonical_rref(vectors)]
 
     pivots = [max(row) for row, _ in rows]
-    assert pivots == sorted(pivots, reverse=True) and len(set(pivots)) == len(pivots)
-    for pivot, (row, den) in zip(pivots, rows):
-        assert row[pivot] == den and all(row.values())  # pivot-monic, no stored zeros
+    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
+    nums = [integer_form(vec)[0] for vec in vectors]
+    for pivot, (row, combo) in zip(pivots, rows):
+        assert row[pivot] > 0 and all(row.values()) and all(combo.values())  # no stored zeros
+        assert math.gcd(*row.values(), *combo.values()) == 1
         assert all(p not in row for p in pivots if p != pivot)  # mutually reduced
+        recombined = {}
+        for t, c in combo.items():
+            _reference_axpy(recombined, nums[t], c)
+        assert recombined == row  # row == sum(combo[t] * num_t)
     for vec in vectors:  # every input lies in the span of the rows
-        assert not reduce_by_rref(integer_form(vec), rows)[0]
+        assert not reduce_by_rref(integer_form(vec), [(row, row[max(row)]) for row, _ in rows])[0]
 
     # Shuffled, rescaled and padded with combinations and zero vectors: same span.
     rng = random.Random(seed)
@@ -79,11 +101,12 @@ def test_canonical_rref_depends_only_on_the_span(vectors, seed):
     other = [{k: v * scale for k, v in vec.items()} for vec, scale in zip(vectors, scales)]
     other += [_combination(vectors, rng) for _ in range(rng.randint(0, 3))] + [{}]
     rng.shuffle(other)
-    assert canonical_rref([integer_form(vec) for vec in other]) == rows
+    assert _monic(_rref(other)) == _monic(rows)
 
 
 def _fraction_canonical_rref(vectors):
-    """The ``Fraction`` kernel that the integer ``canonical_rref`` replaced:
+    """The ``Fraction`` kernel that the integer ``canonical_rref`` (now the
+    tests' reference) replaced:
     the ``RowSpace`` rows made pivot-monic, then back-substituted in
     ascending pivot order."""
     space = RowSpace()
@@ -113,10 +136,13 @@ def _fraction_reduce_by_rref(vec, rref_rows):
 @given(_vectors, st.lists(st.dictionaries(_keys, _coeffs, max_size=6), max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_rref_kernels_match_their_fraction_references(vectors, targets):
+    """``RowSpace.rref`` and the integer references ``canonical_rref`` and
+    ``reduce_by_rref`` agree with the ``Fraction`` kernels."""
     vecs = [integer_form(vec) for vec in vectors]
     rows = _fraction_canonical_rref(vecs)
     got = canonical_rref(vecs)
     assert got == [integer_form(row) for row in rows]
+    assert _monic(_rref(vectors)) == got
     for target in targets:
         num, den = reduce_by_rref(integer_form(target), got)
         assert integer_form({k: Fraction(v, den) for k, v in num.items()}) == integer_form(

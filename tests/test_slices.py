@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lndkit import (
@@ -40,9 +40,9 @@ from lndkit import (
 
 from lndkit.derivation import TERM_BUDGET
 from lndkit.harness import load_corpus, random_triangular_lnd
-from lndkit.linalg import RowSpace, canonical_rref, reduce_by_rref, vec_of
+from lndkit.linalg import RowSpace, vec_of
 
-from helpers import rand_poly
+from helpers import canonical_rref, rand_poly, reduce_by_rref, reference_kernel, reference_solve_unit_image
 
 CTX = VarContext((), ("X", "Y"))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -175,13 +175,17 @@ def _derivations(draw):
 @given(_derivations(), st.integers(0, 6))
 @settings(max_examples=150, deadline=None)
 def test_full_ring_slice_search_matches_the_general_path(D, bound):
-    """The full-ring solver reads the canonical slice off ``express`` (see
-    ``find_slice``): it equals the general path through the restriction and
-    the polynomial solver it replaced, slice for slice and miss for miss."""
+    """The one solver reads the canonical slice off ``express`` and the
+    kernel off its dependencies (see ``find_slice``): over the monomials,
+    over the rref rows of the restriction's span, and by the solvers it
+    replaced, slice for slice, miss for miss and kernel for kernel."""
     S = Subalgebra.full(D.context)
     s = find_slice(D, S, bound)
     assert s == find_slice(restriction_of(D, S), S, bound)
     assert s == _reference_find_slice(D, bound)
+    kernel = kernel_up_to_degree(D, S, bound)
+    assert kernel == kernel_up_to_degree(restriction_of(D, S), S, bound)
+    assert kernel == reference_kernel(D, S, bound)
     for poly in _monomials(D.context, 2):
         (mono,) = poly._num
         assert Polynomial._from_ints(D.context, *D.monomial_image(mono)) == D.apply(poly)
@@ -239,6 +243,33 @@ def test_a_full_ring_slice_miss_images_every_monomial(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_the_general_slice_search_stops_once_1_is_in_the_span(monkeypatch):
+    """D(X + t) = 1, D(Y^2 - 1) = 0 on k[t][X + t, Y^2 - 1]: the rref rows
+    1, Y^2 and Y^4 image to 0, so 1 enters the span with the fourth row, X;
+    the other 18 of the span's 22 rows are never imaged."""
+    from lndkit import subalgebra
+
+    rows = subalgebra.span_rows
+    imaged, sizes = [], []
+
+    def counted(span, image):
+        tags, row_image, expand = rows(span, image)
+        sizes.append(len(tags))
+
+        def recorded(j):
+            imaged.append(j)
+            return row_image(j)
+
+        return tags, recorded, expand
+
+    monkeypatch.setattr(subalgebra, "span_rows", counted)
+    S = Subalgebra(CTXT, (P("t", CTXT),), (P("X + t", CTXT), P("Y^2 - 1", CTXT)))
+    rd = RestrictedDerivation(S, (P("1", CTXT), P("0", CTXT)))
+    assert find_slice(rd, S, 4) == P("X", CTXT)
+    assert imaged == [0, 1, 2, 3]
+    assert sizes == [22]
+
+
 @pytest.mark.parametrize("ctx, bound", [(CTXT, 3), (CTXZ, 2)], ids=["t-X-Y", "X-Y-Z"])
 def test_full_ring_searches_meet_the_product_cap(ctx, bound, monkeypatch):
     """The full-ring slice and kernel searches list their monomials under
@@ -257,21 +288,31 @@ def test_full_ring_searches_meet_the_product_cap(ctx, bound, monkeypatch):
             search(d, S, bound)
 
 
+def _halve_the_unit_answer(monkeypatch):
+    """Make the one solver's unit answer half what it should be."""
+    from lndkit import slices
+
+    solve = slices.solve_images
+
+    def halved(*args):
+        for tag, dep, unit in solve(*args):
+            yield tag, dep, None if unit is None else (unit[0], 2 * unit[1])
+
+    monkeypatch.setattr(slices, "solve_images", halved)
+
+
 @pytest.mark.parametrize("restricted", [False, True])
 def test_slice_and_projection_checks_fire_on_a_wrong_solver(restricted, monkeypatch):
     """The image checks of find_slice and dixmier are explicit raises, so
-    they fire under ``python -O`` too.  A full-ring derivation is solved by
-    ``_full_ring_slice``, a restricted one by ``_solve_unit_image``."""
+    they fire under ``python -O`` too.  The one solver reads the monomials
+    of a full-ring derivation and the rref rows of the span of a
+    restricted one; either way its halved answer fails the check."""
     from lndkit import slices
 
     S = Subalgebra.full(CTXT)
     span = GeneratorSpan(S, 4)
-    if restricted:
-        d = restriction_of(WORKED, S)
-        monkeypatch.setattr(slices, "_solve_unit_image", lambda images, products, context: P("X", CTXT))
-    else:
-        d = WORKED
-        monkeypatch.setattr(slices, "_full_ring_slice", lambda D, S, bound: P("X", CTXT))
+    d = restriction_of(WORKED, S) if restricted else WORKED
+    _halve_the_unit_answer(monkeypatch)
     with pytest.raises(AssertionError, match="slice candidate failed the image check"):
         find_slice(d, S, 4)
     monkeypatch.setattr(slices, "_project", lambda apply, s, a: a)
@@ -574,18 +615,15 @@ def test_transcendence_of_a_variable():
 
 
 def test_transcendence_degenerate_base_element():
-    # x already lies in the base span; a sham unit-image derivation (images
-    # handed directly, not a genuine derivation) drives the degenerate guard
+    # x already lies in the base span, so no derivation of S gives it a unit
+    # image: a sham one (images handed directly) breaks the relation
+    # (X^2)^2 == X^4 among the generator products and is refused as input.
     ctx = VarContext(("X",), ("Y",))
     x = P("X^4", ctx)
     S = Subalgebra(ctx, (P("X^2", ctx), P("X^3", ctx)), (x,))
     sham = RestrictedDerivation(S, (Polynomial.one(ctx),))
-    out = transcendence_check(sham, x, S, 4)
-    assert out.relation is not None
-    a = out.relation
-    assert a[1] == Polynomial.one(ctx)
-    assert a[0] == -x
-    assert all(c.is_zero() for c in a[2:])
+    with pytest.raises(DomainError, match=r"relation of the generator product X\^4"):
+        transcendence_check(sham, x, S, 4)
 
 
 def test_transcendence_worked_slice():
@@ -691,16 +729,54 @@ def test_coordinate_system_checks_a_discovered_coordinate_on_a_wrong_solver(monk
     """Each coordinate the slice search discovers passes the same image
     check as ``find_slice``'s, an explicit raise that fires under
     ``python -O`` too."""
-    from lndkit import slices
-
     ctx = VarContext(("t",), ("X", "Y"))
     S = Subalgebra.full(ctx)
     d1 = D_of(ctx, X="1", Y="0")
     d2 = D_of(ctx, X="-3*t*Y^2", Y="1")
     v = parse_polynomial("X + t*Y^3", ctx)
-    monkeypatch.setattr(slices, "_solve_unit_image", lambda images, products, context: v)
+    _halve_the_unit_answer(monkeypatch)
     with pytest.raises(AssertionError, match="induced slice failed the image check"):
         coordinate_system([d1, d2], [v], S, 8)
+
+
+@given(_polys(CTXT, ("t", "Y"), 3), st.sampled_from([1, -2, Fraction(1, 3)]), st.booleans())
+@example(P("-t", CTXT), 1, True)
+@settings(max_examples=60, deadline=None)
+def test_coordinate_system_solves_its_induced_derivations_like_the_reference(h, c, give):
+    """d1 = d/dX and d2: X -> -c * dh/dY, Y -> c, which kills v = X + h.
+    Every slice ``coordinate_system`` searches for, given v or not, is the
+    one the insert-every-product solver finds from the same induced images
+    of the same span's products (the search over k[t][-h, Y] meets
+    relations among the products).  With h = -t the projection of X is
+    the base generator t, which the search leaves out instead of failing
+    on a duplicate generator."""
+    from lndkit import slices
+
+    d1 = D_of(CTXT, X="1", Y="0")
+    d2 = Derivation(CTXT, {"X": h.partial_derivative("Y") * -c, "Y": Polynomial.constant(CTXT, c)})
+    v = P("X", CTXT) + h
+    assert d2.apply(v).is_zero()
+    searches, found = [], []
+    rows, solve = slices.span_rows, slices._unit_solution
+
+    def recorded_rows(span, image):
+        searches.append((span.products, [image(j) for j in range(len(span.products))]))
+        return rows(span, image)
+
+    def recorded_solution(*args):
+        found.append(solve(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slices, "span_rows", recorded_rows)
+        mp.setattr(slices, "_unit_solution", recorded_solution)
+        try:
+            coordinate_system([d1, d2], [v] if give else [], Subalgebra.full(CTXT), 6)
+        except DomainError:
+            pass
+    assert found and len(found) == len(searches)
+    for (products, images), s in zip(searches, found):
+        assert s == reference_solve_unit_image(images, products, CTXT)
 
 
 def test_coordinate_system_rejects_unkilled_given():

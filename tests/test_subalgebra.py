@@ -185,7 +185,9 @@ def test_kernel_triangular():
 @pytest.mark.parametrize("restricted", [False, True])
 def test_kernel_rechecks_fire_on_a_wrong_solver(restricted, monkeypatch):
     """The per-relation and per-basis-element re-checks are explicit raises,
-    so they fire under ``python -O`` too."""
+    so they fire under ``python -O`` too: a wrong row lister reads each
+    kernel row off Y (not killed) or X^3 (outside the span), and a wrong
+    solver doubles each dependency's denominator."""
     from lndkit import subalgebra
 
     ctx = VarContext((), ("X", "Y"))
@@ -193,27 +195,26 @@ def test_kernel_rechecks_fire_on_a_wrong_solver(restricted, monkeypatch):
     d = Derivation(ctx, {"X": P("1", ctx), "Y": P("1", ctx)})
     if restricted:
         d = restriction_of(d, S)
-    solve = subalgebra._image_kernel
+    rows, solve = subalgebra.rref_rows, subalgebra.solve_images
 
-    def wrong_basis(images, products):
-        space, dependencies, _ = solve(images, products)
-        return space, dependencies, [vec_of(P("Y", ctx))]
+    def lister_reading(text):
+        def wrong_rows(D, S, bound):
+            span, tags, image, _ = rows(D, S, bound)
+            return span, tags, image, lambda combo: dict(P(text, ctx)._num)
+        return wrong_rows
 
-    def outside_span(images, products):
-        space, dependencies, _ = solve(images, products)
-        return space, dependencies, [vec_of(P("X^3", ctx))]
+    def wrong_relation(*args):
+        for tag, dep, unit in solve(*args):
+            yield tag, None if dep is None else (dep[0], 2 * dep[1]), unit
 
-    def wrong_relation(images, products):
-        space, dependencies, kernel = solve(images, products)
-        return space, [(j, ({j: 2}, 1)) for j, _ in dependencies], kernel
-
-    monkeypatch.setattr(subalgebra, "_image_kernel", wrong_basis)
+    monkeypatch.setattr(subalgebra, "rref_rows", lister_reading("Y"))
     with pytest.raises(AssertionError, match="not killed by derivation"):
         kernel_up_to_degree(d, S, 2)
-    monkeypatch.setattr(subalgebra, "_image_kernel", outside_span)
+    monkeypatch.setattr(subalgebra, "rref_rows", lister_reading("X^3"))
     with pytest.raises(AssertionError, match="left the span"):
         kernel_up_to_degree(d, S, 2)
-    monkeypatch.setattr(subalgebra, "_image_kernel", wrong_relation)
+    monkeypatch.setattr(subalgebra, "rref_rows", rows)
+    monkeypatch.setattr(subalgebra, "solve_images", wrong_relation)
     with pytest.raises(AssertionError, match="relation failed image re-verification"):
         kernel_up_to_degree(d, S, 2)
 
@@ -314,6 +315,31 @@ def test_restricted_apply_needs_a_span():
     with pytest.raises(DomainError, match="applies through a generator span"):
         rd.apply(P("X", CTXT))
     assert rd.apply(P("X", CTXT), GeneratorSpan(S, 1)) == P("t", CTXT)
+
+
+def test_images_that_break_a_product_relation_are_refused_on_every_path():
+    """On k[X, X^2, Y], D(X) = Y and D(X^2) = 1 break X * X == X^2: the
+    row lister, ``apply`` through a span and ``transcendence_check`` raise
+    DomainError naming the product, once per derivation and span, and
+    never a false slice or an internal error."""
+    from lndkit import DomainError, find_slice, transcendence_check
+
+    ctx = VarContext((), ("X", "Y"))
+    S = Subalgebra(ctx, (), (P("X", ctx), P("X^2", ctx), P("Y", ctx)))
+    rd = RestrictedDerivation(S, (P("Y", ctx), P("1", ctx), P("0", ctx)))
+    span = GeneratorSpan(S, 3)
+    assert span.relations and all(d > 0 for _, (_, d) in span.relations)
+    refused = r"break the relation of the generator product X\^2"
+    for run in (lambda: find_slice(rd, S, 3), lambda: kernel_up_to_degree(rd, S, 3),
+                lambda: rd.apply(P("X", ctx), span), lambda: span.images(rd),
+                lambda: transcendence_check(RestrictedDerivation(S, (P("1", ctx), P("0", ctx), P("0", ctx))),
+                                            P("X", ctx), S, 3)):
+        with pytest.raises(DomainError, match=refused):
+            run()
+    good = RestrictedDerivation(S, (P("1", ctx), P("2*X", ctx), P("X", ctx)))
+    assert span.images(good) is span.images(good)
+    assert find_slice(good, S, 3) == P("X", ctx)
+    assert kernel_up_to_degree(good, S, 3) == [P("X^2 - 2*Y", ctx), P("1", ctx)]
 
 
 def test_restriction_of_a_restriction_on_its_subalgebra_is_itself():
