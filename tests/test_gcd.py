@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,3 +196,119 @@ def test_package_checks_survive_optimized_mode():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+# -- the heuristic gcd and its fallback ---------------------------------------
+
+CTX1 = VarContext((), ("x",))
+CTX4 = VarContext((), ("a", "b", "c", "d"))
+GCD_CONTEXTS = (CTX1, CTX, CTX3, CTX4, CTXT)
+
+
+def _side(ctx):
+    """A gcd operand: any small polynomial, six times one, or zero, a
+    constant or a monomial."""
+    mono = st.tuples(*[st.integers(0, 3)] * ctx.nvars)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=4).map(lambda t: Polynomial(ctx, t))
+    return st.one_of(
+        poly,
+        poly.map(lambda p: 6 * p),
+        st.just(Polynomial.zero(ctx)),
+        coeff.map(lambda c: Polynomial.constant(ctx, c)),
+        st.builds(lambda m, c: Polynomial(ctx, {m: c}), mono, coeff),
+    )
+
+
+@st.composite
+def _gcd_cases(draw):
+    ctx = draw(st.sampled_from(GCD_CONTEXTS))
+    common = draw(_side(ctx).filter(bool))
+    return common * draw(_side(ctx)), common * draw(_side(ctx))
+
+
+@given(_gcd_cases())
+@settings(max_examples=300, deadline=None)
+def test_gcd_matches_the_remainder_sequence(case):
+    p, q = case
+    if p.is_zero() and q.is_zero():
+        return
+    assert gcd(p, q) == polygcd._gcd_inner(p, q)
+
+
+def _workload_triples(count=80):
+    """Planted-factor triples shaped like the benchmark's: three variables,
+    each product of degree at most 6."""
+    rng = random.Random(24)
+    triples = []
+    while len(triples) < count:
+        planted, a, b = (rand_poly(rng, CTX3, max_degree=3, max_terms=4, allow_zero=False)
+                         for _ in range(3))
+        if not any(f.is_constant() for f in (planted, a, b)):
+            triples.append((planted * a, planted * b, polygcd._gcd_inner(planted * a, planted * b)))
+    return triples
+
+
+def _recorder(monkeypatch, name):
+    """Patch ``polygcd.<name>`` to record each call's arguments and pass it on."""
+    calls, real = [], getattr(polygcd, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polygcd, name, record)
+    return calls
+
+
+def test_the_heuristic_answers_workload_shaped_gcds_without_the_fallback(monkeypatch):
+    triples = _workload_triples()
+    calls = _recorder(monkeypatch, "_gcd_inner")
+    for p, q, want in triples:
+        assert gcd(p, q) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [20, 30])
+def test_dense_powers_decline_before_any_evaluation(monkeypatch, k):
+    x, y, z = (Polynomial.variable(CTX3, v) for v in "xyz")
+    base = (x + y + z + 1) ** k
+    p, q = base * (x - y), base * (x + z)
+    assert polygcd._predicted_bits(p._num, q._num) > polygcd._HEURISTIC_MAX_BITS
+    evaluations = _recorder(monkeypatch, "_evaluate")
+    fallbacks = _recorder(monkeypatch, "_gcd_inner")
+    start = time.perf_counter()
+    g = gcd(p, q)
+    assert time.perf_counter() - start < 1.0
+    assert g == base.monic_lex()
+    assert evaluations == [] and fallbacks[0] == (p, q)
+
+
+def test_the_fallback_answers_when_the_heuristic_makes_no_attempt(monkeypatch):
+    triples = _workload_triples(20)
+    monkeypatch.setattr(polygcd, "_HEURISTIC_ATTEMPTS", 0)
+    calls = _recorder(monkeypatch, "_gcd_inner")
+    for p, q, want in triples:
+        calls.clear()
+        assert gcd(p, q) == want
+        assert calls[0] == (p, q)
+
+
+def _integer_poly(ctx):
+    mono = st.tuples(*[st.integers(0, 3)] * ctx.nvars)
+    coeff = st.integers(-50, 50).filter(bool)
+    return st.dictionaries(mono, coeff, min_size=1, max_size=4).map(lambda t: Polynomial(ctx, t))
+
+
+@st.composite
+def _factor_pairs(draw):
+    ctx = draw(st.sampled_from(GCD_CONTEXTS))
+    return draw(_integer_poly(ctx)), draw(_integer_poly(ctx))
+
+
+@given(_factor_pairs())
+@settings(max_examples=200, deadline=None)
+def test_the_bound_of_a_product_covers_the_coefficients_of_its_factors(pair):
+    u, v = pair
+    bound = polygcd._bound((u * v)._num)
+    assert all(abs(c) <= bound for c in (*u._num.values(), *v._num.values()))

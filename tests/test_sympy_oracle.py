@@ -33,6 +33,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 PLANE = VarContext((), ("X", "Y"))
 SPACE = VarContext((), ("x", "y", "z"))
+FOUR = VarContext((), ("a", "b", "c", "d"))
+PARAMETRIC = VarContext(("t",), ("X", "Y"))
 SYMPY_ORDER = {"lex": "lex", "degrevlex": "grevlex"}
 
 
@@ -93,14 +95,15 @@ def test_membership_verdicts_match_sympy():
 
 def test_gcd_matches_sympy_up_to_a_unit():
     rng = random.Random(4242)
-    for _ in range(20):
-        common = rand_poly(rng, SPACE, max_degree=2, max_terms=3, allow_zero=False)
-        p = common * rand_poly(rng, SPACE, max_degree=2, max_terms=3, allow_zero=False)
-        q = common * rand_poly(rng, SPACE, max_degree=2, max_terms=3, allow_zero=False)
-        got = to_sympy(gcd(p, q), SPACE)
-        want = sp.gcd(to_sympy(p, SPACE), to_sympy(q, SPACE))
-        assert not got.is_zero
-        assert got.monic() == want.monic(), (str(p), str(q))
+    for ctx in (SPACE, FOUR, PARAMETRIC):
+        for _ in range(100):
+            common = rand_poly(rng, ctx, max_degree=2, max_terms=3, allow_zero=False)
+            p = common * rand_poly(rng, ctx, max_degree=2, max_terms=3, allow_zero=False)
+            q = common * rand_poly(rng, ctx, max_degree=2, max_terms=3, allow_zero=False)
+            got = to_sympy(gcd(p, q), ctx)
+            want = sp.gcd(to_sympy(p, ctx), to_sympy(q, ctx))
+            assert not got.is_zero
+            assert got.monic() == want.monic(), (str(p), str(q))
 
 
 # -- the slice system ---------------------------------------------------------
