@@ -14,9 +14,11 @@ gives an unconditional certificate in characteristic zero.
 nilpotency indices, Dixmier sums and the retraction and complementary
 certificates read their iterates from it, the first two via ``metered_iterates``.
 
-``apply``, ``product_images`` and ``fixes_origin`` are the protocol shared
-with ``RestrictedDerivation``, so slice search, projection and kernel
-computations take either kind.
+``apply`` and ``fixes_origin`` are the protocol shared with
+``RestrictedDerivation``, so slice search, projection and kernel
+computations take either kind; on the full ring they also read
+``monomial_image``.  The images of a subalgebra's generator products are
+``GeneratorSpan.images``, by the Leibniz rule over the span's products.
 """
 
 from __future__ import annotations
@@ -91,10 +93,6 @@ class Derivation:
         """D(x^mono) as an integer vector ``(num, den)``, never a ``Polynomial``;
         not reduced to lowest terms."""
         return self._leibniz_sum(((mono, 1),)), self._den
-
-    def product_images(self, products) -> list[Polynomial]:
-        """Images of the polynomials of ``(exponents, polynomial)`` generator products."""
-        return [self.apply(poly) for _, poly in products]
 
     def fixes_origin(self) -> bool:
         """Whether every image vanishes at the origin.

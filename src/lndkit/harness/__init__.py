@@ -13,7 +13,6 @@ from .fiber import FiberCheck, FiberWitness, check_fiber_witness
 from .jobs import CoordWitnessSpec, Expectation, JobSpec, TaskSpec, parse_job
 from .randgen import (
     FamilyOutcome,
-    TriangularProfile,
     random_triangular_lnd,
     run_falling_factorial_family,
     run_groebner_oracle_family,

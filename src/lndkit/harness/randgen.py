@@ -22,11 +22,6 @@ from ..slices import RetractionSpec, dixmier, find_slice, lnd_from_retraction, v
 from ..subalgebra import Subalgebra
 
 
-@dataclass(frozen=True)
-class TriangularProfile:
-    fpf: bool = True
-
-
 _TRIANGULAR_CONTEXT = VarContext(("t",), ("X", "Y"))
 _IMAGE_DEGREE = 3
 _MAX_POWER = 5
@@ -49,7 +44,7 @@ def _rand_poly(rng, ctx, names, degree, terms, allow_zero=True) -> Polynomial:
     return Polynomial(ctx, out)
 
 
-def random_triangular_lnd(seed: int, profile: TriangularProfile = TriangularProfile()) -> Derivation:
+def random_triangular_lnd(seed: int, fpf: bool = True) -> Derivation:
     """Deterministic-by-seed triangular derivation of k[t][X, Y].
 
     With ``fpf`` requested the construction arranges a unit in the image
@@ -61,7 +56,7 @@ def random_triangular_lnd(seed: int, profile: TriangularProfile = TriangularProf
     coeff = ctx.coeff_vars
     deg = _IMAGE_DEGREE
     while True:
-        if profile.fpf:
+        if fpf:
             if rng.random() < 0.5:
                 img_x = Polynomial.constant(ctx, _rand_coeff(rng))
                 img_y = _rand_poly(rng, ctx, coeff + ("X",), deg, 3)
@@ -237,7 +232,7 @@ def run_projection_law_family(seed: int, count: int) -> FamilyOutcome:
     rng = random.Random(seed)
     failures: list[str] = []
     for k in range(count):
-        d = random_triangular_lnd(seed * 1_000_003 + k, TriangularProfile(fpf=True))
+        d = random_triangular_lnd(seed * 1_000_003 + k)
         ctx = d.context
         S = Subalgebra.full(ctx)
         s = find_slice(d, S, 8)

@@ -62,7 +62,6 @@ from ..subalgebra import (
 from .fiber import FiberWitness, check_fiber_witness
 from .randgen import (
     FamilyOutcome,
-    TriangularProfile,
     random_triangular_lnd,
     run_falling_factorial_family,
     run_groebner_oracle_family,
@@ -379,12 +378,12 @@ def _t_closure(spec: JobSpec, out: TaskResult, derivation, member_bound, elem_de
     """Generator-list closure oracle: images of pairwise products and an
     ideal-part monomial family must all pass bounded membership."""
     S = spec.subalgebra
-    rd = restriction_of(derivation, S)
     gens = S.generators
+    images = (Polynomial.zero(S.context),) * len(S.base_generators) + restriction_of(derivation, S).images
     targets: list[tuple[str, Polynomial]] = []
     for i in range(len(gens)):
         for j in range(i, len(gens)):
-            img = rd.image_of_product(tuple((k == i) + (k == j) for k in range(len(gens))))
+            img = Polynomial.combine(S.context, ((images[i], gens[j]), (gens[i], images[j])))
             if not img.is_zero():
                 targets.append((f"image-of-product {gens[i]} * {gens[j]}", img))
     for _, m in generator_products(family_vars, elem_degree - (factor.degree() or 0)):
@@ -465,7 +464,7 @@ _FAMILIES = {
 def _nonfpf_family(seed: int, count: int):
     failures = []
     for k in range(count):
-        d = random_triangular_lnd(seed + k, TriangularProfile(fpf=False))
+        d = random_triangular_lnd(seed + k, fpf=False)
         if is_fixed_point_free(d) is not None:
             failures.append(f"seed {seed + k}: unexpectedly fixed point free")
     return FamilyOutcome(count, failures)

@@ -33,8 +33,8 @@ benchmark and the tests).
 kernel of polynomials: it returns ``sum(a * b)`` over ``(a, b)`` pairs,
 accumulating every product's numerators over the pairs' common
 denominator in one dict and building one result.  The polynomial product,
-substitution, the Leibniz images of a ``RestrictedDerivation`` and every
-witness recombination go through it; ``Derivation.apply`` sums its Leibniz
+substitution, the Leibniz images of a ``GeneratorSpan``'s products and
+every witness recombination go through it; ``Derivation.apply`` sums its Leibniz
 terms in its own pass, ``generator_products`` carries a monic monomial
 generator as an exponent shift and builds each product once, and the
 kernel and slice solver combines integer vectors with ``linalg.combine``.

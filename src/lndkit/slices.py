@@ -15,11 +15,13 @@ complementary one defined through coordinate witnesses over a localized
 base.
 
 Full-ring ``Derivation``s and ``RestrictedDerivation``s on subalgebras are
-used through the same three methods, ``apply(f, span)``,
-``product_images(products)`` and ``fixes_origin()``; a restricted one
-applies only through a span.  One routine sums the projection (for
-``dixmier`` and the induced derivations of ``coordinate_system``), and
-every repeated application of a derivation runs ``derivation.iterates``.
+used through the same two methods, ``apply(f, span)`` and
+``fixes_origin()``, and ``Derivation.monomial_image`` on the full ring; a
+restricted one applies only through a span of its own subalgebra, whose
+``GeneratorSpan.images`` computes every product image.  One routine sums
+the projection (for ``dixmier`` and the induced derivations of
+``coordinate_system``), and every repeated application of a derivation
+runs ``derivation.iterates``.
 Slice search and ``kernel_up_to_degree`` share one solver,
 ``subalgebra.solve_images``: it inserts the images of an rref basis of the
 bounded span in ascending pivot order, the monomials on the full ring
@@ -41,7 +43,7 @@ from typing import Callable
 from .context import VarContext
 from .derivation import Derivation, NilpotencyVerdict, iterates, metered_iterates
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError, invariant
-from .linalg import RowSpace, combine, vec_of
+from .linalg import RowSpace, vec_of
 from .polygcd import exact_divide, gcd_fold
 from .polynomial import MAX_EXPONENT, Polynomial
 from .subalgebra import (
@@ -51,7 +53,6 @@ from .subalgebra import (
     Subalgebra,
     _combine_over,
     distinct_nonconstant,
-    generator_products,
     kernel_up_to_degree,
     rref_rows,
     solve_images,
@@ -528,12 +529,9 @@ def transcendence_check(
     if val is None or val == 0:
         raise DomainError("transcendence check requires a unit image for x")
     ctx = S.context
-    base_only = Subalgebra(ctx, S.base_generators, ())
-    independent: list[Polynomial] = []
-    probe = RowSpace()
-    for _, p in generator_products(base_only, bound):
-        if probe.insert(vec_of(p), len(independent)) is None:
-            independent.append(p)
+    base = GeneratorSpan(Subalgebra(ctx, S.base_generators, ()), bound)
+    dependent = {j for j, _ in base.relations}
+    independent = [p for j, (_, p) in enumerate(base.products) if j not in dependent]
     space = RowSpace()
     xpows = [Polynomial.one(ctx)]  # x^0 .. x^i
     for i in range(bound + 1):

@@ -13,8 +13,10 @@ On the full ring the exponent vectors are the monomials themselves, and
 ``monomials_up_to`` lists them lazily in the same order, checking the same
 cap by their count before the first one.  Membership is asked of a
 ``GeneratorSpan``, the row space of those products at one bound, whose
-``member`` builds and re-verifies every witness, and which checks a
-derivation's product images against the relations among the products.
+``member`` builds and re-verifies every witness, and whose ``images`` is
+the one place a product's image is computed: by the Leibniz rule over the
+span's own products, from the derivation's generator images on the span's
+own subalgebra, checked against the relations among the products.
 ``solve_images`` is the one slice and kernel solver, over the rref basis
 of a span that ``rref_rows`` lists.  ``RowSpace`` answers, integer
 coefficients over one denominator, are read as they come: no ``Fraction``
@@ -115,19 +117,17 @@ def _combine_over(context: VarContext, pairs, den: int) -> Polynomial:
     return Polynomial._from_ints(context, total._num, total._den * den)
 
 
-def generator_products(
-    S: Subalgebra, bound: int, cap: int | None = None
-) -> list[tuple[tuple[int, ...], Polynomial]]:
+def generator_products(S: Subalgebra, bound: int) -> list[tuple[tuple[int, ...], Polynomial]]:
     """All products of generators with weighted formal degree <= bound.
 
     Deterministic exponent-lexicographic order (ascending tuples); includes
     the empty product 1.  Each product is built once, from the factors
-    ``_factored_products`` lists; past ``cap`` products it raises
+    ``_factored_products`` lists; past ``PRODUCT_CAP`` products it raises
     UnsupportedSizeError before building any.
     """
     ctx = S.context
     out = []
-    for expo, poly, shift in _factored_products(S, bound, cap):
+    for expo, poly, shift in _factored_products(S, bound):
         if poly is None:
             poly = Polynomial._from_ints(ctx, {shift: 1}, 1)
         elif any(shift):
@@ -143,7 +143,7 @@ def monomials_up_to(context: VarContext, bound: int) -> Iterator[tuple[int, ...]
     if bound < 0:
         return iter(())
     n = context.nvars
-    _check_cap(comb(bound + n, n), PRODUCT_CAP, bound)
+    _check_cap(comb(bound + n, n), bound)
 
     def tails(k: int, left: int) -> Iterator[tuple[int, ...]]:
         """The exponents from position k on, of degree <= left."""
@@ -154,14 +154,14 @@ def monomials_up_to(context: VarContext, bound: int) -> Iterator[tuple[int, ...]
     return tails(0, bound)
 
 
-def _check_cap(count: int, cap: int, bound: int):
-    """The one place the product cap is enforced."""
-    if count > cap:
-        raise UnsupportedSizeError(f"more than {cap} generator products below bound {bound}")
+def _check_cap(count: int, bound: int):
+    """The one place the product cap, ``PRODUCT_CAP``, is enforced."""
+    if count > PRODUCT_CAP:
+        raise UnsupportedSizeError(f"more than {PRODUCT_CAP} generator products below bound {bound}")
 
 
 def _factored_products(
-    S: Subalgebra, bound: int, cap: int | None
+    S: Subalgebra, bound: int
 ) -> list[tuple[tuple[int, ...], Polynomial | None, tuple[int, ...]]]:
     """``(exponents, poly, shift)`` per generator product, in order: the
     product is ``poly * x^shift``, where ``poly`` (None for 1) multiplies the
@@ -172,10 +172,9 @@ def _factored_products(
     by the successive powers of the next generator that its remaining
     weight allows.  Every entry so far extends to at least one product, so
     the count is checked as the list grows: UnsupportedSizeError is raised
-    before any entry past ``cap`` (default ``PRODUCT_CAP``) is listed.  A
-    negative bound lists no product, not even 1.
+    before any entry past ``PRODUCT_CAP`` is listed.  A negative bound
+    lists no product, not even 1.
     """
-    cap = PRODUCT_CAP if cap is None else cap
     # (exponents, poly, shift, weight left) per product so far
     out = [((), None, (0,) * S.context.nvars, bound)] if bound >= 0 else []
     for g, w in zip(S.generators, S.weights):
@@ -183,7 +182,7 @@ def _factored_products(
         grown = []
         for expo, poly, shift, left in out:
             count = left // w + 1
-            _check_cap(len(grown) + count, cap, bound)
+            _check_cap(len(grown) + count, bound)
             grown.append((expo + (0,), poly, shift, left))
             for e in range(1, count):
                 if mono is not None:
@@ -230,14 +229,25 @@ class GeneratorSpan:
         self._images: dict = {}
 
     def images(self, D: Derivation | RestrictedDerivation) -> list[Polynomial]:
-        """D's images of the products, built and checked once per derivation.
+        """D's images of the products, built and checked once per derivation:
+        the one place a product's image is computed.
 
-        Images that break a relation ``d * p_j == sum(c[k] * p_k)`` define
-        no derivation of the subalgebra: DomainError names p_j.
+        D's images of S's generators come from ``restriction_of(D, S)``
+        (zero for the base generators), and the Leibniz rule
+        ``D(p_e) = sum(e_i * D(g_i) * p_(e - u_i))`` reads each lower
+        product from ``products``, which holds it.  Images that break a
+        relation ``d * p_j == sum(c[k] * p_k)`` define no derivation of the
+        subalgebra: DomainError names p_j.
         """
         images = self._images.get(D)
         if images is None:
-            images = D.product_images(self.products)
+            S = self.subalgebra
+            ctx = S.context
+            gen_images = (Polynomial.zero(ctx),) * len(S.base_generators) + restriction_of(D, S).images
+            product = dict(self.products)
+            images = [Polynomial.combine(ctx, ((img * e, product[expo[:i] + (e - 1,) + expo[i + 1:]])
+                                               for i, (e, img) in enumerate(zip(expo, gen_images)) if e and img))
+                      for expo, _ in self.products]
             for j, (num, d) in self.relations:
                 if combine([(vec_of(images[j]), d), *((vec_of(images[k]), -c) for k, c in num.items())])[0]:
                     raise DomainError(f"the derivation's images break the relation of the generator "
@@ -305,29 +315,6 @@ class RestrictedDerivation:
             if img.context != self.subalgebra.context:
                 raise ContextMismatchError("image lives in a foreign context")
 
-    def image_of_product(self, expo: tuple[int, ...]) -> Polynomial:
-        """Leibniz image of a generator product given by its exponent vector."""
-        S = self.subalgebra
-        gens = S.generators
-        nbase = len(S.base_generators)
-        pairs = []
-        for i, e in enumerate(expo):
-            if e == 0 or i < nbase or not self.images[i - nbase]:
-                continue
-            rest = None  # the product with one factor gens[i] taken out
-            for k, ek in enumerate(expo):
-                if k == i:
-                    ek -= 1
-                if ek:
-                    power = gens[k]._power(ek)
-                    rest = power if rest is None else rest * power
-            pairs.append((self.images[i - nbase] * e, 1 if rest is None else rest))
-        return Polynomial.combine(S.context, pairs)
-
-    def product_images(self, products) -> list[Polynomial]:
-        """Images of ``(exponents, polynomial)`` generator products, by exponents."""
-        return [self.image_of_product(expo) for expo, _ in products]
-
     def fixes_origin(self) -> bool:
         """Whether every generator image vanishes at the origin; see
         ``Derivation.fixes_origin``."""
@@ -336,7 +323,8 @@ class RestrictedDerivation:
     def apply(self, f: Polynomial, span: GeneratorSpan | None = None) -> Polynomial:
         """Image of f through its expression over the products of ``span``,
         whose checked ``images`` it reads; without a span there is no
-        expression, and DomainError is raised."""
+        expression, and DomainError is raised, and a span of another
+        subalgebra raises ContextMismatchError."""
         if span is None:
             raise DomainError("a restricted derivation applies through a generator span")
         combo = span.space.express(vec_of(f))
@@ -349,8 +337,11 @@ class RestrictedDerivation:
 
 def restriction_of(D: Derivation | RestrictedDerivation, S: Subalgebra) -> RestrictedDerivation:
     """RestrictedDerivation view of D on S's algebra generators (images
-    unchecked); a restricted derivation on S is returned unchanged."""
-    if isinstance(D, RestrictedDerivation) and D.subalgebra == S:
+    unchecked); a restricted derivation on S is returned unchanged, and
+    one on another subalgebra raises ContextMismatchError."""
+    if isinstance(D, RestrictedDerivation):
+        if D.subalgebra != S:
+            raise ContextMismatchError("the restricted derivation lives on another subalgebra")
         return D
     return RestrictedDerivation(S, tuple(D.apply(g) for g in S.algebra_generators))
 

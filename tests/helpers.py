@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from lndkit import Polynomial, VarContext, generator_products
+from lndkit import Derivation, Polynomial, VarContext, generator_products
 from lndkit.linalg import RowSpace, _eliminate, combine, vec_of
 
 
@@ -153,17 +153,48 @@ def reference_solve_unit_image(images, products, context):
     return Polynomial._from_ints(context, *reduce_by_rref((s0, s0_den * den), kernel))
 
 
+def reference_image_of_product(rd, expo):
+    """Leibniz image of a generator product of ``rd``'s own subalgebra, given
+    by its exponent vector: each product minus one factor is rebuilt from
+    generator powers, where ``GeneratorSpan.images`` reads it from its span."""
+    S = rd.subalgebra
+    gens = S.generators
+    nbase = len(S.base_generators)
+    pairs = []
+    for i, e in enumerate(expo):
+        if e == 0 or i < nbase or not rd.images[i - nbase]:
+            continue
+        rest = None  # the product with one factor gens[i] taken out
+        for k, ek in enumerate(expo):
+            if k == i:
+                ek -= 1
+            if ek:
+                power = gens[k]._power(ek)
+                rest = power if rest is None else rest * power
+        pairs.append((rd.images[i - nbase] * e, 1 if rest is None else rest))
+    return Polynomial.combine(S.context, pairs)
+
+
+def reference_product_images(D, products):
+    """Images of ``(exponents, polynomial)`` generator products: an ambient
+    derivation applied to each polynomial, a restricted one by
+    ``reference_image_of_product`` on each exponent vector."""
+    if isinstance(D, Derivation):
+        return [D.apply(poly) for _, poly in products]
+    return [reference_image_of_product(D, expo) for expo, _ in products]
+
+
 def reference_find_slice(D, S, bound):
     """``find_slice``'s search through ``reference_solve_unit_image`` over all
     generator products, without the exit at the origin or the image check."""
     products = generator_products(S, bound)
-    return reference_solve_unit_image(D.product_images(products), products, S.context)
+    return reference_solve_unit_image(reference_product_images(D, products), products, S.context)
 
 
 def reference_kernel(D, S, bound):
     """``kernel_up_to_degree``'s basis through ``reference_image_kernel``
     over all generator products, without its re-checks."""
     products = generator_products(S, bound)
-    _, _, kernel = reference_image_kernel([vec_of(img) for img in D.product_images(products)],
+    _, _, kernel = reference_image_kernel([vec_of(img) for img in reference_product_images(D, products)],
                                           [vec_of(poly) for _, poly in products])
     return [Polynomial._from_ints(S.context, *row) for row in kernel]

@@ -39,10 +39,10 @@ from lndkit import (
 from lndkit import subalgebra
 from lndkit.errors import UnsupportedSizeError, invariant
 from lndkit.groebner import _row_sum
-from lndkit.linalg import RowSpace, vec_of
+from lndkit.linalg import RowSpace, combine, vec_of
 from lndkit.subalgebra import PRODUCT_CAP
 
-from helpers import reference_find_slice, reference_kernel
+from helpers import reference_find_slice, reference_kernel, reference_product_images
 
 CTXT = VarContext(("t",), ("X", "Y"))
 
@@ -182,6 +182,30 @@ def test_the_one_solver_matches_the_insert_every_product_solvers(S, images, boun
     for d in (D, restriction_of(D, S)):
         assert find_slice(d, S, bound) == reference_find_slice(d, S, bound)
         assert kernel_up_to_degree(d, S, bound) == reference_kernel(d, S, bound)
+
+
+@given(st.sampled_from(SUBALGEBRAS), st.data(), st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_span_images_match_the_references(S, data, bound):
+    """``GeneratorSpan.images`` by the Leibniz rule over the span's own
+    products equals the power-rebuilding reference for a restricted
+    derivation, or raises DomainError exactly when those images break a
+    relation among the products (bound 4 meets X^2 * Y^2 == (X*Y)^2 of the
+    second subalgebra); for an ambient derivation on a proper subalgebra
+    it equals D applied to each product."""
+    ngens = len(S.algebra_generators)
+    rd = RestrictedDerivation(S, tuple(data.draw(st.lists(_images(), min_size=ngens, max_size=ngens))))
+    span = GeneratorSpan(S, bound)
+    reference = [vec_of(img) for img in reference_product_images(rd, span.products)]
+    if any(combine([(reference[j], d), *((reference[k], -c) for k, c in num.items())])[0]
+           for j, (num, d) in span.relations):
+        with pytest.raises(DomainError, match="break the relation"):
+            span.images(rd)
+    else:
+        assert [vec_of(img) for img in span.images(rd)] == reference
+    if not S.full_ring:
+        D = Derivation(CTXT, dict(zip(CTXT.main_vars, data.draw(st.lists(_images(), min_size=2, max_size=2)))))
+        assert span.images(D) == [D.apply(p) for _, p in span.products]
 
 
 @given(_images(4), st.lists(_images(), min_size=1, max_size=3))

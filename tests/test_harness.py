@@ -10,7 +10,6 @@ from click.testing import CliRunner
 from lndkit import GroebnerBasis, JobParseError, Polynomial, Subalgebra, VarContext, parse_polynomial
 from lndkit.harness import (
     FiberWitness,
-    TriangularProfile,
     check_fiber_witness,
     parse_job,
     random_triangular_lnd,
@@ -150,6 +149,23 @@ def test_bound_override_fills_the_bound_of_verify_slice_theorem():
     assert run_job(spec, bound_override=2).tasks[0].verdict == "incomplete"
     assert run_job(parse_job(text.replace('"Y + 1/2*t*X^2"', '"Y + 1/2*t*X^2" bound=10')),
                    bound_override=2).task_value(1, "bound") == "10"  # a set bound wins
+
+
+def test_verify_slice_theorem_without_a_slice_searches_one():
+    """Without ``slice=`` the task searches a slice up to ``slice_bound``
+    first: the worked derivation gets its certificate, and a derivation
+    that fixes the origin has no slice to certify."""
+    text = MINIMAL.replace("X: 0, Y: 1", "X: t, Y: 1 - t^2*X").replace(
+        "task find_slice derivation=D bound=1", "task verify_slice_theorem derivation=D")
+    spec = parse_job(text)
+    report = run_job(spec)
+    assert report.tasks[0].verdict == "certificate"
+    assert parse_polynomial(report.task_value(1, "slice"), spec.context) == parse_polynomial(
+        "Y + 1/2*t*X^2", spec.context)
+    assert report.task_value(1, "bound") == "9"
+    fixed = run_job(parse_job(text.replace("X: t, Y: 1 - t^2*X", "X: t, Y: X")))
+    assert fixed.tasks[0].verdict == "none-up-to-bound"
+    assert fixed.tasks[0].values == []
 
 
 def test_task_errors_do_not_abort():
@@ -309,21 +325,21 @@ def test_generator_images_that_define_no_derivation_are_a_user_error(tmp_path):
 
 
 def test_random_triangular_deterministic():
-    a = random_triangular_lnd(1, TriangularProfile(fpf=True))
-    b = random_triangular_lnd(1, TriangularProfile(fpf=True))
+    a = random_triangular_lnd(1)
+    b = random_triangular_lnd(1)
     assert a == b
 
 
 def test_random_triangular_fpf_verified():
     for seed in range(5):
-        d = random_triangular_lnd(seed, TriangularProfile(fpf=True))
+        d = random_triangular_lnd(seed)
         assert is_triangular(d) is not None
         assert is_fixed_point_free(d) is not None
 
 
 def test_random_triangular_nonfpf_proper_ideal():
     for seed in range(5):
-        d = random_triangular_lnd(seed, TriangularProfile(fpf=False))
+        d = random_triangular_lnd(seed, fpf=False)
         assert is_triangular(d) is not None
         assert is_fixed_point_free(d) is None
 

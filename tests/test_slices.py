@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lndkit import (
+    ContextMismatchError,
     CoordinateWitness,
     Derivation,
     DomainError,
@@ -72,6 +73,30 @@ def test_find_slice_worked_instance():
 
 def test_find_slice_negative_control():
     assert find_slice(NEGATIVE, Subalgebra.full(CTXT), 10) is None
+
+
+# d/dY restricted to the full ring.  On another subalgebra its generator
+# images would be paired with that subalgebra's products, so a search there
+# would read wrong images and pass its own re-check on them: it is refused.
+DY_ON_FULL = RestrictedDerivation(Subalgebra.full(CTXT), (P("0", CTXT), P("1", CTXT)))
+
+
+def test_find_slice_refuses_a_restricted_derivation_of_another_subalgebra():
+    S = Subalgebra(CTXT, (P("t", CTXT),), (P("X", CTXT), P("Y^2", CTXT)))
+    with pytest.raises(ContextMismatchError):
+        find_slice(DY_ON_FULL, S, 3)  # not the slice Y^2: D(Y^2) = 2*Y
+
+
+def test_kernel_refuses_a_restricted_derivation_of_another_subalgebra():
+    S = Subalgebra(CTXT, (P("t", CTXT),), (P("X + Y", CTXT), P("Y", CTXT)))
+    with pytest.raises(ContextMismatchError):
+        kernel_up_to_degree(DY_ON_FULL, S, 2)  # not X + Y in the kernel: D(X + Y) = 1
+
+
+def test_dixmier_refuses_a_span_of_another_subalgebra():
+    S = Subalgebra(CTXT, (P("t", CTXT),), (P("X + Y", CTXT), P("Y", CTXT)))
+    with pytest.raises(ContextMismatchError):
+        dixmier(DY_ON_FULL, P("Y", CTXT), P("X + Y", CTXT), GeneratorSpan(S, 2))  # not X + Y, but X
 
 
 def test_find_slice_misses_off_the_origin():

@@ -25,7 +25,7 @@ from lndkit import (
 )
 from lndkit.linalg import RowSpace, vec_of
 
-from helpers import assert_canonical
+from helpers import assert_canonical, reference_image_of_product
 
 CTX1 = VarContext(("X",), ("Y",))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -278,23 +278,26 @@ def test_generator_validation():
         Subalgebra(CTX1, (P("X^2", CTX1), P("X^2", CTX1)), ())
 
 
-def test_product_enumeration_cap():
-    """The cap admits exactly ``cap`` products."""
-    from lndkit import UnsupportedSizeError
+def test_product_enumeration_cap(monkeypatch):
+    """The cap admits exactly ``PRODUCT_CAP`` products."""
+    from lndkit import UnsupportedSizeError, subalgebra
 
-    ctx = VarContext((), ("X", "Y"))
-    S = Subalgebra.full(ctx)
-    with pytest.raises(UnsupportedSizeError):
-        generator_products(S, 12, cap=50)
-    for S, bound in [
-        (S, 12),  # 91 products
+    plane = Subalgebra.full(VarContext((), ("X", "Y")))
+    cases = [
+        (plane, 12),  # 91 products
         (Subalgebra(CTXT, (P("t", CTXT),), (P("X*Y", CTXT), P("1/2*X", CTXT), P("Y", CTXT))), 5),
         (example_53_subalgebra(), 4),
-    ]:
-        products = generator_products(S, bound)
-        assert generator_products(S, bound, cap=len(products)) == products
+    ]
+    listed = [generator_products(S, bound) for S, bound in cases]
+    monkeypatch.setattr(subalgebra, "PRODUCT_CAP", 50)
+    with pytest.raises(UnsupportedSizeError):
+        generator_products(plane, 12)
+    for (S, bound), products in zip(cases, listed):
+        monkeypatch.setattr(subalgebra, "PRODUCT_CAP", len(products))
+        assert generator_products(S, bound) == products
+        monkeypatch.setattr(subalgebra, "PRODUCT_CAP", len(products) - 1)
         with pytest.raises(UnsupportedSizeError, match=f"more than {len(products) - 1} "):
-            generator_products(S, bound, cap=len(products) - 1)
+            generator_products(S, bound)
 
 
 def test_full_ring_is_decided_from_the_generators():
@@ -406,7 +409,7 @@ def test_monomial_lister_matches_the_full_ring_products(ctx):
 
     for bound in range(9):
         listed = list(monomials_up_to(ctx, bound))
-        assert listed == [e for e, _, _ in _factored_products(Subalgebra.full(ctx), bound, None)]
+        assert listed == [e for e, _, _ in _factored_products(Subalgebra.full(ctx), bound)]
 
 
 @pytest.mark.parametrize("bound", [-1, -5])
@@ -430,10 +433,10 @@ def test_bounded_fpf_agrees_with_completion_engine():
     """On full rings, the bounded witness search confirms every Yes the
     completion engine produces, at a bound covering its cofactors."""
     from lndkit import is_fixed_point_free
-    from lndkit.harness import TriangularProfile, random_triangular_lnd
+    from lndkit.harness import random_triangular_lnd
 
     for seed in range(12):
-        d = random_triangular_lnd(seed, TriangularProfile(fpf=True))
+        d = random_triangular_lnd(seed)
         witness = is_fixed_point_free(d)
         assert witness is not None
         bound = max(
@@ -450,8 +453,11 @@ def test_bounded_fpf_agrees_with_completion_engine():
 
 
 def test_image_of_a_high_product_is_not_capped():
-    # Leibniz takes one factor out of Y^150, so the rest is a power the
-    # library computes, above the ``**`` cap.
-    S = Subalgebra(CTXT, (P("t", CTXT),), (P("X", CTXT), P("Y", CTXT)))
-    rd = RestrictedDerivation(S, (P("0", CTXT), P("t", CTXT)))
-    assert rd.image_of_product((0, 0, 150)) == P("150*t*Y^100", CTXT) * P("Y^49", CTXT)
+    # Leibniz takes one factor out of Y^150, so the rest is a power above
+    # the ``**`` cap: the span reads it from its own products, and the
+    # reference rebuilds it with the uncapped ``_power``.
+    S = Subalgebra(CTXT, (), (P("Y", CTXT),))
+    rd = RestrictedDerivation(S, (P("t", CTXT),))
+    expected = P("150*t*Y^100", CTXT) * P("Y^49", CTXT)
+    assert reference_image_of_product(rd, (150,)) == expected
+    assert GeneratorSpan(S, 150).images(rd)[150] == expected

@@ -24,7 +24,7 @@ from lndkit import (
     ideal_member,
     kernel_up_to_degree,
 )
-from lndkit.harness import TriangularProfile, random_triangular_lnd
+from lndkit.harness import random_triangular_lnd
 
 from helpers import cyclic, katsura, rand_poly
 
@@ -123,7 +123,7 @@ def _monomials(nvars, bound):
 
 @functools.lru_cache(maxsize=None)
 def _derivation(seed, fpf):
-    return random_triangular_lnd(seed, TriangularProfile(fpf=fpf))
+    return random_triangular_lnd(seed, fpf=fpf)
 
 
 def _sympy_image(d, mono):
