@@ -8,20 +8,20 @@ D(s) = 1), the projection
 is a ring homomorphism onto Ker(D) fixing Ker(D) pointwise, and the ring
 decomposes as Ker(D)[s].  This module finds slices by bounded exact
 linear algebra, computes kernel generators through the projection, and
-certifies the decomposition by exact re-expression witnesses.  It also
-builds the two witness-guided derivations used by the corpus: the one
+certifies the decomposition by exact re-expression witnesses, written
+down by the Taylor formula on a full ring (``verify_slice_theorem``).  It
+also builds the two witness-guided derivations used by the corpus: the one
 composed from a retraction with a partial derivative, and the
 complementary one defined through coordinate witnesses over a localized
-base.
+base.  Transcendence follows from a unit image by a proof, not a search.
 
 Full-ring ``Derivation``s and ``RestrictedDerivation``s on subalgebras are
 used through the same two methods, ``apply(f, span)`` and
 ``fixes_origin()``, and ``Derivation.monomial_image`` on the full ring; a
 restricted one applies only through a span of its own subalgebra, whose
 ``GeneratorSpan.images`` computes every product image.  One routine sums
-the projection (for ``dixmier`` and the induced derivations of
-``coordinate_system``), and every repeated application of a derivation
-runs ``derivation.iterates``.
+sum_i (s^i/i!) * a_i, for the projections and the Taylor witnesses, and
+every repeated application of a derivation runs ``derivation.iterates``.
 Slice search and ``kernel_up_to_degree`` share one solver,
 ``subalgebra.solve_images``: it inserts the images of an rref basis of the
 bounded span in ascending pivot order, the monomials on the full ring
@@ -38,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import Callable
 
 from .context import VarContext
 from .derivation import Derivation, NilpotencyVerdict, iterates, metered_iterates
 from .errors import ContextMismatchError, DomainError, FailsUpToCapError, invariant
-from .linalg import RowSpace, vec_of
 from .polygcd import exact_divide, gcd_fold
 from .polynomial import MAX_EXPONENT, Polynomial
 from .subalgebra import (
@@ -51,13 +51,13 @@ from .subalgebra import (
     MembershipWitness,
     RestrictedDerivation,
     Subalgebra,
-    _combine_over,
     distinct_nonconstant,
     kernel_up_to_degree,
     rref_rows,
     solve_images,
     span_rows,
     subalgebra_member,
+    symbol_context,
 )
 
 AnyDerivation = Derivation | RestrictedDerivation
@@ -134,15 +134,20 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     return s
 
 
+def _exp_sum(terms: list[Polynomial], s: Polynomial) -> Polynomial:
+    """sum_i (s^i/i!) * terms[i]."""
+    pairs = []
+    weight = Polynomial.one(s.context)  # s^i / i!
+    for i, term in enumerate(terms):
+        if i:
+            weight = weight * (s * Fraction(1, i))
+        pairs.append((weight, term))
+    return Polynomial.combine(s.context, pairs)
+
+
 def _project(apply: Callable[[Polynomial], Polynomial], s: Polynomial, a: Polynomial) -> Polynomial:
     """pi_s(a) = sum_i (1/i!) * (-s)^i * D^i(a), D given by ``apply``."""
-    pairs = []
-    weight = Polynomial.one(a.context)  # (-s)^i / i!
-    for i, term in enumerate(metered_iterates(apply, a)):
-        if i:
-            weight = weight * (s * Fraction(-1, i))
-        pairs.append((weight, term))
-    return Polynomial.combine(a.context, pairs)
+    return _exp_sum(metered_iterates(apply, a), -s)
 
 
 def dixmier(
@@ -191,33 +196,6 @@ class IncompleteReexpression:
     bound: int
 
 
-def _taylor_bound(D: Derivation, s: Polynomial, S: Subalgebra, projections: list[Polynomial]) -> int:
-    """A re-expression bound sufficient on full rings.
-
-    Every generator g satisfies g = sum_i (s^i/i!) * pi_s(D^i g) and
-    pi_s substitutes each main variable by its projection, so the witness
-    degree is bounded by the weighted degree of the iterates.  On a full
-    ring ``projections``, those of the algebra generators, are the main
-    variables' projections.
-    """
-    ctx = S.context
-    ncoeff = len(ctx.coeff_vars)
-    proj_deg = {}
-    for idx, k in enumerate(projections):
-        d = k.degree()
-        proj_deg[ncoeff + idx] = 0 if d is None else max(d, 0)
-    s_deg = max(1, s.degree() or 1)
-    best = 1
-    for g in S.algebra_generators:
-        for i, f in enumerate(metered_iterates(D.apply, g)):
-            for mono in f._num:
-                w = sum(mono[:ncoeff])
-                for j in range(ncoeff, ctx.nvars):
-                    w += mono[j] * proj_deg[j]
-                best = max(best, w + i * s_deg)
-    return best
-
-
 def verify_slice_theorem(
     D: AnyDerivation,
     s: Polynomial,
@@ -225,36 +203,74 @@ def verify_slice_theorem(
     bound: int | None = None,
     span: GeneratorSpan | None = None,
 ) -> SliceCertificate | IncompleteReexpression:
-    """Certify the slice decomposition by re-expressing every generator.
+    """Certify the slice decomposition by re-expressing every generator
+    as a polynomial in the kernel generators and s over the base.
 
-    Each algebra generator is searched as a polynomial in the kernel
-    generators and s over the base, at the given bound (default: a
-    computed bound that is provably sufficient on full rings).  All
-    witness identities are exact; a miss returns the incomplete set
-    rather than failing.
+    On a full ring with an ambient ``Derivation`` each witness is the
+    Taylor formula g = sum_i (s^i/i!) * pi_s(D^i g), written down: pi_s is
+    a ring homomorphism fixing the base, so pi_s(D^i g) is D^i g with each
+    coefficient variable replaced by its base symbol and each main
+    variable x_j by the symbol of the kernel generator pi_s(x_j), or by
+    its value when that projection is constant.  The certificate's bound
+    is the largest formal degree of the witnesses; a given bound caps it,
+    and the generators whose witness exceeds the cap come back as
+    ``IncompleteReexpression``.  Elsewhere each generator is searched in
+    the span of the new generators at the given bound, which is required.
+    Every witness is re-verified by evaluation; a miss returns the
+    incomplete set rather than failing.
     """
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be at least 1")
     projections = [dixmier(D, s, g, span) for g in S.algebra_generators]
-    kgens = list(distinct_nonconstant(projections))
-    if bound is None:
-        if isinstance(D, Derivation) and S.full_ring:
-            bound = _taylor_bound(D, s, S, projections)
-        else:
-            raise ValueError("an explicit bound is required off the full ring")
-    witnesses = _reexpress(S, tuple(kgens) + (s,), bound)
+    target = Subalgebra(S.context, S.base_generators, distinct_nonconstant(projections) + (s,))
+    if isinstance(D, Derivation) and S.full_ring:
+        witnesses = _taylor_witnesses(D, S, target, projections, bound)
+    elif bound is None:
+        raise ValueError("an explicit bound is required off the full ring")
+    else:
+        witnesses = _reexpress(S, target, bound)
     if isinstance(witnesses, IncompleteReexpression):
         return witnesses
+    kgens = target.algebra_generators[:-1]
     invariant(D.apply(s, span) == Polynomial.one(S.context), "certificate slice lost the unit image")
     for k in kgens:
         invariant(D.apply(k, span).is_zero(), "certificate kernel generator is not killed")
-    return SliceCertificate(s, tuple(kgens), witnesses, bound)
+    return SliceCertificate(s, kgens, witnesses, witnesses[0].bound)  # a slice needs a generator
+
+
+def _taylor_witnesses(
+    D: Derivation, S: Subalgebra, target: Subalgebra, projections: list[Polynomial], bound: int | None
+) -> tuple[MembershipWitness, ...] | IncompleteReexpression:
+    """The Taylor witnesses of ``verify_slice_theorem`` on a full ring S,
+    whose algebra generators (the main variables) have the projections
+    ``projections``, in the generators of ``target``."""
+    sym = symbol_context(target)
+    symbols = [Polynomial.variable(sym, name) for name in sym.variables]
+    symbol_of = dict(zip(target.generators, symbols))
+    bindings = dict(zip(S.context.coeff_vars, symbols))  # the base generators, in order
+    for x, p in zip(S.context.main_vars, projections):
+        bindings[x] = p.as_rational() if p.is_constant() else symbol_of[p]
+    expressions = [_exp_sum([f.substitute(bindings, context=sym) for f in metered_iterates(D.apply, g)],
+                            symbols[-1])
+                   for g in S.algebra_generators]
+    degrees = [max((sum(map(mul, m, target.weights)) for m in e._num), default=0) for e in expressions]
+    if bound is None:
+        bound = max(degrees)
+    missing = tuple(g for g, d in zip(S.algebra_generators, degrees) if d > bound)
+    if missing:
+        return IncompleteReexpression(missing, bound)
+    witnesses = tuple(MembershipWitness(g, e, bound) for g, e in zip(S.algebra_generators, expressions))
+    for w in witnesses:
+        invariant(w.evaluate(target) == w.target, "Taylor witness failed re-verification")
+    return witnesses
 
 
 def _reexpress(
-    S: Subalgebra, coords: tuple[Polynomial, ...], bound: int
+    S: Subalgebra, target: Subalgebra, bound: int
 ) -> tuple[MembershipWitness, ...] | IncompleteReexpression:
-    """Witnesses of every algebra generator of S in ``coords`` over the base,
-    or the generators missed at the bound."""
-    span = GeneratorSpan(Subalgebra(S.context, S.base_generators, coords), bound)
+    """Witnesses of every algebra generator of S in the generators of
+    ``target`` over S's base, or the generators missed at the bound."""
+    span = GeneratorSpan(target, bound)
     witnesses = tuple(span.member(g) for g in S.algebra_generators)
     missing = tuple(g for g, w in zip(S.algebra_generators, witnesses) if w is None)
     return IncompleteReexpression(missing, bound) if missing else witnesses
@@ -507,52 +523,30 @@ def complementary_lnd(
 @dataclass(frozen=True)
 class TranscendenceResult:
     bound: int
-    relation: tuple[Polynomial, ...] | None  # a_0..a_n with sum(a_i x^i) == 0
-
-    @property
-    def no_relation(self) -> bool:
-        return self.relation is None
 
 
 def transcendence_check(
     D: AnyDerivation, x: Polynomial, S: Subalgebra, bound: int
 ) -> TranscendenceResult:
-    """Search for an algebraic relation of x over the bounded base span.
+    """Certify that x satisfies no algebraic relation over the base.
 
-    Precondition: the image of x under D is a nonzero rational (a unit of
-    the base).  No relation up to the bound is exactly the conclusion the
-    unit image forces degree by degree; a found relation is returned with
-    its exact coefficients.
+    The check is that D(x), applied through the span of S at the bound
+    for a restricted derivation, is a nonzero rational; the conclusion is
+    then a theorem, so nothing is searched, and the bound is recorded.
+
+    Proof.  Suppose sum_(i<=n) b_i * x^i == 0 with base coefficients b_i
+    and b_n != 0, with n least.  n == 0 would make b_0 zero, so n >= 1.
+    D kills the base, so applying D gives sum_(i>=1) i * D(x) * b_i *
+    x^(i-1) == 0, a relation of degree n - 1 whose leading coefficient
+    n * D(x) * b_n is nonzero, since D(x) is a nonzero rational and the
+    ring is a domain of characteristic zero.  That contradicts the
+    minimality of n, so no relation exists, of any degree.
     """
     span = GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
     val = D.apply(x, span).as_rational()
     if val is None or val == 0:
         raise DomainError("transcendence check requires a unit image for x")
-    ctx = S.context
-    base = GeneratorSpan(Subalgebra(ctx, S.base_generators, ()), bound)
-    dependent = {j for j, _ in base.relations}
-    independent = [p for j, (_, p) in enumerate(base.products) if j not in dependent]
-    space = RowSpace()
-    xpows = [Polynomial.one(ctx)]  # x^0 .. x^i
-    for i in range(bound + 1):
-        for k, b in enumerate(independent):
-            tag = (i, k)  # b * x^i
-            dep = space.insert(vec_of(b * xpows[i]), tag)
-            if dep is not None:
-                # normalize so the newly inserted power enters with +b
-                num, den = dep
-                relation = {tag: den} | {t: -c for t, c in num.items()}
-                coeffs = tuple(
-                    _combine_over(
-                        ctx, ((independent[kk], c) for (ii, kk), c in relation.items() if ii == n), den
-                    )
-                    for n in range(bound + 1)
-                )
-                invariant(Polynomial.combine(ctx, zip(coeffs, xpows)).is_zero(),
-                          "relation failed re-verification")
-                return TranscendenceResult(bound, coeffs)
-        xpows.append(xpows[i] * x)
-    return TranscendenceResult(bound, None)
+    return TranscendenceResult(bound)
 
 
 @dataclass(frozen=True)
@@ -660,7 +654,7 @@ def coordinate_system(
         projections.append((apply_k, s_k))
         current = [project(g, k + 1) for g in current]
 
-    witnesses = _reexpress(S, tuple(coords), bound)
+    witnesses = _reexpress(S, Subalgebra(ctx, S.base_generators, tuple(coords)), bound)
     if isinstance(witnesses, IncompleteReexpression):
         return witnesses
     return CoordinateSystem(tuple(coords), witnesses, bound)

@@ -6,8 +6,11 @@ import math
 import random
 from fractions import Fraction
 
-from lndkit import Derivation, Polynomial, VarContext, generator_products
+from lndkit import Derivation, GeneratorSpan, Polynomial, Subalgebra, VarContext, dixmier, generator_products
+from lndkit.derivation import metered_iterates
 from lndkit.linalg import RowSpace, _eliminate, combine, vec_of
+from lndkit.slices import _reexpress
+from lndkit.subalgebra import _combine_over, distinct_nonconstant
 
 
 def rand_coeff(rng: random.Random) -> Fraction:
@@ -198,3 +201,73 @@ def reference_kernel(D, S, bound):
     _, _, kernel = reference_image_kernel([vec_of(img) for img in reference_product_images(D, products)],
                                           [vec_of(poly) for _, poly in products])
     return [Polynomial._from_ints(S.context, *row) for row in kernel]
+
+
+def taylor_bound(D: Derivation, s: Polynomial, S: Subalgebra, projections: list[Polynomial]) -> int:
+    """A re-expression bound sufficient on full rings.
+
+    Every generator g satisfies g = sum_i (s^i/i!) * pi_s(D^i g) and
+    pi_s substitutes each main variable by its projection, so the witness
+    degree is bounded by the weighted degree of the iterates.  On a full
+    ring ``projections``, those of the algebra generators, are the main
+    variables' projections.
+    """
+    ctx = S.context
+    ncoeff = len(ctx.coeff_vars)
+    proj_deg = {}
+    for idx, k in enumerate(projections):
+        d = k.degree()
+        proj_deg[ncoeff + idx] = 0 if d is None else max(d, 0)
+    s_deg = max(1, s.degree() or 1)
+    best = 1
+    for g in S.algebra_generators:
+        for i, f in enumerate(metered_iterates(D.apply, g)):
+            for mono in f._num:
+                w = sum(mono[:ncoeff])
+                for j in range(ncoeff, ctx.nvars):
+                    w += mono[j] * proj_deg[j]
+                best = max(best, w + i * s_deg)
+    return best
+
+
+def reference_reexpress(D, s, S, bound=None):
+    """The re-expression search ``verify_slice_theorem`` ran on a full ring:
+    every generator searched in the span of the kernel generators and s, at
+    ``bound`` or else at ``taylor_bound``.  Returns the witnesses or the
+    ``IncompleteReexpression``, and the bound."""
+    projections = [dixmier(D, s, g) for g in S.algebra_generators]
+    if bound is None:
+        bound = taylor_bound(D, s, S, projections)
+    target = Subalgebra(S.context, S.base_generators, distinct_nonconstant(projections) + (s,))
+    return _reexpress(S, target, bound), bound
+
+
+def reference_transcendence(x, S, bound):
+    """The relation search ``transcendence_check`` once ran: the
+    coefficients a_0..a_bound over the bounded base span with
+    sum(a_i * x^i) == 0, re-verified, or None when there is none up to the
+    bound."""
+    ctx = S.context
+    base = GeneratorSpan(Subalgebra(ctx, S.base_generators, ()), bound)
+    dependent = {j for j, _ in base.relations}
+    independent = [p for j, (_, p) in enumerate(base.products) if j not in dependent]
+    space = RowSpace()
+    xpows = [Polynomial.one(ctx)]  # x^0 .. x^i
+    for i in range(bound + 1):
+        for k, b in enumerate(independent):
+            tag = (i, k)  # b * x^i
+            dep = space.insert(vec_of(b * xpows[i]), tag)
+            if dep is not None:
+                # normalize so the newly inserted power enters with +b
+                num, den = dep
+                relation = {tag: den} | {t: -c for t, c in num.items()}
+                coeffs = tuple(
+                    _combine_over(
+                        ctx, ((independent[kk], c) for (ii, kk), c in relation.items() if ii == n), den
+                    )
+                    for n in range(bound + 1)
+                )
+                assert Polynomial.combine(ctx, zip(coeffs, xpows)).is_zero()
+                return coeffs
+        xpows.append(xpows[i] * x)
+    return None

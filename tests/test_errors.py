@@ -2,7 +2,10 @@
 raises ``InvariantError``, and no other module restates the policy.  The
 coefficient format: only ``polynomial.py`` reads the ``Fraction`` view
 ``terms`` or imports ``integer_form``, and the fraction-free kernels
-(``linalg.py`` and ``subalgebra.py``) import nothing from ``fractions``."""
+(``linalg.py`` and ``subalgebra.py``) import nothing from ``fractions``.
+One solver: only ``linalg.py``, ``subalgebra.py`` and the Groebner
+family's independent oracle in ``harness/randgen.py`` build a
+``RowSpace``.  And no module keeps an import it does not use."""
 
 import ast
 from pathlib import Path
@@ -14,6 +17,7 @@ from lndkit.errors import invariant
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lndkit"
 FRACTION_FREE = ("linalg.py", "subalgebra.py")
+ROW_SPACE_HOMES = ("linalg.py", "subalgebra.py", "randgen.py")
 
 
 def test_invariant_raises_invariant_error_with_its_message():
@@ -27,7 +31,8 @@ def test_invariant_raises_invariant_error_with_its_message():
 def _hand_rolled(path: Path) -> list[str]:
     """Bare ``assert`` statements, and ``raise AssertionError`` outside errors.py;
     reads of ``.terms`` and imports of ``integer_form`` outside polynomial.py,
-    and imports from ``fractions`` in linalg.py and subalgebra.py."""
+    imports from ``fractions`` in linalg.py and subalgebra.py, and calls of
+    ``RowSpace`` outside ``ROW_SPACE_HOMES``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Assert):
@@ -45,13 +50,60 @@ def _hand_rolled(path: Path) -> list[str]:
                 isinstance(node, ast.ImportFrom) and node.module == "fractions"
                 or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)):
             found.append(f"{path.name}:{node.lineno}: imports fractions")
+        elif (isinstance(node, ast.Call) and path.name not in ROW_SPACE_HOMES
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RowSpace"):
+            found.append(f"{path.name}:{node.lineno}: builds a RowSpace")
     return found
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; a package's ``__init__.py``
+    re-exports what it imports, and ``__future__`` imports are directives."""
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, (a.asname or a.name).partition(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: imports {name} unused" for line, name in imported if name not in read]
 
 
 def test_no_module_restates_the_invariant_policy():
     paths = sorted(SRC.rglob("*.py"))
     assert {"errors.py", "polynomial.py", *FRACTION_FREE} <= {path.name for path in paths}
     assert [hit for path in paths for hit in _hand_rolled(path)] == []
+
+
+def test_no_module_keeps_an_unused_import():
+    assert [hit for path in sorted(SRC.rglob("*.py")) for hit in _unused_imports(path)] == []
+
+
+def test_the_guard_sees_a_row_space_outside_its_homes(tmp_path):
+    code = "from .linalg import RowSpace\nfrom . import linalg\nspace = RowSpace()\nother = linalg.RowSpace()\n"
+    sample = tmp_path / "slices.py"
+    sample.write_text(code)
+    assert _hand_rolled(sample) == ["slices.py:3: builds a RowSpace", "slices.py:4: builds a RowSpace"]
+    for name in ROW_SPACE_HOMES:
+        home = tmp_path / name
+        home.write_text(code)
+        assert _hand_rolled(home) == []
+
+
+def test_the_guard_sees_unused_imports(tmp_path):
+    code = ("from __future__ import annotations\nimport os.path\nimport ast as a\n"
+            "from .linalg import RowSpace, vec_of\nfrom .subalgebra import _combine_over as c\n"
+            "def f(x: vec_of) -> int:\n    return os.path.join(x)\n")
+    sample = tmp_path / "slices.py"
+    sample.write_text(code)
+    assert _unused_imports(sample) == ["slices.py:3: imports a unused", "slices.py:4: imports RowSpace unused",
+                                       "slices.py:5: imports c unused"]
+    package = tmp_path / "__init__.py"
+    package.write_text(code)
+    assert _unused_imports(package) == []
 
 
 def test_the_guard_sees_both_forms(tmp_path):

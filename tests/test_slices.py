@@ -20,6 +20,7 @@ from lndkit import (
     Polynomial,
     RestrictedDerivation,
     RetractionSpec,
+    SliceCertificate,
     Subalgebra,
     UnsupportedSizeError,
     VarContext,
@@ -35,6 +36,7 @@ from lndkit import (
     parse_polynomial,
     proportionality_check,
     restriction_of,
+    TranscendenceResult,
     transcendence_check,
     verify_slice_theorem,
 )
@@ -43,7 +45,16 @@ from lndkit.derivation import TERM_BUDGET
 from lndkit.harness import load_corpus, random_triangular_lnd
 from lndkit.linalg import RowSpace, vec_of
 
-from helpers import canonical_rref, rand_poly, reduce_by_rref, reference_kernel, reference_solve_unit_image
+from helpers import (
+    canonical_rref,
+    rand_poly,
+    reduce_by_rref,
+    reference_kernel,
+    reference_reexpress,
+    reference_solve_unit_image,
+    reference_transcendence,
+    taylor_bound,
+)
 
 CTX = VarContext((), ("X", "Y"))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -419,6 +430,66 @@ def test_taylor_bound_only_on_the_full_ring():
     assert verify_slice_theorem(WORKED, s, Subalgebra.full(CTXT)).bound == 9
 
 
+def _formal_degree(w, target):
+    return max(sum(e * d for e, d in zip(m, target.weights)) for m in w.expression._num)
+
+
+def _seeded_slice(seed):
+    d = random_triangular_lnd(seed)
+    S = Subalgebra.full(d.context)
+    return d, find_slice(d, S, 8), S
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_taylor_witnesses_evaluate_back_within_the_reference_bound(seed):
+    d, s, S = _seeded_slice(seed)
+    cert = verify_slice_theorem(d, s, S)
+    target = Subalgebra(S.context, S.base_generators, cert.kernel_generators + (s,))
+    bound = taylor_bound(d, s, S, [dixmier(d, s, g) for g in S.algebra_generators])
+    for g, w in zip(S.algebra_generators, cert.reexpression):
+        assert w.target == g and w.evaluate(target) == g
+        assert _formal_degree(w, target) <= bound
+
+
+def test_taylor_bound_and_verdicts_match_the_reference_search():
+    """The certificate's bound is the old sufficient bound, and at every
+    explicit bound up to it the formula misses exactly the generators the
+    span search missed."""
+    for seed in range(1, 601):
+        d, s, S = _seeded_slice(seed)
+        cert = verify_slice_theorem(d, s, S)
+        assert cert.bound == taylor_bound(d, s, S, [dixmier(d, s, g) for g in S.algebra_generators])
+        if seed > 120:
+            continue
+        for bound in range(1, cert.bound + 1):
+            out = verify_slice_theorem(d, s, S, bound)
+            ref, _ = reference_reexpress(d, s, S, bound)
+            assert isinstance(out, IncompleteReexpression) == isinstance(ref, IncompleteReexpression)
+            if isinstance(out, IncompleteReexpression):
+                assert out.missing == ref.missing and out.bound == bound
+            else:
+                assert out.bound == bound and all(w.bound == bound for w in out.reexpression)
+
+
+def test_three_variable_certificate_builds_no_span(monkeypatch):
+    """The witnesses of a full ring come from the Taylor formula: the span
+    of the old search would have to reach bound 52 here."""
+    ctx = VarContext(("t",), ("X", "Y", "Z"))
+    d = D_of(ctx, X="t", Y="1 - t^2*X", Z="t*X^3*Y^4 + Y")
+    s = P("Y + 1/2*t*X^2", ctx)
+    S = Subalgebra.full(ctx)
+    built = []
+    init = GeneratorSpan.__init__
+    monkeypatch.setattr(GeneratorSpan, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    cert = verify_slice_theorem(d, s, S)
+    assert built == []
+    assert isinstance(cert, SliceCertificate) and cert.bound == 52
+    target = Subalgebra(ctx, S.base_generators, cert.kernel_generators + (s,))
+    assert [w.evaluate(target) for w in cert.reexpression] == list(S.algebra_generators)
+    assert max(_formal_degree(w, target) for w in cert.reexpression) == 52
+
+
 def test_verify_slice_theorem_guards_sham_slice():
     with pytest.raises(DomainError):
         verify_slice_theorem(NEGATIVE, P("X", CTXT), Subalgebra.full(CTXT), 4)
@@ -635,8 +706,10 @@ def test_complementary_witness_must_evaluate():
 
 def test_transcendence_of_a_variable():
     S = Subalgebra.full(CTX)
-    out = transcendence_check(DY, P("Y"), S, 5)
-    assert out.no_relation
+    assert transcendence_check(DY, P("Y"), S, 5) == TranscendenceResult(5)
+    assert reference_transcendence(P("Y"), S, 5) is None
+    # the reference search does find the relation -t * 1 + 1 * t of a base element
+    assert reference_transcendence(P("t", CTXT), Subalgebra.full(CTXT), 1) == (P("-t", CTXT), P("1", CTXT))
 
 
 def test_transcendence_degenerate_base_element():
@@ -654,8 +727,8 @@ def test_transcendence_degenerate_base_element():
 def test_transcendence_worked_slice():
     S = Subalgebra.full(CTXT)
     s = P("Y + 1/2*t*X^2", CTXT)
-    out = transcendence_check(WORKED, s, S, 4)
-    assert out.no_relation
+    assert transcendence_check(WORKED, s, S, 4) == TranscendenceResult(4)
+    assert reference_transcendence(s, S, 4) is None
 
 
 def test_transcendence_with_a_generator_derivation():
@@ -674,8 +747,8 @@ def test_transcendence_over_trivial_base():
     ctx = VarContext((), ("Y",))
     S = Subalgebra.full(ctx)
     d = Derivation(ctx, {"Y": Polynomial.one(ctx)})
-    out = transcendence_check(d, Polynomial.variable(ctx, "Y"), S, 3)
-    assert out.no_relation
+    assert transcendence_check(d, Polynomial.variable(ctx, "Y"), S, 3) == TranscendenceResult(3)
+    assert reference_transcendence(Polynomial.variable(ctx, "Y"), S, 3) is None
 
 
 def test_transcendence_requires_unit_image():
