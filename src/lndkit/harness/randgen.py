@@ -2,8 +2,8 @@
 
 Everything is deterministic given the seed: generators derive their
 randomness from ``random.Random(seed)`` only, and every emitted instance
-is re-verified against the property it was constructed to have before it
-leaves the generator.
+is re-verified by the certificate its construction planted, not by a
+second search, before it leaves the generator.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from math import perm
 
 from ..context import VarContext
 from ..derivation import Derivation, is_fixed_point_free, is_triangular, iterates, nilpotency_verdict
+from ..errors import invariant
 from ..groebner import ideal_member
 from ..linalg import RowSpace, vec_of
 from ..polynomial import Polynomial
@@ -45,49 +46,44 @@ def _rand_poly(rng, ctx, names, degree, terms, allow_zero=True) -> Polynomial:
 
 
 def random_triangular_lnd(seed: int, fpf: bool = True) -> Derivation:
-    """Deterministic-by-seed triangular derivation of k[t][X, Y].
+    """Deterministic-by-seed derivation of k[t][X, Y], triangular in the
+    order X < Y, re-verified by the certificate its construction plants.
 
-    With ``fpf`` requested the construction arranges a unit in the image
-    ideal and the fixed-point-free verdict is re-checked before returning;
-    without it the images generate a proper ideal, also re-checked.
+    With ``fpf`` D(X) is a constant c, with cofactors (1/c, 0), or
+    D(Y) = 1 - D(X)*q, with cofactors (q, 1), checked by one ``combine``.
+    Without it D(X) = 0 and D(Y) is not constant, so the image ideal is the
+    proper principal ideal (D(Y)).  No check builds a Groebner basis or
+    draws from ``rng``.
     """
     rng = random.Random(seed)
     ctx = _TRIANGULAR_CONTEXT
     coeff = ctx.coeff_vars
     deg = _IMAGE_DEGREE
-    while True:
-        if fpf:
-            if rng.random() < 0.5:
-                img_x = Polynomial.constant(ctx, _rand_coeff(rng))
-                img_y = _rand_poly(rng, ctx, coeff + ("X",), deg, 3)
-            else:
-                p = _rand_poly(rng, ctx, coeff, deg - 1, 2, allow_zero=False)
-                if p.is_zero():
-                    continue
-                q = _rand_poly(rng, ctx, coeff + ("X",), deg - (p.degree() or 0), 2)
-                img_x = p
-                img_y = Polynomial.one(ctx) - p * q
-            d = Derivation(ctx, {"X": img_x, "Y": img_y})
-            if is_fixed_point_free(d) is None:
-                continue
+    one = Polynomial.one(ctx)
+    if fpf:
+        if rng.random() < 0.5:
+            c = _rand_coeff(rng)
+            img_x, img_y = Polynomial.constant(ctx, c), _rand_poly(rng, ctx, coeff + ("X",), deg, 3)
+            cofactors = (Polynomial.constant(ctx, 1 / c), Polynomial.zero(ctx))
         else:
-            shape = rng.random()
-            if shape < 0.5:
-                img_x = Polynomial.zero(ctx)
+            img_x = _rand_poly(rng, ctx, coeff, deg - 1, 2, allow_zero=False)
+            q = _rand_poly(rng, ctx, coeff + ("X",), deg - (img_x.degree() or 0), 2)
+            img_y, cofactors = one - img_x * q, (q, one)
+        invariant(Polynomial.combine(ctx, zip(cofactors, (img_x, img_y))) == one,
+                  "planted fixed-point-free cofactors failed re-verification")
+    else:
+        img_x, img_y = Polynomial.zero(ctx), one  # a constant D(Y) is drawn again
+        while img_y.is_constant():
+            if rng.random() < 0.5:
                 img_y = Polynomial.variable(ctx, "X") * _rand_poly(
                     rng, ctx, coeff + ("X",), deg - 1, 2, allow_zero=False
                 )
             else:
-                img_x = Polynomial.zero(ctx)
                 img_y = _rand_poly(rng, ctx, coeff + ("X",), deg, 2, allow_zero=False)
-                if img_y.is_constant():
-                    continue
-            d = Derivation(ctx, {"X": img_x, "Y": img_y})
-            if d.is_zero() or is_fixed_point_free(d) is not None:
-                continue
-        if is_triangular(d) is None:
-            continue
-        return d
+        invariant(img_x.is_zero() and not img_y.is_constant(), "planted image ideal is not proper")
+    d = Derivation(ctx, {"X": img_x, "Y": img_y})
+    invariant(is_triangular(d) == ("X", "Y"), "planted derivation is not triangular in the order X < Y")
+    return d
 
 
 @dataclass

@@ -22,14 +22,14 @@ restricted one applies only through a span of its own subalgebra, whose
 ``GeneratorSpan.images`` computes every product image.  One routine sums
 sum_i (s^i/i!) * a_i, for the projections and the Taylor witnesses, and
 every repeated application of a derivation runs ``derivation.iterates``.
-Slice search and ``kernel_up_to_degree`` share one solver,
-``subalgebra.solve_images``: it inserts the images of an rref basis of the
-bounded span in ascending pivot order, the monomials on the full ring
-(listed lazily, imaged as integer vectors) and the ``RowSpace.rref`` rows
-of a ``GeneratorSpan`` elsewhere.  The slice is its first unit answer,
-the canonical kernel-reduced one (the lemma and corollary in
-``find_slice``), and the induced derivations of ``coordinate_system`` are
-solved alike.  Membership witnesses are asked of a ``GeneratorSpan``
+Slice search, ``kernel_up_to_degree`` and ``subalgebra_fpf`` share one
+solver, ``subalgebra.solve_images``; for the first two it inserts the
+images of an rref basis of the bounded span in ascending pivot order, the
+monomials on the full ring (listed lazily, imaged as integer vectors) and
+the ``RowSpace.rref`` rows of a ``GeneratorSpan`` elsewhere.  The slice is
+its first unit answer, the canonical kernel-reduced one (the lemma in
+``find_slice``, the corollary in ``solve_images``), and the induced
+derivations of ``coordinate_system`` are solved alike.  Membership witnesses are asked of a ``GeneratorSpan``
 built once per bound.
 """
 
@@ -85,8 +85,9 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     product is built.  Every answer passes the image check D(s) == 1.
 
     The slice is the first unit answer of ``solve_images`` over the
-    ``rref_rows`` of the span: the monomials on the full ring, the
-    ``RowSpace.rref`` rows of a ``GeneratorSpan`` elsewhere.
+    ``rref_rows`` of the span (the monomials on the full ring, the
+    ``RowSpace.rref`` rows of a ``GeneratorSpan`` elsewhere), which by the
+    corollary there is the answer after all N inserts of the lemma.
 
     Lemma.  Let r_1, ..., r_N be a basis of the bounded span in reduced
     row echelon form, listed by ascending pivot mu_1 < ... < mu_N (a
@@ -116,13 +117,6 @@ def find_slice(D: AnyDerivation, S: Subalgebra, bound: int) -> Polynomial | None
     on a kernel pivot.  Two such solutions differ by a kernel element
     with no term on a kernel pivot, which is zero, so that solution is
     the unique kernel-reduced one.
-
-    Corollary.  The first answer of ``express(1)`` after an independent
-    insert is the answer after all N inserts, so the search stops there.
-    Proof: rows never change once inserted, and a row whose pivot is the
-    smallest key, the monomial 1, holds only that key.  Reducing 1 reads
-    only that row: ``express(1)`` is None, at the cost of one lookup, until
-    an independent insert adds it, and the same answer from then on.
     """
     if D.fixes_origin():
         return None

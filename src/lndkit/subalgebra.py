@@ -17,11 +17,12 @@ cap by their count before the first one.  Membership is asked of a
 the one place a product's image is computed: by the Leibniz rule over the
 span's own products, from the derivation's generator images on the span's
 own subalgebra, checked against the relations among the products.
-``solve_images`` is the one slice and kernel solver, over the rref basis
-of a span that ``rref_rows`` lists.  ``RowSpace`` answers, integer
-coefficients over one denominator, are read as they come: no ``Fraction``
-is built here.  Bounded searches are semi-decisions; a miss is reported
-with its bound, never as a refutation.
+``solve_images`` is the one solver for slices and kernels, over the rref
+basis of a span that ``rref_rows`` lists, and for fixed-point-free
+cofactors, over a span's products times the generator images.
+``RowSpace`` answers, integer coefficients over one denominator, are read
+as they come: no ``Fraction`` is built here.  Bounded searches are
+semi-decisions; a miss is reported with its bound, never as a refutation.
 """
 
 from __future__ import annotations
@@ -375,30 +376,30 @@ def restrict_derivation(
 
 
 def subalgebra_fpf(rd: RestrictedDerivation, bound: int) -> list[Polynomial] | None:
-    """Bounded search for cofactors a_i in S with sum(a_i * D(g_i)) == 1.
-
-    Returns cofactors aligned with the algebra generators, or None when no
-    combination exists within the bound (not a refutation).  When every
-    image vanishes at the origin no combination exists at any bound, and
-    None is returned before any product is built.
+    """Bounded search for cofactors a_i in S with sum(a_i * D(g_i)) == 1:
+    the first unit of ``solve_images`` over the products p_j * D(g_i) of
+    ``GeneratorSpan(S, bound)``, zero images skipped, aligned with the
+    algebra generators, or None when there is none within the bound (not a
+    refutation).  Images that all vanish at the origin give None at every
+    bound, before any product is built.  The span's ``images`` refuse
+    generator images that break a product relation with DomainError, as in
+    ``find_slice``; a relation above the bound is not seen (on k[X^2, X^3]
+    with D(X^2) = 1 and D(X^3) = 0, bound 6 meets (X^2)^3 == (X^3)^2, and
+    bound 5 answers as ``find_slice`` does).
     """
     if rd.fixes_origin():
         return None
-    S = rd.subalgebra
-    products = generator_products(S, bound)
-    ctx = S.context
-    space = RowSpace()
-    for i, img in enumerate(rd.images):
-        if img.is_zero():
-            continue
-        for j, (_, poly) in enumerate(products):
-            space.insert(vec_of(poly * img), (j, i))
-    combo = space.express(vec_of(Polynomial.one(ctx)))
-    if combo is None:
+    ctx = rd.subalgebra.context
+    span = GeneratorSpan(rd.subalgebra, bound)
+    span.images(rd)  # refuses images that break a product relation
+    tags = ((j, i) for i, img in enumerate(rd.images) if not img.is_zero() for j in range(len(span.products)))
+    image = lambda tag: vec_of(span.products[tag[0]][1] * rd.images[tag[1]])
+    unit = next((u for _, _, u in solve_images(tags, image, ctx) if u is not None), None)
+    if unit is None:
         return None
-    num, den = combo
+    num, den = unit
     cof = [
-        _combine_over(ctx, ((products[j][1], c) for (j, k), c in num.items() if k == i), den)
+        _combine_over(ctx, ((span.products[j][1], c) for (j, k), c in num.items() if k == i), den)
         for i in range(len(rd.images))
     ]
     invariant(Polynomial.combine(ctx, zip(cof, rd.images)) == Polynomial.one(ctx),
@@ -447,11 +448,18 @@ def span_rows(
 def solve_images(
     tags: Iterable[Hashable], image: Callable[[Hashable], Vec], context: VarContext
 ) -> Iterator[tuple[Hashable, Vec | None, Vec | None]]:
-    """The one slice and kernel solver: insert the image D(r_j) of each tag
-    into one ``RowSpace`` and yield ``(tag, dependency, unit)`` per row.  A
-    dependency ``(c, d)`` (None when independent) names the kernel row
-    ``d * r_j - sum(c[k] * r_k)``, and ``unit`` is the ``express(1)``
-    answer once 1 is in the span; ``find_slice`` proves both canonical.
+    """The one solver for slices, kernels and fixed-point-free cofactors:
+    insert the image of each tag into one ``RowSpace`` and yield ``(tag,
+    dependency, unit)`` per insert.  A dependency ``(c, d)``, None when
+    independent, says ``d * image(tag) == sum(c[k] * image(k))``, and
+    ``unit`` is the ``express(1)`` answer once 1 is in the span; over
+    ``rref_rows`` both are canonical (the lemma in ``find_slice``).
+
+    Corollary: in any insertion order the first unit is the answer after
+    every insert.  Proof: rows never change once inserted, and a row whose
+    pivot is the smallest key, the monomial 1, holds only that key.
+    Reducing 1 reads only that row: ``express(1)`` is None, at the cost of
+    one lookup, until an independent insert adds it, and the same after.
     """
     space = RowSpace()
     one = ({(0,) * context.nvars: 1}, 1)

@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 
 from lndkit import Derivation, GeneratorSpan, Polynomial, Subalgebra, VarContext, dixmier, generator_products
-from lndkit.derivation import metered_iterates
+from lndkit.derivation import is_fixed_point_free, is_triangular, metered_iterates
+from lndkit.harness.randgen import _IMAGE_DEGREE, _TRIANGULAR_CONTEXT, _rand_coeff, _rand_poly
 from lndkit.linalg import RowSpace, _eliminate, combine, vec_of
 from lndkit.slices import _reexpress
 from lndkit.subalgebra import _combine_over, distinct_nonconstant
@@ -271,3 +272,69 @@ def reference_transcendence(x, S, bound):
                 return coeffs
         xpows.append(xpows[i] * x)
     return None
+
+
+def reference_subalgebra_fpf(rd, bound):
+    """The fixed-point-free search ``subalgebra_fpf`` once ran: every
+    product times every nonzero generator image inserted, tagged ``(j, i)``
+    generator by generator, then one ``express(1)``; cofactors aligned with
+    the algebra generators, or None.  No exit at the origin and no product
+    relation check."""
+    S = rd.subalgebra
+    products = generator_products(S, bound)
+    ctx = S.context
+    space = RowSpace()
+    for i, img in enumerate(rd.images):
+        if img.is_zero():
+            continue
+        for j, (_, poly) in enumerate(products):
+            space.insert(vec_of(poly * img), (j, i))
+    combo = space.express(vec_of(Polynomial.one(ctx)))
+    if combo is None:
+        return None
+    num, den = combo
+    return [_combine_over(ctx, ((products[j][1], c) for (j, k), c in num.items() if k == i), den)
+            for i in range(len(rd.images))]
+
+
+def reference_random_triangular_lnd(seed: int, fpf: bool = True) -> Derivation:
+    """The generator ``random_triangular_lnd`` once was: each draw re-decided
+    by ``is_fixed_point_free``'s Groebner basis and by ``is_triangular``, and
+    drawn again on a miss."""
+    rng = random.Random(seed)
+    ctx = _TRIANGULAR_CONTEXT
+    coeff = ctx.coeff_vars
+    deg = _IMAGE_DEGREE
+    while True:
+        if fpf:
+            if rng.random() < 0.5:
+                img_x = Polynomial.constant(ctx, _rand_coeff(rng))
+                img_y = _rand_poly(rng, ctx, coeff + ("X",), deg, 3)
+            else:
+                p = _rand_poly(rng, ctx, coeff, deg - 1, 2, allow_zero=False)
+                if p.is_zero():
+                    continue
+                q = _rand_poly(rng, ctx, coeff + ("X",), deg - (p.degree() or 0), 2)
+                img_x = p
+                img_y = Polynomial.one(ctx) - p * q
+            d = Derivation(ctx, {"X": img_x, "Y": img_y})
+            if is_fixed_point_free(d) is None:
+                continue
+        else:
+            shape = rng.random()
+            if shape < 0.5:
+                img_x = Polynomial.zero(ctx)
+                img_y = Polynomial.variable(ctx, "X") * _rand_poly(
+                    rng, ctx, coeff + ("X",), deg - 1, 2, allow_zero=False
+                )
+            else:
+                img_x = Polynomial.zero(ctx)
+                img_y = _rand_poly(rng, ctx, coeff + ("X",), deg, 2, allow_zero=False)
+                if img_y.is_constant():
+                    continue
+            d = Derivation(ctx, {"X": img_x, "Y": img_y})
+            if d.is_zero() or is_fixed_point_free(d) is not None:
+                continue
+        if is_triangular(d) is None:
+            continue
+        return d

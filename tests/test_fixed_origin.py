@@ -4,13 +4,12 @@ When every image D(x) vanishes at the origin, so does every D(p) and every
 element of the ideal the images generate.  ``find_slice``,
 ``subalgebra_fpf`` and ``ideal_member`` (and through it
 ``is_fixed_point_free``) then return None before they build products or a
-Groebner basis.  The references below are those functions' bounded bodies
-without the exit; on every draw both must give the same answer, or raise
-the same error.
+Groebner basis.  The references, here and in ``helpers``, are those
+functions' bounded bodies without the exit; on every draw both must give
+the same answer, or raise the same error.
 """
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,6 @@ from lndkit import (
     VarContext,
     buchberger,
     find_slice,
-    generator_products,
     ideal_member,
     is_fixed_point_free,
     kernel_up_to_degree,
@@ -39,10 +37,11 @@ from lndkit import (
 from lndkit import subalgebra
 from lndkit.errors import UnsupportedSizeError, invariant
 from lndkit.groebner import _row_sum
-from lndkit.linalg import RowSpace, combine, vec_of
+from lndkit.linalg import combine, vec_of
 from lndkit.subalgebra import PRODUCT_CAP
 
-from helpers import reference_find_slice, reference_kernel, reference_product_images
+from helpers import (reference_find_slice, reference_kernel, reference_product_images,
+                     reference_subalgebra_fpf)
 
 CTXT = VarContext(("t",), ("X", "Y"))
 
@@ -67,29 +66,6 @@ def _reference_find_slice(D, S, bound):
     span = GeneratorSpan(S, bound) if isinstance(D, RestrictedDerivation) else None
     invariant(D.apply(s, span) == Polynomial.one(S.context), "slice candidate failed the image check")
     return s
-
-
-def _reference_subalgebra_fpf(rd, bound):
-    S = rd.subalgebra
-    products = generator_products(S, bound)
-    ctx = S.context
-    space = RowSpace()
-    for i, img in enumerate(rd.images):
-        if img.is_zero():
-            continue
-        for j, (_, poly) in enumerate(products):
-            space.insert(vec_of(poly * img), (j, i))
-    combo = space.express(vec_of(Polynomial.one(ctx)))
-    if combo is None:
-        return None
-    num, den = combo
-    cof = [
-        Polynomial.combine(ctx, ((products[j][1], Fraction(c, den)) for (j, k), c in num.items() if k == i))
-        for i in range(len(rd.images))
-    ]
-    invariant(Polynomial.combine(ctx, zip(cof, rd.images)) == Polynomial.one(ctx),
-              "fpf cofactors failed re-verification")
-    return cof
 
 
 def _reference_ideal_member(p, gens, order=None):
@@ -167,7 +143,7 @@ def test_restricted_searches_match_the_references(S, data, bound):
                                 max_size=len(S.algebra_generators)))
     rd = RestrictedDerivation(S, tuple(images))
     assert _outcome(find_slice, rd, S, bound) == _outcome(_reference_find_slice, rd, S, bound)
-    assert _outcome(subalgebra_fpf, rd, bound) == _outcome(_reference_subalgebra_fpf, rd, bound)
+    assert _outcome(subalgebra_fpf, rd, bound) == _outcome(reference_subalgebra_fpf, rd, bound)
     assert _outcome(kernel_up_to_degree, rd, S, bound) == _outcome(reference_kernel, rd, S, bound)
 
 

@@ -19,6 +19,8 @@ from lndkit.harness import (
 from lndkit.harness.cli import main as cli_main
 from lndkit import is_fixed_point_free, is_triangular
 
+from helpers import reference_random_triangular_lnd
+
 MINIMAL = """
 job minimal
 ring coeff: t
@@ -324,6 +326,31 @@ def test_generator_images_that_define_no_derivation_are_a_user_error(tmp_path):
     assert ["value basis.1 X^2 - 2*Y", "value basis.2 1"] == [line for line in lines if "basis." in line]
 
 
+CUSP_FPF = """job cuspfpf
+ring main: X
+base:
+algebra: X^2; X^3
+derivation E gens: 1, 0
+task subalgebra_fpf derivation=E bound={bound}
+"""
+
+
+@pytest.mark.parametrize("bound,line,code", [
+    (5, "value cofactor.1 1", 0),
+    (6, "error the derivation's images break the relation of the generator product X^6: "
+        "it is no derivation of the subalgebra", 1),
+])
+def test_fpf_job_refuses_images_that_break_a_relation_at_its_bound(tmp_path, bound, line, code):
+    """D(X^2) = 1 and D(X^3) = 0 break (X^2)^3 == (X^3)^2 of formal degree
+    6: bound 5 finds the cofactors, bound 6 refuses the images as input."""
+    job = tmp_path / "cusp.job"
+    job.write_text(CUSP_FPF.format(bound=bound))
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    lines = result.output.splitlines()
+    assert line in lines and result.exit_code == code
+    assert ("verdict yes" in lines) == (bound == 5) and "error internal" not in result.output
+
+
 def test_random_triangular_deterministic():
     a = random_triangular_lnd(1)
     b = random_triangular_lnd(1)
@@ -342,6 +369,38 @@ def test_random_triangular_nonfpf_proper_ideal():
         d = random_triangular_lnd(seed, fpf=False)
         assert is_triangular(d) is not None
         assert is_fixed_point_free(d) is None
+
+
+@pytest.mark.parametrize("fpf", [True, False])
+def test_random_triangular_matches_the_groebner_checked_generator(fpf):
+    """The planted certificates give the images of the generator that
+    re-decided every draw by a Groebner basis, on seeds 1 to 1000."""
+    for seed in range(1, 1001):
+        assert random_triangular_lnd(seed, fpf).images == reference_random_triangular_lnd(seed, fpf).images
+
+
+def test_random_triangular_builds_no_groebner_basis(monkeypatch):
+    """The generator checks its planted certificate: no module's binding of
+    ``buchberger`` or ``ideal_member`` is called."""
+    import sys
+
+    from lndkit import groebner
+
+    calls = []
+    for name in ("buchberger", "ideal_member"):
+        real = getattr(groebner, name)
+
+        def record(*args, real=real, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("lndkit")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, record)
+    for seed in range(20):
+        random_triangular_lnd(seed, fpf=True)
+        random_triangular_lnd(seed, fpf=False)
+    assert calls == []
 
 
 def test_fiber_witness_full_plane():

@@ -25,7 +25,7 @@ from lndkit import (
 )
 from lndkit.linalg import RowSpace, vec_of
 
-from helpers import assert_canonical, reference_image_of_product
+from helpers import assert_canonical, reference_image_of_product, reference_subalgebra_fpf
 
 CTX1 = VarContext(("X",), ("Y",))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -154,6 +154,46 @@ def test_fpf_misses_off_the_origin():
     rd = restriction_of(Derivation(CTXT, {"X": P("0", CTXT), "Y": P("X - 1", CTXT)}), S)
     assert not rd.fixes_origin()
     assert subalgebra_fpf(rd, 6) is None
+
+
+def test_fpf_refuses_images_that_break_a_relation_at_its_bound():
+    """On k[X^2, X^3], D(X^2) = 1 and D(X^3) = 0 break (X^2)^3 == (X^3)^2,
+    a relation of formal degree 6: at bound 6 the fpf search refuses the
+    images as the slice search does, and at bound 5, below the relation,
+    both answer."""
+    from lndkit import DomainError, find_slice
+
+    ctx = VarContext((), ("X",))
+    S = Subalgebra(ctx, (), (P("X^2", ctx), P("X^3", ctx)))
+    rd = RestrictedDerivation(S, (P("1", ctx), P("0", ctx)))
+    for run in (lambda: subalgebra_fpf(rd, 6), lambda: find_slice(rd, S, 6)):
+        with pytest.raises(DomainError, match=r"break the relation of the generator product X\^6"):
+            run()
+    assert subalgebra_fpf(rd, 5) == [P("1", ctx), P("0", ctx)]
+    assert find_slice(rd, S, 5) == P("X^2", ctx)
+
+
+def test_fpf_stops_at_the_first_unit(monkeypatch):
+    """On nodal-base-fibration's fpf task the image of X is 1: the search
+    inserts fewer product images than products times nonzero images."""
+    from lndkit import linalg
+    from lndkit.harness import load_corpus
+
+    spec = next(spec for _, spec in load_corpus() if spec.name == "nodal-base-fibration")
+    bound = int(next(task for task in spec.tasks if task.name == "subalgebra_fpf").params["bound"])
+    rd = restriction_of(spec.derivations["D"], spec.subalgebra)
+    tags, insert = [], linalg.RowSpace.insert
+
+    def record(space, vec, tag):
+        tags.append(tag)
+        return insert(space, vec, tag)
+
+    monkeypatch.setattr(linalg.RowSpace, "insert", record)
+    cof = subalgebra_fpf(rd, bound)
+    assert cof[-1] == Polynomial.one(spec.context)
+    fpf_inserts = [tag for tag in tags if isinstance(tag, tuple)]  # the span's products are tagged by index
+    nonzero = sum(not img.is_zero() for img in rd.images)
+    assert 0 < len(fpf_inserts) < len(generator_products(spec.subalgebra, bound)) * nonzero
 
 
 def test_kernel_of_partial_derivative():
@@ -322,7 +362,7 @@ def test_restricted_apply_needs_a_span():
 
 def test_images_that_break_a_product_relation_are_refused_on_every_path():
     """On k[X, X^2, Y], D(X) = Y and D(X^2) = 1 break X * X == X^2: the
-    row lister, ``apply`` through a span and ``transcendence_check`` raise
+    row lister, the fpf search, ``apply`` through a span and ``transcendence_check`` raise
     DomainError naming the product, once per derivation and span, and
     never a false slice or an internal error."""
     from lndkit import DomainError, find_slice, transcendence_check
@@ -334,7 +374,7 @@ def test_images_that_break_a_product_relation_are_refused_on_every_path():
     assert span.relations and all(d > 0 for _, (_, d) in span.relations)
     refused = r"break the relation of the generator product X\^2"
     for run in (lambda: find_slice(rd, S, 3), lambda: kernel_up_to_degree(rd, S, 3),
-                lambda: rd.apply(P("X", ctx), span), lambda: span.images(rd),
+                lambda: subalgebra_fpf(rd, 3), lambda: rd.apply(P("X", ctx), span), lambda: span.images(rd),
                 lambda: transcendence_check(RestrictedDerivation(S, (P("1", ctx), P("0", ctx), P("0", ctx))),
                                             P("X", ctx), S, 3)):
         with pytest.raises(DomainError, match=refused):
@@ -427,6 +467,23 @@ def test_a_negative_bound_lists_no_products(bound):
     for D in (d, restriction_of(d, S)):
         assert find_slice(D, S, bound) is None
         assert kernel_up_to_degree(D, S, bound) == []
+
+
+_IMAGE_POOL = tuple(P(g, CTXT) for g in ("0", "1", "-2", "t", "X", "Y", "1 + X", "1/2 - t*Y", "X*Y + 3"))
+
+
+@given(st.lists(st.sampled_from(_BASE_POOL), unique=True, max_size=1),
+       st.lists(st.sampled_from(_ALGEBRA_POOL), unique=True, min_size=1, max_size=3),
+       st.lists(st.sampled_from(_IMAGE_POOL), min_size=2, max_size=2),
+       st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_fpf_matches_the_insert_everything_reference(base, algebra, images, bound):
+    """On a genuine derivation, the restriction of an ambient one, the fpf
+    search that stops at the first unit gives the cofactors of the search
+    that inserted every product times every image."""
+    S = Subalgebra(CTXT, tuple(base), tuple(algebra))
+    rd = restriction_of(Derivation(CTXT, dict(zip(CTXT.main_vars, images))), S)
+    assert subalgebra_fpf(rd, bound) == reference_subalgebra_fpf(rd, bound)
 
 
 def test_bounded_fpf_agrees_with_completion_engine():
