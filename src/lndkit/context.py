@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnknownVariableError
 
@@ -32,18 +33,25 @@ class VarContext:
         if not names:
             raise ValueError("a context needs at least one variable")
 
-    @property
+    # Computed once per context and kept in the instance dict, which the
+    # frozen dataclass's ``__eq__`` and ``__hash__`` never read: they compare
+    # the two fields only.
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         return self.coeff_vars + self.main_vars
 
-    @property
+    @cached_property
     def nvars(self) -> int:
         return len(self.coeff_vars) + len(self.main_vars)
 
+    @cached_property
+    def _indices(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.variables)}
+
     def index(self, name: str) -> int:
         try:
-            return self.variables.index(name)
-        except ValueError:
+            return self._indices[name]
+        except KeyError:
             raise UnknownVariableError(
                 f"unknown variable {name!r} in context {self.variables}"
             ) from None

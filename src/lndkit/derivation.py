@@ -33,13 +33,10 @@ from .context import VarContext
 from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
 from .groebner import ideal_member
 from .polygcd import gcd_fold
-from .polynomial import Polynomial
+from .polynomial import TERM_BUDGET, Polynomial
 
 DEFAULT_NILPOTENCY_BOUND = 64
 ITERATION_CAP = 4096
-# Terms the iterates of one element may hold in total, so the cap limits work, not
-# only steps; the corpus, the tests and the seeded families peak at 293.
-TERM_BUDGET = 20_000
 TRIANGULAR_VAR_CAP = 8
 
 

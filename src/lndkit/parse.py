@@ -5,9 +5,16 @@ names ``[A-Za-z][A-Za-z0-9_]*``, binary ``+ - *``, exponentiation ``^``
 with a non-negative integer exponent of at most ``MAX_EXPONENT``, and
 parentheses.  A ``*`` or ``^`` whose result would raise a variable's
 exponent above ``MAX_EXPONENT`` is rejected at the operator, before it
-multiplies, so every accepted polynomial prints as text that parses.  Implicit
-multiplication (``2X``) is rejected.  ``/`` occurs only inside rational
-literals, never as an operator between expressions.
+multiplies, so every accepted polynomial prints as text that parses.  A
+``*`` or ``^`` whose result may hold more than ``TERM_BUDGET`` terms is
+rejected there too, by the smaller of two counts that need no product:
+``|a|·|b|`` pairs, or the C(d + v, v) monomials of degree at most d in the
+v variables the operands use, for ``a * b``; the C(|b| + n − 1, n)
+multisets of n terms, or those monomials, for ``b ^ n``.  So every
+operator's result is bounded, and a parse's work grows with its text,
+never without limit.  Implicit multiplication (``2X``) is rejected.
+``/`` occurs only inside rational literals, never as an operator between
+expressions.
 
 ``str(poly)`` emits the canonical form this parser accepts, so
 serialize-then-parse reproduces the identical term map.  Parentheses may
@@ -18,10 +25,11 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .context import VarContext
 from .errors import InvariantError, PolyParseError
-from .polynomial import MAX_EXPONENT, Polynomial
+from .polynomial import MAX_EXPONENT, TERM_BUDGET, Polynomial
 
 _OPS = set("+-*^/()")
 _DIGITS = set("0123456789")  # ``str.isdigit`` also takes other scripts' digits and superscripts
@@ -132,12 +140,27 @@ class _Parser:
             if e > MAX_EXPONENT:
                 self.fail(f"exponent {e} of {name} exceeds the cap {MAX_EXPONENT}", op)
 
+    def budget(self, terms: int, degree: int, exponents: list[int], op: _Token):
+        """Fail at the operator ``op`` when its result may hold more than
+        ``TERM_BUDGET`` terms: more than ``terms`` and more than the
+        monomials of total degree at most ``degree`` in the variables with
+        a nonzero entry in ``exponents``.  The monomials are counted only
+        when ``terms`` exceeds the budget."""
+        if terms > TERM_BUDGET:
+            v = len(exponents) - exponents.count(0)
+            terms = min(terms, comb(degree + v, v))
+            if terms > TERM_BUDGET:
+                self.fail(f"the result may hold {terms} terms, above the budget {TERM_BUDGET}", op)
+
     def term(self) -> Polynomial:
         acc = self.factor()
         while self.peek().kind == "*":
             op = self.advance()
             rhs = self.factor()
-            self.cap([x + y for x, y in zip(_exponents(acc), _exponents(rhs))], op)
+            exponents = [x + y for x, y in zip(_exponents(acc), _exponents(rhs))]
+            self.cap(exponents, op)
+            if acc and rhs:
+                self.budget(len(acc) * len(rhs), acc.degree() + rhs.degree(), exponents, op)
             acc = acc * rhs
         return acc
 
@@ -151,7 +174,10 @@ class _Parser:
             n = int(tok.text)
             if n > MAX_EXPONENT:
                 self.fail(f"exponent {tok.text} exceeds the cap {MAX_EXPONENT}")
-            self.cap([n * e for e in _exponents(base)], op)
+            exponents = [n * e for e in _exponents(base)]
+            self.cap(exponents, op)
+            if base and n:
+                self.budget(comb(len(base) + n - 1, n), n * base.degree(), exponents, op)
             self.advance()
             base = base ** n
         return base

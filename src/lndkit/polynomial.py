@@ -33,11 +33,16 @@ benchmark and the tests).
 kernel of polynomials: it returns ``sum(a * b)`` over ``(a, b)`` pairs,
 accumulating every product's numerators over the pairs' common
 denominator in one dict and building one result.  The polynomial product,
-substitution, the Leibniz images of a ``GeneratorSpan``'s products and
-every witness recombination go through it; ``Derivation.apply`` sums its Leibniz
-terms in its own pass, ``generator_products`` carries a monic monomial
-generator as an exponent shift and builds each product once, and the
-kernel and slice solver combines integer vectors with ``linalg.combine``.
+the Leibniz images of a ``GeneratorSpan``'s products and every witness
+recombination go through it; ``Derivation.apply`` sums its Leibniz terms in
+its own pass, ``generator_products`` carries a monic monomial generator as
+an exponent shift and builds each product once, and the kernel and slice
+solver combines integer vectors with ``linalg.combine``.  ``substitute``
+runs its own pass over integer numerators as well: each bound variable's
+powers are built once per call, an unbound variable is an exponent shift,
+and every monomial's image accumulates in one dict over one common
+denominator, so the image is one ``_from_ints`` and no ``Polynomial`` is
+built for a term, a power or an unbound variable.
 """
 
 from __future__ import annotations
@@ -56,6 +61,12 @@ Scalar = Union[Fraction, int]
 # Largest exponent ``**`` and a ``^`` in polynomial text accept; exponents
 # the library computes itself go through the uncapped ``_power``.
 MAX_EXPONENT = 100
+# One term budget for two caps, so they limit work, not only steps: a product
+# or power in polynomial text that may hold more terms is refused (``parse``),
+# and the iterates of one element may hold at most this many terms in total
+# (``derivation.metered_iterates``); the corpus, the tests and the seeded
+# families peak at 293 iterate terms.
+TERM_BUDGET = 20_000
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -148,7 +159,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, context: VarContext) -> Polynomial:
-        return cls.constant(context, 1)
+        return cls._from_ints(context, {(0,) * context.nvars: 1}, 1)
 
     @classmethod
     def constant(cls, context: VarContext, value: Scalar) -> Polynomial:
@@ -159,8 +170,9 @@ class Polynomial:
     @classmethod
     def variable(cls, context: VarContext, name: str) -> Polynomial:
         i = context.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(context.nvars))
-        return cls._from_ints(context, {mono: 1}, 1)
+        mono = [0] * context.nvars
+        mono[i] = 1
+        return cls._from_ints(context, {tuple(mono): 1}, 1)
 
     # -- basic queries -------------------------------------------------
 
@@ -365,11 +377,19 @@ class Polynomial:
         """Simultaneous substitution; unbound variables map to themselves.
 
         ``context`` selects the target context (default: this one); every
-        unbound variable must exist there under the same name.
+        unbound variable must exist there under the same name.  One pass over
+        the integer numerators: a bound variable's image is its numerators
+        and denominator, with its powers built once per call, each from the
+        one below by one product; an unbound variable is an exponent shift to
+        its index in the target.  Every monomial's image accumulates in one
+        dict over the common denominator ``self._den * prod(den_i ** max e_i)``,
+        and the result is one ``_from_ints``.
         """
         target = context if context is not None else self.context
-        images: list[Polynomial] = []
-        for name in self.context.variables:
+        ladders: dict[int, list[dict[Monomial, int]]] = {}  # bound source index -> its powers
+        dens: list[tuple[int, int]] = []  # (source index, den_i) where den_i != 1
+        shifts: dict[int, int] = {}  # source index of an unbound variable -> target index
+        for i, name in enumerate(self.context.variables):
             if name in bindings:
                 img = bindings[name]
                 if not isinstance(img, Polynomial):
@@ -378,27 +398,49 @@ class Polynomial:
                     raise ContextMismatchError(
                         f"image of {name!r} lives in {img.context}, expected {target}"
                     )
+                ladders[i] = [img._num]
+                if img._den != 1:
+                    dens.append((i, img._den))
             else:
-                img = Polynomial.variable(target, name)  # raises if missing
-            images.append(img)
+                shifts[i] = target.index(name)  # raises if missing
         for name in bindings:
             self.context.index(name)  # reject bindings for foreign variables
-        pairs: list[tuple[int, Polynomial | int]] = []
-        power_cache: dict[tuple[int, int], Polynomial] = {}
+        if not self._num:
+            return Polynomial.zero(target)
+        nvars = target.nvars
+        top = list(map(max, zip(*self._num)))
+        den = self._den
+        for i, d in dens:
+            den *= d ** top[i]
+        unit = {(0,) * nvars: 1}
+        acc: dict[Monomial, int] = {}
+        get = acc.get
         for m, c in self._num.items():
-            term: Polynomial | None = None
+            for i, d in dens:
+                c *= d ** (top[i] - m[i])
+            factor = shift = None
             for i, e in enumerate(m):
                 if not e:
                     continue
-                key = (i, e)
-                p = power_cache.get(key)
-                if p is None:
-                    p = images[i]._power(e)
-                    power_cache[key] = p
-                term = p if term is None else term * p
-            pairs.append((c, 1 if term is None else term))
-        total = Polynomial.combine(target, pairs)  # the numerators' image
-        return Polynomial._from_ints(target, total._num, total._den * self._den)
+                ladder = ladders.get(i)
+                if ladder is None:
+                    if shift is None:
+                        shift = [0] * nvars
+                    shift[shifts[i]] = e
+                    continue
+                while len(ladder) < e:
+                    ladder.append(_mul_nums(ladder[-1], ladder[0]))
+                factor = ladder[e - 1] if factor is None else _mul_nums(factor, ladder[e - 1])
+            if factor is None:
+                factor = unit
+            if shift is None:
+                for mono, v in factor.items():
+                    acc[mono] = get(mono, 0) + c * v
+            else:
+                for mono, v in factor.items():
+                    mono = tuple(map(add, mono, shift))
+                    acc[mono] = get(mono, 0) + c * v
+        return Polynomial._from_ints(target, {m: c for m, c in acc.items() if c}, den)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -483,6 +525,18 @@ def _fill(p: Polynomial, context: VarContext, num: dict, den: int):
     _set_num(p, num)
     _set_den(p, den)
     _set_hash(p, None)
+
+
+def _mul_nums(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The numerators of a product, cancelled sums dropped."""
+    out: dict[Monomial, int] = {}
+    get = out.get
+    b_items = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in b_items:
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _check_scalar(value):

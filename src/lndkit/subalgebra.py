@@ -70,9 +70,9 @@ class Subalgebra:
         for g in self.base_generators:
             if not g.involves_only(coeff):
                 raise ValueError(f"base generator {g} involves main variables")
-        variables = tuple(Polynomial.variable(ctx, n) for n in ctx.variables)
-        object.__setattr__(self, "full_ring", self.generators == variables
-                           and len(self.base_generators) == len(ctx.coeff_vars))
+        object.__setattr__(self, "full_ring", len(self.base_generators) == len(ctx.coeff_vars)
+                           and len(self.generators) == ctx.nvars
+                           and all(map(_is_variable, self.generators, range(ctx.nvars))))
 
     @classmethod
     def full(cls, context: VarContext) -> Subalgebra:
@@ -89,6 +89,14 @@ class Subalgebra:
     @property
     def weights(self) -> tuple[int, ...]:
         return tuple(g.degree() for g in self.generators)
+
+
+def _is_variable(g: Polynomial, i: int) -> bool:
+    """Whether ``g`` is the ``i``-th variable of its context, read from its numerators."""
+    if g._den != 1 or len(g._num) != 1:
+        return False
+    (mono, c), = g._num.items()
+    return c == 1 and mono[i] == 1 and sum(mono) == 1
 
 
 def distinct_nonconstant(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:

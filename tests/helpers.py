@@ -6,7 +6,16 @@ import math
 import random
 from fractions import Fraction
 
-from lndkit import Derivation, GeneratorSpan, Polynomial, Subalgebra, VarContext, dixmier, generator_products
+from lndkit import (
+    ContextMismatchError,
+    Derivation,
+    GeneratorSpan,
+    Polynomial,
+    Subalgebra,
+    VarContext,
+    dixmier,
+    generator_products,
+)
 from lndkit.derivation import is_fixed_point_free, is_triangular, metered_iterates
 from lndkit.harness.randgen import _IMAGE_DEGREE, _TRIANGULAR_CONTEXT, _rand_coeff, _rand_poly
 from lndkit.linalg import RowSpace, _eliminate, combine, vec_of
@@ -338,3 +347,42 @@ def reference_random_triangular_lnd(seed: int, fpf: bool = True) -> Derivation:
         if is_triangular(d) is None:
             continue
         return d
+
+
+def reference_substitute(p: Polynomial, bindings, context: VarContext | None = None) -> Polynomial:
+    """The substitution ``Polynomial.substitute`` once was: every unbound
+    variable a ``Polynomial.variable``, every monomial's image a chain of
+    ``Polynomial`` products of cached ``_power``s, and the images summed by
+    one ``combine`` over the numerators."""
+    target = context if context is not None else p.context
+    images: list[Polynomial] = []
+    for name in p.context.variables:
+        if name in bindings:
+            img = bindings[name]
+            if not isinstance(img, Polynomial):
+                img = Polynomial.constant(target, img)
+            elif img.context != target:
+                raise ContextMismatchError(
+                    f"image of {name!r} lives in {img.context}, expected {target}"
+                )
+        else:
+            img = Polynomial.variable(target, name)  # raises if missing
+        images.append(img)
+    for name in bindings:
+        p.context.index(name)  # reject bindings for foreign variables
+    pairs: list[tuple[int, Polynomial | int]] = []
+    power_cache: dict[tuple[int, int], Polynomial] = {}
+    for m, c in p._num.items():
+        term: Polynomial | None = None
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            key = (i, e)
+            q = power_cache.get(key)
+            if q is None:
+                q = images[i]._power(e)
+                power_cache[key] = q
+            term = q if term is None else term * q
+        pairs.append((c, 1 if term is None else term))
+    total = Polynomial.combine(target, pairs)  # the numerators' image
+    return Polynomial._from_ints(target, total._num, total._den * p._den)

@@ -1,5 +1,9 @@
 """Job parsing, report schema, determinism, fiber witnesses, and the CLI."""
 
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import lndkit
 from lndkit import GroebnerBasis, JobParseError, Polynomial, Subalgebra, VarContext, parse_polynomial
 from lndkit.harness import (
     FiberWitness,
@@ -18,6 +23,7 @@ from lndkit.harness import (
 )
 from lndkit.harness.cli import main as cli_main
 from lndkit import is_fixed_point_free, is_triangular
+from lndkit.polynomial import TERM_BUDGET
 
 from helpers import reference_random_triangular_lnd
 
@@ -488,6 +494,46 @@ def test_cli_run_unbounded_inputs_end_with_typed_errors(tmp_path):
     result = CliRunner().invoke(cli_main, ["run", str(job)])
     assert result.exit_code == 1
     assert "error derivation iterates of X exceeded" in result.output
+
+
+# Texts that once ran without limit; each product or power here may hold
+# more than ``TERM_BUDGET`` terms.
+OVERSIZED_TEXTS = [
+    "(X + Y + t + 1)^100",
+    "((X + Y + t + 1)^10)^10",
+    "(X + Y + t + 1)^50*(X + Y + t + 1)^50",
+]
+
+
+def _oversized_job(tmp_path, text):
+    job = tmp_path / "oversized.job"
+    job.write_text(MINIMAL.replace("task find_slice derivation=D bound=1",
+                                   f'task apply derivation=D poly="{text}"'))
+    return job
+
+
+@pytest.mark.parametrize("text", OVERSIZED_TEXTS)
+def test_cli_run_oversized_polynomial_text_is_an_input_error(tmp_path, text):
+    """A product or power that may exceed the term budget is refused at its
+    operator before it multiplies: exit 2, well within a second."""
+    job = _oversized_job(tmp_path, text)
+    start = time.process_time()
+    result = CliRunner().invoke(cli_main, ["run", str(job)])
+    assert time.process_time() - start < 1.0
+    assert result.exit_code == 2
+    assert f"above the budget {TERM_BUDGET}" in result.output
+
+
+@pytest.mark.parametrize("text", OVERSIZED_TEXTS)
+def test_cli_run_oversized_polynomial_text_is_an_input_error_with_asserts_stripped(tmp_path, text):
+    """The same refusal from ``python -O``, which strips every ``assert``."""
+    job = _oversized_job(tmp_path, text)
+    src = str(Path(lndkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-O", "-m", "lndkit.harness.cli", "run", str(job)],
+                            capture_output=True, text=True, env=env, timeout=10)
+    assert result.returncode == 2
+    assert f"above the budget {TERM_BUDGET}" in result.stdout + result.stderr
 
 
 def test_cli_corpus_filter():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lndkit import PolyParseError, VarContext, parse_polynomial
 from lndkit.parse import MAX_NESTING_DEPTH
-from lndkit.polynomial import MAX_EXPONENT
+from lndkit.polynomial import MAX_EXPONENT, TERM_BUDGET
 
 CTX = VarContext(("t",), ("X", "Y"))
 
@@ -106,6 +106,24 @@ def test_computed_exponents_above_the_cap_fail_at_their_operator(text, col):
     assert err.value.col == col
     at_cap = P("(X*Y)^50*X^50 + ((X^10)^5)^2")
     assert at_cap.degree_in("X") == MAX_EXPONENT and P(str(at_cap)) == at_cap
+
+
+@pytest.mark.parametrize("text, terms, col", [
+    ("(X + Y + t + 1)^100", 176851, 16),  # C(103, 3) monomials of degree <= 100 in 3 variables
+    ("((X + Y + t + 1)^10)^10", 176851, 21),
+    ("(X + Y + t + 1)^50*(X + Y + t + 1)^50", 23426, 16),  # the first power already exceeds it
+    ("(1 + X)^100*(1 + Y)^100*(1 + t)^100", 1030301, 24),  # 101^3 pairs, fewer than the monomials
+])
+def test_products_and_powers_past_the_term_budget_fail_at_their_operator(text, terms, col):
+    with pytest.raises(PolyParseError, match=f"may hold {terms} terms, above the budget {TERM_BUDGET}") as err:
+        P(text)
+    assert err.value.col == col
+
+
+def test_products_and_powers_within_the_term_budget_parse():
+    assert len(P("(X + Y + t + 1)^30")) == 5456  # C(33, 3), both bounds exact
+    assert len(P("(1 + X)^100*(1 + Y)^100")) == 101 ** 2
+    assert P("0^100*(X + Y + t + 1)^20").is_zero() and P("(X + Y + t + 1)^0") == P("1")
 
 
 def test_whitespace_insensitive():

@@ -23,7 +23,7 @@ from lndkit import (
 )
 from lndkit.polynomial import MAX_EXPONENT
 
-from helpers import assert_canonical, rand_poly
+from helpers import assert_canonical, rand_poly, reference_substitute
 
 CTX = VarContext((), ("X", "Y"))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -104,6 +104,106 @@ def test_substitute_across_contexts():
         context=target,
     )
     assert image == parse_polynomial("A^2 + B", target)
+
+
+_SOURCE = VarContext(("t",), ("X", "Y"))
+_WIDER = VarContext(("s",), ("X", "Y", "Z"))  # shares X and Y, lacks t
+_DISJOINT = VarContext((), ("A", "B"))
+_TARGETS = (_SOURCE, _WIDER, _DISJOINT)
+
+
+def _outcome(substitute, p, bindings, target):
+    """``(_num, _den, context)`` of the image, or the type of the error raised."""
+    try:
+        r = substitute(p, bindings, target)
+    except (ContextMismatchError, UnknownVariableError) as e:
+        return type(e)
+    return r._num, r._den, r.context
+
+
+@st.composite
+def _substitution(draw):
+    """A source polynomial (zero included), a target context and bindings
+    that mix polynomial images, scalars and unbound variables; an image
+    sometimes lives outside the target, and a binding sometimes names a
+    variable the source lacks."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def poly(ctx, max_exp, min_size=0):
+        monos = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
+        terms = st.dictionaries(monos, coeff, min_size=min_size, max_size=4)
+        return terms.map(lambda terms: Polynomial(ctx, terms))
+
+    rarely = st.integers(0, 9).map(lambda k: k == 5)
+    p = draw(poly(_SOURCE, 3, min_size=0 if draw(rarely) else 1))
+    target = draw(st.sampled_from(_TARGETS))
+    bindings = {}
+    for name in _SOURCE.variables:
+        kind = draw(st.sampled_from(["polynomial", "scalar", "unbound"]))
+        if kind == "unbound" and name not in target.variables and not draw(rarely):
+            kind = "polynomial"  # mostly keep the unbound variables the target has
+        if kind == "polynomial":
+            ctx = draw(st.sampled_from(_TARGETS)) if draw(rarely) else target
+            bindings[name] = draw(poly(ctx, 2, min_size=0 if draw(rarely) else 1))
+        elif kind == "scalar":
+            bindings[name] = draw(st.integers(-3, 3) | coeff)
+    if draw(rarely):
+        bindings["Z"] = draw(poly(target, 1))
+    return p, bindings, target
+
+
+@given(_substitution())
+@settings(max_examples=400, deadline=None)
+def test_substitute_matches_the_reference(substitution):
+    """The one-pass integer substitution gives the reference's fields, or
+    raises the reference's error."""
+    assert _outcome(Polynomial.substitute, *substitution) == _outcome(reference_substitute, *substitution)
+
+
+@pytest.mark.parametrize("p, bindings, target, error", [
+    ("X + Y", {"X": Polynomial.variable(_DISJOINT, "A"), "W": 1}, _SOURCE, ContextMismatchError),
+    ("X + Y", {"W": 1}, _SOURCE, UnknownVariableError),
+    ("X + Y", {"X": Polynomial.variable(_DISJOINT, "A")}, _DISJOINT, UnknownVariableError),
+    ("t*X", {"X": Polynomial.variable(_WIDER, "s")}, _WIDER, UnknownVariableError),
+    ("X + Y", {"t": 0, "X": Polynomial.variable(_SOURCE, "t")}, _WIDER, ContextMismatchError),
+], ids=["image-context-before-foreign-binding", "foreign-binding", "unbound-missing-from-target",
+        "unbound-before-bound-image", "image-in-the-source-context"])
+def test_substitute_errors_match_the_reference(p, bindings, target, error):
+    p = parse_polynomial(p, _SOURCE)
+    with pytest.raises(error):
+        p.substitute(bindings, target)
+    with pytest.raises(error):
+        reference_substitute(p, bindings, target)
+
+
+def test_substitute_builds_one_polynomial(monkeypatch):
+    """With every binding a polynomial, one ``_from_ints`` builds the image:
+    no ``Polynomial`` per term, power or unbound variable."""
+    p = parse_polynomial("t^3*X^2*Y + 2/3*t*X*Y^2 - X^2 + Y + 1/2", _SOURCE)
+    bindings = {"X": parse_polynomial("1/2*X + t - 1", _SOURCE), "t": parse_polynomial("3*Y^2 - t", _SOURCE)}
+    expected = reference_substitute(p, bindings)
+    calls = []
+    from_ints, variable = Polynomial._from_ints.__func__, Polynomial.variable.__func__
+    monkeypatch.setattr(Polynomial, "_from_ints",
+                        classmethod(lambda cls, *a: calls.append("_from_ints") or from_ints(cls, *a)))
+    monkeypatch.setattr(Polynomial, "variable",
+                        classmethod(lambda cls, *a: calls.append("variable") or variable(cls, *a)))
+    image = p.substitute(bindings)
+    assert calls == ["_from_ints"]
+    assert (image._num, image._den) == (expected._num, expected._den)
+
+
+def test_contexts_with_filled_caches_compare_and_hash_equal():
+    warm, cold = VarContext(("t",), ("X", "Y")), VarContext(("t",), ("X", "Y"))
+    assert (warm.variables, warm.nvars, warm.index("Y")) == (("t", "X", "Y"), 3, 2)
+    assert "variables" in vars(warm) and "variables" not in vars(cold)
+    assert warm == cold and hash(warm) == hash(cold) and {cold: 1}[warm] == 1
+    assert warm != VarContext(("t",), ("Y", "X")) and warm != VarContext(("t", "X"), ("Y",))
+    assert repr(warm) == repr(cold) == "VarContext([t][X,Y])"
+    with pytest.raises(UnknownVariableError):
+        warm.index("Z")
+    with pytest.raises(UnknownVariableError):
+        cold.index("Z")
 
 
 def test_evaluate():

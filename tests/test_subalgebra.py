@@ -1,6 +1,7 @@
 """Bounded subalgebra membership, restriction, fpf search, and kernels."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,36 @@ def example_53_subalgebra():
         (P("X^2", CTX53), P("X^3", CTX53)),
         tuple(P(g, CTX53) for g in gens),
     )
+
+
+@st.composite
+def _spelled_generators(draw):
+    """Base and algebra generators close to a full ring's: each variable
+    kept or dropped, scaled by 1, 2, 1/2 or -1, the lists permuted, and
+    sometimes a generator that is not a variable appended."""
+    ctx = draw(st.sampled_from([CTXT, VarContext((), ("X", "Y")), VarContext(("s", "t"), ("X",))]))
+    scale = st.sampled_from([1, 2, Fraction(1, 2), -1])
+
+    def spell(names, extra):
+        gens = [Polynomial.variable(ctx, n) * (draw(scale) if draw(st.booleans()) else 1)
+                for n in names if draw(st.integers(0, 4))]
+        if extra and draw(st.integers(0, 4)) == 0:
+            gens.append(P(extra, ctx))
+        return tuple(draw(st.permutations(gens)) if draw(st.booleans()) else gens)
+
+    coeff = ctx.coeff_vars
+    return ctx, spell(coeff, coeff and f"{coeff[-1]}^2"), spell(ctx.main_vars, f"X^2 + {ctx.variables[0]}")
+
+
+@given(_spelled_generators())
+@settings(max_examples=300, deadline=None)
+def test_full_ring_matches_the_variable_tuple_comparison(spelled):
+    """``full_ring``, read from the generators' numerators, agrees with
+    comparing the generators to the context's variables in order."""
+    ctx, base, algebra = spelled
+    S = Subalgebra(ctx, base, algebra)
+    variables = tuple(Polynomial.variable(ctx, n) for n in ctx.variables)
+    assert S.full_ring == (S.generators == variables and len(base) == len(ctx.coeff_vars))
 
 
 def test_member_product_of_generators():
