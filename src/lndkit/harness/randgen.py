@@ -96,38 +96,44 @@ class FamilyOutcome:
         return not self.failures
 
 
+def _failure(seed: int, d: Derivation, reason: str) -> str:
+    images = ", ".join(f"{v}->{d.images[v]}" for v in d.context.main_vars)
+    return f"seed {seed}: {images} [{reason}]"
+
+
 def run_slice_pipeline_family(seed: int, count: int, bound: int = 8) -> FamilyOutcome:
-    """Full pipeline per seeded fpf instance: certify, witness fpf, slice, re-express."""
+    """Full pipeline per seeded fpf instance: certify nilpotency, find a
+    slice, take the fixed-point-free cofactors from the slice, re-express.
+
+    The cofactors are the chain rule: D kills the base, so D(s) == 1 reads
+    1 == sum_x ds/dx * D(x) over the main variables, and the partials of
+    the slice are checked by one ``combine``.  A hit builds no Groebner
+    basis.  Only a miss asks ``is_fixed_point_free``: a derivation that is
+    not fixed point free has no slice at any bound, anything else missed
+    at this bound.
+    """
     failures: list[str] = []
     for k in range(count):
         d = random_triangular_lnd(seed + k)
-        label = f"seed {seed + k}: " + ", ".join(
-            f"{v}->{d.images[v]}" for v in d.context.main_vars
-        )
-        verdict = nilpotency_verdict(d)
-        if not verdict.certified:
-            failures.append(label + " [nilpotency not certified]")
+        ctx = d.context
+        if not nilpotency_verdict(d).certified:
+            failures.append(_failure(seed + k, d, "nilpotency not certified"))
             continue
-        witness = is_fixed_point_free(d)
-        if witness is None:
-            failures.append(label + " [not fixed point free]")
-            continue
-        recombined = Polynomial.combine(
-            d.context, ((cof, d.images[name]) for name, cof in witness.items())
-        )
-        if recombined != Polynomial.one(d.context):
-            failures.append(label + " [cofactor identity broke]")
-            continue
-        S = Subalgebra.full(d.context)
+        S = Subalgebra.full(ctx)
         s = find_slice(d, S, bound)
         if s is None:
-            failures.append(label + f" [no slice up to bound {bound}]")
+            fpf = is_fixed_point_free(d) is not None
+            failures.append(_failure(seed + k, d, f"no slice up to bound {bound}" if fpf else "not fixed point free"))
+            continue
+        cofactors = ((s.partial_derivative(x), d.images[x]) for x in ctx.main_vars)
+        if Polynomial.combine(ctx, cofactors) != Polynomial.one(ctx):
+            failures.append(_failure(seed + k, d, "cofactor identity broke"))
             continue
         cert = verify_slice_theorem(d, s, S)  # a full ring without a bound: a certificate
-        target = Subalgebra(d.context, S.base_generators, cert.kernel_generators + (s,))
+        target = Subalgebra(ctx, S.base_generators, cert.kernel_generators + (s,))
         for g, w in zip(S.algebra_generators, cert.reexpression):
             if w.evaluate(target) != g:
-                failures.append(label + f" [witness for {g} failed]")
+                failures.append(_failure(seed + k, d, f"witness for {g} failed"))
                 break
     return FamilyOutcome(count, failures)
 

@@ -10,9 +10,13 @@ multiplies, so every accepted polynomial prints as text that parses.  A
 rejected there too, by the smaller of two counts that need no product:
 ``|a|·|b|`` pairs, or the C(d + v, v) monomials of degree at most d in the
 v variables the operands use, for ``a * b``; the C(|b| + n − 1, n)
-multisets of n terms, or those monomials, for ``b ^ n``.  So every
-operator's result is bounded, and a parse's work grows with its text,
-never without limit.  Implicit multiplication (``2X``) is rejected.
+multisets of n terms, or those monomials, for ``b ^ n``.  The work of each
+multiplication is bounded as well: a ``*`` whose ``|a|·|b|`` pair products
+exceed ``PAIR_BUDGET`` is rejected at the operator, and so is a ``^`` one of
+whose square-and-multiply steps may, by the same term bounds on its factors.
+So every operator's result and work are bounded, and a parse's work grows
+with its text, never without limit.  Implicit multiplication (``2X``) is
+rejected.
 ``/`` occurs only inside rational literals, never as an operator between
 expressions.
 
@@ -29,7 +33,7 @@ from math import comb
 
 from .context import VarContext
 from .errors import InvariantError, PolyParseError
-from .polynomial import MAX_EXPONENT, TERM_BUDGET, Polynomial
+from .polynomial import MAX_EXPONENT, PAIR_BUDGET, TERM_BUDGET, Polynomial
 
 _OPS = set("+-*^/()")
 _DIGITS = set("0123456789")  # ``str.isdigit`` also takes other scripts' digits and superscripts
@@ -95,6 +99,26 @@ def _exponents(p: Polynomial):
     return map(max, zip(*p._num))
 
 
+def _power_pairs(terms: int, degree: int, v: int, n: int) -> int:
+    """The most pair products one multiplication of ``Polynomial._power``'s
+    square-and-multiply chain may take for b^n, where b has ``terms`` terms
+    of degree ``degree`` in v variables: b^k has at most the C(terms + k − 1, k)
+    multisets of k terms and at most the C(k·degree + v, v) monomials."""
+    def size(k: int) -> int:
+        return min(comb(terms + k - 1, k), comb(k * degree + v, v))
+
+    worst, result, base = 0, 0, 1  # the exponents of the chain's two factors
+    while n:
+        if n & 1:
+            worst = max(worst, size(result) * size(base))
+            result += base
+        n >>= 1
+        if n:
+            worst = max(worst, size(base) ** 2)
+            base *= 2
+    return worst
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], context: VarContext):
         self.tokens = tokens
@@ -152,6 +176,12 @@ class _Parser:
             if terms > TERM_BUDGET:
                 self.fail(f"the result may hold {terms} terms, above the budget {TERM_BUDGET}", op)
 
+    def pairs(self, pairs: int, op: _Token):
+        """Fail at the operator ``op`` when one of its multiplications may
+        take more than ``PAIR_BUDGET`` pair products."""
+        if pairs > PAIR_BUDGET:
+            self.fail(f"a product may take {pairs} pair products, above the pair budget {PAIR_BUDGET}", op)
+
     def term(self) -> Polynomial:
         acc = self.factor()
         while self.peek().kind == "*":
@@ -160,7 +190,9 @@ class _Parser:
             exponents = [x + y for x, y in zip(_exponents(acc), _exponents(rhs))]
             self.cap(exponents, op)
             if acc and rhs:
-                self.budget(len(acc) * len(rhs), acc.degree() + rhs.degree(), exponents, op)
+                pairs = len(acc) * len(rhs)
+                self.budget(pairs, acc.degree() + rhs.degree(), exponents, op)
+                self.pairs(pairs, op)
             acc = acc * rhs
         return acc
 
@@ -177,7 +209,11 @@ class _Parser:
             exponents = [n * e for e in _exponents(base)]
             self.cap(exponents, op)
             if base and n:
-                self.budget(comb(len(base) + n - 1, n), n * base.degree(), exponents, op)
+                multisets = comb(len(base) + n - 1, n)
+                self.budget(multisets, n * base.degree(), exponents, op)
+                if multisets ** 2 > PAIR_BUDGET:  # each factor of the chain has at most `multisets` terms
+                    v = len(exponents) - exponents.count(0)
+                    self.pairs(_power_pairs(len(base), base.degree(), v, n), op)
             self.advance()
             base = base ** n
         return base

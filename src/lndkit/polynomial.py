@@ -67,6 +67,12 @@ MAX_EXPONENT = 100
 # (``derivation.metered_iterates``); the corpus, the tests and the seeded
 # families peak at 293 iterate terms.
 TERM_BUDGET = 20_000
+# The work of one multiplication in polynomial text: a product, or one step of
+# a power's square-and-multiply chain, that may take more pair products of
+# terms than this is refused (``parse``).  ``(X + Y + t + 1)^30``'s largest step
+# takes 658,920 (about 0.5 s); ``(X + Y + t + 1)^20*(X + Y + t + 1)^20`` would
+# take 3,136,441 (1.7 s) under the term budget.
+PAIR_BUDGET = 1_000_000
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:

@@ -21,7 +21,9 @@ used through the same two methods, ``apply(f, span)`` and
 restricted one applies only through a span of its own subalgebra, whose
 ``GeneratorSpan.images`` computes every product image.  One routine sums
 sum_i (s^i/i!) * a_i, for the projections and the Taylor witnesses, and
-every repeated application of a derivation runs ``derivation.iterates``.
+every repeated application of a derivation runs ``derivation.iterates``;
+``verify_slice_theorem`` builds one iterate chain per algebra generator,
+and the generator's projection and its Taylor witness both read it.
 Slice search, ``kernel_up_to_degree`` and ``subalgebra_fpf`` share one
 solver, ``subalgebra.solve_images``; for the first two it inserts the
 images of an rref basis of the bounded span in ascending pivot order, the
@@ -156,11 +158,19 @@ def dixmier(
     denominators are exact rationals.  The result is re-checked to be
     killed by D before returning.
     """
-    if D.apply(s, span) != Polynomial.one(a.context):
+    _require_slice(D, s, span)
+    return _killed(D, _project(partial(D.apply, span=span), s, a), span)
+
+
+def _require_slice(D: AnyDerivation, s: Polynomial, span: GeneratorSpan | None) -> None:
+    if D.apply(s, span) != Polynomial.one(s.context):
         raise DomainError("dixmier projection needs a slice: D(s) must be 1")
-    result = _project(partial(D.apply, span=span), s, a)
-    invariant(D.apply(result, span).is_zero(), "dixmier image is not a kernel element")
-    return result
+
+
+def _killed(D: AnyDerivation, k: Polynomial, span: GeneratorSpan | None) -> Polynomial:
+    """``k``, once D(k) == 0 is re-checked."""
+    invariant(D.apply(k, span).is_zero(), "dixmier image is not a kernel element")
+    return k
 
 
 def kernel_generators(
@@ -212,13 +222,21 @@ def verify_slice_theorem(
     the span of the new generators at the given bound, which is required.
     Every witness is re-verified by evaluation; a miss returns the
     incomplete set rather than failing.
+
+    D(s) == 1 is checked once, and each generator g's iterates
+    [g, D(g), ..., D^(n-1)(g)] are computed once: its projection sums them
+    with the powers of -s, and its Taylor witness substitutes them.  Each
+    projection is re-checked to be killed.
     """
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1")
-    projections = [dixmier(D, s, g, span) for g in S.algebra_generators]
+    _require_slice(D, s, span)
+    apply = partial(D.apply, span=span)
+    chains = [metered_iterates(apply, g) for g in S.algebra_generators]
+    projections = [_killed(D, _exp_sum(chain, -s), span) for chain in chains]
     target = Subalgebra(S.context, S.base_generators, distinct_nonconstant(projections) + (s,))
     if isinstance(D, Derivation) and S.full_ring:
-        witnesses = _taylor_witnesses(D, S, target, projections, bound)
+        witnesses = _taylor_witnesses(S, target, chains, projections, bound)
     elif bound is None:
         raise ValueError("an explicit bound is required off the full ring")
     else:
@@ -233,21 +251,26 @@ def verify_slice_theorem(
 
 
 def _taylor_witnesses(
-    D: Derivation, S: Subalgebra, target: Subalgebra, projections: list[Polynomial], bound: int | None
+    S: Subalgebra,
+    target: Subalgebra,
+    chains: list[list[Polynomial]],
+    projections: list[Polynomial],
+    bound: int | None,
 ) -> tuple[MembershipWitness, ...] | IncompleteReexpression:
     """The Taylor witnesses of ``verify_slice_theorem`` on a full ring S,
-    whose algebra generators (the main variables) have the projections
-    ``projections``, in the generators of ``target``."""
+    whose algebra generators (the main variables) have the iterate chains
+    ``chains`` and the projections ``projections``, in the generators of
+    ``target``."""
     sym = symbol_context(target)
     symbols = [Polynomial.variable(sym, name) for name in sym.variables]
     symbol_of = dict(zip(target.generators, symbols))
     bindings = dict(zip(S.context.coeff_vars, symbols))  # the base generators, in order
     for x, p in zip(S.context.main_vars, projections):
         bindings[x] = p.as_rational() if p.is_constant() else symbol_of[p]
-    expressions = [_exp_sum([f.substitute(bindings, context=sym) for f in metered_iterates(D.apply, g)],
-                            symbols[-1])
-                   for g in S.algebra_generators]
-    degrees = [max((sum(map(mul, m, target.weights)) for m in e._num), default=0) for e in expressions]
+    expressions = [_exp_sum([f.substitute(bindings, context=sym) for f in chain], symbols[-1])
+                   for chain in chains]
+    weights = target.weights
+    degrees = [max((sum(map(mul, m, weights)) for m in e._num), default=0) for e in expressions]
     if bound is None:
         bound = max(degrees)
     missing = tuple(g for g, d in zip(S.algebra_generators, degrees) if d > bound)

@@ -16,11 +16,18 @@ from lndkit import (
     dixmier,
     generator_products,
 )
-from lndkit.derivation import is_fixed_point_free, is_triangular, metered_iterates
-from lndkit.harness.randgen import _IMAGE_DEGREE, _TRIANGULAR_CONTEXT, _rand_coeff, _rand_poly
+from lndkit.derivation import is_fixed_point_free, is_triangular, metered_iterates, nilpotency_verdict
+from lndkit.harness.randgen import (
+    _IMAGE_DEGREE,
+    _TRIANGULAR_CONTEXT,
+    FamilyOutcome,
+    _rand_coeff,
+    _rand_poly,
+    random_triangular_lnd,
+)
 from lndkit.linalg import RowSpace, _eliminate, combine, vec_of
-from lndkit.slices import _reexpress
-from lndkit.subalgebra import _combine_over, distinct_nonconstant
+from lndkit.slices import _exp_sum, _reexpress, find_slice, verify_slice_theorem
+from lndkit.subalgebra import MembershipWitness, _combine_over, distinct_nonconstant, symbol_context
 
 
 def rand_coeff(rng: random.Random) -> Fraction:
@@ -386,3 +393,63 @@ def reference_substitute(p: Polynomial, bindings, context: VarContext | None = N
         pairs.append((c, 1 if term is None else term))
     total = Polynomial.combine(target, pairs)  # the numerators' image
     return Polynomial._from_ints(target, total._num, total._den * p._den)
+
+
+# -- the slice pipeline before its certificates came from the slice, kept as references --
+
+
+def reference_slice_pipeline_family(seed: int, count: int, bound: int = 8) -> FamilyOutcome:
+    """The triangular-fpf family as it once ran: fixed-point-freeness
+    decided by ``is_fixed_point_free``'s Groebner basis, and its cofactors
+    recombined, before the slice search; the failure label built for every
+    seed."""
+    failures: list[str] = []
+    for k in range(count):
+        d = random_triangular_lnd(seed + k)
+        label = f"seed {seed + k}: " + ", ".join(f"{v}->{d.images[v]}" for v in d.context.main_vars)
+        if not nilpotency_verdict(d).certified:
+            failures.append(label + " [nilpotency not certified]")
+            continue
+        witness = is_fixed_point_free(d)
+        if witness is None:
+            failures.append(label + " [not fixed point free]")
+            continue
+        recombined = Polynomial.combine(d.context, ((cof, d.images[name]) for name, cof in witness.items()))
+        if recombined != Polynomial.one(d.context):
+            failures.append(label + " [cofactor identity broke]")
+            continue
+        S = Subalgebra.full(d.context)
+        s = find_slice(d, S, bound)
+        if s is None:
+            failures.append(label + f" [no slice up to bound {bound}]")
+            continue
+        cert = verify_slice_theorem(d, s, S)
+        target = Subalgebra(d.context, S.base_generators, cert.kernel_generators + (s,))
+        for g, w in zip(S.algebra_generators, cert.reexpression):
+            if w.evaluate(target) != g:
+                failures.append(label + f" [witness for {g} failed]")
+                break
+    return FamilyOutcome(count, failures)
+
+
+def reference_taylor_certificate(D: Derivation, s: Polynomial, S: Subalgebra):
+    """The full-ring certificate of ``verify_slice_theorem`` in two passes,
+    as it once was computed: each projection by ``dixmier``, which checks
+    D(s) == 1 and iterates its generator, and each Taylor witness from a
+    second ``metered_iterates`` chain of the same generator.  Returns the
+    kernel generators, the witnesses and their bound."""
+    projections = [dixmier(D, s, g) for g in S.algebra_generators]
+    target = Subalgebra(S.context, S.base_generators, distinct_nonconstant(projections) + (s,))
+    sym = symbol_context(target)
+    symbols = [Polynomial.variable(sym, name) for name in sym.variables]
+    symbol_of = dict(zip(target.generators, symbols))
+    bindings = dict(zip(S.context.coeff_vars, symbols))
+    for x, p in zip(S.context.main_vars, projections):
+        bindings[x] = p.as_rational() if p.is_constant() else symbol_of[p]
+    expressions = [_exp_sum([f.substitute(bindings, context=sym) for f in metered_iterates(D.apply, g)],
+                            symbols[-1])
+                   for g in S.algebra_generators]
+    bound = max(max((sum(e * w for e, w in zip(m, target.weights)) for m in x._num), default=0)
+                for x in expressions)
+    witnesses = tuple(MembershipWitness(g, e, bound) for g, e in zip(S.algebra_generators, expressions))
+    return target.algebra_generators[:-1], witnesses, bound

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lndkit
 from lndkit import GroebnerBasis, JobParseError, Polynomial, Subalgebra, VarContext, parse_polynomial
@@ -19,13 +21,14 @@ from lndkit.harness import (
     parse_job,
     random_triangular_lnd,
     run_job,
+    run_slice_pipeline_family,
     validate_report_text,
 )
 from lndkit.harness.cli import main as cli_main
-from lndkit import is_fixed_point_free, is_triangular
-from lndkit.polynomial import TERM_BUDGET
+from lndkit import find_slice, is_fixed_point_free, is_triangular
+from lndkit.polynomial import PAIR_BUDGET, TERM_BUDGET
 
-from helpers import reference_random_triangular_lnd
+from helpers import reference_random_triangular_lnd, reference_slice_pipeline_family
 
 MINIMAL = """
 job minimal
@@ -385,16 +388,12 @@ def test_random_triangular_matches_the_groebner_checked_generator(fpf):
         assert random_triangular_lnd(seed, fpf).images == reference_random_triangular_lnd(seed, fpf).images
 
 
-def test_random_triangular_builds_no_groebner_basis(monkeypatch):
-    """The generator checks its planted certificate: no module's binding of
-    ``buchberger`` or ``ideal_member`` is called."""
-    import sys
-
-    from lndkit import groebner
-
+def _record_calls(monkeypatch, home, names) -> list[str]:
+    """The names of the functions ``names`` of the module ``home`` as they
+    are called, through every lndkit module's binding of them."""
     calls = []
-    for name in ("buchberger", "ideal_member"):
-        real = getattr(groebner, name)
+    for name in names:
+        real = getattr(home, name)
 
         def record(*args, real=real, **kwargs):
             calls.append(real.__name__)
@@ -403,10 +402,65 @@ def test_random_triangular_builds_no_groebner_basis(monkeypatch):
         for module in [m for key, m in sys.modules.items() if key.startswith("lndkit")]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_random_triangular_builds_no_groebner_basis(monkeypatch):
+    """The generator checks its planted certificate: no module's binding of
+    ``buchberger`` or ``ideal_member`` is called."""
+    from lndkit import groebner
+
+    calls = _record_calls(monkeypatch, groebner, ("buchberger", "ideal_member"))
     for seed in range(20):
         random_triangular_lnd(seed, fpf=True)
         random_triangular_lnd(seed, fpf=False)
     assert calls == []
+
+
+@pytest.mark.parametrize("bound", [8, 2])
+def test_slice_pipeline_matches_the_groebner_first_family(bound):
+    """Cofactors from the slice give the outcome of the family that decided
+    fixed-point-freeness by a Groebner basis first, on seeds 1 to 300; at
+    bound 2 some seeds miss, with the same labels."""
+    assert run_slice_pipeline_family(1, 300, bound) == reference_slice_pipeline_family(1, 300, bound)
+
+
+def test_passing_slice_pipeline_builds_no_groebner_basis(monkeypatch):
+    """On seeds 1 to 200 every slice is found, so fixed-point-freeness is
+    never decided by a Groebner basis."""
+    from lndkit import derivation, groebner
+
+    calls = _record_calls(monkeypatch, derivation, ("is_fixed_point_free",))
+    calls += _record_calls(monkeypatch, groebner, ("buchberger",))
+    outcome = run_slice_pipeline_family(1, 200)
+    assert outcome.ok and outcome.count == 200
+    assert calls == []
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_slice_partials_are_fixed_point_free_cofactors(seed):
+    """The chain rule: D(s) == 1 gives 1 == sum_x ds/dx * D(x)."""
+    d = random_triangular_lnd(seed)
+    ctx = d.context
+    s = find_slice(d, Subalgebra.full(ctx), 8)
+    assert s is not None
+    pairs = [(s.partial_derivative(x), d.images[x]) for x in ctx.main_vars]
+    assert Polynomial.combine(ctx, pairs) == Polynomial.one(ctx)
+
+
+@pytest.mark.parametrize("fpf", [True, False])
+def test_a_slice_miss_is_told_apart_by_the_groebner_decision(fpf, monkeypatch):
+    """With the slice search made to miss, a fixed-point-free seed is a
+    bounded miss and a derivation that is not fixed point free is reported
+    as such."""
+    from lndkit.harness import randgen
+
+    monkeypatch.setattr(randgen, "find_slice", lambda d, S, bound: None)
+    monkeypatch.setattr(randgen, "random_triangular_lnd", lambda seed: random_triangular_lnd(seed, fpf))
+    outcome = run_slice_pipeline_family(5, 1)
+    reason = "[no slice up to bound 8]" if fpf else "[not fixed point free]"
+    assert len(outcome.failures) == 1 and outcome.failures[0].endswith(reason)
 
 
 def test_fiber_witness_full_plane():
@@ -496,12 +550,20 @@ def test_cli_run_unbounded_inputs_end_with_typed_errors(tmp_path):
     assert "error derivation iterates of X exceeded" in result.output
 
 
-# Texts that once ran without limit; each product or power here may hold
-# more than ``TERM_BUDGET`` terms.
+# Texts that once ran without limit or for seconds, with the refusal each
+# gets: the first three have a product or power that may hold more than
+# ``TERM_BUDGET`` terms, the last two a multiplication that may take more
+# than ``PAIR_BUDGET`` pair products (``^23*^23`` once took 3.6 s to parse).
 OVERSIZED_TEXTS = [
-    "(X + Y + t + 1)^100",
-    "((X + Y + t + 1)^10)^10",
-    "(X + Y + t + 1)^50*(X + Y + t + 1)^50",
+    *(pytest.param(text, f"above the budget {TERM_BUDGET}", id=text) for text in [
+        "(X + Y + t + 1)^100",
+        "((X + Y + t + 1)^10)^10",
+        "(X + Y + t + 1)^50*(X + Y + t + 1)^50",
+    ]),
+    *(pytest.param(text, f"above the pair budget {PAIR_BUDGET}", id=text) for text in [
+        "(X + Y + t + 1)^23*(X + Y + t + 1)^23",
+        "((X + Y + t + 1)^20)^2",
+    ]),
 ]
 
 
@@ -512,20 +574,21 @@ def _oversized_job(tmp_path, text):
     return job
 
 
-@pytest.mark.parametrize("text", OVERSIZED_TEXTS)
-def test_cli_run_oversized_polynomial_text_is_an_input_error(tmp_path, text):
-    """A product or power that may exceed the term budget is refused at its
-    operator before it multiplies: exit 2, well within a second."""
+@pytest.mark.parametrize("text, refusal", OVERSIZED_TEXTS)
+def test_cli_run_oversized_polynomial_text_is_an_input_error(tmp_path, text, refusal):
+    """A product or power that may exceed the term or the pair budget is
+    refused at its operator before it multiplies: exit 2, well within a
+    second."""
     job = _oversized_job(tmp_path, text)
     start = time.process_time()
     result = CliRunner().invoke(cli_main, ["run", str(job)])
     assert time.process_time() - start < 1.0
     assert result.exit_code == 2
-    assert f"above the budget {TERM_BUDGET}" in result.output
+    assert refusal in result.output
 
 
-@pytest.mark.parametrize("text", OVERSIZED_TEXTS)
-def test_cli_run_oversized_polynomial_text_is_an_input_error_with_asserts_stripped(tmp_path, text):
+@pytest.mark.parametrize("text, refusal", OVERSIZED_TEXTS)
+def test_cli_run_oversized_polynomial_text_is_an_input_error_with_asserts_stripped(tmp_path, text, refusal):
     """The same refusal from ``python -O``, which strips every ``assert``."""
     job = _oversized_job(tmp_path, text)
     src = str(Path(lndkit.__file__).resolve().parents[1])
@@ -533,7 +596,7 @@ def test_cli_run_oversized_polynomial_text_is_an_input_error_with_asserts_stripp
     result = subprocess.run([sys.executable, "-O", "-m", "lndkit.harness.cli", "run", str(job)],
                             capture_output=True, text=True, env=env, timeout=10)
     assert result.returncode == 2
-    assert f"above the budget {TERM_BUDGET}" in result.stdout + result.stderr
+    assert refusal in result.stdout + result.stderr
 
 
 def test_cli_corpus_filter():

@@ -1,12 +1,16 @@
 """Grammar acceptance and rejection for the polynomial parser."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lndkit import PolyParseError, VarContext, parse_polynomial
-from lndkit.parse import MAX_NESTING_DEPTH
-from lndkit.polynomial import MAX_EXPONENT, TERM_BUDGET
+from lndkit import PolyParseError, Polynomial, VarContext, parse_polynomial
+from lndkit.parse import MAX_NESTING_DEPTH, _power_pairs
+from lndkit.polynomial import MAX_EXPONENT, PAIR_BUDGET, TERM_BUDGET
+
+from helpers import rand_poly
 
 CTX = VarContext(("t",), ("X", "Y"))
 
@@ -118,6 +122,46 @@ def test_products_and_powers_past_the_term_budget_fail_at_their_operator(text, t
     with pytest.raises(PolyParseError, match=f"may hold {terms} terms, above the budget {TERM_BUDGET}") as err:
         P(text)
     assert err.value.col == col
+
+
+@pytest.mark.parametrize("text, pairs, col", [
+    ("(X + Y + t + 1)^23*(X + Y + t + 1)^23", 2600 ** 2, 19),  # 18,424 terms, within the term budget
+    ("(X + Y + t + 1)^20*(X + Y + t + 1)^20", 1771 ** 2, 19),
+    ("((X + Y + t + 1)^20)^2", 1771 ** 2, 21),  # the power's one squaring
+    ("(X + Y + t + 1)^40", 165 * 6545, 16),  # b^8 * b^32, the last step of b^40's chain
+])
+def test_products_and_powers_past_the_pair_budget_fail_at_their_operator(text, pairs, col):
+    with pytest.raises(PolyParseError, match=f"may take {pairs} pair products, above the pair budget {PAIR_BUDGET}") as err:
+        P(text)
+    assert err.value.col == col
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=12))
+def test_power_pairs_bound_every_step_of_the_power(seed, n):
+    """``_power_pairs`` bounds the pair products of each multiplication of
+    ``_power``, and meets them on the dense sum of every variable and 1."""
+    rng = random.Random(seed)
+    dense = rng.random() < 0.25
+    b = P("X + Y + t + 1") if dense else rand_poly(rng, CTX, max_degree=2, max_terms=4, allow_zero=False)
+    if b.is_zero():
+        return
+    steps = []
+    real = Polynomial.combine
+
+    def record(context, pairs):
+        pairs = list(pairs)
+        steps.extend(len(a) * len(c) for a, c in pairs)
+        return real(context, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "combine", staticmethod(record))
+        b._power(n)
+    v = sum(1 for e in map(max, zip(*b._num)) if e)
+    bound = _power_pairs(len(b), b.degree(), v, n)
+    assert max(steps) <= bound
+    if dense:
+        assert max(steps) == bound
 
 
 def test_products_and_powers_within_the_term_budget_parse():

@@ -52,6 +52,7 @@ from helpers import (
     reference_kernel,
     reference_reexpress,
     reference_solve_unit_image,
+    reference_taylor_certificate,
     reference_transcendence,
     taylor_bound,
 )
@@ -488,6 +489,37 @@ def test_three_variable_certificate_builds_no_span(monkeypatch):
     target = Subalgebra(ctx, S.base_generators, cert.kernel_generators + (s,))
     assert [w.evaluate(target) for w in cert.reexpression] == list(S.algebra_generators)
     assert max(_formal_degree(w, target) for w in cert.reexpression) == 52
+
+
+def test_certificates_match_the_two_pass_computation():
+    """One iterate chain per generator gives the kernel generators, the
+    witness expressions and the bound of the computation that iterated
+    each generator twice, on seeds 1 to 120."""
+    for seed in range(1, 121):
+        d, s, S = _seeded_slice(seed)
+        cert = verify_slice_theorem(d, s, S)
+        kgens, witnesses, bound = reference_taylor_certificate(d, s, S)
+        assert cert.kernel_generators == kgens and cert.bound == bound
+        assert cert.reexpression == witnesses
+
+
+@pytest.mark.parametrize("case", ["seeded", "three-variable"])
+def test_full_ring_certificate_iterates_each_generator_once(case, monkeypatch):
+    """The projection and the Taylor witness of a generator read one
+    ``metered_iterates`` chain."""
+    from lndkit import slices
+
+    if case == "seeded":
+        d, s, S = _seeded_slice(7)
+    else:
+        ctx = VarContext(("t",), ("X", "Y", "Z"))
+        d = D_of(ctx, X="t", Y="1 - t^2*X", Z="t*X^3*Y^4 + Y")
+        s, S = P("Y + 1/2*t*X^2", ctx), Subalgebra.full(ctx)
+    chained = []
+    real = slices.metered_iterates
+    monkeypatch.setattr(slices, "metered_iterates", lambda apply, a: chained.append(a) or real(apply, a))
+    assert isinstance(verify_slice_theorem(d, s, S), SliceCertificate)
+    assert chained == list(S.algebra_generators)
 
 
 def test_verify_slice_theorem_guards_sham_slice():
