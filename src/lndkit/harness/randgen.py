@@ -110,7 +110,8 @@ def run_slice_pipeline_family(seed: int, count: int, bound: int = 8) -> FamilyOu
     the slice are checked by one ``combine``.  A hit builds no Groebner
     basis.  Only a miss asks ``is_fixed_point_free``: a derivation that is
     not fixed point free has no slice at any bound, anything else missed
-    at this bound.
+    at this bound.  A Taylor witness that fails its re-verification in
+    ``verify_slice_theorem`` raises ``InvariantError``, an internal error.
     """
     failures: list[str] = []
     for k in range(count):
@@ -129,12 +130,7 @@ def run_slice_pipeline_family(seed: int, count: int, bound: int = 8) -> FamilyOu
         if Polynomial.combine(ctx, cofactors) != Polynomial.one(ctx):
             failures.append(_failure(seed + k, d, "cofactor identity broke"))
             continue
-        cert = verify_slice_theorem(d, s, S)  # a full ring without a bound: a certificate
-        target = Subalgebra(ctx, S.base_generators, cert.kernel_generators + (s,))
-        for g, w in zip(S.algebra_generators, cert.reexpression):
-            if w.evaluate(target) != g:
-                failures.append(_failure(seed + k, d, f"witness for {g} failed"))
-                break
+        verify_slice_theorem(d, s, S)  # a full ring without a bound: a certificate
     return FamilyOutcome(count, failures)
 
 
@@ -227,7 +223,7 @@ def run_groebner_oracle_family(seed: int, count: int) -> FamilyOutcome:
 
 
 def run_projection_law_family(seed: int, count: int) -> FamilyOutcome:
-    """The kernel projection is a ring homomorphism killing its argument's image."""
+    """The kernel projection is multiplicative; ``dixmier`` checks that it kills."""
     rng = random.Random(seed)
     failures: list[str] = []
     for k in range(count):
@@ -242,6 +238,6 @@ def run_projection_law_family(seed: int, count: int) -> FamilyOutcome:
         q = _rand_poly(rng, ctx, ctx.variables, 2, 3)
         lhs = dixmier(d, s, p * q)
         rhs = dixmier(d, s, p) * dixmier(d, s, q)
-        if lhs != rhs or not d.apply(lhs).is_zero():
+        if lhs != rhs:
             failures.append(f"case {k}: projection law failed on {p} and {q}")
     return FamilyOutcome(count, failures)

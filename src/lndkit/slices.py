@@ -21,9 +21,10 @@ used through the same two methods, ``apply(f, span)`` and
 restricted one applies only through a span of its own subalgebra, whose
 ``GeneratorSpan.images`` computes every product image.  One routine sums
 sum_i (s^i/i!) * a_i, for the projections and the Taylor witnesses, and
-every repeated application of a derivation runs ``derivation.iterates``;
-``verify_slice_theorem`` builds one iterate chain per algebra generator,
-and the generator's projection and its Taylor witness both read it.
+every repeated application of a derivation runs ``derivation.iterates``.
+``_projections`` is the one place that checks D(s) == 1 and the kill of
+each projection; ``verify_slice_theorem`` reads its one iterate chain per
+generator for the generator's projection and Taylor witness both.
 Slice search, ``kernel_up_to_degree`` and ``subalgebra_fpf`` share one
 solver, ``subalgebra.solve_images``; for the first two it inserts the
 images of an rref basis of the bounded span in ascending pivot order, the
@@ -141,9 +142,18 @@ def _exp_sum(terms: list[Polynomial], s: Polynomial) -> Polynomial:
     return Polynomial.combine(s.context, pairs)
 
 
-def _project(apply: Callable[[Polynomial], Polynomial], s: Polynomial, a: Polynomial) -> Polynomial:
-    """pi_s(a) = sum_i (1/i!) * (-s)^i * D^i(a), D given by ``apply``."""
-    return _exp_sum(metered_iterates(apply, a), -s)
+def _projections(D: AnyDerivation, s: Polynomial, elements: tuple[Polynomial, ...], span: GeneratorSpan | None):
+    """The iterate chains [a, D(a), ...] of ``elements`` and their projections
+    pi_s(a) = sum_i (1/i!) * (-s)^i * D^i(a), each re-checked to be killed;
+    D(s) == 1 is checked first, also for no elements."""
+    if D.apply(s, span) != Polynomial.one(s.context):
+        raise DomainError("dixmier projection needs a slice: D(s) must be 1")
+    apply = partial(D.apply, span=span)
+    chains = [metered_iterates(apply, a) for a in elements]
+    projections = [_exp_sum(chain, -s) for chain in chains]
+    for k in projections:
+        invariant(apply(k).is_zero(), "dixmier image is not a kernel element")
+    return chains, projections
 
 
 def dixmier(
@@ -155,22 +165,10 @@ def dixmier(
     """Kernel projection pi_s(a); requires D(s) == 1 and terminating iterates.
 
     The sum is finite for locally nilpotent derivations; factorial
-    denominators are exact rationals.  The result is re-checked to be
-    killed by D before returning.
+    denominators are exact rationals.  D(s) == 1 and the kill of the
+    result are checked once each, by ``_projections``.
     """
-    _require_slice(D, s, span)
-    return _killed(D, _project(partial(D.apply, span=span), s, a), span)
-
-
-def _require_slice(D: AnyDerivation, s: Polynomial, span: GeneratorSpan | None) -> None:
-    if D.apply(s, span) != Polynomial.one(s.context):
-        raise DomainError("dixmier projection needs a slice: D(s) must be 1")
-
-
-def _killed(D: AnyDerivation, k: Polynomial, span: GeneratorSpan | None) -> Polynomial:
-    """``k``, once D(k) == 0 is re-checked."""
-    invariant(D.apply(k, span).is_zero(), "dixmier image is not a kernel element")
-    return k
+    return _projections(D, s, (a,), span)[1][0]
 
 
 def kernel_generators(
@@ -179,9 +177,10 @@ def kernel_generators(
     """Projections of the algebra generators: they generate Ker(D) over the base.
 
     Constant projections (zero included) are dropped; duplicates are
-    removed preserving first occurrence.
+    removed preserving first occurrence.  One ``_projections`` pass checks
+    D(s) == 1 and each projection once.
     """
-    return list(distinct_nonconstant(dixmier(D, s, g, span) for g in S.algebra_generators))
+    return list(distinct_nonconstant(_projections(D, s, S.algebra_generators, span)[1]))
 
 
 @dataclass(frozen=True)
@@ -221,20 +220,21 @@ def verify_slice_theorem(
     ``IncompleteReexpression``.  Elsewhere each generator is searched in
     the span of the new generators at the given bound, which is required.
     Every witness is re-verified by evaluation; a miss returns the
-    incomplete set rather than failing.
+    incomplete set rather than failing.  A subalgebra with no algebra
+    generator has no slice, and raises DomainError.
 
-    D(s) == 1 is checked once, and each generator g's iterates
-    [g, D(g), ..., D^(n-1)(g)] are computed once: its projection sums them
-    with the powers of -s, and its Taylor witness substitutes them.  Each
-    projection is re-checked to be killed.
+    One ``_projections`` pass checks D(s) == 1 and computes each generator
+    g's iterates [g, D(g), ..., D^(n-1)(g)] once: its projection, a kernel
+    generator unless constant, sums them with the powers of -s and is
+    checked there to be killed; its Taylor witness substitutes them.
     """
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1")
-    _require_slice(D, s, span)
-    apply = partial(D.apply, span=span)
-    chains = [metered_iterates(apply, g) for g in S.algebra_generators]
-    projections = [_killed(D, _exp_sum(chain, -s), span) for chain in chains]
-    target = Subalgebra(S.context, S.base_generators, distinct_nonconstant(projections) + (s,))
+    if not S.algebra_generators:
+        raise DomainError("a slice certificate needs an algebra generator")
+    chains, projections = _projections(D, s, S.algebra_generators, span)
+    kgens = distinct_nonconstant(projections)
+    target = Subalgebra(S.context, S.base_generators, kgens + (s,))
     if isinstance(D, Derivation) and S.full_ring:
         witnesses = _taylor_witnesses(S, target, chains, projections, bound)
     elif bound is None:
@@ -243,11 +243,7 @@ def verify_slice_theorem(
         witnesses = _reexpress(S, target, bound)
     if isinstance(witnesses, IncompleteReexpression):
         return witnesses
-    kgens = target.algebra_generators[:-1]
-    invariant(D.apply(s, span) == Polynomial.one(S.context), "certificate slice lost the unit image")
-    for k in kgens:
-        invariant(D.apply(k, span).is_zero(), "certificate kernel generator is not killed")
-    return SliceCertificate(s, kgens, witnesses, witnesses[0].bound)  # a slice needs a generator
+    return SliceCertificate(s, kgens, witnesses, witnesses[0].bound)
 
 
 def _taylor_witnesses(
@@ -642,7 +638,7 @@ def coordinate_system(
 
     def project(f: Polynomial, upto: int) -> Polynomial:
         for apply_fn, s in projections[:upto]:
-            f = _project(apply_fn, s, f)
+            f = _exp_sum(metered_iterates(apply_fn, f), -s)
         return f
 
     def induced_apply(k: int) -> Callable[[Polynomial], Polynomial]:

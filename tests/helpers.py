@@ -30,6 +30,15 @@ from lndkit.slices import _exp_sum, _reexpress, find_slice, verify_slice_theorem
 from lndkit.subalgebra import MembershipWitness, _combine_over, distinct_nonconstant, symbol_context
 
 
+def perturb_taylor_witnesses(set_attribute=setattr) -> None:
+    """Write every Taylor witness expression of ``verify_slice_theorem`` off
+    by one, leaving its re-verification untouched: ``monkeypatch.setattr``
+    in a test, plain ``setattr`` in a subprocess."""
+    from lndkit import slices
+
+    set_attribute(slices, "MembershipWitness", lambda g, e, bound: MembershipWitness(g, e + 1, bound))
+
+
 def rand_coeff(rng: random.Random) -> Fraction:
     num = rng.choice([n for n in range(-5, 6) if n])
     den = rng.choice([1, 1, 2, 3])

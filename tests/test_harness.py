@@ -736,3 +736,49 @@ def test_cli_run_exit_code_follows_the_verdict(tmp_path, bound, verdict, code):
     result = CliRunner().invoke(cli_main, ["run", str(job)])
     assert f"verdict {verdict}" in result.output.splitlines()
     assert result.exit_code == code
+
+
+def _cli_subprocess(flags, args, prelude=""):
+    """``lndkit`` on ``args`` in a fresh ``python`` with ``flags``, after
+    running ``prelude``; ``helpers`` is importable there."""
+    paths = [str(Path(lndkit.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")])))
+    code = f"import sys\n{prelude}from lndkit.harness.cli import main\nmain(sys.argv[1:])\n"
+    return subprocess.run([sys.executable, *flags, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+EMPTY_ALGEBRA = """
+job empty-algebra
+ring coeff: t
+ring main: X, Y
+base: full
+algebra:
+derivation D: X: 0, Y: 1
+task verify_slice_theorem derivation=D slice="Y" bound=2
+task kernel_generators derivation=D slice="X"
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python -O"])
+def test_a_subalgebra_without_algebra_generators_is_a_task_error(tmp_path, flags):
+    """Not an internal error (exit 3), and X is not passed off as a slice."""
+    job = tmp_path / "empty-algebra.job"
+    job.write_text(EMPTY_ALGEBRA)
+    result = _cli_subprocess(flags, ["run", str(job)])
+    lines = result.stdout.splitlines()
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "error a slice certificate needs an algebra generator" in lines
+    assert "error dixmier projection needs a slice: D(s) must be 1" in lines
+    assert "verdict ok" not in lines
+    assert validate_report_text(result.stdout) == []
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python -O"])
+def test_a_wrong_taylor_witness_is_an_internal_error_of_the_random_family(flags):
+    """``verify_slice_theorem`` re-verifies every witness of the slice
+    pipeline, so a wrong one exits 3 rather than failing a seed."""
+    prelude = "from helpers import perturb_taylor_witnesses\nperturb_taylor_witnesses()\n"
+    result = _cli_subprocess(flags, ["random", "--family", "triangular-fpf", "--count", "3", "--seed", "1"], prelude)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "error internal: Taylor witness failed re-verification" in result.stdout.splitlines()

@@ -47,6 +47,7 @@ from lndkit.linalg import RowSpace, vec_of
 
 from helpers import (
     canonical_rref,
+    perturb_taylor_witnesses,
     rand_poly,
     reduce_by_rref,
     reference_kernel,
@@ -352,7 +353,7 @@ def test_slice_and_projection_checks_fire_on_a_wrong_solver(restricted, monkeypa
     _halve_the_unit_answer(monkeypatch)
     with pytest.raises(AssertionError, match="slice candidate failed the image check"):
         find_slice(d, S, 4)
-    monkeypatch.setattr(slices, "_project", lambda apply, s, a: a)
+    monkeypatch.setattr(slices, "_exp_sum", lambda terms, s: terms[0])
     with pytest.raises(AssertionError, match="dixmier image is not a kernel element"):
         dixmier(d, P("Y + 1/2*t*X^2", CTXT), P("X", CTXT), span)
 
@@ -520,6 +521,56 @@ def test_full_ring_certificate_iterates_each_generator_once(case, monkeypatch):
     monkeypatch.setattr(slices, "metered_iterates", lambda apply, a: chained.append(a) or real(apply, a))
     assert isinstance(verify_slice_theorem(d, s, S), SliceCertificate)
     assert chained == list(S.algebra_generators)
+
+
+def _record_applies(monkeypatch):
+    """Every polynomial a derivation of either kind is applied to, in order."""
+    applied = []
+    for cls in (Derivation, RestrictedDerivation):
+        real = cls.apply
+        monkeypatch.setattr(cls, "apply", lambda self, f, span=None, real=real: applied.append(f) or real(self, f, span))
+    return applied
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("call", ["dixmier", "kernel_generators", "verify_slice_theorem"])
+def test_the_slice_and_each_projection_are_checked_once(call, restricted, monkeypatch):
+    """One projection pass images s once per call, where
+    ``verify_slice_theorem`` imaged it twice and ``kernel_generators`` once
+    per generator, and kill-checks each projection once."""
+    S = Subalgebra.full(CTXT)
+    span = GeneratorSpan(S, 9)
+    d = restriction_of(WORKED, S) if restricted else WORKED
+    s = P("Y + 1/2*t*X^2", CTXT)
+    applied = _record_applies(monkeypatch)
+    if call == "dixmier":
+        projections = [dixmier(d, s, P("X", CTXT), span)]
+    elif call == "kernel_generators":
+        projections = kernel_generators(d, s, S, span)
+    else:
+        projections = verify_slice_theorem(d, s, S, 9, span).kernel_generators
+    assert len(projections) == (1 if call == "dixmier" else 2)
+    assert applied.count(s) == 1
+    assert [applied.count(k) for k in projections] == [1] * len(projections)
+
+
+def test_a_subalgebra_without_algebra_generators_is_a_domain_error():
+    """No element of the base alone is a slice: the certificate is refused,
+    and the projection pass checks the slice though it has nothing to project."""
+    d = D_of(CTXT, X="0", Y="1")
+    S = Subalgebra(CTXT, (P("t", CTXT),), ())
+    with pytest.raises(DomainError, match="needs an algebra generator"):
+        verify_slice_theorem(d, P("Y", CTXT), S, 2)
+    with pytest.raises(DomainError, match="needs a slice"):
+        kernel_generators(d, P("X", CTXT), S)
+
+
+def test_a_wrong_taylor_witness_fails_its_re_verification(monkeypatch):
+    """The re-verification is an explicit raise, so it fires under
+    ``python -O`` too."""
+    perturb_taylor_witnesses(monkeypatch.setattr)
+    with pytest.raises(AssertionError, match="Taylor witness failed re-verification"):
+        verify_slice_theorem(WORKED, P("Y + 1/2*t*X^2", CTXT), Subalgebra.full(CTXT))
 
 
 def test_verify_slice_theorem_guards_sham_slice():
