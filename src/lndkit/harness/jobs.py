@@ -1,4 +1,4 @@
-"""Job documents: a line-oriented format describing a ring, a subalgebra,
+r"""Job documents: a line-oriented format describing a ring, a subalgebra,
 derivations, and a list of tasks to run.
 
 Format (one record per line, ``#`` comments and blank lines ignored)::
@@ -15,6 +15,16 @@ Format (one record per line, ``#`` comments and blank lines ignored)::
     task find_slice derivation=D bound=3
       coordw gen=2 power=1 expr="X^2*U0_"     # sub-record of some tasks
       expect slice="Y + 1/2*t*X^2" type=poly provenance=derived oracle="..."
+
+The ``key=value`` words of ``task``, ``coordw`` and ``expect`` records
+split by the POSIX shell rules of ``shlex.split``, with its error texts.
+Words end at a space, tab, carriage return or newline outside quotes.
+``'...'`` is literal.  Inside ``"..."`` only ``\"`` and ``\\`` are
+escapes, and a backslash before any other character stays.  Outside
+quotes a backslash escapes any character.  An empty quoted word is kept.
+A text that ends inside quotes is "No closing quotation", unless it ends
+in an escaping backslash, inside or outside ``"..."``: that is "No
+escaped character".
 
 Polynomial values never contain commas or semicolons, so those separate
 list items.  ``full`` stands for the coefficient (``base``) or main
@@ -33,7 +43,6 @@ numbers.
 from __future__ import annotations
 
 import re
-import shlex
 from dataclasses import dataclass, field
 
 from ..context import VarContext
@@ -135,9 +144,50 @@ def _needs_quoting(value: str) -> bool:
     return any(ch in value for ch in " \t'\"")
 
 
+# One word of a record, to the next whitespace outside quotes: unquoted
+# characters, backslash escapes, '...' and "..." parts.  The parts start
+# with different characters, so one is tried per position, and a quote
+# left open costs one scan to the end of the text.
+_WORD_RE = re.compile(r"""[ \t\r\n]*((?:[^ \t\r\n'"\\]|\\.|'[^']*'|"(?:[^"\\]|\\.)*")*)""", re.S)
+_PART_RE = re.compile(r"""\\(.)|'([^']*)'|"((?:[^"\\]|\\.)*)"|([^'"\\]+)""", re.S)
+_QUOTED_ESCAPE_RE = re.compile(r'\\([\\"])')
+_OPEN_QUOTED_RE = re.compile(r'"(?:[^"\\]|\\.)*', re.S)
+
+
+def _unquote(part: re.Match) -> str:
+    escaped, single, double, plain = part.groups()
+    if double is not None:
+        return _QUOTED_ESCAPE_RE.sub(r"\1", double)
+    return escaped or single or plain or ""
+
+
+def _split_words(text: str) -> list[str]:
+    """The words of a record by the POSIX shell rules ``shlex.split`` follows,
+    with its ``ValueError`` texts: see the module docstring."""
+    words: list[str] = []
+    pos, end = 0, len(text)
+    while True:
+        m = _WORD_RE.match(text, pos)
+        word, pos = m.group(1), m.end()
+        if word:
+            if "\\" in word or "'" in word:
+                word = "".join(map(_unquote, _PART_RE.finditer(word)))
+            elif '"' in word:
+                word = word.replace('"', "")
+            words.append(word)
+        if pos == end:
+            return words
+        if text[pos] in " \t\r\n":
+            continue
+        # An unclosed quotation, or a backslash that ends the text.
+        if text[pos] == "\\" or (text[pos] == '"' and _OPEN_QUOTED_RE.match(text, pos).end() < end):
+            raise ValueError("No escaped character")
+        raise ValueError("No closing quotation")
+
+
 def _split_kv(text: str, line_no: int) -> dict[str, str]:
     try:
-        tokens = shlex.split(text)
+        tokens = _split_words(text)
     except ValueError as exc:
         raise JobParseError(f"bad record: {exc}", line_no) from None
     out: dict[str, str] = {}

@@ -20,6 +20,19 @@ rejected.
 ``/`` occurs only inside rational literals, never as an operator between
 expressions.
 
+The parse is one pass over integer numerators.  The tokenizer is one
+regular-expression scan of the text.  Each name is checked against the
+context, and every subexpression is carried as an integer form
+``(num, den)``: its monomials' integer numerators over one positive
+denominator, with no zero numerator, as ``Polynomial`` stores them.  A
+``+``/``-`` chain accumulates into one dict over the lcm of its
+denominators.  A product with a single-term factor is an exponent shift and
+a scale, a power of a single term scales the exponents, and every other
+product goes through ``polynomial._mul_nums``.  The text becomes one
+``Polynomial._from_ints`` at the end.  Every check reads the same term
+counts, degrees and exponents a ``Polynomial`` operand would give, so it
+fails at the same operator with the same message.
+
 ``str(poly)`` emits the canonical form this parser accepts, so
 serialize-then-parse reproduces the identical term map.  Parentheses may
 nest at most ``MAX_NESTING_DEPTH`` deep, so no input text can exhaust the
@@ -28,75 +41,98 @@ interpreter's recursion limit.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+import re
+from math import comb, gcd, lcm
+from operator import add
 
 from .context import VarContext
-from .errors import InvariantError, PolyParseError
-from .polynomial import MAX_EXPONENT, PAIR_BUDGET, TERM_BUDGET, Polynomial
+from .errors import PolyParseError
+from .polynomial import MAX_EXPONENT, PAIR_BUDGET, TERM_BUDGET, Monomial, Polynomial, _mul_nums
 
-_OPS = set("+-*^/()")
-_DIGITS = set("0123456789")  # ``str.isdigit`` also takes other scripts' digits and superscripts
+# An ASCII digit run, a word, an operator, or any other character that is
+# not whitespace; whitespace between tokens is skipped.  ``\s`` and ``\w``
+# take exactly what ``str.isspace`` and ``str.isalnum`` (or ``_``) take, and
+# ``[0-9]`` is not ``\d``, which also takes other scripts' digits.
+_TOKEN_RE = re.compile(r"([0-9]+)|(\w+)|([-+*^/()])|(\S)")
 MAX_NESTING_DEPTH = 100
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+Form = tuple[dict[Monomial, int], int]  # numerators over a positive denominator
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and (text[j].isalpha() or text[j] == "_"):
-                raise PolyParseError("implicit multiplication is not accepted", line, col)
-            tokens.append(_Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column of ``offset`` in ``text``; only ``\\n`` starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` per token, then an ``eof`` token; the kind is
+    ``int``, ``name`` or the operator itself."""
+    tokens = []
+    append = tokens.append
+    end = len(text)
+    for m in _TOKEN_RE.finditer(text):
+        group, token, start = m.lastindex, m.group(), m.start()
+        if group == 1:
+            after = m.end()
+            if after < end and (text[after].isalpha() or text[after] == "_"):
+                raise PolyParseError("implicit multiplication is not accepted", *_position(text, start))
+            append(("int", token, start))
+        elif group == 3:
+            append((token, token, start))
+        elif group == 2 and token[0].isalpha():
+            append(("name", token, start))
+        else:
+            raise PolyParseError(f"unexpected character {token[0]!r}", *_position(text, start))
+    append(("eof", "", end))
     return tokens
 
 
-def _exponents(p: Polynomial):
-    """Each variable's largest exponent in ``p``; none for the zero polynomial."""
-    return map(max, zip(*p._num))
+def _exponents(num: dict[Monomial, int]):
+    """Each variable's largest exponent in ``num``; none for no terms."""
+    return map(max, zip(*num))
+
+
+def _degree(num: dict[Monomial, int]) -> int:
+    return max(map(sum, num))
+
+
+def _product(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The numerators of a product of two nonzero forms; a single-term
+    factor is an exponent shift and a scale, which merges no terms."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) != 1:
+        return _mul_nums(a, b)
+    ((m, c),) = a.items()
+    if any(m):
+        return {tuple(map(add, m, m2)): c * c2 for m2, c2 in b.items()}
+    return b if c == 1 else {m2: c * c2 for m2, c2 in b.items()}
+
+
+def _power(num: dict[Monomial, int], den: int, n: int, one: Monomial) -> Form:
+    """``(num / den) ** n`` by ``Polynomial._power``'s square-and-multiply
+    chain, the form first divided by its gcd, so that nested powers raise
+    no larger integers than canonical polynomials do."""
+    if not n:
+        return {one: 1}, 1
+    if not num:
+        return num, 1
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    if len(num) == 1:
+        ((m, c),) = num.items()
+        return {tuple(e * n for e in m): c ** n}, den ** n
+    result, e = None, n
+    while True:
+        if e & 1:
+            result = num if result is None else _mul_nums(result, num)
+        e >>= 1
+        if not e:
+            return result, den ** n
+        num = _mul_nums(num, num)
 
 
 def _power_pairs(terms: int, degree: int, v: int, n: int) -> int:
@@ -120,51 +156,66 @@ def _power_pairs(terms: int, degree: int, v: int, n: int) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], context: VarContext):
-        self.tokens = tokens
+    def __init__(self, text: str, context: VarContext):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.context = context
         self.depth = 0
+        self.one = (0,) * context.nvars
+        self.monomials: dict[str, Monomial] = {}  # each variable's monomial, built on first use
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise PolyParseError(message, tok.line, tok.col)
+    def error(self, message: str, tok: tuple[str, str, int] | None = None) -> PolyParseError:
+        """The error at ``tok``, by default the next token."""
+        offset = (tok or self.tokens[self.pos])[2]
+        return PolyParseError(message, *_position(self.text, offset))
 
     def parse(self) -> Polynomial:
-        poly = self.expr()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r} after expression")
-        return poly
+        num, den = self.expr()
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            raise self.error(f"unexpected {tok[1]!r} after expression")
+        return Polynomial._from_ints(self.context, num, den)
 
-    def expr(self) -> Polynomial:
-        negate = False
-        if self.peek().kind in ("+", "-"):
-            negate = self.advance().kind == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+    def expr(self) -> Form:
+        tokens = self.tokens
+        kind = tokens[self.pos][0]
+        negate = kind == "-"
+        if negate or kind == "+":
+            self.pos += 1
+        num, den = self.term()
+        kind = tokens[self.pos][0]
+        if kind != "+" and kind != "-":
+            return ({m: -c for m, c in num.items()} if negate else num), den
+        acc = {m: -c for m, c in num.items()} if negate else dict(num)
+        while kind == "+" or kind == "-":
+            self.pos += 1
+            rnum, rden = self.term()
+            scale = 1
+            if rden != den:
+                common = lcm(den, rden)
+                if common != den:
+                    up = common // den
+                    acc = {m: c * up for m, c in acc.items()}
+                    den = common
+                scale = common // rden
+            if kind == "-":
+                scale = -scale
+            get = acc.get
+            for m, c in rnum.items():
+                acc[m] = get(m, 0) + c * scale
+            kind = tokens[self.pos][0]
+        return {m: c for m, c in acc.items() if c}, den
 
-    def cap(self, exponents, op: _Token):
+    def cap(self, exponents: list[int], op: tuple[str, str, int]):
         """Fail at the operator ``op`` when its result would carry a
         variable's exponent above ``MAX_EXPONENT``."""
-        for name, e in zip(self.context.variables, exponents):
-            if e > MAX_EXPONENT:
-                self.fail(f"exponent {e} of {name} exceeds the cap {MAX_EXPONENT}", op)
+        if max(exponents, default=0) > MAX_EXPONENT:
+            for name, e in zip(self.context.variables, exponents):
+                if e > MAX_EXPONENT:
+                    raise self.error(f"exponent {e} of {name} exceeds the cap {MAX_EXPONENT}", op)
 
-    def budget(self, terms: int, degree: int, exponents: list[int], op: _Token):
+    def budget(self, terms: int, degree: int, exponents: list[int], op: tuple[str, str, int]):
         """Fail at the operator ``op`` when its result may hold more than
         ``TERM_BUDGET`` terms: more than ``terms`` and more than the
         monomials of total degree at most ``degree`` in the variables with
@@ -174,81 +225,95 @@ class _Parser:
             v = len(exponents) - exponents.count(0)
             terms = min(terms, comb(degree + v, v))
             if terms > TERM_BUDGET:
-                self.fail(f"the result may hold {terms} terms, above the budget {TERM_BUDGET}", op)
+                raise self.error(f"the result may hold {terms} terms, above the budget {TERM_BUDGET}", op)
 
-    def pairs(self, pairs: int, op: _Token):
+    def pairs(self, pairs: int, op: tuple[str, str, int]):
         """Fail at the operator ``op`` when one of its multiplications may
         take more than ``PAIR_BUDGET`` pair products."""
         if pairs > PAIR_BUDGET:
-            self.fail(f"a product may take {pairs} pair products, above the pair budget {PAIR_BUDGET}", op)
+            raise self.error(f"a product may take {pairs} pair products, above the pair budget {PAIR_BUDGET}", op)
 
-    def term(self) -> Polynomial:
-        acc = self.factor()
-        while self.peek().kind == "*":
-            op = self.advance()
-            rhs = self.factor()
-            exponents = [x + y for x, y in zip(_exponents(acc), _exponents(rhs))]
+    def term(self) -> Form:
+        tokens = self.tokens
+        num, den = self.factor()
+        while tokens[self.pos][0] == "*":
+            op = tokens[self.pos]
+            self.pos += 1
+            rnum, rden = self.factor()
+            exponents = [x + y for x, y in zip(_exponents(num), _exponents(rnum))]
             self.cap(exponents, op)
-            if acc and rhs:
-                pairs = len(acc) * len(rhs)
-                self.budget(pairs, acc.degree() + rhs.degree(), exponents, op)
+            if num and rnum:
+                pairs = len(num) * len(rnum)
+                if pairs > TERM_BUDGET:
+                    self.budget(pairs, _degree(num) + _degree(rnum), exponents, op)
                 self.pairs(pairs, op)
-            acc = acc * rhs
-        return acc
+                num = _product(num, rnum)
+            else:
+                num = {}
+            den *= rden
+        return num, den
 
-    def factor(self) -> Polynomial:
-        base = self.primary()
-        while self.peek().kind == "^":
-            op = self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("exponent must be a non-negative integer")
-            n = int(tok.text)
+    def factor(self) -> Form:
+        tokens = self.tokens
+        num, den = self.primary()
+        while tokens[self.pos][0] == "^":
+            op = tokens[self.pos]
+            self.pos += 1
+            kind, text, _ = tokens[self.pos]
+            if kind != "int":
+                raise self.error("exponent must be a non-negative integer")
+            n = int(text)
             if n > MAX_EXPONENT:
-                self.fail(f"exponent {tok.text} exceeds the cap {MAX_EXPONENT}")
-            exponents = [n * e for e in _exponents(base)]
+                raise self.error(f"exponent {text} exceeds the cap {MAX_EXPONENT}")
+            exponents = [n * e for e in _exponents(num)]
             self.cap(exponents, op)
-            if base and n:
-                multisets = comb(len(base) + n - 1, n)
-                self.budget(multisets, n * base.degree(), exponents, op)
+            if num and n:
+                degree = _degree(num)
+                multisets = comb(len(num) + n - 1, n)
+                self.budget(multisets, n * degree, exponents, op)
                 if multisets ** 2 > PAIR_BUDGET:  # each factor of the chain has at most `multisets` terms
                     v = len(exponents) - exponents.count(0)
-                    self.pairs(_power_pairs(len(base), base.degree(), v, n), op)
-            self.advance()
-            base = base ** n
-        return base
+                    self.pairs(_power_pairs(len(num), degree, v, n), op)
+            self.pos += 1
+            num, den = _power(num, den, n, self.one)
+        return num, den
 
-    def primary(self) -> Polynomial:
-        tok = self.advance()
-        if tok.kind == "int":
-            num = int(tok.text)
-            if self.peek().kind == "/":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    self.fail("denominator must be an integer")
-                self.advance()
-                den = int(den_tok.text)
+    def primary(self) -> Form:
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        kind, text, _ = tok
+        if kind == "name":
+            mono = self.monomials.get(text)
+            if mono is None:
+                if text not in self.context.variables:
+                    raise self.error(f"unknown variable {text!r}", tok)
+                i = self.context.index(text)
+                mono = self.monomials[text] = self.one[:i] + (1,) + self.one[i + 1:]
+            return {mono: 1}, 1
+        if kind == "int":
+            num, den = int(text), 1
+            if tokens[self.pos][0] == "/":
+                self.pos += 1
+                den_tok = tokens[self.pos]
+                if den_tok[0] != "int":
+                    raise self.error("denominator must be an integer")
+                self.pos += 1
+                den = int(den_tok[1])
                 if den == 0:
-                    self.fail("zero denominator", den_tok)
-                return Polynomial.constant(self.context, Fraction(num, den))
-            return Polynomial.constant(self.context, num)
-        if tok.kind == "name":
-            if tok.text not in self.context.variables:
-                self.fail(f"unknown variable {tok.text!r}", tok)
-            return Polynomial.variable(self.context, tok.text)
-        if tok.kind == "(":
+                    raise self.error("zero denominator", den_tok)
+            return ({self.one: num} if num else {}), den
+        if kind == "(":
             if self.depth >= MAX_NESTING_DEPTH:
-                self.fail(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", tok)
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", tok)
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            if self.peek().kind != ")":
-                self.fail("expected ')'")
-            self.advance()
+            if tokens[self.pos][0] != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
             return inner
-        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
-        raise InvariantError("unreachable")
+        raise self.error(f"unexpected {text!r}" if text else "unexpected end of input", tok)
 
 
 def parse_polynomial(text: str, context: VarContext) -> Polynomial:
@@ -257,4 +322,4 @@ def parse_polynomial(text: str, context: VarContext) -> Polynomial:
     Raises :class:`PolyParseError` with line/column on syntax errors and on
     names not present in the context.
     """
-    return _Parser(_tokenize(text), context).parse()
+    return _Parser(text, context).parse()

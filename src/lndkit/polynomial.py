@@ -14,8 +14,10 @@ integer; callers comparing degrees must treat it explicitly.
 Construction contract: the public ``Polynomial(context, terms)`` constructor
 is for input from outside the library.  It validates every monomial
 (length, non-negative exponents), coerces every coefficient to
-``Fraction`` and merges duplicates, so parsed text, job files and user
-values always pass through it.  Every result the library computes
+``Fraction`` and merges duplicates, so user values pass through it.
+Polynomial text does not: the parser checks each name against the
+context and builds one integer form per text, so a parsed polynomial is
+one ``_from_ints`` as well.  Every result the library computes
 (arithmetic, ``partial_derivative``, ``substitute``, ``combine``, derivation
 images, generator products, the divisions, pseudo-remainders and gcds of
 ``groebner`` and ``polygcd``, ``GeneratorSpan.express``'s symbol polynomial,

@@ -55,6 +55,7 @@ from .subalgebra import (
     RestrictedDerivation,
     Subalgebra,
     distinct_nonconstant,
+    is_scalar_multiple,
     kernel_up_to_degree,
     rref_rows,
     solve_images,
@@ -262,7 +263,13 @@ def _taylor_witnesses(
     symbol_of = dict(zip(target.generators, symbols))
     bindings = dict(zip(S.context.coeff_vars, symbols))  # the base generators, in order
     for x, p in zip(S.context.main_vars, projections):
-        bindings[x] = p.as_rational() if p.is_constant() else symbol_of[p]
+        if p.is_constant():
+            bindings[x] = p.as_rational()
+        elif p in symbol_of:
+            bindings[x] = symbol_of[p]
+        else:  # a scalar multiple of an earlier projection, which ``distinct_nonconstant`` kept
+            g = next(g for g in target.algebra_generators if is_scalar_multiple(p, g))
+            bindings[x] = symbol_of[g] * (p.lex_leading()[1] / g.lex_leading()[1])
     expressions = [_exp_sum([f.substitute(bindings, context=sym) for f in chain], symbols[-1])
                    for chain in chains]
     weights = target.weights

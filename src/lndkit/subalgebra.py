@@ -99,11 +99,23 @@ def _is_variable(g: Polynomial, i: int) -> bool:
     return c == 1 and mono[i] == 1 and sum(mono) == 1
 
 
+def is_scalar_multiple(p: Polynomial, q: Polynomial) -> bool:
+    """Whether p == c * q for some rational c, for a nonzero q: the same
+    monomials, with proportional numerators."""
+    if p._num.keys() != q._num.keys():
+        return False
+    m = next(iter(q._num))
+    a, b = p._num[m], q._num[m]
+    return all(c * b == q._num[k] * a for k, c in p._num.items())
+
+
 def distinct_nonconstant(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
-    """``polys`` without constants (zero included) and repeats, first occurrences in order."""
+    """``polys`` without constants (zero included) and without scalar
+    multiples of an earlier element (repeats included), first occurrences
+    in order."""
     out: list[Polynomial] = []
     for p in polys:
-        if not p.is_constant() and p not in out:
+        if not p.is_constant() and not any(is_scalar_multiple(p, q) for q in out):
             out.append(p)
     return tuple(out)
 

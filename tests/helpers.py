@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 from lndkit import (
     ContextMismatchError,
     Derivation,
     GeneratorSpan,
+    InvariantError,
+    PolyParseError,
     Polynomial,
     Subalgebra,
     VarContext,
@@ -26,6 +29,8 @@ from lndkit.harness.randgen import (
     random_triangular_lnd,
 )
 from lndkit.linalg import RowSpace, _eliminate, combine, vec_of
+from lndkit.parse import MAX_NESTING_DEPTH, _power_pairs
+from lndkit.polynomial import MAX_EXPONENT, PAIR_BUDGET, TERM_BUDGET
 from lndkit.slices import _exp_sum, _reexpress, find_slice, verify_slice_theorem
 from lndkit.subalgebra import MembershipWitness, _combine_over, distinct_nonconstant, symbol_context
 
@@ -451,10 +456,14 @@ def reference_taylor_certificate(D: Derivation, s: Polynomial, S: Subalgebra):
     target = Subalgebra(S.context, S.base_generators, distinct_nonconstant(projections) + (s,))
     sym = symbol_context(target)
     symbols = [Polynomial.variable(sym, name) for name in sym.variables]
-    symbol_of = dict(zip(target.generators, symbols))
+    symbol_of = {g.monic_lex(): (y, g) for g, y in zip(target.generators, symbols)}
     bindings = dict(zip(S.context.coeff_vars, symbols))
     for x, p in zip(S.context.main_vars, projections):
-        bindings[x] = p.as_rational() if p.is_constant() else symbol_of[p]
+        if p.is_constant():
+            bindings[x] = p.as_rational()
+        else:
+            y, g = symbol_of[p.monic_lex()]
+            bindings[x] = y * (p.lex_leading()[1] / g.lex_leading()[1])
     expressions = [_exp_sum([f.substitute(bindings, context=sym) for f in metered_iterates(D.apply, g)],
                             symbols[-1])
                    for g in S.algebra_generators]
@@ -462,3 +471,216 @@ def reference_taylor_certificate(D: Derivation, s: Polynomial, S: Subalgebra):
                 for x in expressions)
     witnesses = tuple(MembershipWitness(g, e, bound) for g, e in zip(S.algebra_generators, expressions))
     return target.algebra_generators[:-1], witnesses, bound
+
+
+# -- the polynomial parser before it carried integer forms, kept as a reference --
+
+_OPS = set("+-*^/()")
+_DIGITS = set("0123456789")
+
+
+class _ReferenceToken:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _reference_tokenize(text: str) -> list[_ReferenceToken]:
+    tokens: list[_ReferenceToken] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            if j < n and (text[j].isalpha() or text[j] == "_"):
+                raise PolyParseError("implicit multiplication is not accepted", line, col)
+            tokens.append(_ReferenceToken("int", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_ReferenceToken("name", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _OPS:
+            tokens.append(_ReferenceToken(ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise PolyParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_ReferenceToken("eof", "", line, col))
+    return tokens
+
+
+def _reference_exponents(p: Polynomial):
+    """Each variable's largest exponent in ``p``; none for the zero polynomial."""
+    return map(max, zip(*p._num))
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[_ReferenceToken], context: VarContext):
+        self.tokens = tokens
+        self.pos = 0
+        self.context = context
+        self.depth = 0
+
+    def peek(self) -> _ReferenceToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _ReferenceToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str, tok: _ReferenceToken | None = None):
+        tok = tok or self.peek()
+        raise PolyParseError(message, tok.line, tok.col)
+
+    def parse(self) -> Polynomial:
+        poly = self.expr()
+        if self.peek().kind != "eof":
+            self.fail(f"unexpected {self.peek().text!r} after expression")
+        return poly
+
+    def expr(self) -> Polynomial:
+        negate = False
+        if self.peek().kind in ("+", "-"):
+            negate = self.advance().kind == "-"
+        poly = self.term()
+        if negate:
+            poly = -poly
+        while self.peek().kind in ("+", "-"):
+            op = self.advance().kind
+            rhs = self.term()
+            poly = poly + rhs if op == "+" else poly - rhs
+        return poly
+
+    def cap(self, exponents, op: _ReferenceToken):
+        """Fail at the operator ``op`` when its result would carry a
+        variable's exponent above ``MAX_EXPONENT``."""
+        for name, e in zip(self.context.variables, exponents):
+            if e > MAX_EXPONENT:
+                self.fail(f"exponent {e} of {name} exceeds the cap {MAX_EXPONENT}", op)
+
+    def budget(self, terms: int, degree: int, exponents: list[int], op: _ReferenceToken):
+        """Fail at the operator ``op`` when its result may hold more than
+        ``TERM_BUDGET`` terms: more than ``terms`` and more than the
+        monomials of total degree at most ``degree`` in the variables with
+        a nonzero entry in ``exponents``.  The monomials are counted only
+        when ``terms`` exceeds the budget."""
+        if terms > TERM_BUDGET:
+            v = len(exponents) - exponents.count(0)
+            terms = min(terms, comb(degree + v, v))
+            if terms > TERM_BUDGET:
+                self.fail(f"the result may hold {terms} terms, above the budget {TERM_BUDGET}", op)
+
+    def pairs(self, pairs: int, op: _ReferenceToken):
+        """Fail at the operator ``op`` when one of its multiplications may
+        take more than ``PAIR_BUDGET`` pair products."""
+        if pairs > PAIR_BUDGET:
+            self.fail(f"a product may take {pairs} pair products, above the pair budget {PAIR_BUDGET}", op)
+
+    def term(self) -> Polynomial:
+        acc = self.factor()
+        while self.peek().kind == "*":
+            op = self.advance()
+            rhs = self.factor()
+            exponents = [x + y for x, y in zip(_reference_exponents(acc), _reference_exponents(rhs))]
+            self.cap(exponents, op)
+            if acc and rhs:
+                pairs = len(acc) * len(rhs)
+                self.budget(pairs, acc.degree() + rhs.degree(), exponents, op)
+                self.pairs(pairs, op)
+            acc = acc * rhs
+        return acc
+
+    def factor(self) -> Polynomial:
+        base = self.primary()
+        while self.peek().kind == "^":
+            op = self.advance()
+            tok = self.peek()
+            if tok.kind != "int":
+                self.fail("exponent must be a non-negative integer")
+            n = int(tok.text)
+            if n > MAX_EXPONENT:
+                self.fail(f"exponent {tok.text} exceeds the cap {MAX_EXPONENT}")
+            exponents = [n * e for e in _reference_exponents(base)]
+            self.cap(exponents, op)
+            if base and n:
+                multisets = comb(len(base) + n - 1, n)
+                self.budget(multisets, n * base.degree(), exponents, op)
+                if multisets ** 2 > PAIR_BUDGET:  # each factor of the chain has at most `multisets` terms
+                    v = len(exponents) - exponents.count(0)
+                    self.pairs(_power_pairs(len(base), base.degree(), v, n), op)
+            self.advance()
+            base = base ** n
+        return base
+
+    def primary(self) -> Polynomial:
+        tok = self.advance()
+        if tok.kind == "int":
+            num = int(tok.text)
+            if self.peek().kind == "/":
+                self.advance()
+                den_tok = self.peek()
+                if den_tok.kind != "int":
+                    self.fail("denominator must be an integer")
+                self.advance()
+                den = int(den_tok.text)
+                if den == 0:
+                    self.fail("zero denominator", den_tok)
+                return Polynomial.constant(self.context, Fraction(num, den))
+            return Polynomial.constant(self.context, num)
+        if tok.kind == "name":
+            if tok.text not in self.context.variables:
+                self.fail(f"unknown variable {tok.text!r}", tok)
+            return Polynomial.variable(self.context, tok.text)
+        if tok.kind == "(":
+            if self.depth >= MAX_NESTING_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", tok)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            if self.peek().kind != ")":
+                self.fail("expected ')'")
+            self.advance()
+            return inner
+        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
+        raise InvariantError("unreachable")
+
+
+def parse_polynomial(text: str, context: VarContext) -> Polynomial:
+    """Parse ``text`` into a polynomial over ``context``.
+
+    Raises :class:`PolyParseError` with line/column on syntax errors and on
+    names not present in the context.
+    """
+    return _Parser(_tokenize(text), context).parse()
+
+
+def reference_parse_polynomial(text: str, context: VarContext) -> Polynomial:
+    """``parse_polynomial`` as it once was: a character loop for the tokens,
+    and a ``Polynomial`` built for every literal, variable, ``*``, ``^``
+    and ``+``."""
+    return _ReferenceParser(_reference_tokenize(text), context).parse()

@@ -782,3 +782,22 @@ def test_a_wrong_taylor_witness_is_an_internal_error_of_the_random_family(flags)
     result = _cli_subprocess(flags, ["random", "--family", "triangular-fpf", "--count", "3", "--seed", "1"], prelude)
     assert result.returncode == 3, result.stdout + result.stderr
     assert "error internal: Taylor witness failed re-verification" in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python -O"])
+def test_coordinates_below_their_witness_degree_are_incomplete(tmp_path, flags):
+    """``a2-pair``'s coordinates task at bound 3, where X's witness in the
+    coordinates X + t*Y^3 and Y needs degree 4: ``coordinate_system`` returns
+    its ``IncompleteReexpression``, a task outcome with exit 0."""
+    from lndkit.harness import corpus_dir
+
+    text = (Path(corpus_dir()) / "a2-pair.job").read_text()
+    line = 'task coordinates derivations="D1; D2" elements="X + t*Y^3" bound=8'
+    assert line in text
+    job = tmp_path / "a2-pair-bound-3.job"
+    job.write_text(text.replace(line, line.replace("bound=8", "bound=3")))
+    result = _cli_subprocess(flags, ["run", str(job)])
+    assert result.returncode == 0, result.stdout + result.stderr
+    task = result.stdout.split("task 3 coordinates\n")[1].split("end task\n")[0].splitlines()
+    assert "verdict incomplete" in task and "value missing.1 X" in task
+    assert validate_report_text(result.stdout) == []

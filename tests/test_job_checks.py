@@ -322,3 +322,76 @@ def test_a_repeated_single_record_is_rejected_at_its_line(tmp_path, record, line
     assert isinstance(result.exception, SystemExit)
     assert f"duplicate {record} line (line {REPEATED_LINE}, column 1)" in result.output
     assert "lndkit-report" not in result.output
+
+
+# -- the record splitter against shlex, kept here as the oracle --
+
+def _shlex_words(text):
+    try:
+        return shlex.split(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _shlex_split_kv(text, line_no):
+    """``jobs._split_kv`` as it was, on ``shlex.split``."""
+    try:
+        tokens = shlex.split(text)
+    except ValueError as exc:
+        raise JobParseError(f"bad record: {exc}", line_no) from None
+    out = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise JobParseError(f"expected key=value, got {tok!r}", line_no)
+        key, value = tok.split("=", 1)
+        if not key:
+            raise JobParseError(f"empty key in {tok!r}", line_no)
+        if key in out:
+            raise JobParseError(f"duplicate key {key!r}", line_no)
+        out[key] = value
+    return out
+
+
+def _kv_outcome(split, text):
+    try:
+        return split(text, 7)
+    except JobParseError as exc:
+        return str(exc), exc.line
+
+
+# Quotes, backslashes and the four whitespace characters the shell rules
+# split on, beside whitespace they do not split on and other scripts' letters.
+_RECORD_TEXT = st.one_of(
+    st.text(alphabet="ab=' \"\\\t\r\n", max_size=14),
+    st.text(alphabet="kv= '\"\\\x0b\x0c\xa0é#$", max_size=10),
+    st.lists(st.sampled_from(['k=v', 'poly="X + 1"', "a='b c'", 'e=""', "''", '\\"', '"a\\', "x=\\",
+                              '"\\q"', "'\\'", '"\\\\"', 'k="a\\"b"', "=v", "k=v", "novalue", "é=ü"]),
+             max_size=4).map(" ".join),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_RECORD_TEXT)
+def test_record_splitting_matches_shlex(text):
+    """The same words and the same ``ValueError`` text as ``shlex.split``,
+    and so the same pairs or ``JobParseError`` text as the splitter on it."""
+    try:
+        words = jobs._split_words(text)
+    except ValueError as exc:
+        words = "ValueError", str(exc)
+    assert words == _shlex_words(text)
+    assert _kv_outcome(jobs._split_kv, text) == _kv_outcome(_shlex_split_kv, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('k="open', "No closing quotation"),
+    ("k='open\\", "No closing quotation"),
+    ('k="open\\', "No escaped character"),
+    ('k="open\\\\', "No closing quotation"),
+    ("k=v\\", "No escaped character"),
+])
+def test_an_open_quote_or_escape_is_a_bad_record(text, message):
+    with pytest.raises(JobParseError, match=f"bad record: {message}"):
+        jobs._split_kv(text, 1)
+    with pytest.raises(ValueError, match=message):
+        shlex.split(text)

@@ -10,7 +10,7 @@ from lndkit import PolyParseError, Polynomial, VarContext, parse_polynomial
 from lndkit.parse import MAX_NESTING_DEPTH, _power_pairs
 from lndkit.polynomial import MAX_EXPONENT, PAIR_BUDGET, TERM_BUDGET
 
-from helpers import rand_poly
+from helpers import rand_poly, reference_parse_polynomial
 
 CTX = VarContext(("t",), ("X", "Y"))
 
@@ -210,3 +210,78 @@ def test_any_text_parses_or_raises_a_parse_error(text):
         return
     assert p.context == CTX
     assert P(str(p)) == p
+
+
+# -- the integer-form parser against the parser that built a Polynomial per operator --
+
+def _outcome(parse, text):
+    """The parse of ``text`` as fields, or its error as type, text and position."""
+    try:
+        p = parse(text, CTX)
+    except PolyParseError as exc:
+        return "PolyParseError", str(exc), exc.line, exc.col
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        return "ValueError", str(exc)
+    return p.context, p._num, p._den
+
+
+_LEAVES = st.sampled_from(["X", "Y", "t", "Z", "x", "0", "1", "2", "7", "12", "1/2", "-3/4", "6/4", "0/5", "1/0",
+                           "X - X", "1/2 - 1/2", "t*X*Y", "2/3*X^2", "(-2*t*X)", "(3/2*Y^2)"])
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", str(MAX_EXPONENT - 1), str(MAX_EXPONENT), str(MAX_EXPONENT + 1)])
+# Letters, digits and whitespace of other scripts, which the tokenizer must
+# take for what ``str.isalpha``, ``str.isalnum`` and ``str.isspace`` say.
+_FOREIGN = st.sampled_from(["é", "Ж", "ß", "²", "٣", "½", "_", "\u00a0", "\u2028", "\x1c", "\x85", "\x0b", "\r", "\n"])
+
+
+def _nested(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from([" + ", " - ", "*", "+", "-"]), children).map("".join),
+        st.tuples(children, _EXPONENTS).map(lambda c: f"({c[0]})^{c[1]}"),
+        children.map(lambda c: f"({c})"),
+        children.map(lambda c: f"-{c}"),
+    )
+
+
+_NESTED_TEXT = st.recursive(_LEAVES, _nested, max_leaves=8)
+
+
+@st.composite
+def _mangled(draw) -> str:
+    """A nested text with a foreign character, a space or a stray operator put in somewhere."""
+    text = draw(_NESTED_TEXT)
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(st.one_of(_FOREIGN, st.sampled_from([" ", "(", ")", "^", "/", "**", "2", "X"]))) + text[i:]
+
+
+OVERSIZED = ["(X + Y + t + 1)^100", "((X + Y + t + 1)^10)^10", "(X + Y + t + 1)^50*(X + Y + t + 1)^50",
+             "(X + Y + t + 1)^23*(X + Y + t + 1)^23", "((X + Y + t + 1)^20)^2"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_NESTED_TEXT, _mangled(), _POLY_TEXT, st.text(alphabet="XYt12/+-*^() é²٣ \n", max_size=16)))
+@example("0^0")
+@example("(X - X)^3")
+@example(f"X^{MAX_EXPONENT}*t^{MAX_EXPONENT}")
+@example(f"X^{MAX_EXPONENT + 1}")
+@example("(t*X*Y)^60*(t*X*Y)^60")
+@example("((1/2*X + 1/2)^2)^3 - (1/4)^3*(X + 1)^6")
+@example("(2/4*X - 2/4*Y)^2*(3/6)")
+@example("9" * 5000)
+@example("X +\n  Y*Z")
+@example("Y*(2*X) - (3*t)*(X + Y) + (-1/2*X^2)*(4*Y)^2")
+@example("(X + Y)*" * 12 + "X\n + " + "t*" * 40 + "Z")  # an error past column 80 of its line
+@example("(X + Y)*" * 12 + "2X")
+@example("2X")
+@example("X + é")
+@example(" + ".join(f"{k}*t^{k % 5}*X^{k % 7}*Y^{k % 3}" for k in range(1, 80)))
+def test_parse_matches_the_reference_parser(text):
+    """The same polynomial, field for field, or the same error with the same
+    message, line and column, as the parser that built a ``Polynomial`` for
+    every literal, variable and operator."""
+    assert _outcome(parse_polynomial, text) == _outcome(reference_parse_polynomial, text)
+
+
+@pytest.mark.parametrize("text", OVERSIZED)
+def test_oversized_texts_fail_as_the_reference_parser_does(text):
+    got = _outcome(parse_polynomial, text)
+    assert got[0] == "PolyParseError" and got == _outcome(reference_parse_polynomial, text)

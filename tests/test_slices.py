@@ -399,6 +399,22 @@ def test_kernel_generators_worked():
         assert WORKED.apply(k).is_zero()
 
 
+def test_kernel_generators_drop_a_scalar_multiple_of_an_earlier_one():
+    """On seed 19 (X -> t^2, Y -> 1 - t^2) the projections of X and Y
+    under the slice X + Y are negatives of each other: one generator, and
+    the certificate's witnesses re-verify in it."""
+    d = random_triangular_lnd(19)
+    S = Subalgebra.full(d.context)
+    s = P("X + Y", d.context)
+    k = P("X - t^2*X - t^2*Y", d.context)
+    assert kernel_generators(d, s, S) == [k]
+    cert = verify_slice_theorem(d, s, S)
+    assert cert.kernel_generators == (k,)
+    target = Subalgebra(d.context, S.base_generators, (k, s))
+    assert [w.evaluate(target) for w in cert.reexpression] == list(S.algebra_generators)
+    assert reference_taylor_certificate(d, s, S) == (cert.kernel_generators, cert.reexpression, cert.bound)
+
+
 def test_verify_slice_theorem_trivial():
     cert = verify_slice_theorem(DY, P("Y"), Subalgebra.full(CTX), 2)
     assert cert.kernel_generators == (P("X"),)

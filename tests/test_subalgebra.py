@@ -25,6 +25,7 @@ from lndkit import (
     symbol_context,
 )
 from lndkit.linalg import RowSpace, vec_of
+from lndkit.subalgebra import distinct_nonconstant
 
 from helpers import assert_canonical, reference_image_of_product, reference_subalgebra_fpf
 
@@ -50,6 +51,12 @@ def example_53_subalgebra():
         (P("X^2", CTX53), P("X^3", CTX53)),
         tuple(P(g, CTX53) for g in gens),
     )
+
+
+def test_distinct_nonconstant_drops_constants_and_later_scalar_multiples():
+    texts = ["X", "0", "-X", "2*X + 2*Y", "3", "X + Y", "X - Y", "1/2*X", "t*X", "-t*X", "X^2"]
+    kept = distinct_nonconstant(P(text, CTXT) for text in texts)
+    assert kept == tuple(P(text, CTXT) for text in ["X", "2*X + 2*Y", "X - Y", "t*X", "X^2"])
 
 
 @st.composite
