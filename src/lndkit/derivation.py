@@ -23,21 +23,20 @@ computations take either kind; on the full ring they also read
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import lcm
 from operator import add
 from typing import Callable, Mapping
 
 from .context import VarContext
-from .errors import ContextMismatchError, DomainError, UnsupportedSizeError, invariant
+from .errors import ContextMismatchError, DomainError, invariant
 from .groebner import ideal_member
 from .polygcd import gcd_fold
 from .polynomial import TERM_BUDGET, Polynomial
 
 DEFAULT_NILPOTENCY_BOUND = 64
 ITERATION_CAP = 4096
-TRIANGULAR_VAR_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -175,30 +174,36 @@ def nilpotency_verdict(D: Derivation, bound: int = DEFAULT_NILPOTENCY_BOUND) -> 
 
 
 def is_triangular(D: Derivation) -> tuple[str, ...] | None:
-    """Search for a variable ordering making D triangular.
+    """The lexicographically first variable ordering making D triangular,
+    or None.
 
-    Returns an ordering ``x1 < ... < xn`` such that each image ``D(xi)``
-    involves only coefficient variables and ``x1..x(i-1)``, or None.  The
-    search is brute force over orderings and refuses more than
-    ``TRIANGULAR_VAR_CAP`` main variables.
+    An ordering ``x1 < ... < xn`` is triangular when each image ``D(xi)``
+    involves only coefficient variables and ``x1..x(i-1)``.  Kahn's
+    algorithm places, at each step, the first main variable in context
+    order whose image involves only placed ones, from a min-heap of their
+    indices.  A variable that can be placed stays placeable as the placed
+    set grows, so no earlier choice is ever wrong, and the greedy order is
+    the first valid one in lexicographic order.
     """
     main = D.context.main_vars
-    if len(main) > TRIANGULAR_VAR_CAP:
-        raise UnsupportedSizeError(
-            f"triangularity search supports at most {TRIANGULAR_VAR_CAP} main variables"
-        )
-    coeff = set(D.context.coeff_vars)
-    for perm in itertools.permutations(main):
-        allowed = set(coeff)
-        ok = True
-        for name in perm:
-            if not D.images[name].involves_only(allowed):
-                ok = False
-                break
-            allowed.add(name)
-        if ok:
-            return perm
-    return None
+    index = {name: i for i, name in enumerate(main)}
+    users: list[list[int]] = [[] for _ in main]  # the variables whose image involves each one
+    waiting = []  # per variable, how many main variables of its image are unplaced
+    for i, name in enumerate(main):
+        needs = [index[v] for v in D.images[name].variables_used() if v in index]
+        for j in needs:
+            users[j].append(i)
+        waiting.append(len(needs))
+    ready = [i for i, n in enumerate(waiting) if not n]  # ascending, so already a heap
+    order = []
+    while ready:
+        i = heappop(ready)
+        order.append(main[i])
+        for j in users[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(ready, j)
+    return tuple(order) if len(order) == len(main) else None
 
 
 def divergence(D: Derivation) -> Polynomial:

@@ -19,7 +19,9 @@ class DomainError(LndkitError):
 
 
 class UnsupportedSizeError(LndkitError):
-    """Input exceeds a hard size cap of a brute-force search."""
+    """Input exceeds a hard size cap: ``MAX_EXPONENT`` of a power, or
+    ``PRODUCT_CAP`` of a subalgebra's generator products.  Triangularity
+    has no cap: ``is_triangular`` orders the variables without a search."""
 
 
 class PolyParseError(LndkitError):

@@ -38,6 +38,9 @@ expected outcomes (with provenance tags) to the preceding task; they are
 ignored by ``run_job`` and consumed by the corpus comparator.  The records
 of ``SINGLE_RECORDS`` appear at most once.  Parse errors carry line
 numbers.
+
+``parse_job`` is the one description of job text: a ``JobSpec`` is read
+from text and never written back to it.
 """
 
 from __future__ import annotations
@@ -99,49 +102,6 @@ class JobSpec:
     output: str | None = None
     notes: list[str] = field(default_factory=list)
     tags: tuple[str, ...] = ()
-
-    def to_text(self) -> str:
-        """Canonical serialization; parsing it back yields an equal JobSpec."""
-        lines = [f"job {self.name}"]
-        if self.context.coeff_vars:
-            lines.append("ring coeff: " + ", ".join(self.context.coeff_vars))
-        lines.append("ring main: " + ", ".join(self.context.main_vars))
-        S = self.subalgebra
-        for record, gens in (("base", S.base_generators), ("algebra", S.algebra_generators)):
-            lines.append(f"{record}: {'full' if S.full_ring else '; '.join(map(str, gens))}".rstrip())
-        for name, d in self.derivations.items():
-            if isinstance(d, RestrictedDerivation):
-                lines.append(f"derivation {name} gens: " + ", ".join(map(str, d.images)))
-            else:
-                images = ", ".join(f"{v}: {d.images[v]}" for v in self.context.main_vars)
-                lines.append(f"derivation {name}: {images}")
-        lines.append(f"seed: {self.seed}")
-        if self.tags:
-            lines.append("tags: " + ", ".join(self.tags))
-        if self.output:
-            lines.append(f"output: {self.output}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        for task in self.tasks:
-            chunks = [f"task {task.name}"]
-            for k, v in task.params.items():
-                chunks.append(f'{k}="{v}"' if _needs_quoting(v) else f"{k}={v}")
-            lines.append(" ".join(chunks))
-            for cw in task.coord_witnesses:
-                lines.append(f'  coordw gen={cw.generator_index} power={cw.power} expr="{cw.expression}"')
-            for e in task.expectations:
-                parts = [f'  expect {e.key}="{e.value}"' if _needs_quoting(e.value) else f"  expect {e.key}={e.value}"]
-                if e.kind != "text":
-                    parts.append(f"type={e.kind}")
-                parts.append(f"provenance={e.provenance}")
-                if e.oracle:
-                    parts.append(f'oracle="{e.oracle}"')
-                lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-
-def _needs_quoting(value: str) -> bool:
-    return any(ch in value for ch in " \t'\"")
 
 
 # One word of a record, to the next whitespace outside quotes: unquoted

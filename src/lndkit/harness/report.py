@@ -4,6 +4,11 @@ Every witness a task produces is embedded in the report, so a third party
 can re-verify all identities with nothing but a polynomial evaluator.
 Reports are deterministic for a fixed job and seed; ``comparable_text``
 strips the timing lines that are allowed to differ.
+
+``report-schema.txt`` is the one description of a report line:
+``load_schema`` compiles its records into one anchored pattern per record
+head, and ``validate_report_text`` checks each line with one ``fullmatch``
+before the structural checks of the task blocks.
 """
 
 from __future__ import annotations
@@ -91,80 +96,57 @@ class Report:
 
 # -- schema validation --------------------------------------------------------
 
-_KIND_RE = {
-    "int": re.compile(r"[+-]?\d+\Z"),
-    "float": re.compile(r"[+-]?\d+(\.\d+)?\Z"),
-    "word": re.compile(r"\S+\Z"),
-    "key": re.compile(r"[A-Za-z0-9_\-]+(\.[A-Za-z0-9_\-]+)*\Z"),
+# The pattern of each field kind but ``text``, which, last in its record,
+# takes the rest of the line.
+_KIND_PATTERNS = {
+    "int": r"[+-]?\d+",
+    "float": r"[+-]?\d+(?:\.\d+)?",
+    "word": r"\S+",
+    "key": r"[A-Za-z0-9_\-]+(?:\.[A-Za-z0-9_\-]+)*",
 }
 
 
 @cache
-def load_schema() -> Mapping[str, tuple[tuple[str, ...], ...]]:
-    """Parse the shipped schema file into first-token -> field-kind lists.
+def load_schema() -> Mapping[str, re.Pattern]:
+    """Compile the shipped schema file into one pattern per record head.
 
+    Each ``line <head> <fields>`` record is one alternative of its head's
+    pattern: the head, then each field after whitespace, a bare token as a
+    literal and a ``<kind>`` as its kind's pattern, and a trailing
+    ``<text>`` as an optional tail after whitespace.  Blanks may open and
+    close a line.  ``\\s`` is what ``str.split`` splits on, and no field
+    pattern takes whitespace, so a field is a whole word of the line.
     Read once per process; the result is read-only, since it is shared.
     """
     text = resources.files("lndkit.data").joinpath(SCHEMA_RESOURCE).read_text()
-    patterns: dict[str, list[tuple[str, ...]]] = {}
+    alternatives: dict[str, list[str]] = {}
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if len(parts) < 2 or parts[0] != "line":
             continue
-        parts = line.split()
-        if parts[0] != "line":
-            continue
-        head = parts[1]
-        kinds = []
-        for tok in parts[2:]:
-            if tok.startswith("<") and tok.endswith(">"):
-                kinds.append(tok[1:-1])
-            else:
-                kinds.append(f"={tok}")
-        patterns.setdefault(head, []).append(tuple(kinds))
-    return MappingProxyType({head: tuple(options) for head, options in patterns.items()})
+        head, *fields = parts[1:]
+        tail = fields[-1:] == ["<text>"]
+        pattern = re.escape(head)
+        for tok in fields[:-1] if tail else fields:
+            kind = tok[1:-1] if tok.startswith("<") and tok.endswith(">") else None
+            pattern += r"\s+" + (_KIND_PATTERNS[kind] if kind else re.escape(tok))
+        alternatives.setdefault(head, []).append(pattern + (r"(?:\s.*)?" if tail else ""))
+    return MappingProxyType({head: re.compile(r"\s*(?:%s)\s*" % "|".join(alts))
+                             for head, alts in alternatives.items()})
 
 
 def validate_report_text(text: str) -> list[str]:
     """Check a report against the shipped schema; returns a list of problems."""
-    patterns = load_schema()
+    schema = load_schema()
     problems: list[str] = []
     lines = text.splitlines()
     if not lines:
         return ["empty report"]
 
-    def line_ok(line: str) -> bool:
-        parts = line.split()
-        if not parts:
-            return False
-        options = patterns.get(parts[0])
-        if options is None:
-            return False
-        rest = parts[1:]
-        for kinds in options:
-            if kinds and kinds[-1] == "text":
-                if len(rest) < len(kinds) - 1:
-                    continue
-            elif len(rest) != len(kinds):
-                continue
-            good = True
-            for i, kind in enumerate(kinds):
-                if kind == "text":
-                    break
-                tok = rest[i] if i < len(rest) else ""
-                if kind.startswith("="):
-                    if tok != kind[1:]:
-                        good = False
-                        break
-                elif not _KIND_RE[kind].match(tok):
-                    good = False
-                    break
-            if good:
-                return True
-        return False
-
     for n, line in enumerate(lines, start=1):
-        if not line_ok(line):
+        head = line.split(maxsplit=1)[:1]
+        pattern = schema.get(head[0]) if head else None
+        if pattern is None or not pattern.fullmatch(line):
             problems.append(f"line {n}: no schema pattern matches {line!r}")
 
     # structural checks

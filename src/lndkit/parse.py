@@ -42,6 +42,7 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import re
+import sys
 from math import comb, gcd, lcm
 from operator import add
 
@@ -233,6 +234,15 @@ class _Parser:
         if pairs > PAIR_BUDGET:
             raise self.error(f"a product may take {pairs} pair products, above the pair budget {PAIR_BUDGET}", op)
 
+    def literal(self, tok: tuple[str, str, int]) -> int:
+        """The value of the integer token ``tok``; a literal longer than the
+        interpreter's digit limit fails at the token."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise self.error(f"integer literal of {len(tok[1])} digits exceeds the limit of "
+                             f"{sys.get_int_max_str_digits()} digits", tok) from None
+
     def term(self) -> Form:
         tokens = self.tokens
         num, den = self.factor()
@@ -262,7 +272,10 @@ class _Parser:
             kind, text, _ = tokens[self.pos]
             if kind != "int":
                 raise self.error("exponent must be a non-negative integer")
-            n = int(text)
+            try:
+                n = int(text)
+            except ValueError:  # past the interpreter's digit limit, so past the cap
+                n = MAX_EXPONENT + 1
             if n > MAX_EXPONENT:
                 raise self.error(f"exponent {text} exceeds the cap {MAX_EXPONENT}")
             exponents = [n * e for e in _exponents(num)]
@@ -292,14 +305,14 @@ class _Parser:
                 mono = self.monomials[text] = self.one[:i] + (1,) + self.one[i + 1:]
             return {mono: 1}, 1
         if kind == "int":
-            num, den = int(text), 1
+            num, den = self.literal(tok), 1
             if tokens[self.pos][0] == "/":
                 self.pos += 1
                 den_tok = tokens[self.pos]
                 if den_tok[0] != "int":
                     raise self.error("denominator must be an integer")
                 self.pos += 1
-                den = int(den_tok[1])
+                den = self.literal(den_tok)
                 if den == 0:
                     raise self.error("zero denominator", den_tok)
             return ({self.one: num} if num else {}), den

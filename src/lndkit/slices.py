@@ -57,6 +57,7 @@ from .subalgebra import (
     distinct_nonconstant,
     is_scalar_multiple,
     kernel_up_to_degree,
+    restriction_of,
     rref_rows,
     solve_images,
     span_rows,
@@ -218,11 +219,15 @@ def verify_slice_theorem(
     its value when that projection is constant.  The certificate's bound
     is the largest formal degree of the witnesses; a given bound caps it,
     and the generators whose witness exceeds the cap come back as
-    ``IncompleteReexpression``.  Elsewhere each generator is searched in
-    the span of the new generators at the given bound, which is required.
-    Every witness is re-verified by evaluation; a miss returns the
-    incomplete set rather than failing.  A subalgebra with no algebra
-    generator has no slice, and raises DomainError.
+    ``IncompleteReexpression``.  Elsewhere the given bound is required,
+    and one ``GeneratorSpan`` of S at it (``span``, when given) must first
+    witness s and D's image of each algebra generator, so that s lies in S
+    and D restricts to S; a miss raises DomainError naming the element,
+    which is not a refutation.  Then each generator is searched in the span
+    of the new generators at the bound.  Every witness is re-verified by
+    evaluation; a miss returns the incomplete set rather than failing.  A
+    subalgebra with no algebra generator has no slice, and raises
+    DomainError.
 
     One ``_projections`` pass checks D(s) == 1 and computes each generator
     g's iterates [g, D(g), ..., D^(n-1)(g)] once: its projection, a kernel
@@ -233,13 +238,22 @@ def verify_slice_theorem(
         raise ValueError("bound must be at least 1")
     if not S.algebra_generators:
         raise DomainError("a slice certificate needs an algebra generator")
+    taylor = isinstance(D, Derivation) and S.full_ring
+    if not taylor:
+        if bound is None:
+            raise ValueError("an explicit bound is required off the full ring")
+        if span is None:
+            span = GeneratorSpan(S, bound)
+        images = restriction_of(D, S).images
+        for label, f in ((f"the slice {s}", s), *((f"the image {img} of the generator {g}", img)
+                                                   for g, img in zip(S.algebra_generators, images))):
+            if span.member(f) is None:
+                raise DomainError(f"{label} is not found in the subalgebra up to bound {span.bound}")
     chains, projections = _projections(D, s, S.algebra_generators, span)
     kgens = distinct_nonconstant(projections)
     target = Subalgebra(S.context, S.base_generators, kgens + (s,))
-    if isinstance(D, Derivation) and S.full_ring:
+    if taylor:
         witnesses = _taylor_witnesses(S, target, chains, projections, bound)
-    elif bound is None:
-        raise ValueError("an explicit bound is required off the full ring")
     else:
         witnesses = _reexpress(S, target, bound)
     if isinstance(witnesses, IncompleteReexpression):

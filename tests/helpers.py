@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import re
+import sys
 from fractions import Fraction
+from importlib import resources
 from math import comb
 
 from lndkit import (
@@ -601,6 +605,13 @@ class _ReferenceParser:
         if pairs > PAIR_BUDGET:
             self.fail(f"a product may take {pairs} pair products, above the pair budget {PAIR_BUDGET}", op)
 
+    def literal(self, tok: _ReferenceToken) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail(f"integer literal of {len(tok.text)} digits exceeds the limit of "
+                      f"{sys.get_int_max_str_digits()} digits", tok)
+
     def term(self) -> Polynomial:
         acc = self.factor()
         while self.peek().kind == "*":
@@ -622,7 +633,10 @@ class _ReferenceParser:
             tok = self.peek()
             if tok.kind != "int":
                 self.fail("exponent must be a non-negative integer")
-            n = int(tok.text)
+            try:
+                n = int(tok.text)
+            except ValueError:
+                n = MAX_EXPONENT + 1
             if n > MAX_EXPONENT:
                 self.fail(f"exponent {tok.text} exceeds the cap {MAX_EXPONENT}")
             exponents = [n * e for e in _reference_exponents(base)]
@@ -640,14 +654,14 @@ class _ReferenceParser:
     def primary(self) -> Polynomial:
         tok = self.advance()
         if tok.kind == "int":
-            num = int(tok.text)
+            num = self.literal(tok)
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.peek()
                 if den_tok.kind != "int":
                     self.fail("denominator must be an integer")
                 self.advance()
-                den = int(den_tok.text)
+                den = self.literal(den_tok)
                 if den == 0:
                     self.fail("zero denominator", den_tok)
                 return Polynomial.constant(self.context, Fraction(num, den))
@@ -684,3 +698,114 @@ def reference_parse_polynomial(text: str, context: VarContext) -> Polynomial:
     and a ``Polynomial`` built for every literal, variable, ``*``, ``^``
     and ``+``."""
     return _ReferenceParser(_reference_tokenize(text), context).parse()
+
+
+# -- the report matcher that walked the schema's field kinds per word --------
+
+_REFERENCE_KIND_RE = {
+    "int": re.compile(r"[+-]?\d+\Z"),
+    "float": re.compile(r"[+-]?\d+(\.\d+)?\Z"),
+    "word": re.compile(r"\S+\Z"),
+    "key": re.compile(r"[A-Za-z0-9_\-]+(\.[A-Za-z0-9_\-]+)*\Z"),
+}
+
+
+def reference_schema() -> dict[str, list[tuple[str, ...]]]:
+    """The shipped schema as first token -> field-kind lists, a bare token
+    ``tok`` as the kind ``=tok``."""
+    text = resources.files("lndkit.data").joinpath("report-schema.txt").read_text()
+    patterns: dict[str, list[tuple[str, ...]]] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] != "line":
+            continue
+        kinds = tuple(tok[1:-1] if tok.startswith("<") and tok.endswith(">") else f"={tok}" for tok in parts[2:])
+        patterns.setdefault(parts[1], []).append(kinds)
+    return patterns
+
+
+def _reference_line_ok(patterns, line: str) -> bool:
+    parts = line.split()
+    if not parts:
+        return False
+    rest = parts[1:]
+    for kinds in patterns.get(parts[0], ()):
+        if kinds and kinds[-1] == "text":
+            if len(rest) < len(kinds) - 1:
+                continue
+        elif len(rest) != len(kinds):
+            continue
+        good = True
+        for i, kind in enumerate(kinds):
+            if kind == "text":
+                break
+            tok = rest[i] if i < len(rest) else ""
+            if kind.startswith("="):
+                if tok != kind[1:]:
+                    good = False
+                    break
+            elif not _REFERENCE_KIND_RE[kind].match(tok):
+                good = False
+                break
+        if good:
+            return True
+    return False
+
+
+def reference_validate_report_text(text: str) -> list[str]:
+    """``validate_report_text`` as it once was: each line split into words
+    and the words matched field kind by field kind, then the same
+    structural checks."""
+    patterns = reference_schema()
+    lines = text.splitlines()
+    if not lines:
+        return ["empty report"]
+    problems = [f"line {n}: no schema pattern matches {line!r}"
+                for n, line in enumerate(lines, start=1) if not _reference_line_ok(patterns, line)]
+    if not lines[0].startswith("lndkit-report "):
+        problems.append("line 1: report must open with the version line")
+    if lines[-1] != "end report":
+        problems.append("report must close with 'end report'")
+    depth = 0
+    verdict_line = error_line = None
+    for n, line in enumerate(lines, start=1):
+        if line.startswith("task "):
+            if depth:
+                problems.append(f"line {n}: nested task block")
+            depth += 1
+            verdict_line = error_line = None
+        elif line == "end task":
+            if not depth:
+                problems.append(f"line {n}: 'end task' outside a task block")
+            depth = max(0, depth - 1)
+        elif depth and line.startswith("verdict "):
+            verdict_line = n
+        elif depth and line.startswith("error "):
+            error_line = n
+        if verdict_line is not None and error_line is not None:
+            problems.append(
+                f"line {error_line}: task block has both a verdict (line {verdict_line}) and an error"
+            )
+            verdict_line = error_line = None
+    if depth:
+        problems.append("unterminated task block")
+    return problems
+
+
+def reference_is_triangular(D: Derivation) -> tuple[str, ...] | None:
+    """``is_triangular`` as it once was: the first ordering, in the order
+    ``itertools.permutations`` lists them, in which each image involves
+    only coefficient variables and earlier main variables."""
+    coeff = set(D.context.coeff_vars)
+    for perm in itertools.permutations(D.context.main_vars):
+        allowed = set(coeff)
+        for name in perm:
+            if not D.images[name].involves_only(allowed):
+                break
+            allowed.add(name)
+        else:
+            return perm
+    return None

@@ -1,6 +1,7 @@
 """The shipped corpus must pass in full, deterministically, in any order."""
 
 import hashlib
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,8 @@ from lndkit.harness import (
 )
 from lndkit.harness import corpus
 from lndkit.harness.cli import main as cli_main
+
+from helpers import reference_validate_report_text
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,33 @@ REPORT_DIGESTS = {
     "triangular-fpf-family": "ee6e3294712b7fd05496a72be544ecf7ddd5b5c15e6c93757e453aeb69d502da",
     "worked-t-slice": "385455af185da4890ea7bd254ee480dc2c06e2047e6ff0819eb3c30b7088419d",
 }
+
+
+def _mutations(line: str, rng: random.Random) -> list[str]:
+    """Nine single-word mutations of a report line: a word dropped,
+    doubled, signed, dotted, joined to the next, or swapped for a schema
+    word, and the line with a tab, an information separator and an
+    ideographic space for its blanks."""
+    words = line.split(" ")
+    i = rng.randrange(len(words))
+
+    def at(word: str) -> str:
+        return " ".join(words[:i] + ([word] if word else []) + words[i + 1:])
+
+    return [at(""), at(words[i] + " " + words[i]), at("-" + words[i]), at(words[i] + ".x"),
+            at(words[i] + "".join(words[i + 1:i + 2])), at(rng.choice(["end", "ok", "1", "note", "a.b"])),
+            line.replace(" ", "\t"), line.replace(" ", "\x1c", 1), "\u3000" + line + " "]
+
+
+def test_corpus_report_lines_validate_as_the_word_by_word_matcher_does(corpus_outcomes):
+    """Every line of every corpus report, and nine mutations of each, get
+    the problems that matching each word by its field kind gave."""
+    rng = random.Random(0)
+    lines = [line for o in corpus_outcomes for line in o.report.to_text().splitlines()]
+    assert len(lines) > 800
+    for line in lines:
+        for text in (line, *_mutations(line, rng)):
+            assert validate_report_text(text) == reference_validate_report_text(text), text
 
 
 def test_every_entry_report_matches_its_pinned_digest(corpus_outcomes):

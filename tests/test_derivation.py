@@ -10,7 +10,6 @@ from lndkit import (
     Derivation,
     DomainError,
     Polynomial,
-    UnsupportedSizeError,
     VarContext,
     divergence,
     is_fixed_point_free,
@@ -22,7 +21,7 @@ from lndkit import (
 )
 from lndkit.derivation import ITERATION_CAP
 
-from helpers import assert_canonical, rand_poly
+from helpers import assert_canonical, rand_poly, reference_is_triangular
 
 CTX = VarContext((), ("X", "Y"))
 CTXT = VarContext(("t",), ("X", "Y"))
@@ -161,11 +160,27 @@ def test_triangular_chain():
     assert is_triangular(d) == ("X", "Y", "Z")
 
 
-def test_triangular_size_cap():
-    ctx = VarContext((), tuple(f"x{i}" for i in range(9)))
-    d = Derivation(ctx, {n: Polynomial.zero(ctx) for n in ctx.main_vars})
-    with pytest.raises(UnsupportedSizeError):
-        is_triangular(d)
+def test_triangular_order_of_a_nine_variable_chain():
+    """Nine main variables listed against the chain x8 -> x7 -> ... -> x0,
+    with an image of x0 that also involves x5: the one triangular order,
+    whose search over orderings would try nearly all 9! of them."""
+    ctx = VarContext(("t",), tuple(f"x{i}" for i in range(9)))
+    images = {f"x{i}": P(f"t*x{i + 1}^2 + 1", ctx) for i in range(8)}
+    images["x0"] = P("x1*x5", ctx)
+    images["x8"] = P("t", ctx)
+    d = Derivation(ctx, images)
+    assert is_triangular(d) == tuple(f"x{i}" for i in range(8, -1, -1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_triangular_order_is_the_permutation_search_order(data):
+    """Kahn's algorithm with a min-heap gives the ordering, or None,
+    that the search over ``itertools.permutations`` gave first."""
+    ctx = VarContext(("t",), tuple(f"x{i}" for i in range(data.draw(st.integers(1, 5)))))
+    used = st.lists(st.sampled_from(ctx.variables), max_size=3)
+    d = Derivation(ctx, {x: P(" + ".join(data.draw(used) + ["1"]), ctx) for x in ctx.main_vars})
+    assert is_triangular(d) == reference_is_triangular(d)
 
 
 def test_divergence_zero_for_partial():

@@ -1,6 +1,7 @@
 """Job parsing, report schema, determinism, fiber witnesses, and the CLI."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,7 +29,12 @@ from lndkit.harness.cli import main as cli_main
 from lndkit import find_slice, is_fixed_point_free, is_triangular
 from lndkit.polynomial import PAIR_BUDGET, TERM_BUDGET
 
-from helpers import reference_random_triangular_lnd, reference_slice_pipeline_family
+from helpers import (
+    reference_random_triangular_lnd,
+    reference_schema,
+    reference_slice_pipeline_family,
+    reference_validate_report_text,
+)
 
 MINIMAL = """
 job minimal
@@ -73,25 +79,47 @@ def test_parse_expect_requires_provenance():
 
 
 def test_jobspec_roundtrip():
-    spec = parse_job(MINIMAL)
-    again = parse_job(spec.to_text())
-    assert again.to_text() == spec.to_text()
-    assert again.context == spec.context
-    assert again.derivations == spec.derivations
+    """The same job in other spacing and quoting parses to an equal spec,
+    and a value that holds double quotes keeps them."""
+    text = MINIMAL + """  expect note='say "1"' provenance=trivial\n"""
+    variant = """
+  job   minimal
+ring coeff:  t
+ring main: X,Y
+base : full
+algebra: full
+derivation D :X: 0,Y:1
+task find_slice bound='1' "derivation=D"
+expect "note=say \\"1\\"" provenance='trivial'
+"""
+    spec = parse_job(text)
+    assert parse_job(variant) == spec
+    assert spec.tasks[0].expectations[0].value == 'say "1"'
+    assert parse_job(MINIMAL) != spec
 
 
 def test_corpus_files_roundtrip():
-    """Every corpus job, and one without base generators, serializes to text
-    that parses back to the same text and has no trailing blanks."""
+    """Every corpus job, and one without base generators, parses to an
+    equal spec when each record is indented and the words of each task,
+    coordw and expect record are re-quoted by ``shlex.join``."""
+    import shlex
+
     from lndkit.harness import corpus_dir
+
+    def requoted(line: str) -> str:
+        head, _, rest = line.strip().partition(" ")
+        if head == "task":
+            operation, _, rest = rest.partition(" ")
+            head = f"task {operation}"
+        elif head not in ("coordw", "expect"):
+            return f"  {line}"
+        return f"  {head} {shlex.join(shlex.split(rest))}"
 
     texts = {path.name: path.read_text() for path in sorted(Path(corpus_dir()).glob("*.job"))}
     texts["empty-base"] = "job j\nring main: X, Y\nalgebra: X^2; Y\n"
     for name, text in texts.items():
-        spec = parse_job(text)
-        again = parse_job(spec.to_text())
-        assert again.to_text() == spec.to_text(), name
-        assert all(line == line.rstrip() for line in spec.to_text().splitlines()), name
+        variant = "\n".join(requoted(line) if line.strip() else line for line in text.splitlines())
+        assert parse_job(variant) == parse_job(text), name
 
 
 def test_run_job_deterministic():
@@ -129,10 +157,7 @@ def test_schema_is_read_once(monkeypatch):
     schema = report_module.load_schema()
     with pytest.raises(TypeError):
         schema["bogus"] = ()
-    assert all(
-        isinstance(options, tuple) and all(isinstance(kinds, tuple) for kinds in options)
-        for options in schema.values()
-    )
+    assert all(isinstance(pattern, re.Pattern) for pattern in schema.values())
 
 
 def test_schema_rejects_malformed_reports():
@@ -140,6 +165,63 @@ def test_schema_rejects_malformed_reports():
     assert validate_report_text(report.replace("lndkit-report 1", "bogus 1"))
     assert validate_report_text(report.replace("end report", "end"))
     assert validate_report_text(report + "junk line that matches nothing\n")
+
+
+# Samples of each field kind of the schema, near misses of each among them.
+_FIELD_SAMPLES = {
+    "int": ["0", "7", "-3", "+12", "١٢", "1_0"],
+    "float": ["1.5", "-0.25", "+3.0", "2.", ".5", "1.2.3", "1e3"],
+    "word": ["slice", "x=y", "é", "#", "+", "report"],
+    "key": ["witness.1", "a.b-c_d", "a..b", "a.", ".a", "kéy"],
+    "text": ["free text", "", "a\tb"],
+}
+_ALL_SAMPLES = sorted({w for samples in _FIELD_SAMPLES.values() for w in samples if w})
+_ANY_FIELD = st.sampled_from(_ALL_SAMPLES)
+# Blanks between and around words, with whitespace other than a space that ``str.split`` splits on.
+_REPORT_BLANKS = st.sampled_from(["", " ", "  ", "\t", "\x1c", "\x1f", "\u3000", "\u00a0", " \t "])
+
+
+@st.composite
+def _report_line(draw) -> str:
+    """A record of the schema with each field drawn from its kind's samples
+    or any kind's, a word maybe dropped or added, and drawn blanks."""
+    schema = reference_schema()
+    head = draw(st.sampled_from(sorted(schema)))
+    words = [head]
+    for kind in draw(st.sampled_from(schema[head])):
+        own = [kind[1:], kind[1:] + "s"] if kind.startswith("=") else _FIELD_SAMPLES[kind]
+        words.append(draw(st.sampled_from(own) | _ANY_FIELD))
+    edit = draw(st.sampled_from(["keep", "drop", "add"]))
+    i = draw(st.integers(0, len(words) - 1))
+    if edit == "drop":
+        del words[i]
+    elif edit == "add":
+        words.insert(i + 1, draw(_ANY_FIELD))
+    words = [w for w in words if w]
+    seps = [draw(_REPORT_BLANKS.filter(bool)) for _ in words[1:]]
+    body = "".join(sep + word for sep, word in zip(["", *seps], words))
+    return draw(_REPORT_BLANKS) + body + draw(_REPORT_BLANKS)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(_report_line(), min_size=0, max_size=6), st.sampled_from(["\n", "\r\n", "\x1e"]))
+def test_report_validation_matches_the_word_by_word_matcher(lines, newline):
+    """The compiled schema patterns find the problems, in the same order
+    and words, that matching each word by its field kind found."""
+    for text in (newline.join(lines), newline.join(["lndkit-report 1", *lines, "end report"])):
+        assert validate_report_text(text) == reference_validate_report_text(text)
+
+
+def test_every_field_sample_in_every_record_validates_as_the_word_by_word_matcher():
+    """Each record of the schema with its own samples, and with any one field
+    swapped for each sample of every kind."""
+    for head, options in reference_schema().items():
+        for kinds in options:
+            words = [head, *(k[1:] if k.startswith("=") else _FIELD_SAMPLES[k][0] for k in kinds)]
+            for i in range(1, len(words)):
+                for sample in _ALL_SAMPLES:
+                    line = " ".join(words[:i] + [sample] + words[i + 1:])
+                    assert validate_report_text(line) == reference_validate_report_text(line), line
 
 
 def test_bound_and_seed_overrides():
@@ -706,7 +788,7 @@ def test_explicit_variable_lists_are_the_full_ring():
     full = parse_job(WORKED_RING.format(base="full", algebra="full"))
     explicit = parse_job(WORKED_RING.format(base="t", algebra="X; Y"))
     assert explicit.subalgebra == full.subalgebra and explicit.subalgebra.full_ring
-    assert explicit.to_text() == full.to_text()
+    assert explicit == full
     reports = [run_job(spec) for spec in (full, explicit)]  # no --bound needed
     assert reports[0].comparable_text() == reports[1].comparable_text()
     certificate = reports[1].tasks[0]
@@ -722,7 +804,7 @@ def test_generator_derivations_are_built_once():
     E = spec.derivations["E"]
     assert isinstance(E, RestrictedDerivation) and E.subalgebra is spec.subalgebra
     assert spec.tasks[1].args["derivation"] is E and spec.tasks[2].args["derivation"] is E
-    assert parse_job(spec.to_text()).derivations == spec.derivations
+    assert parse_job(MINIMAL + "derivation E gens:0,  1\n").derivations == spec.derivations
     with pytest.raises(JobParseError, match="'E' is not an ambient derivation of the job"):
         parse_job(MINIMAL.replace("find_slice derivation=D bound=1", "apply derivation=E poly=X")
                   + "derivation E gens: 0, 1\n")
@@ -801,3 +883,47 @@ def test_coordinates_below_their_witness_degree_are_incomplete(tmp_path, flags):
     task = result.stdout.split("task 3 coordinates\n")[1].split("end task\n")[0].splitlines()
     assert "verdict incomplete" in task and "value missing.1 X" in task
     assert validate_report_text(result.stdout) == []
+
+
+FALSE_CERTIFICATE = """
+job false-certificate
+ring coeff: t
+ring main: X, Y
+base: full
+algebra: X; Y^2
+derivation D: X: 0, Y: 1
+task verify_slice_theorem derivation=D slice="Y" bound=2
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python -O"])
+def test_a_slice_outside_the_subalgebra_is_a_task_error(tmp_path, flags):
+    """Y is not in k[t][X, Y^2]: a task error (exit 1) that names it, and
+    no certificate from the witnesses g1 and g2^2."""
+    job = tmp_path / "false-certificate.job"
+    job.write_text(FALSE_CERTIFICATE)
+    result = _cli_subprocess(flags, ["run", str(job)])
+    lines = result.stdout.splitlines()
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "error the slice Y is not found in the subalgebra up to bound 2" in lines
+    assert not any(line.startswith("verdict ") for line in lines)
+    assert validate_report_text(result.stdout) == []
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python -O"])
+@pytest.mark.parametrize("record, refusal", [
+    ("derivation D: X: 0, Y: " + "9" * 5000, "integer literal of 5000 digits exceeds the limit of"),
+    ("derivation D: X: 0, Y: X^" + "9" * 5000, "exceeds the cap 100 (line 1, column 3) (line 7, column 1)"),
+    ("derivation D: X: 0, Y: 1\ntask apply derivation=D poly=" + "9" * 5000,
+     "integer literal of 5000 digits exceeds the limit of"),
+], ids=["record literal", "record exponent", "task literal"])
+def test_literals_past_the_digit_limit_are_input_errors(tmp_path, flags, record, refusal):
+    """A literal too long for ``int`` in a derivation record or a task
+    parameter exits 2 with its line and column, not with a traceback."""
+    job = tmp_path / "long-literal.job"
+    job.write_text(MINIMAL.replace("derivation D: X: 0, Y: 1", record))
+    result = _cli_subprocess(flags, ["run", str(job)])
+    assert result.returncode == 2, result.stdout + result.stderr[-500:]
+    assert "Traceback" not in result.stderr
+    assert refusal in result.stdout + result.stderr
+    assert "(line 1, column " in result.stdout + result.stderr

@@ -103,6 +103,19 @@ def test_exponent_cap_is_a_parse_error():
         P(f"(X + Y + 1)^{MAX_EXPONENT + 1}")
 
 
+@pytest.mark.parametrize("text, message, line, col", [
+    ("9" * 5000, "integer literal of 5000 digits exceeds the limit of", 1, 1),
+    ("X +\n  1/" + "7" * 5000, "integer literal of 5000 digits exceeds the limit of", 2, 5),
+    ("(X + 1)^" + "9" * 5000, "exceeds the cap", 1, 9),
+])
+def test_literals_past_the_digit_limit_fail_at_the_literal(text, message, line, col):
+    """A literal too long for ``int`` is a parse error at the literal, not
+    the interpreter's bare ValueError; an exponent that long is past the cap."""
+    with pytest.raises(PolyParseError, match=message) as err:
+        P(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 @pytest.mark.parametrize("text, col", [("((X^33)^3)^3", 11), ("X^60*X^60", 5), ("(X*Y)^50*X^51", 9)])
 def test_computed_exponents_above_the_cap_fail_at_their_operator(text, col):
     with pytest.raises(PolyParseError, match="of X exceeds the cap") as err:
@@ -220,8 +233,6 @@ def _outcome(parse, text):
         p = parse(text, CTX)
     except PolyParseError as exc:
         return "PolyParseError", str(exc), exc.line, exc.col
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        return "ValueError", str(exc)
     return p.context, p._num, p._den
 
 

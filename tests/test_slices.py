@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -568,6 +569,23 @@ def test_the_slice_and_each_projection_are_checked_once(call, restricted, monkey
     assert len(projections) == (1 if call == "dixmier" else 2)
     assert applied.count(s) == 1
     assert [applied.count(k) for k in projections] == [1] * len(projections)
+
+
+@pytest.mark.parametrize("images, slice_, refusal", [
+    ({"X": "0", "Y": "1"}, "Y", "the slice Y is not found in the subalgebra up to bound 2"),
+    ({"X": "1", "Y": "X"}, "X", "the image 2*X*Y of the generator Y^2 is not found in the subalgebra up to bound 2"),
+], ids=["slice", "image"])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_a_certificate_off_the_full_ring_needs_the_slice_and_the_images_in_the_subalgebra(
+        images, slice_, refusal, restricted):
+    """On k[t][X, Y^2] neither Y nor D(Y^2) = 2*X*Y lies in the subalgebra,
+    so no certificate may be written from X and Y^2 alone."""
+    S = Subalgebra(CTXT, (P("t", CTXT),), (P("X", CTXT), P("Y^2", CTXT)))
+    d = D_of(CTXT, **images)
+    if restricted:
+        d = restriction_of(d, S)
+    with pytest.raises(DomainError, match=re.escape(refusal)):
+        verify_slice_theorem(d, P(slice_, CTXT), S, 2)
 
 
 def test_a_subalgebra_without_algebra_generators_is_a_domain_error():
